@@ -2,21 +2,26 @@
 
 A configuration table records the multiple points (multiplicity >= 3) of
 a line arrangement as sets of line labels; double points are implicit as
-the uncovered pairs.  Automorphisms are found by backtracking on the
-edge-weighted complete graph whose weight on {i, j} is the multiplicity
-of the unique listed point through both lines (2 when none): weight
-preservation prunes, and complete assignments get a full point-set check
-(pairwise preservation alone is necessary, not sufficient).
+the uncovered pairs.  Automorphisms are found by individualization-
+refinement on the line/point incidence structure with pruning by the
+automorphisms already found; every candidate gets the full point-set check
+(refinement is an invariant, not a proof of isomorphism).
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import add, itemgetter
 
 from .errors import ParseError, ValidationError
+
+# Largest accepted line count: the automorphism search allocates n x n.
+MAX_LINES = 1024
 
 
 class Permutation:
@@ -63,13 +68,7 @@ class Permutation:
         return Permutation(inv)
 
     def order(self) -> int:
-        k = 1
-        acc = self
-        ident = Permutation.identity(self.degree)
-        while acc != ident:
-            acc = acc * self
-            k += 1
-        return k
+        return lcm(*map(len, self.cycles()))
 
     @property
     def is_identity(self) -> bool:
@@ -77,7 +76,8 @@ class Permutation:
 
     @property
     def is_involution(self) -> bool:
-        return not self.is_identity and (self * self).is_identity
+        images = self.images
+        return not self.is_identity and all(images[v - 1] == i for i, v in enumerate(images, 1))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
@@ -157,8 +157,8 @@ class ConfigTable:
     __slots__ = ("name", "n", "points", "_sets")
 
     def __init__(self, name: str, n: int, points) -> None:
-        if n < 1:
-            raise ValidationError("line count must be positive")
+        if not 1 <= n <= MAX_LINES:
+            raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {n}")
         pts = []
         labels = set()
         seen_pairs = {}
@@ -321,103 +321,103 @@ class AutGroup:
         return f"order {n}"
 
 
-def _line_signatures(table: ConfigTable) -> dict[int, tuple[int, ...]]:
-    w = table.pair_weights()
-    sigs = {}
-    for i in range(1, table.n + 1):
-        sig = sorted(w.get((min(i, j), max(i, j)), 2)
-                     for j in range(1, table.n + 1) if j != i)
-        sigs[i] = tuple(sig)
-    return sigs
-
-
 def automorphism_group(table: ConfigTable) -> AutGroup:
     """Enumerate all lattice automorphisms of the table.
 
-    Deterministic: elements are sorted lexicographically by image sequence.
+    Individualization-refinement (McKay & Piperno, J. Symbolic Comput. 60,
+    2014): from the deepest level of the first path up, one child per orbit
+    of the automorphisms found so far is searched, cut wherever the
+    refinement trace departs from the first path's, for a leaf passing
+    ``is_lattice_isomorphism``.  The automorphisms found are a strong
+    generating set (Seress, *Permutation Group Algorithms*, 2003), not a
+    minimal one; the elements are their closure, sorted by image sequence.
     """
     n = table.n
-    weights = table.pair_weights()
+    # a pair's weight and the other line's colour (0..n-1) as one sortable int
+    pair_keys = [[0 if j == i else 2 * n for j in range(n)] for i in range(n)]
+    for (i, j), w in table.pair_weights().items():
+        pair_keys[i - 1][j - 1] = pair_keys[j - 1][i - 1] = w * n
+    point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
+    through: list[list[int]] = [[] for _ in range(n)]
+    for p, (_, s) in enumerate(table.points):
+        for i in s:
+            through[i - 1].append(p)
 
-    def w(i: int, j: int) -> int:
-        if i == j:
-            return 0
-        return weights.get((min(i, j), max(i, j)), 2)
+    def refine(colours, expected=None):
+        """The equitable refinement of ``colours`` (a line's colour counts the
+        lines in lower cells) and the trace of its rounds, each the sorted
+        line signatures; (None, None) once the trace departs from ``expected``."""
+        trace = []
+        while True:
+            point_colours = [sorted(get(colours)) for get in point_lines]
+            sigs = [(colours[i], sorted(map(add, pair_keys[i], colours)),
+                     sorted(point_colours[p] for p in through[i])) for i in range(n)]
+            step = sorted(sigs)
+            if expected is not None and expected[len(trace)] != step:
+                return None, None
+            trace.append(step)
+            refined = [bisect_left(step, sig) for sig in sigs]
+            if refined == colours:
+                return colours, trace
+            colours = refined
 
-    sigs = _line_signatures(table)
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for i, sig in sigs.items():
-        classes.setdefault(sig, []).append(i)
-    # rarest signature first maximizes early pruning
-    order = sorted(range(1, n + 1), key=lambda i: (len(classes[sigs[i]]), sigs[i], i))
+    def children(colours):
+        """(v, colours with v individualized) for each line v of the target
+        cell: the largest non-singleton cell, the lowest colour among ties."""
+        size, colour = max((k, -c) for c, k in Counter(colours).items())
+        cell = [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
+        return [(v, colours[:v] + [colours[v] + size - 1] + colours[v + 1:]) for v in cell]
 
-    found: list[Permutation] = []
-    image = {}
-    used = set()
+    colours, trace = refine([0] * n)
+    traces, path = [trace], []          # path: the children of each first-path node
+    while kids := children(colours):
+        path.append(kids)
+        colours, trace = refine(kids[0][1])
+        traces.append(trace)
+    first_leaf = colours
 
-    def backtrack(k: int) -> None:
-        if k == n:
-            tau = Permutation(tuple(image[i] for i in range(1, n + 1)))
-            if is_lattice_isomorphism(table, table, tau):
-                found.append(tau)
-            return
-        i = order[k]
-        for j in classes[sigs[i]]:
-            if j in used:
-                continue
-            if any(w(i, prev) != w(j, image[prev]) for prev in order[:k]):
-                continue
-            image[i] = j
-            used.add(j)
-            backtrack(k + 1)
-            used.discard(j)
-            del image[i]
+    def search(colours, depth):
+        """An automorphism (0-based images) carrying the first leaf to a leaf
+        below this individualized node at ``depth``, or None."""
+        colours, _ = refine(colours, traces[depth])
+        if colours is None:
+            return None
+        kids = children(colours)
+        if not kids:
+            line_of = sorted(range(n), key=colours.__getitem__)
+            gamma = tuple(line_of[c] for c in first_leaf)
+            tau = Permutation(v + 1 for v in gamma)
+            return gamma if is_lattice_isomorphism(table, table, tau) else None
+        for _, child in kids:
+            gamma = search(child, depth + 1)
+            if gamma is not None:
+                return gamma
+        return None
 
-    backtrack(0)
-    found.sort()
-    return AutGroup(n=n, elements=tuple(found), generators=_minimal_generators(found))
+    gens: list[tuple[int, ...]] = []
+    for depth in reversed(range(len(path))):
+        tried = [path[depth][0][0]]
+        for v, child in path[depth][1:]:
+            if not any(v in _orbit(u, [g.__getitem__ for g in gens]) for u in tried):
+                gamma = search(child, depth + 1)
+                if gamma is None:
+                    tried.append(v)
+                else:
+                    gens.append(gamma)
+    elements = _orbit(tuple(range(n)), [itemgetter(*g) for g in gens])
+    return AutGroup(n=n, elements=tuple(Permutation(v + 1 for v in p) for p in sorted(elements)),
+                    generators=tuple(Permutation(v + 1 for v in g) for g in gens))
 
 
-def _closure(gens, n: int) -> frozenset:
-    ident = Permutation.identity(n)
-    elems = {ident}
-    frontier = [ident]
+def _orbit(start, moves) -> set:
+    """Everything reachable from ``start`` by applying ``moves``."""
+    orbit, frontier = {start}, [start]
     while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                if prod not in elems:
-                    elems.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return frozenset(elems)
-
-
-def _minimal_generators(elements: list[Permutation]) -> tuple[Permutation, ...]:
-    """Smallest generating subset found: exact search for small groups,
-    greedy extension otherwise."""
-    if not elements:
-        return ()
-    n = elements[0].degree
-    everything = frozenset(elements)
-    if len(elements) == 1:
-        return ()
-    non_identity = [g for g in sorted(elements) if not g.is_identity]
-    if len(elements) <= 60:
-        for size in (1, 2, 3):
-            for combo in combinations(non_identity, size):
-                if _closure(combo, n) == everything:
-                    return combo
-    gens: list[Permutation] = []
-    generated = frozenset({Permutation.identity(n)})
-    for g in non_identity:
-        if g not in generated:
-            gens.append(g)
-            generated = _closure(gens, n)
-            if generated == everything:
-                break
-    return tuple(gens)
+        x = frontier.pop()
+        new = {move(x) for move in moves} - orbit
+        orbit |= new
+        frontier.extend(new)
+    return orbit
 
 
 def involutions(group: AutGroup) -> list[Permutation]:

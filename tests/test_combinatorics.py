@@ -1,10 +1,12 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arrsym import corpus
-from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
+from arrsym import combinatorics, corpus
+from arrsym.combinatorics import (MAX_LINES, ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism,
                                   parse_config_table, parse_cycles)
 from arrsym.errors import ParseError, ValidationError
@@ -37,6 +39,54 @@ def brute_force_automorphisms(table):
             if is_lattice_isomorphism(table, table, Permutation(images))]
 
 
+def generated(group):
+    """Closure of the group's generators under composition."""
+    elements = {Permutation.identity(group.n)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in group.generators:
+                p = g * h
+                if p not in elements:
+                    elements.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return elements
+
+
+def fermat_table(m):
+    """The Fermat arrangement A(m,m,3) from its combinatorics alone.
+
+    Lines 1, 2, 3 are x, y, z; lines 4 + k, 4 + m + k and 4 + 2m + k are
+    x - ζ^k y, y - ζ^k z and z - ζ^k x for a primitive m-th root of unity ζ.
+    The coordinate points carry the three points of multiplicity m + 2, and
+    x - ζ^a y, y - ζ^b z, z - ζ^c x meet exactly when a + b + c = 0 mod m."""
+    xy, yz, zx = ([start + k for k in range(m)] for start in (4, 4 + m, 4 + 2 * m))
+    points = [{1, 2, *xy}, {2, 3, *yz}, {3, 1, *zx}]
+    points += [{xy[a], yz[b], zx[-(a + b) % m]} for a in range(m) for b in range(m)]
+    return ConfigTable(f"A({m},{m},3)", 3 + 3 * m,
+                       [(f"p{k}", s) for k, s in enumerate(points, 1)])
+
+
+# m -> (|Aut|, number of involutions) of A(m,m,3)
+FERMAT = {2: (24, 9), 3: (108, 27), 4: (192, 43), 6: (432, 75)}
+
+
+@pytest.fixture
+def leaf_checks(monkeypatch):
+    """Every permutation the search hands to ``is_lattice_isomorphism``."""
+    checked = []
+    check = combinatorics.is_lattice_isomorphism
+
+    def counted(a, b, tau):
+        checked.append(tau)
+        return check(a, b, tau)
+
+    monkeypatch.setattr(combinatorics, "is_lattice_isomorphism", counted)
+    return checked
+
+
 def test_parse_table1():
     t = table1()
     assert t.n == 10
@@ -60,10 +110,22 @@ def test_parse_generic_table():
     "arrangement x\nlines 4\npoint a : 1 1 2\n",                    # repeated label
     "lines 4\n",                                                    # missing header
     "arrangement x\nlines 4\nbogus directive\n",
+    "arrangement x\nlines 1000000000\n",                            # above MAX_LINES
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_config_table(text)
+
+
+def test_line_count_cap_checked_first():
+    def untouched():
+        raise AssertionError("points read before the line count was checked")
+        yield
+
+    for n in (0, MAX_LINES + 1, 10 ** 9):
+        with pytest.raises(ValidationError, match="line count"):
+            ConfigTable("big", n, untouched())
+    assert ConfigTable("edge", MAX_LINES, []).n == MAX_LINES
 
 
 def test_serialize_round_trip():
@@ -151,20 +213,48 @@ def test_group_axioms_by_enumeration(n, points):
 
 
 def test_generators_generate(realized):
-    for name in corpus.list_cases():
-        group = automorphism_group(corpus.get_case(name).config)
-        generated = {Permutation.identity(group.n)}
-        frontier = list(generated)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in group.generators:
-                    p = g * h
-                    if p not in generated:
-                        generated.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        assert generated == set(group.elements), name
+    tables = [corpus.get_case(name).config for name in corpus.list_cases()]
+    for table in tables + [fermat_table(m) for m in FERMAT]:
+        group = automorphism_group(table)
+        assert generated(group) == set(group.elements), table.name
+
+
+@st.composite
+def small_tables(draw):
+    """Valid tables on at most 7 lines: points of 3 or more lines, no pair
+    of lines on two points."""
+    n = draw(st.integers(1, 7))
+    points, covered = [], set()
+    for lines in draw(st.lists(st.sets(st.integers(1, n), max_size=n), max_size=8)):
+        pairs = set(combinations(sorted(lines), 2))
+        if len(lines) >= 3 and not pairs & covered:
+            points.append(lines)
+            covered |= pairs
+    return ConfigTable("random", n, [(f"p{k}", s) for k, s in enumerate(points, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tables())
+def test_search_matches_brute_force_on_random_tables(table):
+    group = automorphism_group(table)
+    assert list(group.elements) == sorted(brute_force_automorphisms(table))
+    assert generated(group) == set(group.elements)
+
+
+@pytest.mark.parametrize("m", sorted(FERMAT))
+def test_fermat_groups_within_group_order_leaf_checks(m, leaf_checks):
+    table = fermat_table(m)
+    assert table.multiplicity_census() == {m + 2: 3, 3: m * m}
+    group = automorphism_group(table)
+    assert (group.order, len(involutions(group))) == FERMAT[m]
+    assert 0 < len(leaf_checks) <= group.order
+
+
+@pytest.mark.parametrize("name", corpus.list_cases())
+def test_corpus_leaf_checks_within_group_order(name, leaf_checks):
+    group = automorphism_group(corpus.get_case(name).config)
+    assert group.order == corpus.get_case(name).expected_aut_order
+    assert 0 < len(leaf_checks) <= group.order
 
 
 def test_signature_preservation():
