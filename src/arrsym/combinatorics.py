@@ -19,6 +19,7 @@ from math import comb, lcm
 from operator import add, itemgetter
 
 from .errors import ParseError, ValidationError
+from .fields import parse_digits
 
 # Largest accepted line count: the automorphism search allocates n x n.
 MAX_LINES = 1024
@@ -135,10 +136,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
         entries = [e for e in re.split(r"[,\s]+", body.strip()) if e]
         if len(entries) < 2:
             raise ParseError(f"cycle with fewer than two entries in {text!r}")
-        try:
-            vals = [int(e) for e in entries]
-        except ValueError as exc:
-            raise ParseError(f"non-integer label in {text!r}") from exc
+        vals = [parse_digits(e, "a line label") for e in entries]
         if len(set(vals)) != len(vals):
             raise ParseError(f"repeated label inside a cycle in {text!r}")
         for v in vals:
@@ -241,19 +239,20 @@ def parse_config_table(text: str) -> ConfigTable:
                 raise ParseError(f"line {lineno}: expected 'arrangement <name>'")
             name = fields[1]
         elif keyword == "lines":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'lines <n>'")
-            n = int(fields[1])
+            n = parse_digits(fields[1], f"line {lineno}: a line count")
         elif keyword == "point":
             m = re.match(r"^point\s+(\S+)\s*:\s*(.*)$", line)
             if not m:
                 raise ParseError(f"line {lineno}: expected 'point <label> : <i> ...'")
             label, rest = m.group(1), m.group(2).split()
-            if not rest or not all(v.isdigit() for v in rest):
+            if not rest:
                 raise ParseError(f"line {lineno}: point needs integer line labels")
             if len(set(rest)) != len(rest):
                 raise ParseError(f"line {lineno}: repeated line label in point {label}")
-            points.append((label, [int(v) for v in rest]))
+            points.append((label, [parse_digits(v, f"line {lineno}: a line label")
+                                   for v in rest]))
         else:
             raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
     if name is None or n is None:

@@ -296,6 +296,22 @@ def quad_roots(a: int | Fraction, b: int | Fraction,
 
 # -- scalar text form --------------------------------------------------------
 
+# Longest decimal literal accepted in any input file: the smallest limit
+# CPython lets ``int(str)`` be configured to, so reading never fails there.
+MAX_DIGITS = 640
+
+
+def parse_digits(text: str, what: str) -> int:
+    """Read an unsigned decimal integer written in ASCII digits, or raise
+    ParseError.  The file parsers read their counts, labels and literals
+    here: ``str.isdigit`` also accepts superscripts, which ``int`` refuses."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"expected {what}, got {text!r}")
+    if len(text) > MAX_DIGITS:
+        raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 _RAT = r"-?\d+(?:/\d+)?"
 _RAT_RE = re.compile(rf"^{_RAT}$")
 _B_ONLY_RE = re.compile(r"^(?P<b>[+-]?(?:\d+(?:/\d+)?)?)w$")
@@ -311,10 +327,12 @@ def _parse_b(text: str) -> Fraction:
 
 
 def _fraction_literal(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ParseError(f"zero denominator in {text!r}") from exc
+    num, _, den = text.lstrip("+-").partition("/")
+    den = parse_digits(den, "a denominator") if den else 1
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    value = Fraction(parse_digits(num, "a numerator"), den)
+    return -value if text.startswith("-") else value
 
 
 def parse_scalar(text: str, field: FieldSpec = RATIONAL) -> QuadExt:

@@ -14,7 +14,8 @@ from math import comb
 
 from .combinatorics import ConfigTable, Permutation
 from .errors import DegenerateError, ParseError, ValidationError
-from .fields import RATIONAL, FieldSpec, QuadExt, format_scalar, parse_scalar
+from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar, parse_digits,
+                     parse_scalar)
 
 
 def _as_scalar(value, field: FieldSpec) -> QuadExt:
@@ -197,20 +198,44 @@ def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTab
     return lattice, table
 
 
+@dataclass(frozen=True)
+class MapKind:
+    """Coordinate map: swap sends (A,B,C) to (B,A,C), the reflection
+    exchanging x and y; conjugate then applies the Galois conjugation to
+    every coefficient."""
+
+    swap: bool
+    conjugate: bool
+
+    @property
+    def label(self) -> str:
+        parts = [name for name, on in (("swap", self.swap),
+                                       ("conjugate", self.conjugate)) if on]
+        return "+".join(parts) or "identity"
+
+    def apply_line(self, line: ProjLine) -> tuple[QuadExt, QuadExt, QuadExt]:
+        a, b, c = line.coords
+        if self.swap:
+            a, b = b, a
+        if self.conjugate:
+            a, b, c = a.conjugate(), b.conjugate(), c.conjugate()
+        return (a, b, c)
+
+    def __str__(self) -> str:
+        return self.label
+
+
+SWAP = MapKind(swap=True, conjugate=False)
+SWAP_CONJUGATE = MapKind(swap=True, conjugate=True)
+
+
 def apply_coordinate_map(arrangement: Arrangement, swap: bool,
                          conjugate: bool) -> Arrangement:
-    """Coordinate maps: swap sends (A,B,C) to (B,A,C) (the reflection
-    exchanging x and y); conjugate applies the Galois conjugation to every
-    coefficient.  Labels are preserved; output is renormalized."""
-    new_lines = []
-    for ln in arrangement.lines:
-        a, b, c = ln.coords
-        if swap:
-            a, b = b, a
-        if conjugate:
-            a, b, c = a.conjugate(), b.conjugate(), c.conjugate()
-        new_lines.append(ProjLine((a, b, c), arrangement.field))
-    return Arrangement(arrangement.name, arrangement.field, new_lines)
+    """Apply MapKind(swap, conjugate) to every line.  Labels are preserved;
+    output is renormalized."""
+    kind = MapKind(swap, conjugate)
+    return Arrangement(arrangement.name, arrangement.field,
+                       [kind.apply_line(ln) for ln in arrangement.lines])
 
 
 def relabel(arrangement: Arrangement, sigma: Permutation) -> Arrangement:
@@ -243,9 +268,11 @@ def parse_arrangement(text: str) -> Arrangement:
             if rest == ["rational"]:
                 field = RATIONAL
             elif len(rest) == 2 and rest[0] == "sqrt":
+                digits = rest[1].removeprefix("-")
+                d = parse_digits(digits, f"line {lineno}: a field radicand")
                 try:
-                    field = FieldSpec.quadratic(int(rest[1]))
-                except (ValueError, ValidationError) as exc:
+                    field = FieldSpec.quadratic(-d if digits != rest[1] else d)
+                except ValidationError as exc:
                     raise ParseError(f"line {lineno}: bad field ({exc})") from exc
             else:
                 raise ParseError(f"line {lineno}: expected 'field rational' or 'field sqrt <d>'")
@@ -255,7 +282,7 @@ def parse_arrangement(text: str) -> Arrangement:
             m = re.match(r"^line\s+(\d+)\s*:\s*(.*)$", line)
             if not m:
                 raise ParseError(f"line {lineno}: expected 'line <i> : a ; b ; c'")
-            idx = int(m.group(1))
+            idx = parse_digits(m.group(1), f"line {lineno}: a line label")
             parts = [p.strip() for p in m.group(2).split(";")]
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected three ';'-separated scalars")

@@ -11,13 +11,14 @@ moduli components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .combinatorics import ConfigTable, Permutation, is_lattice_isomorphism
+from .combinatorics import (MAX_LINES, ConfigTable, Permutation,
+                            is_lattice_isomorphism)
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
-                     ValidationError)
-from .fields import RATIONAL, FieldSpec, QuadExt, quad_roots
+                     UnsupportedDegreeError, ValidationError)
+from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
 from .geometry import Arrangement, ProjLine, cross, lattice_of
 from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce, ratfunc_eval
 
@@ -152,17 +153,19 @@ def parse_plan(text: str) -> ConstructionPlan:
                 raise ParseError(f"line {lineno}: expected 'plan <name> over <var>'")
             name, var = fields[1], fields[3]
         elif keyword == "lines":
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'lines <n>'")
-            n = int(fields[1])
+            n = parse_digits(fields[1], f"line {lineno}: a line count")
+            if n > MAX_LINES:
+                raise ParseError(f"line {lineno}: more than {MAX_LINES} lines")
         elif keyword == "line":
             if var is None:
                 raise ParseError(f"line {lineno}: 'plan' header must come first")
             head, _, rest = line.partition(":")
             head_fields = head.split()
-            if len(head_fields) != 2 or not head_fields[1].isdigit():
+            if len(head_fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'line <i> : ...'")
-            index = int(head_fields[1])
+            index = parse_digits(head_fields[1], f"line {lineno}: a line label")
             rest = rest.strip()
             if rest.startswith("join"):
                 parts = rest.split()
@@ -185,15 +188,15 @@ def parse_plan(text: str) -> ConstructionPlan:
             if len(head_fields) != 2:
                 raise ParseError(f"line {lineno}: expected 'point <P> : meet <i> <j>'")
             parts = rest.split()
-            if len(parts) != 3 or parts[0] != "meet" or not parts[1].isdigit() \
-                    or not parts[2].isdigit():
+            if len(parts) != 3 or parts[0] != "meet":
                 raise ParseError(f"line {lineno}: expected 'meet <i> <j>'")
-            steps.append(MeetPoint(name=head_fields[1],
-                                   i=int(parts[1]), j=int(parts[2])))
+            i, j = (parse_digits(v, f"line {lineno}: a line label") for v in parts[1:])
+            steps.append(MeetPoint(name=head_fields[1], i=i, j=j))
         elif keyword == "require":
-            if len(fields) != 4 or fields[2] != "on" or not fields[3].isdigit():
+            if len(fields) != 4 or fields[2] != "on":
                 raise ParseError(f"line {lineno}: expected 'require <P> on <i>'")
-            steps.append(Require(point=fields[1], line=int(fields[3])))
+            steps.append(Require(point=fields[1], line=parse_digits(
+                fields[3], f"line {lineno}: a line label")))
         else:
             raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
     if name is None or var is None:
@@ -206,24 +209,24 @@ def parse_plan(text: str) -> ConstructionPlan:
         raise ParseError(str(exc)) from exc
 
 
-def _run_symbolic(plan: ConstructionPlan):
-    """Execute the plan over Q(t); returns line/point triples of RatFunc."""
+def _run_plan(plan: ConstructionPlan, entry, where: str):
+    """Execute the plan steps, turning each given-line entry into a value
+    with ``entry``; returns the line and point triples by label.  ``where``
+    completes the message of a degenerate meet or join."""
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = step.entries
+            lines[step.index] = tuple(entry(e) for e in step.entries)
         elif isinstance(step, MeetPoint):
             v = cross(lines[step.i], lines[step.j])
             if all(e.is_zero for e in v):
-                raise DegenerateError(
-                    f"lines {step.i},{step.j} coincide identically")
+                raise DegenerateError(f"lines {step.i},{step.j} coincide {where}")
             points[step.name] = v
         elif isinstance(step, JoinLine):
             v = cross(points[step.p], points[step.q])
             if all(e.is_zero for e in v):
-                raise DegenerateError(
-                    f"points {step.p},{step.q} coincide identically")
+                raise DegenerateError(f"points {step.p},{step.q} coincide {where}")
             lines[step.index] = v
     return lines, points
 
@@ -232,31 +235,14 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
     """Evaluate every entry exactly at t0.  Requirements are NOT checked."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
-    field = t0.field
-    lines: dict[int, tuple] = {}
-    points: dict[str, tuple] = {}
-    for step in plan.steps:
-        if isinstance(step, GivenLine):
-            lines[step.index] = tuple(ratfunc_eval(e, t0) for e in step.entries)
-        elif isinstance(step, MeetPoint):
-            v = cross(lines[step.i], lines[step.j])
-            if all(e.is_zero for e in v):
-                raise DegenerateError(
-                    f"lines {step.i},{step.j} coincide at {plan.var}={t0}")
-            points[step.name] = v
-        elif isinstance(step, JoinLine):
-            v = cross(points[step.p], points[step.q])
-            if all(e.is_zero for e in v):
-                raise DegenerateError(
-                    f"points {step.p},{step.q} coincide at {plan.var}={t0}")
-            lines[step.index] = v
-    return Arrangement(plan.name, field,
-                       [ProjLine(lines[i], field) for i in range(1, plan.n + 1)])
+    lines, _ = _run_plan(plan, lambda e: ratfunc_eval(e, t0), f"at {plan.var}={t0}")
+    return Arrangement(plan.name, t0.field,
+                       [ProjLine(lines[i], t0.field) for i in range(1, plan.n + 1)])
 
 
 def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
     """Numerator polynomial of each non-identically-satisfied requirement."""
-    lines, points = _run_symbolic(plan)
+    lines, points = _run_plan(plan, lambda e: e, "identically")
     out = []
     for req in plan.requires():
         point = points[req.point]
@@ -270,13 +256,16 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
 @dataclass(frozen=True)
 class ModuliConstraint:
     """The admissible factor: a quadratic (or degenerately linear) polynomial
-    whose roots index the moduli components."""
+    whose roots index the moduli components.  ``realizations`` are the plan
+    evaluated at the two roots, as checked against the target lattice."""
 
     poly: Poly
     var: str
     field: FieldSpec
     roots: tuple[QuadExt, QuadExt]
     discarded: tuple[tuple[Poly, str], ...]
+    realizations: tuple[Arrangement, Arrangement] = dataclass_field(
+        compare=False, repr=False)
 
     def format(self) -> str:
         return self.poly.format(self.var)
@@ -302,8 +291,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     whose every root realizes the target combinatorics exactly.
 
     Factors of individual requirement numerators that are not common to
-    all requirements are reported in `discarded`, as are common factors
-    that fail realization (pole, degeneracy, or lattice mismatch).
+    all requirements are reported in `discarded` (a part that does not
+    split into rational roots and quadratics is reported unfactored), as
+    are common factors that fail realization (pole, degeneracy, or
+    lattice mismatch).
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
@@ -321,8 +312,16 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
 
     seen_noncommon = set()
     for num in numerators:
-        for factor, _ in poly_reduce(num):
-            if factor in candidates or factor in seen_noncommon:
+        while (shared := num.gcd(common)).degree > 0:
+            num = num // shared
+        if num.degree < 1:
+            continue
+        try:
+            factors = [f for f, _ in poly_reduce(num)]
+        except UnsupportedDegreeError:
+            factors = [_primitive(num)]
+        for factor in factors:
+            if factor in seen_noncommon:
                 continue
             seen_noncommon.add(factor)
             discarded.append((factor, "not common to all requirements"))
@@ -331,6 +330,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     for factor in candidates:
         field, roots = _roots_of_factor(factor)
         verdict = None
+        realizations = []
         for root in roots:
             try:
                 realization = evaluate_plan(plan, root)
@@ -345,8 +345,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
                                           Permutation.identity(plan.n)):
                 verdict = "lattice mismatch"
                 break
+            realizations.append(realization)
         if verdict is None:
-            admissible.append((factor, field, roots))
+            admissible.append((factor, field, roots, realizations))
         else:
             discarded.append((factor, verdict))
 
@@ -355,29 +356,24 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             "zero admissible factors: no candidate realizes the target lattice "
             f"(discarded: {[(f.format(plan.var), r) for f, r in discarded]})")
     if len(admissible) > 1:
-        polys = ", ".join(f.format(plan.var) for f, _, _ in admissible)
+        polys = ", ".join(f.format(plan.var) for f, *_ in admissible)
         raise ConstraintError(f"more than one admissible factor: {polys}")
 
-    factor, field, roots = admissible[0]
-    if len(roots) == 1:
-        roots = (roots[0], roots[0])
+    factor, field, roots, realizations = admissible[0]
     return ModuliConstraint(poly=_primitive(factor), var=plan.var, field=field,
-                            roots=roots, discarded=tuple(discarded))
+                            roots=(roots[0], roots[-1]), discarded=tuple(discarded),
+                            realizations=(realizations[0], realizations[-1]))
 
 
 def realize_components(plan: ConstructionPlan,
                        constraint: ModuliConstraint) -> tuple[Arrangement, Arrangement]:
-    """Evaluate the plan at both roots; the components are the "+" and "-"
-    realizations."""
+    """The components: the plan's realizations at the "+" and "-" roots,
+    kept from `derive_constraint`."""
     if constraint.poly.degree != 2 or constraint.field.is_rational:
         raise ConstraintError("moduli not disconnected: constraint has a single "
                               "rational root")
-    rp, rm = constraint.roots
-    plus = evaluate_plan(plan, rp)
-    minus = evaluate_plan(plan, rm)
-    plus = Arrangement(plan.name + "+", plus.field, plus.lines)
-    minus = Arrangement(plan.name + "-", minus.field, minus.lines)
-    return plus, minus
+    return tuple(Arrangement(plan.name + sign, a.field, a.lines)
+                 for sign, a in zip("+-", constraint.realizations))
 
 
 def root_product(poly: Poly) -> Fraction:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd as int_gcd
 
 from .errors import ParseError, PoleError, UnsupportedDegreeError
-from .fields import QuadExt, _as_rat
+from .fields import QuadExt, _as_rat, parse_digits
 
 
 class Poly:
@@ -519,6 +519,10 @@ def ratfunc_eval(f: RatFunc, x) -> QuadExt:
 
 # -- expression parser ---------------------------------------------------------
 
+# Largest exponent accepted in an expression.  A power's base may not contain
+# a power itself, so every power is computed from text-sized operands.
+MAX_EXPONENT = 64
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))")
 
 
@@ -593,8 +597,11 @@ class _ExprParser:
         return self.power()
 
     def power(self) -> RatFunc:
+        start = self.pos
         base = self.atom()
         if self.peek() == ("op", "^"):
+            if ("op", "^") in self.tokens[start:self.pos]:
+                raise ParseError(f"power of a power in {self.text!r}")
             self.take()
             sign = 1
             if self.peek() == ("op", "-"):
@@ -603,13 +610,17 @@ class _ExprParser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError(f"expected integer exponent in {self.text!r}")
-            return base ** (sign * int(val))
+            exponent = parse_digits(val, "an exponent")
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} above {MAX_EXPONENT} "
+                                 f"in {self.text!r}")
+            return base ** (sign * exponent)
         return base
 
     def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.constant(int(val))
+            return RatFunc.constant(parse_digits(val, "an integer"))
         if kind == "name":
             if val != self.var:
                 raise ParseError(f"unknown variable {val!r} (plan is over {self.var!r})")

@@ -2,11 +2,13 @@
 conjugation) carry one moduli component onto the other, line for line,
 under a combinatorial involution?
 
-The pipeline tries every involution and every grid candidate rather than
-one chosen pair; FAILURE is declared only after all of them.  The
-conjugating map is attempted only over imaginary fields, where the
-Galois conjugation is complex conjugation and therefore a genuine
-homeomorphism of the plane.
+The pipeline tries every involution that admits a grid candidate, under
+every map, rather than one chosen pair; FAILURE is declared only after all
+of them.  The test runs on the plan's two realizations, which do not depend
+on the grid choice, so each (involution, map) pair is one attempt that
+records how many grid choices the involution admits.  The conjugating map
+is attempted only over imaginary fields, where the Galois conjugation is
+complex conjugation and therefore a genuine homeomorphism of the plane.
 """
 
 from __future__ import annotations
@@ -19,42 +21,10 @@ from .combinatorics import (AutGroup, ConfigTable, Permutation,
                             is_lattice_isomorphism)
 from .errors import ValidationError
 from .fields import QuadExt
-from .geometry import Arrangement, ProjLine, lattice_of
+from .geometry import (SWAP, SWAP_CONJUGATE, Arrangement, MapKind, ProjLine,
+                       lattice_of)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      realize_components, root_product)
-
-
-@dataclass(frozen=True)
-class MapKind:
-    """Coordinate map candidate: swap is x<->y; conjugate composes the
-    Galois conjugation coefficientwise."""
-
-    swap: bool
-    conjugate: bool
-
-    @property
-    def label(self) -> str:
-        parts = []
-        if self.swap:
-            parts.append("swap")
-        if self.conjugate:
-            parts.append("conjugate")
-        return "+".join(parts) if parts else "identity"
-
-    def apply_line(self, line: ProjLine) -> tuple[QuadExt, QuadExt, QuadExt]:
-        a, b, c = line.coords
-        if self.swap:
-            a, b = b, a
-        if self.conjugate:
-            a, b, c = a.conjugate(), b.conjugate(), c.conjugate()
-        return (a, b, c)
-
-    def __str__(self) -> str:
-        return self.label
-
-
-SWAP = MapKind(swap=True, conjugate=False)
-SWAP_CONJUGATE = MapKind(swap=True, conjugate=True)
 
 
 def grid_candidates(table: ConfigTable, sigma: Permutation) -> list[tuple[int, int]]:
@@ -156,9 +126,11 @@ def extract_sigma(a: Arrangement, b: Arrangement,
 
 @dataclass(frozen=True)
 class Attempt:
+    """One verdict for (sigma, map); grids counts sigma's grid candidates."""
+
     sigma: Permutation
-    grid: tuple[int, int]
     map: MapKind
+    grids: int
     verified: bool
 
 
@@ -190,11 +162,9 @@ class PipelineReport:
             data["discarded"] = [[f.format(con.var), reason]
                                  for f, reason in con.discarded]
         data["attempts"] = [
-            {"case": self.case,
-             "sigma": at.sigma.cycle_string(),
-             "grid": list(at.grid),
+            {"sigma": at.sigma.cycle_string(),
              "map": at.map.label,
-             "constraint": self.constraint.format() if self.constraint else None,
+             "grids": at.grids,
              "outcome": "verified" if at.verified else "not-verified"}
             for at in self.attempts]
         return data
@@ -216,14 +186,10 @@ class PipelineReport:
                        f"root product {root_product(con.poly)})")
             for f, reason in con.discarded:
                 out.append(f"  discarded factor {f.format(con.var)}: {reason}")
-        grouped: dict[tuple, list] = {}
         for at in self.attempts:
-            key = (at.sigma.cycle_string(), at.map.label, at.verified)
-            grouped.setdefault(key, []).append(at.grid)
-        for (cycles, label, verified), grids in grouped.items():
-            word = "verified" if verified else "not verified"
-            out.append(f"  sigma {cycles}  map {label}  "
-                       f"[{len(grids)} grid choice(s)]  -> {word}")
+            word = "verified" if at.verified else "not verified"
+            out.append(f"  sigma {at.sigma.cycle_string()}  map {at.map.label}  "
+                       f"[{at.grids} grid choice(s)]  -> {word}")
         out.append(f"status: {self.status}")
         return "\n".join(out)
 
@@ -232,7 +198,8 @@ def run_case(case_name: str, config: ConfigTable,
              plan: ConstructionPlan | None,
              group: AutGroup | None = None) -> PipelineReport:
     """The whole method on one case: automorphism group, involutions,
-    constraint, components, and every (involution, grid, map) attempt."""
+    constraint, components, and one attempt per (involution, map) for every
+    involution with at least one grid candidate."""
     if group is None:
         group = automorphism_group(config)
     invs = involutions(group)
@@ -251,21 +218,17 @@ def run_case(case_name: str, config: ConfigTable,
         kinds.append(SWAP_CONJUGATE)
     attempts: list[Attempt] = []
     witness: ReflectionWitness | None = None
-    verdicts: dict[tuple, ReflectionWitness] = {}
     for sigma in invs:
-        grids = grid_candidates(config, sigma)
-        for grid in grids:
-            for kind in kinds:
-                key = (sigma, kind)
-                if key not in verdicts:
-                    verdicts[key] = verify_reflection(
-                        aplus, aminus, sigma, kind,
-                        case=case_name, roots=constraint.roots)
-                result = verdicts[key]
-                attempts.append(Attempt(sigma=sigma, grid=grid, map=kind,
-                                        verified=result.verified))
-                if result.verified and witness is None:
-                    witness = result
+        grids = len(grid_candidates(config, sigma))
+        if not grids:
+            continue
+        for kind in kinds:
+            result = verify_reflection(aplus, aminus, sigma, kind,
+                                       case=case_name, roots=constraint.roots)
+            attempts.append(Attempt(sigma=sigma, map=kind, grids=grids,
+                                    verified=result.verified))
+            if result.verified and witness is None:
+                witness = result
     status = "SUCCESS" if witness is not None else "FAILURE"
     return PipelineReport(case=case_name, status=status, aut_order=group.order,
                           group_label=label, involution_count=len(invs),

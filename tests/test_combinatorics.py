@@ -111,6 +111,9 @@ def test_parse_generic_table():
     "lines 4\n",                                                    # missing header
     "arrangement x\nlines 4\nbogus directive\n",
     "arrangement x\nlines 1000000000\n",                            # above MAX_LINES
+    "arrangement x\nlines \u00b2\n",                                # superscript digit
+    "arrangement x\nlines 4\npoint a : 1 2 \u00b3\n",              # superscript label
+    pytest.param("arrangement x\nlines " + "9" * 5000 + "\n", id="lines-5000-digits"),
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):

@@ -125,6 +125,10 @@ def test_scalar_parse_errors():
         parse_scalar("1+2w", RATIONAL)   # sqrt part needs a quadratic field
     with pytest.raises(ParseError):
         parse_scalar("1/0", Q5)
+    for text in ("7" * 5000, "1/" + "7" * 5000, "1+" + "7" * 5000 + "w",
+                 "\u0663", "\u00b2"):
+        with pytest.raises(ParseError):
+            parse_scalar(text, Q5)
 
 
 def test_float_conversion():

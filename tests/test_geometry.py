@@ -169,6 +169,13 @@ def test_arr_round_trip(realized):
     "arrangement a\nfield rational\nline 1 : 1 ; 0\n",        # two entries
     "arrangement a\nfield rational\nline 1 : 1 ; 0 ; 0\nline 1 : 0 ; 1 ; 0\n",
     "arrangement a\nfield rational\nline 1 : 1 ; 0 ; 0\nline 2 : 2 ; 0 ; 0\n",
+    "arrangement a\nfield sqrt -\u0663\nline 1 : 1 ; 0 ; 0\n",  # Arabic-Indic digit
+    pytest.param("arrangement a\nfield sqrt " + "3" * 700 + "\nline 1 : 1 ; 0 ; 0\n",
+                 id="radicand-700-digits"),
+    pytest.param("arrangement a\nfield rational\nline " + "1" * 5000 + " : 1 ; 0 ; 0\n",
+                 id="index-5000-digits"),
+    pytest.param("arrangement a\nfield rational\nline 1 : " + "7" * 5000 + " ; 0 ; 1\n",
+                 id="scalar-5000-digits"),
 ])
 def test_arr_parse_errors(text):
     with pytest.raises(ParseError):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from arrsym import corpus
+from arrsym import corpus, moduli
 from arrsym.combinatorics import Permutation, is_lattice_isomorphism
 from arrsym.errors import (ConstraintError, DegenerateError, ParseError,
                            PoleError, ValidationError)
@@ -10,7 +10,7 @@ from arrsym.fields import QuadExt, quad_roots
 from arrsym.geometry import ProjPoint, lattice_of
 from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
-from arrsym.polys import Poly
+from arrsym.polys import Poly, RatFunc, parse_ratfunc
 
 T = Poly.variable()
 
@@ -31,11 +31,29 @@ def test_parse_shipped_plan():
     ("plan p over t\nlines 1\nline 1 : 1 ; 0 ; 0\nline 1 : 0 ; 1 ; 0\n", "twice"),
     ("plan p over t\nlines 2\nline 1 : 1 ; 0 ; 0\n", "not defined"),
     ("lines 3\n", "header"),
+    ("plan p over t\nlines \u00b2\n", "line count"),
+    ("plan p over t\nlines 1\nline \u00b2 : 1 ; 0 ; 0\n", "line label"),
+    ("plan p over t\nlines 1\nline 1 : 1 ; 0 ; 0\npoint P : meet 1 1\n"
+     "require P on \u00b2\n", "line label"),
 ])
 def test_parse_plan_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_plan(text)
     assert fragment in str(err.value)
+
+
+def test_oversized_plan_refused_before_any_work(monkeypatch):
+    def untouched(*args):
+        raise AssertionError("oversized input reached the work it asks for")
+
+    monkeypatch.setattr(moduli, "_validate_plan", untouched)
+    monkeypatch.setattr(RatFunc, "__pow__", untouched)
+    with pytest.raises(ParseError, match="more than 1024 lines"):
+        parse_plan("plan p over t\nlines 1000000000\n")
+    with pytest.raises(ParseError, match="exponent"):
+        parse_plan("plan p over t\nlines 1\nline 1 : t^1000000000 ; 0 ; 0\n")
+    with pytest.raises(ParseError, match="exponent"):
+        parse_ratfunc("t^1000000000")
 
 
 def test_evaluate_plan_at_root_gives_expected_lattice():
@@ -149,6 +167,36 @@ def test_discarded_factors_nazir_yoshinaga(realized):
                        "t + 1": "not common to all requirements"}
 
 
+# The first requirement leaves t^2 - t - 1; the second leaves it times the
+# irreducible cubic t^3 - 2, which is not common to both requirements.
+CUBIC_COFACTOR_PLAN = """\
+plan cubic over t
+lines 6
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; 2 ; t^2 - t - 1
+line 6 : 1 ; 1 ; (t^2 - t - 1)*(t^3 - 2) - 2
+point P : meet 1 3
+point Q : meet 2 4
+require P on 5
+require Q on 6
+"""
+
+
+def test_unfactorable_noncommon_factor_is_discarded():
+    plan = parse_plan(CUBIC_COFACTOR_PLAN)
+    numerators = [num for _, _, num in residual_numerators(plan)]
+    assert numerators[1] == numerators[0] * (T ** 3 - 2)
+    _, plus, _ = quad_roots(1, -1, -1)
+    target = lattice_of(evaluate_plan(plan, plus))[1]
+    constraint = derive_constraint(plan, target)
+    assert constraint.poly == T * T - T - 1
+    assert [(f.format("t"), reason) for f, reason in constraint.discarded] == [
+        ("t^3 - 2", "not common to all requirements")]
+
+
 def test_discarded_factors_case7(realized):
     _, constraint, _, _ = realized("{7}")
     discarded = {f.format("t") for f, _ in constraint.discarded}
@@ -162,6 +210,16 @@ def test_realize_components_both_match_target(realized):
             _, table = lattice_of(arrangement)
             assert is_lattice_isomorphism(table, case.config,
                                           Permutation.identity(case.config.n)), name
+
+
+def test_realize_components_are_the_plan_at_the_roots(realized):
+    for name in corpus.list_cases():
+        case, constraint, plus, minus = realized(name)
+        rp, rm = constraint.roots
+        assert (plus, minus) == (evaluate_plan(case.plan, rp),
+                                 evaluate_plan(case.plan, rm)), name
+        assert (plus.name, minus.name) == (case.plan.name + "+",
+                                           case.plan.name + "-")
 
 
 def test_minus_is_galois_conjugate_of_plus(realized):

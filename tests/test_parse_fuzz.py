@@ -1,0 +1,59 @@
+"""Fuzz the three file parsers with mutated corpus text: whatever the input,
+the only exception that may escape is ParseError."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrsym.combinatorics import parse_config_table
+from arrsym.errors import ParseError
+from arrsym.geometry import parse_arrangement
+from arrsym.moduli import parse_plan
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "arrsym" / "corpus" / "data"
+
+ARRANGEMENT = """\
+arrangement demo+
+field sqrt -3
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 1/2+1/2w ; -1 ; 1
+line 5 : 1 ; -1/2w ; 0
+"""
+
+SEEDS = {
+    parse_config_table: sorted(p.read_text() for p in DATA.glob("*.cfg")),
+    parse_plan: sorted(p.read_text() for p in DATA.glob("*.plan")),
+    parse_arrangement: [ARRANGEMENT],
+}
+
+# Unicode digits that str.isdigit accepts, numbers past int()'s 4,300-digit
+# limit, a huge exponent, and the grammar's own punctuation.
+PIECES = ["²", "³", "٣", "１", "9" * 5000, "1" + "0" * 5000,
+          "0", "-1", "1/0", "^1000000000", "^-", "(", ")", ";", ":", "/", "w",
+          "t", "lines", "line", "point", "meet", "join", "require", "on", "\n"]
+
+
+@st.composite
+def mutated(draw, texts):
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        piece = draw(st.sampled_from(PIECES) | st.text(max_size=4))
+        text = text[:start] + piece + text[end:]
+    return text
+
+
+@pytest.mark.parametrize("parse", list(SEEDS), ids=lambda f: f.__name__)
+@settings(max_examples=150, deadline=1000)
+@given(data=st.data())
+def test_only_parse_error_escapes(parse, data):
+    text = data.draw(mutated(SEEDS[parse]))
+    try:
+        parse(text)
+    except ParseError:
+        pass

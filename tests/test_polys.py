@@ -123,6 +123,8 @@ def test_ratfunc_field_ops():
     ("t^-1", F(4), F(1, 4)),
     ("-(t+1)/t", F(1), F(-2)),
     ("1/(2*t)", F(3), F(1, 6)),
+    ("t^64", F(2), F(2 ** 64)),
+    ("(t+1)^-2", F(1), F(1, 4)),
 ])
 def test_parse_ratfunc(text, at, expected):
     assert ratfunc_eval(parse_ratfunc(text), at) == QuadExt(expected)
@@ -141,3 +143,7 @@ def test_parse_ratfunc_errors():
         parse_ratfunc("1/0")
     with pytest.raises(ParseError):
         parse_ratfunc("t/(t-t)")
+    for text in ("7" * 5000, "t^" + "7" * 5000, "t^65", "(t^2)^2",
+                 "((t+1)^64*t)^64", "\u0663*t"):
+        with pytest.raises(ParseError):
+            parse_ratfunc(text)

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from arrsym import corpus
+from arrsym import corpus, moduli
 from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism,
                                   parse_cycles)
@@ -144,13 +144,40 @@ def test_pipeline_case1_details():
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
 def test_pipeline_contains_stored_choice_verified(name):
-    # the recorded sigma/grid/map triple must be among the verified attempts
+    # the recorded sigma/map pair must be a verified attempt; its grid is
+    # among sigma's candidates (test_paper_grid_is_candidate)
     report = run_pipeline(name)
     case = corpus.get_case(name)
     hits = [at for at in report.attempts
-            if at.sigma == case.sigma and at.grid == case.grid[:2]
-            and at.map == case.map]
-    assert hits and all(at.verified for at in hits)
+            if at.sigma == case.sigma and at.map == case.map]
+    assert len(hits) == 1 and hits[0].verified
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_run_case_evaluates_the_plan_once_per_root(name, monkeypatch):
+    calls = []
+    original = moduli.evaluate_plan
+
+    def counting(plan, t0):
+        calls.append(t0)
+        return original(plan, t0)
+
+    monkeypatch.setattr(moduli, "evaluate_plan", counting)
+    case = corpus.get_case(name)
+    report = run_case(case.name, case.config, case.plan)
+    assert calls == list(report.constraint.roots)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_one_attempt_per_sigma_and_map(name):
+    case = corpus.get_case(name)
+    report = run_pipeline(name)
+    keys = [(at.sigma, at.map) for at in report.attempts]
+    assert len(keys) == len(set(keys))
+    for at in report.attempts:
+        assert at.grids == len(grid_candidates(case.config, at.sigma)) > 0
+    if name == "maclane":
+        assert len(report.attempts) == 26
 
 
 def test_pipeline_falk_sturmfels_exhausts_attempts():
@@ -178,8 +205,7 @@ def test_pipeline_report_records():
     data = report.to_dict()
     assert data["constraint"] == "t^2 + t - 1"
     for record in data["attempts"]:
-        assert set(record) == {"case", "sigma", "grid", "map", "constraint",
-                               "outcome"}
+        assert set(record) == {"sigma", "map", "grids", "outcome"}
 
 
 def test_pipeline_unknown_case():
