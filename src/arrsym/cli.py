@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/verified, 1 verified-false or FAILURE, 2 usage or
 data error.  ``pipeline all`` exits 0 iff every case ends in its expected
-status (the negative corpus case is expected to fail).
+status (the negative corpus case is expected to fail).  Data errors are
+the package's ArrsymError; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -143,7 +144,10 @@ def _parse_viewport(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ArrsymError("viewport must be xmin,ymin,xmax,ymax")
-    return tuple(Fraction(p.strip()) for p in parts)
+    try:
+        return tuple(Fraction(p.strip()) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArrsymError(f"bad viewport {text!r}: {exc}") from exc
 
 
 def _cmd_render(args) -> int:
@@ -174,7 +178,11 @@ def _cmd_pipeline(args) -> int:
         expected = all(r.status == corpus.get_case(r.case).expected_status
                        for r in reports)
         return 0 if expected else 1
-    report = run_pipeline(args.case)
+    try:
+        case = corpus.get_case(args.case)
+    except KeyError as exc:                 # an unknown case name
+        raise ArrsymError(exc.args[0]) from exc
+    report = run_pipeline(case)
     _emit(report.to_dict(), args.json, report.to_text())
     return 0 if report.status == "SUCCESS" else 1
 
@@ -251,7 +259,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ArrsymError, KeyError, ValueError, ZeroDivisionError) as exc:
+    except ArrsymError as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

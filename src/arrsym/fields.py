@@ -1,18 +1,22 @@
 """Exact scalars: rationals and quadratic extensions Q(sqrt d).
 
 A scalar is a + b*sqrt(d) with rational a, b and a fixed square-free
-integer d (possibly negative).  All arithmetic is exact; nothing here
-ever rounds.  The text form of a scalar is ``rat | rat ('+'|'-') rat 'w'
-| ['-'] rat 'w' | 'w'`` where ``w`` stands for sqrt(d) of the active
-field, e.g. ``1/2+1/2w``.
+integer d (possibly negative).  It is stored as one reduced integer triple
+(p, q, den) for (p + q*sqrt(d))/den, so arithmetic is gcd-reduced integer
+arithmetic (Knuth, TAOCP vol. 2, 4.5.1) and builds no Fraction.  All
+arithmetic is exact; nothing here ever rounds.  The text form of a scalar
+is ``rat | rat ('+'|'-') rat 'w' | ['-'] rat 'w' | 'w'`` where ``w`` stands
+for sqrt(d) of the active field, e.g. ``1/2+1/2w``.
 """
 
 from __future__ import annotations
 
-import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count
+from math import gcd, isqrt, sqrt
 
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError
 
@@ -25,28 +29,135 @@ def _as_rat(value: int | Fraction) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
+# -- integer factorization ----------------------------------------------------
+
+# Trial division takes out every prime below this bound (dividing by 2 and
+# the odd numbers: a composite one never divides what is left); a cofactor
+# left over below its square is prime.
+_TRIAL_BOUND = 1000
+# Miller-Rabin with these bases decides primality exactly below _MR_PROVEN
+# (Sorenson & Webster, Math. Comp. 86 (2017)).  Above it a "prime" verdict
+# is only probable and is refused, so one base is enough there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+# Steps allowed for one factorization, per 64-bit word of the number left
+# after trial division.  A Pollard-Brent step is about two products modulo
+# the number being split; a Miller-Rabin base is charged its bit length.
+_STEP_BUDGET = 1 << 18
+_RHO_BATCH = 128
+
+
+def _charge(budget: list[int], steps: int, m: int) -> None:
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise ValidationError(
+            f"cannot factor a {len(str(m))}-digit number within the step budget")
+
+
+def _is_prime(n: int, budget: list[int]) -> bool:
+    """Miller-Rabin on an odd n > _TRIAL_BOUND**2: exact below _MR_PROVEN,
+    a base-2 probable-prime test above."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES if n < _MR_PROVEN else _MR_BASES[:1]:
+        _charge(budget, n.bit_length(), n)
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_split(n: int, budget: list[int]) -> int:
+    """A proper factor of the odd composite n, not a perfect square, by
+    Pollard's rho in Brent's form (Pollard, BIT 15 (1975); Brent, BIT 20
+    (1980)), batching the gcds."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            _charge(budget, r, n)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(_RHO_BATCH, r - k)
+                _charge(budget, steps, n)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:                  # the batch overshot: retrace it singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factor_integer(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    Trial division up to 1000, then, for what is left, a
+    perfect-square test, deterministic Miller-Rabin and Pollard-Brent rho
+    under a fixed step budget.  A cofactor that Miller-Rabin cannot prove
+    prime (one above 3.3e24), or a factorization the budget does not
+    cover, raises ValidationError, so the cost is bounded for any input.
+    """
+    if n < 1:
+        raise ValueError("factor_integer expects a positive integer")
+    factors: dict[int, int] = {}
+    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    budget = [_STEP_BUDGET // -(-n.bit_length() // 64)]
+    pending = [(n, 1)] if n > 1 else []    # (cofactor, multiplicity)
+    while pending:
+        m, k = pending.pop()
+        if m < _TRIAL_BOUND * _TRIAL_BOUND:
+            factors[m] = factors.get(m, 0) + k
+            continue
+        root = isqrt(m)
+        if root * root == m:
+            pending.append((root, 2 * k))
+        elif not _is_prime(m, budget):
+            split = _rho_split(m, budget)
+            pending += [(split, k), (m // split, k)]
+        elif m < _MR_PROVEN:
+            factors[m] = factors.get(m, 0) + k
+        else:
+            raise ValidationError(f"cannot prove a {len(str(m))}-digit factor prime")
+    return factors
+
+
 def square_free_part(n: int) -> tuple[int, int]:
-    """Split a nonzero integer as n = s*s*d with d square-free; return (s, d)."""
+    """Split a nonzero integer as n = s*s*d with d square-free; return (s, d).
+
+    Raises ValidationError when |n| cannot be factored (see factor_integer).
+    """
     if n == 0:
         raise ValueError("square_free_part(0) is undefined")
-    sign = -1 if n < 0 else 1
-    m = abs(n)
-    s = 1
-    d = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        d *= m
-    return s, sign * d
+    s = d = 1
+    for p, e in factor_integer(abs(n)).items():
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return s, (d if n > 0 else -d)
 
 
 @dataclass(frozen=True)
@@ -91,98 +202,161 @@ class FieldSpec:
 
 RATIONAL = FieldSpec("rational")
 
+# CPython's hash of a rational p/den (den > 0, any common factor): the
+# numeric-hash rule that hash(Fraction) follows, computed on the integers.
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rational_hash(p: int, den: int) -> int:
+    try:
+        inverse = pow(den, -1, _HASH_MODULUS)
+    except ValueError:              # den is a multiple of the modulus
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(p)) * inverse)
+    h = h if p >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _num_den(value) -> tuple[int, int]:
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected a rational value, got {type(value).__name__}")
+
+
+_new = object.__new__
+
+
+def _quad(p: int, q: int, den: int, d: int, field: FieldSpec) -> "QuadExt":
+    """(p + q*sqrt(d))/den in lowest terms; den must be positive and d is
+    field.d, or 0 for the rationals."""
+    g = gcd(p, q, den)
+    if g != 1:
+        p //= g
+        q //= g
+        den //= g
+    x = _new(QuadExt)
+    x._p = p
+    x._q = q
+    x._den = den
+    x._d = d
+    x._field = field
+    return x
+
 
 class QuadExt:
     """An exact element a + b*sqrt(d) of the active field.
 
-    Mixing scalars of two different quadratic fields raises FieldMixError;
-    plain rationals coerce into any field.
+    The value is stored as the integer triple (p, q, den) with
+    a + b*sqrt(d) = (p + q*sqrt(d))/den, den > 0 and gcd(p, q, den) = 1, so
+    equal values of one field have identical triples.  ``a`` and ``b`` are
+    read-only Fraction views of it.  Equality and hashing agree with int
+    and Fraction on rational values.  Mixing scalars of two different
+    quadratic fields raises FieldMixError; plain rationals coerce into
+    any field.  Instances are immutable, like Fraction's.
     """
 
-    __slots__ = ("a", "b", "field")
+    __slots__ = ("_p", "_q", "_den", "_d", "_field")
 
-    def __init__(self, a: int | Fraction, b: int | Fraction = 0,
-                 field: FieldSpec = RATIONAL) -> None:
-        a = _as_rat(a)
-        b = _as_rat(b)
-        if field.is_rational and b != 0:
+    def __new__(cls, a: int | Fraction, b: int | Fraction = 0,
+                field: FieldSpec = RATIONAL) -> "QuadExt":
+        an, ad = _num_den(a)
+        bn, bd = _num_den(b)
+        if field.is_rational and bn:
             raise FieldMixError("rational-field scalar with nonzero sqrt part")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "field", field)
+        den = ad * bd // gcd(ad, bd)
+        return _quad(an * (den // ad), bn * (den // bd), den, field.d or 0, field)
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("QuadExt is immutable")
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(d)."""
+        return Fraction(self._q, self._den)
+
+    @property
+    def field(self) -> FieldSpec:
+        return self._field
 
     # -- coercion -----------------------------------------------------------
 
-    def _pair(self, other) -> tuple["QuadExt", "QuadExt"] | None:
-        if isinstance(other, (int, Fraction)):
-            return self, QuadExt(other, 0, self.field)
-        if not isinstance(other, QuadExt):
-            return None
-        if other.field == self.field:
-            return self, other
-        if other.field.is_rational:
-            return self, QuadExt(other.a, 0, self.field)
-        if self.field.is_rational:
-            return QuadExt(self.a, 0, other.field), other
-        raise FieldMixError(f"cannot mix {self.field} with {other.field}")
+    def _operand(self, other):
+        """``other`` as (p, q, den, d, field) of the field both operands
+        share, or None for a type that does not mix."""
+        if type(other) is QuadExt:
+            if other._d == self._d or not other._d:
+                return other._p, other._q, other._den, self._d, self._field
+            if not self._d:
+                return other._p, other._q, other._den, other._d, other._field
+            raise FieldMixError(f"cannot mix {self._field} with {other._field}")
+        if isinstance(other, int):
+            return other, 0, 1, self._d, self._field
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator, self._d, self._field
+        return None
 
     def with_field(self, field: FieldSpec) -> "QuadExt":
-        if self.field == field:
+        d = field.d or 0
+        if d == self._d:
             return self
-        if self.field.is_rational:
-            return QuadExt(self.a, 0, field)
-        raise FieldMixError(f"cannot move {self.field} scalar into {field}")
+        if not self._d:
+            return _quad(self._p, 0, self._den, d, field)
+        raise FieldMixError(f"cannot move {self._field} scalar into {field}")
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(x.a + y.a, x.b + y.b, x.field)
+        p, q, den, d, field = operand
+        if den == self._den:
+            return _quad(self._p + p, self._q + q, den, d, field)
+        return _quad(self._p * den + p * self._den, self._q * den + q * self._den,
+                     self._den * den, d, field)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(x.a - y.a, x.b - y.b, x.field)
+        p, q, den, d, field = operand
+        if den == self._den:
+            return _quad(self._p - p, self._q - q, den, d, field)
+        return _quad(self._p * den - p * self._den, self._q * den - q * self._den,
+                     self._den * den, d, field)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.field)
+        return _quad(-self._p, -self._q, self._den, self._d, self._field)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        x, y = pair
-        d = x.field.d or 0
-        return QuadExt(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, x.field)
+        p, q, den, d, field = operand
+        sp, sq = self._p, self._q
+        return _quad(sp * p + d * sq * q, sp * q + sq * p, self._den * den, d, field)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        d = self.field.d or 0
-        norm = self.a * self.a - d * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero scalar")
-        return QuadExt(self.a / norm, -self.b / norm, self.field)
+        return _inverse(self._p, self._q, self._den, self._d, self._field)
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        operand = self._operand(other)
+        if operand is None:
             return NotImplemented
-        x, y = pair
-        return x * y.inverse()
+        return self * _inverse(*operand)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -192,7 +366,7 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(1, 0, self.field)
+        result = _quad(1, 0, 1, self._d, self._field)
         base = self
         n = exponent
         while n:
@@ -206,29 +380,34 @@ class QuadExt:
 
     def conjugate(self) -> "QuadExt":
         """Galois conjugate a + b*sqrt(d) -> a - b*sqrt(d)."""
-        return QuadExt(self.a, -self.b, self.field)
+        return _quad(self._p, -self._q, self._den, self._d, self._field)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self._p and not self._q
 
     @property
     def is_rational_value(self) -> bool:
-        return self.b == 0
+        return not self._q
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if not isinstance(other, QuadExt):
-            return False
-        if self.b == 0 and other.b == 0:
-            return self.a == other.a
-        return (self.a, self.b) == (other.a, other.b) and self.field == other.field
+        if type(other) is QuadExt:
+            return (self._p == other._p and self._q == other._q
+                    and self._den == other._den
+                    and (not self._q or self._d == other._d))
+        if isinstance(other, int):
+            return not self._q and self._den == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return (not self._q and self._p == other.numerator
+                    and self._den == other.denominator)
+        return False
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.field))
+        if self._q:
+            return hash((self._p, self._q, self._den, self._d))
+        if self._den == 1:
+            return hash(self._p)
+        return _rational_hash(self._p, self._den)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -236,26 +415,33 @@ class QuadExt:
     # -- conversion ---------------------------------------------------------
 
     def to_float(self) -> float:
-        if self.b == 0:
-            return float(self.a)
-        d = self.field.d
-        if d is None or d < 0:
+        if not self._q:
+            return self._p / self._den
+        if self._d < 0:
             raise ValueError("no real value: field is imaginary")
-        return float(self.a) + float(self.b) * math.sqrt(d)
+        return self._p / self._den + self._q / self._den * sqrt(self._d)
 
     def to_complex(self) -> complex:
-        if self.b == 0:
-            return complex(float(self.a))
-        d = self.field.d or 0
-        if d >= 0:
+        if not self._q or self._d > 0:
             return complex(self.to_float())
-        return complex(float(self.a), float(self.b) * math.sqrt(-d))
+        return complex(self._p / self._den, self._q / self._den * sqrt(-self._d))
 
     def __str__(self) -> str:
         return format_scalar(self)
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.field})"
+
+
+def _inverse(p: int, q: int, den: int, d: int, field: FieldSpec) -> QuadExt:
+    """1/((p + q*sqrt(d))/den) = den*(p - q*sqrt(d))/(p^2 - d*q^2), with the
+    norm's sign moved into the numerator."""
+    norm = p * p - d * q * q
+    if not norm:
+        raise ZeroDivisionError("inverse of zero scalar")
+    if norm < 0:
+        norm, den = -norm, -den
+    return _quad(den * p, -den * q, norm, d, field)
 
 
 def galois_conjugate(x: QuadExt) -> QuadExt:

@@ -25,7 +25,8 @@ def _as_scalar(value, field: FieldSpec) -> QuadExt:
 
 
 def _normalize_triple(coords, field: FieldSpec) -> tuple[QuadExt, QuadExt, QuadExt]:
-    vals = tuple(_as_scalar(v, field) for v in coords)
+    vals = tuple(v if type(v) is QuadExt and v.field is field else _as_scalar(v, field)
+                 for v in coords)
     if len(vals) != 3:
         raise ValidationError("expected a coefficient triple")
     pivot = next((v for v in vals if not v.is_zero), None)
@@ -96,10 +97,9 @@ def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     """The unique common point of two distinct lines."""
     if l1 == l2:
         raise DegenerateError("intersect of identical lines")
+    # a rational line's coordinates mix into the other line's field
     field = l1.field if not l1.field.is_rational else l2.field
-    a = tuple(c.with_field(field) for c in l1.coords)
-    b = tuple(c.with_field(field) for c in l2.coords)
-    return ProjPoint(cross(a, b), field)
+    return ProjPoint(cross(l1.coords, l2.coords), field)
 
 
 def lines_proj_equal(l1: ProjLine, l2: ProjLine) -> bool:

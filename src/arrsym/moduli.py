@@ -292,9 +292,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
 
     Factors of individual requirement numerators that are not common to
     all requirements are reported in `discarded` (a part that does not
-    split into rational roots and quadratics is reported unfactored), as
-    are common factors that fail realization (pole, degeneracy, or
-    lattice mismatch).
+    split into rational roots and quadratics, or is too large to factor,
+    is reported unfactored), as are common factors that fail realization
+    (pole, degeneracy, or lattice mismatch).
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
@@ -318,7 +318,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             continue
         try:
             factors = [f for f, _ in poly_reduce(num)]
-        except UnsupportedDegreeError:
+        except (UnsupportedDegreeError, ValidationError):
             factors = [_primitive(num)]
         for factor in factors:
             if factor in seen_noncommon:

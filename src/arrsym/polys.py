@@ -12,8 +12,8 @@ import re
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import ParseError, PoleError, UnsupportedDegreeError
-from .fields import QuadExt, _as_rat, parse_digits
+from .errors import ParseError, PoleError, UnsupportedDegreeError, ValidationError
+from .fields import QuadExt, _as_rat, factor_integer, parse_digits
 
 
 class Poly:
@@ -244,17 +244,31 @@ def _as_poly(value) -> Poly | None:
     return None
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-        k += 1
-    return small + large[::-1]
+# Most combinations of divisors the rational-root and quadratic-factor
+# searches may try for one polynomial (the product of the divisor counts of
+# the integers they enumerate); more raises ValidationError.
+MAX_FACTOR_CANDIDATES = 1 << 14
+
+
+def _divisors(*values: int) -> list[list[int]]:
+    """The positive divisors of each nonzero value, ascending.  Raises
+    ValidationError when a value cannot be factored (see factor_integer) or
+    the divisor counts multiply to more than MAX_FACTOR_CANDIDATES."""
+    factored = [factor_integer(abs(v)) for v in values]
+    combinations = 1
+    for factors in factored:
+        for e in factors.values():
+            combinations *= e + 1
+    if combinations > MAX_FACTOR_CANDIDATES:
+        raise ValidationError(f"{combinations} divisor combinations to try, "
+                              f"above {MAX_FACTOR_CANDIDATES}")
+    out = []
+    for factors in factored:
+        divisors = [1]
+        for p, e in factors.items():
+            divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+        out.append(sorted(divisors))
+    return out
 
 
 def _rational_roots(prim: Poly) -> list[Fraction]:
@@ -264,8 +278,9 @@ def _rational_roots(prim: Poly) -> list[Fraction]:
     lead = int(prim.leading)
     const = int(prim.coeffs[0])
     roots = set()
-    for q in _divisors(lead):
-        for p in _divisors(const):
+    leads, consts = _divisors(lead, const)
+    for q in leads:
+        for p in consts:
             if int_gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
@@ -295,11 +310,11 @@ def _find_quadratic_factor(prim: Poly) -> Poly | None:
     at_one = int(prim.eval(1))
     at_minus_one = int(prim.eval(-1))
     rho = _root_bound(prim)
-    one_divisors = _divisors(at_one)
-    for u in _divisors(lead):
+    leads, consts, one_divisors = _divisors(lead, const, at_one)
+    for u in leads:
         vmax = 2 * u * rho
         wmax = u * rho * rho
-        for w_abs in _divisors(const):
+        for w_abs in consts:
             if w_abs > wmax:
                 continue
             for w in (w_abs, -w_abs):
@@ -323,7 +338,9 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
     irreducible quadratics, each primitive with positive leading coefficient.
 
     Raises UnsupportedDegreeError if an irreducible factor of degree >= 3
-    remains.  The product of the factors times p's content recovers p.
+    remains, and ValidationError if the search for factors would exceed its
+    bounds (see _divisors).  The product of the factors times p's content
+    recovers p.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")

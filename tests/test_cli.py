@@ -77,6 +77,18 @@ def test_lattice(capsys, arr_files):
     assert "2 of multiplicity 4" in out and "8 of multiplicity 3" in out
 
 
+@pytest.mark.parametrize("radicand, code, expected", [
+    ("1000000000000000003", 0, "3 of multiplicity 2"),        # a prime
+    ("9" * 640, 2, "step budget"),                             # cannot be factored
+])
+def test_lattice_over_a_large_radicand(capsys, tmp_path, radicand, code, expected):
+    arr = tmp_path / "big.arr"
+    arr.write_text(f"arrangement big\nfield sqrt {radicand}\n"
+                   "line 1 : 1 ; 0 ; 0\nline 2 : 0 ; 1 ; 0\nline 3 : 1 ; 1 ; w\n")
+    status, out, err = run(capsys, "lattice", str(arr))
+    assert status == code and expected in out + err
+
+
 def test_derive(capsys, data_dir):
     code, out, _ = run(capsys, "derive", str(data_dir / "case-6.plan"),
                        str(data_dir / "case-6.cfg"))
@@ -155,6 +167,27 @@ def test_pipeline_failure(capsys):
 def test_pipeline_unknown(capsys):
     code, _, err = run(capsys, "pipeline", "unknown-case")
     assert code == 2 and "unknown case" in err
+
+
+def test_internal_errors_are_not_data_errors(capsys, monkeypatch):
+    from arrsym import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("an internal bug")
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    with pytest.raises(ValueError, match="an internal bug"):
+        main(["pipeline", "{1}"])
+    code, _, err = run(capsys, "pipeline", "nosuchcase")
+    assert code == 2 and "unknown case 'nosuchcase'" in err
+
+
+def test_render_bad_viewport(capsys, arr_files, tmp_path):
+    plus_path, _ = arr_files
+    for viewport in ("0,0,1/0,1", "a,b,c,d"):
+        code, _, err = run(capsys, "render", str(plus_path), "--viewport", viewport,
+                           "-o", str(tmp_path / "v.svg"))
+        assert code == 2 and "bad viewport" in err
 
 
 def test_pipeline_all(capsys):

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from arrsym.errors import DegenerateError, FieldMixError, ParseError, ValidationError
-from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, format_scalar,
-                           galois_conjugate, parse_scalar, quad_roots,
-                           square_free_part)
+from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, factor_integer,
+                           format_scalar, galois_conjugate, parse_scalar,
+                           quad_roots, square_free_part)
 
 Q5 = FieldSpec.quadratic(5)
 QI = FieldSpec.quadratic(-1)
@@ -21,6 +21,51 @@ def test_square_free_part():
     assert square_free_part(-12) == (2, -3)
     assert square_free_part(49) == (7, 1)
     assert square_free_part(1) == (1, 1)
+
+
+def test_factor_integer_matches_trial_division():
+    def trial(n):
+        out, p = {}, 2
+        while p * p <= n:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+
+    for n in list(range(1, 3000)) + [1009 ** 2, 1009 * 1013, 99991 * 100003 ** 2]:
+        assert factor_integer(n) == trial(n), n
+    assert factor_integer(12 * 10007 ** 3 * (2 ** 61 - 1)) == {
+        2: 2, 3: 1, 10007: 3, 2 ** 61 - 1: 1}
+
+
+P15, Q15 = 10 ** 15 + 37, 10 ** 15 + 91      # primes
+
+
+def test_square_free_part_beyond_trial_division():
+    # trial division would need ~10^9 steps on each of these
+    assert square_free_part(10 ** 18 + 3) == (1, 10 ** 18 + 3)          # prime
+    assert square_free_part(-(10 ** 18 + 3)) == (1, -(10 ** 18 + 3))
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    assert square_free_part(-48 * p * p * q) == (4 * p, -3 * q)
+    assert square_free_part(12 * P15 ** 2) == (2 * P15, 3)             # square cofactor
+    assert square_free_part(10 ** 24 + 7) == (1, 10 ** 24 + 7)          # prime, proven
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(P15 * Q15, id="two-16-digit-primes"),      # beyond rho's budget
+    pytest.param((10 ** 12 + 39) ** 3, id="cube-of-13-digit-prime"),
+    pytest.param(int("9" * 640), id="640-nines"),
+    pytest.param(-int("7" * 640), id="640-sevens-negative"),
+    pytest.param(2 ** 89 - 1, id="prime-above-proven-range"),
+])
+def test_square_free_part_refuses_what_it_cannot_factor(n):
+    with pytest.raises(ValidationError):
+        square_free_part(n)
+    with pytest.raises(ValidationError):
+        FieldSpec.quadratic(n)
 
 
 def test_field_spec_validation():

@@ -1,0 +1,76 @@
+"""The exact-geometry layer builds no Fraction: lattice_of, extract_sigma
+and verify_reflection run on QuadExt's integer triples alone.  Counted by
+wrapping Fraction.__new__, so the gate is exact, not a timing."""
+
+from fractions import Fraction
+
+import pytest
+
+from arrsym.fields import RATIONAL, FieldSpec, QuadExt
+from arrsym.geometry import SWAP, Arrangement, lattice_of
+from arrsym.witness import extract_sigma, verify_reflection
+
+from conftest import ALL_CASES
+
+HALF = Fraction(1, 2)
+# m -> (field, a primitive m-th root of unity as (a, b) in a + b*sqrt(d))
+ROOTS_OF_UNITY = {2: (RATIONAL, (-1, 0)),
+                  3: (FieldSpec.quadratic(-3), (-HALF, HALF)),
+                  4: (FieldSpec.quadratic(-1), (0, 1)),
+                  6: (FieldSpec.quadratic(-3), (HALF, HALF))}
+
+
+def fermat_arrangement(m):
+    """A(m,m,3): x, y, z and x - ζy, y - ζz, z - ζx for every ζ with ζ^m = 1."""
+    field, (a, b) = ROOTS_OF_UNITY[m]
+    zeta = QuadExt(a, b, field)
+    powers = [zeta ** k for k in range(m)]
+    one, zero = QuadExt(1, 0, field), QuadExt(0, 0, field)
+    lines = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    lines += [(one, -z, zero) for z in powers]
+    lines += [(zero, one, -z) for z in powers]
+    lines += [(-z, zero, one) for z in powers]
+    return Arrangement(f"fermat-{m}", field, lines)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """A list that grows by one for every Fraction built from now on."""
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+def test_the_counter_sees_fractions(fraction_count):
+    assert QuadExt(3, 0).a == 3 and Fraction(1, 2) * 2 == 1
+    assert len(fraction_count) >= 3
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_geometry_builds_no_fraction(name, realized, fraction_count):
+    case, _, plus, minus = realized(name)
+    fraction_count.clear()
+    for arrangement in (plus, minus):
+        assert lattice_of(arrangement)[1].n == case.config.n
+    found = extract_sigma(plus, minus, case.map)
+    witness = verify_reflection(plus, minus, case.sigma, case.map)
+    assert witness.verified == (found is not None) == (case.expected_status == "SUCCESS")
+    assert fraction_count == []
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
+def test_fermat_geometry_builds_no_fraction(m, fraction_count):
+    arrangement = fermat_arrangement(m)
+    fraction_count.clear()
+    _, table = lattice_of(arrangement)
+    assert table.multiplicity_census() == {m + 2: 3, 3: m * m}
+    sigma = extract_sigma(arrangement, arrangement, SWAP)
+    assert sigma is not None and sigma.is_involution
+    assert verify_reflection(arrangement, arrangement, sigma, SWAP).verified
+    assert fraction_count == []

@@ -167,17 +167,17 @@ def test_discarded_factors_nazir_yoshinaga(realized):
                        "t + 1": "not common to all requirements"}
 
 
-# The first requirement leaves t^2 - t - 1; the second leaves it times the
-# irreducible cubic t^3 - 2, which is not common to both requirements.
-CUBIC_COFACTOR_PLAN = """\
-plan cubic over t
+# The first requirement leaves t^2 - t - 1; the second leaves it times a
+# cofactor, which is not common to both requirements.
+COFACTOR_PLAN = """\
+plan cofactor over t
 lines 6
 line 1 : 1 ; 0 ; 0
 line 2 : 1 ; 0 ; -1
 line 3 : 0 ; 1 ; 0
 line 4 : 0 ; 1 ; -1
 line 5 : 1 ; 2 ; t^2 - t - 1
-line 6 : 1 ; 1 ; (t^2 - t - 1)*(t^3 - 2) - 2
+line 6 : 1 ; 1 ; (t^2 - t - 1)*(COFACTOR) - 2
 point P : meet 1 3
 point Q : meet 2 4
 require P on 5
@@ -185,16 +185,27 @@ require Q on 6
 """
 
 
-def test_unfactorable_noncommon_factor_is_discarded():
-    plan = parse_plan(CUBIC_COFACTOR_PLAN)
+def discarded_cofactor(cofactor):
+    plan = parse_plan(COFACTOR_PLAN.replace("COFACTOR", cofactor))
     numerators = [num for _, _, num in residual_numerators(plan)]
-    assert numerators[1] == numerators[0] * (T ** 3 - 2)
+    assert numerators[1] == numerators[0] * parse_ratfunc(cofactor, "t").num
     _, plus, _ = quad_roots(1, -1, -1)
     target = lattice_of(evaluate_plan(plan, plus))[1]
     constraint = derive_constraint(plan, target)
     assert constraint.poly == T * T - T - 1
-    assert [(f.format("t"), reason) for f, reason in constraint.discarded] == [
+    return [(f.format("t"), reason) for f, reason in constraint.discarded]
+
+
+def test_unfactorable_noncommon_factor_is_discarded():
+    # the irreducible cubic t^3 - 2
+    assert discarded_cofactor("t^3 - 2") == [
         ("t^3 - 2", "not common to all requirements")]
+
+
+def test_noncommon_factor_too_large_to_factor_is_discarded():
+    # its constant term is the product of two 16-digit primes
+    rest = "t - 1000000000000128000000000003367"
+    assert discarded_cofactor(rest) == [(rest, "not common to all requirements")]
 
 
 def test_discarded_factors_case7(realized):

@@ -37,13 +37,19 @@ PIECES = ["²", "³", "٣", "１", "9" * 5000, "1" + "0" * 5000,
           "t", "lines", "line", "point", "meet", "join", "require", "on", "\n"]
 
 
+# Numbers of 15-640 digits: past trial division's reach in square_free_part
+# when read as a `field sqrt <d>` radicand, and within parse_digits' limit.
+big_numbers = st.integers(15, 640).flatmap(
+    lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+
 @st.composite
 def mutated(draw, texts):
     text = draw(st.sampled_from(texts))
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         end = draw(st.integers(start, min(len(text), start + 8)))
-        piece = draw(st.sampled_from(PIECES) | st.text(max_size=4))
+        piece = draw(st.sampled_from(PIECES) | st.text(max_size=4) | big_numbers)
         text = text[:start] + piece + text[end:]
     return text
 
@@ -57,3 +63,19 @@ def test_only_parse_error_escapes(parse, data):
         parse(text)
     except ParseError:
         pass
+
+
+# Each example may spend the whole factoring budget (about 0.1-0.3 s on a
+# 640-digit radicand), so fewer examples than above.
+@settings(max_examples=40, deadline=1000)
+@given(sign=st.sampled_from(["", "-"]),
+       radicand=big_numbers | st.sampled_from(["1000000000000000003",
+                                                "1000000000000128000000000003367",
+                                                "9" * 640]))
+def test_field_radicands_end_in_bounded_time(sign, radicand):
+    text = ARRANGEMENT.replace("field sqrt -3", f"field sqrt {sign}{radicand}")
+    try:
+        arrangement = parse_arrangement(text)
+    except ParseError:
+        return
+    assert arrangement.field.d == int(sign + radicand)

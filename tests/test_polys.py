@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from arrsym.errors import ParseError, PoleError, UnsupportedDegreeError
+from arrsym.errors import (ParseError, PoleError, UnsupportedDegreeError,
+                           ValidationError)
 from arrsym.fields import QuadExt, quad_roots
 from arrsym.polys import Poly, RatFunc, parse_ratfunc, poly_reduce, ratfunc_eval
 
@@ -52,6 +53,18 @@ def test_poly_reduce_unsupported_degree():
     # t^5 + 1 = (t + 1)(t^4 - t^3 + t^2 - t + 1); the quartic is irreducible
     with pytest.raises(UnsupportedDegreeError):
         poly_reduce(T ** 5 + 1)
+
+
+def test_poly_reduce_bounds_its_divisor_search():
+    # a large prime constant term factors at once: (t - p)(t + 1)
+    p = 10 ** 18 + 3
+    assert dict(poly_reduce((T - p) * (T + 1))) == {T - p: 1, T + 1: 1}
+    # two 16-digit prime factors: trial division would take ~10^15 steps
+    with pytest.raises(ValidationError):
+        poly_reduce(T - (10 ** 15 + 37) * (10 ** 15 + 91))
+    # 720720 has 240 divisors: 240 * 240 candidate pairs are too many
+    with pytest.raises(ValidationError):
+        poly_reduce(720720 * T ** 2 + T + 720720)
 
 
 def test_poly_reduce_quartic_splits_into_quadratics():
