@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
-from math import gcd, isqrt, sqrt
+from math import gcd, sqrt
 
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError
 
@@ -76,7 +76,7 @@ def _is_prime(n: int, budget: list[int]) -> bool:
 
 
 def _rho_split(n: int, budget: list[int]) -> int:
-    """A proper factor of the odd composite n, not a perfect square, by
+    """A proper factor of the odd composite n, not a perfect power, by
     Pollard's rho in Brent's form (Pollard, BIT 15 (1975); Brent, BIT 20
     (1980)), batching the gcds."""
     for c in count(1):
@@ -107,14 +107,29 @@ def _rho_split(n: int, budget: list[int]) -> int:
             return g
 
 
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with r**k == m for the least k >= 2, or None, for an m with
+    no prime factor below _TRIAL_BOUND: then r >= _TRIAL_BOUND > 2**9, so
+    k <= m.bit_length() // 9.  Each root is Newton's method on the
+    integers, from above."""
+    for k in range(2, m.bit_length() // 9 + 1):
+        x = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+            x = y
+        if x ** k == m:
+            return x, k
+    return None
+
+
 def factor_integer(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer as {prime: exponent}.
 
-    Trial division up to 1000, then, for what is left, a
-    perfect-square test, deterministic Miller-Rabin and Pollard-Brent rho
-    under a fixed step budget.  A cofactor that Miller-Rabin cannot prove
-    prime (one above 3.3e24), or a factorization the budget does not
-    cover, raises ValidationError, so the cost is bounded for any input.
+    Trial division up to 1000, then, for what is left, deterministic
+    Miller-Rabin, an integer k-th-root test for perfect powers and
+    Pollard-Brent rho under a fixed step budget.  A cofactor that
+    Miller-Rabin cannot prove prime (one above 3.3e24), or a factorization
+    the budget does not cover, raises ValidationError, so the cost is
+    bounded for any input.
     """
     if n < 1:
         raise ValueError("factor_integer expects a positive integer")
@@ -132,16 +147,15 @@ def factor_integer(n: int) -> dict[int, int]:
         if m < _TRIAL_BOUND * _TRIAL_BOUND:
             factors[m] = factors.get(m, 0) + k
             continue
-        root = isqrt(m)
-        if root * root == m:
-            pending.append((root, 2 * k))
-        elif not _is_prime(m, budget):
+        if _is_prime(m, budget):
+            if m >= _MR_PROVEN:
+                raise ValidationError(f"cannot prove a {len(str(m))}-digit factor prime")
+            factors[m] = factors.get(m, 0) + k
+        elif power := _perfect_power(m):
+            pending.append((power[0], power[1] * k))
+        else:
             split = _rho_split(m, budget)
             pending += [(split, k), (m // split, k)]
-        elif m < _MR_PROVEN:
-            factors[m] = factors.get(m, 0) + k
-        else:
-            raise ValidationError(f"cannot prove a {len(str(m))}-digit factor prime")
     return factors
 
 

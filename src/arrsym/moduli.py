@@ -20,7 +20,8 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError)
 from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
 from .geometry import Arrangement, ProjLine, cross, lattice_of
-from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce, ratfunc_eval
+from .polys import (MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce,
+                    ratfunc_eval)
 
 
 @dataclass(frozen=True)
@@ -209,40 +210,50 @@ def parse_plan(text: str) -> ConstructionPlan:
         raise ParseError(str(exc)) from exc
 
 
-def _run_plan(plan: ConstructionPlan, entry, where: str):
-    """Execute the plan steps, turning each given-line entry into a value
-    with ``entry``; returns the line and point triples by label.  ``where``
-    completes the message of a degenerate meet or join."""
+def _run_plan(plan: ConstructionPlan, t0: QuadExt | None = None):
+    """Execute the plan steps over Q(t), or at t = t0 when t0 is given;
+    returns the line and point triples by label."""
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple(entry(e) for e in step.entries)
+            lines[step.index] = (step.entries if t0 is None else
+                                 tuple(ratfunc_eval(e, t0) for e in step.entries))
         elif isinstance(step, MeetPoint):
-            v = cross(lines[step.i], lines[step.j])
-            if all(e.is_zero for e in v):
-                raise DegenerateError(f"lines {step.i},{step.j} coincide {where}")
-            points[step.name] = v
+            points[step.name] = _cross(lines[step.i], lines[step.j],
+                                       f"lines {step.i},{step.j}", plan, t0)
         elif isinstance(step, JoinLine):
-            v = cross(points[step.p], points[step.q])
-            if all(e.is_zero for e in v):
-                raise DegenerateError(f"points {step.p},{step.q} coincide {where}")
-            lines[step.index] = v
+            lines[step.index] = _cross(points[step.p], points[step.q],
+                                       f"points {step.p},{step.q}", plan, t0)
     return lines, points
+
+
+def _cross(u: tuple, v: tuple, what: str, plan: ConstructionPlan, t0) -> tuple:
+    """The meet or join of u and v.  Raises DegenerateError when they
+    coincide and, over Q(t), ValidationError when an entry's numerator or
+    denominator has degree above MAX_DEGREE."""
+    w = cross(u, v)
+    if all(e.is_zero for e in w):
+        where = "identically" if t0 is None else f"at {plan.var}={t0}"
+        raise DegenerateError(f"{what} coincide {where}")
+    if t0 is None and max(max(e.num.degree, e.den.degree) for e in w) > MAX_DEGREE:
+        raise ValidationError(f"the meet or join of {what} has degree "
+                              f"above {MAX_DEGREE}")
+    return w
 
 
 def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
     """Evaluate every entry exactly at t0.  Requirements are NOT checked."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
-    lines, _ = _run_plan(plan, lambda e: ratfunc_eval(e, t0), f"at {plan.var}={t0}")
+    lines, _ = _run_plan(plan, t0)
     return Arrangement(plan.name, t0.field,
                        [ProjLine(lines[i], t0.field) for i in range(1, plan.n + 1)])
 
 
 def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
     """Numerator polynomial of each non-identically-satisfied requirement."""
-    lines, points = _run_plan(plan, lambda e: e, "identically")
+    lines, points = _run_plan(plan)
     out = []
     for req in plan.requires():
         point = points[req.point]

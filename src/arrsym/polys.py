@@ -1,44 +1,70 @@
 """Univariate polynomials and rational functions over Q.
 
-Polynomials are coefficient tuples in ascending degree.  poly_reduce
-splits a nonzero polynomial into rational-root linear factors and
-irreducible quadratic factors; anything leaving an irreducible factor of
-degree >= 3 is rejected (nothing in this problem domain needs more).
+A polynomial is one reduced integer tuple plus one positive common
+denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den with c_n != 0
+and gcd(c_0, ..., c_n, den) = 1, so arithmetic runs on Python ints and equal
+polynomials are stored alike.  Division is pseudo-division over Z and the gcd
+is the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
+Expressions, and plans over Q(t), are held to degree MAX_DEGREE.
+poly_reduce splits a nonzero polynomial into rational-root linear factors
+and irreducible quadratic factors; anything leaving an irreducible factor
+of degree >= 3 is rejected (nothing in this problem domain needs more).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 from .errors import ParseError, PoleError, UnsupportedDegreeError, ValidationError
-from .fields import QuadExt, _as_rat, factor_integer, parse_digits
+from .fields import (QuadExt, _num_den, _quad, _rational_hash, factor_integer,
+                     parse_digits)
+
+# Highest degree of a numerator or denominator that an expression may build
+# and that a plan's symbolic meets and joins may reach; above it the parser
+# raises ParseError and the plan interpreter ValidationError, so a hostile
+# plan cannot make the polynomial arithmetic run without bound.
+MAX_DEGREE = 64
+
+_new = object.__new__
+
+
+def _poly(cs, den: int) -> "Poly":
+    """sum(cs[k] * t^k)/den in lowest terms, for integers cs and den > 0."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    g = gcd(den, *cs[:n])
+    x = _new(Poly)
+    x._c = tuple(c // g for c in cs[:n]) if g != 1 else tuple(cs[:n])
+    x._den = den // g
+    return x
 
 
 class Poly:
-    """Polynomial over Q, coefficients ascending; () is the zero polynomial."""
+    """Polynomial over Q in t, coefficients ascending; () is the zero
+    polynomial.  Stored as (c_0, ..., c_n)/den in lowest terms (see the
+    module docstring); equality and hashing agree with int and Fraction on
+    constants.  Instances are immutable, like Fraction's."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_c", "_den")
 
-    def __init__(self, coeffs=()) -> None:
-        cs = [_as_rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+    def __new__(cls, coeffs=()) -> "Poly":
+        pairs = [_num_den(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        return _poly([n * (den // d) for n, d in pairs], den)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return _poly((), 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return _poly((1,), 1)
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -46,39 +72,44 @@ class Poly:
 
     @staticmethod
     def variable() -> "Poly":
-        return Poly((0, 1))
+        return _poly((0, 1), 1)
 
     # -- basics ---------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self._den) for c in self._c)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._c
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
+        if not self._c:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._c[-1], self._den)
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._c):
+            return Fraction(self._c[k], self._den)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        other = _as_poly(other)
+        return other is not None and self._c == other._c and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        if len(self._c) > 1:
+            return hash((self._c, self._den))
+        return _rational_hash(self._c[0] if self._c else 0, self._den)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._c)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -86,13 +117,18 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self[k] + other[k] for k in range(n)))
+        a = [c * other._den for c in self._c]
+        b = [c * self._den for c in other._c]
+        if len(a) < len(b):
+            a, b = b, a
+        for k, c in enumerate(b):
+            a[k] += c
+        return _poly(a, self._den * other._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self._c], self._den)
 
     def __sub__(self, other):
         other = _as_poly(other)
@@ -107,48 +143,55 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(tuple(out))
+        a, b = self._c, other._c
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1) if b else []
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a):
+                    out[i + j] += x * y
+        return _poly(out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Poly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        result = _ONE
+        for _ in range(n):
+            result = result * self
         return result
 
     def __divmod__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if other.is_zero:
+        b = other._c
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.leading
-        dn = other.degree
-        for k in range(len(rem) - 1, dn - 1, -1):
-            if rem[k] == 0:
+        # Pseudo-division over Z: s*a = q*b + r for self = a/da, other = b/db,
+        # so self = (q*db/(s*da)) * other + r/(s*da).  A step scales by only
+        # the part of b's leading coefficient that does not divide the
+        # remainder's, so s = 1 whenever that coefficient is 1.
+        n, lead = len(b) - 1, b[-1]
+        sign = 1 if lead > 0 else -1
+        rem, quo, scale = list(self._c), [0] * max(len(self._c) - n, 0), 1
+        for k in range(len(rem) - 1, n - 1, -1):
+            c = rem[k]
+            if not c:
                 continue
-            f = rem[k] / dlead
-            quo[k - dn] = f
-            for j, c in enumerate(other.coeffs):
-                rem[k - dn + j] -= f * c
-        return Poly(tuple(quo)), Poly(tuple(rem))
+            g = gcd(c, lead)
+            mult = sign * lead // g
+            if mult != 1:
+                rem = [x * mult for x in rem]
+                quo = [x * mult for x in quo]
+                scale *= mult
+            quo[k - n] = f = sign * (c // g)
+            for j, y in enumerate(b):
+                rem[k - n + j] -= f * y
+        den = scale * self._den
+        return _poly([c * other._den for c in quo], den), _poly(rem[:n], den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -162,72 +205,63 @@ class Poly:
     # -- evaluation -----------------------------------------------------------
 
     def eval(self, x):
-        """Horner evaluation at a Fraction or QuadExt."""
-        if isinstance(x, QuadExt):
-            acc = QuadExt(0, 0, x.field)
-            for c in reversed(self.coeffs):
-                acc = acc * x + QuadExt(c, 0, x.field)
-            return acc
-        x = _as_rat(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Value at a QuadExt (a QuadExt of its field) or at an int or
+        Fraction (a Fraction).  With x = (p + q*sqrt(d))/e, Horner's rule
+        runs on the integers in the homogeneous form
+        sum(c_k * (p + q*sqrt(d))^k * e^(n-k)), divided once by den*e^n."""
+        if type(x) is not QuadExt:
+            return self.eval(QuadExt(x)).a
+        p, q, e, d = x._p, x._q, x._den, x._d
+        hp = hq = 0
+        scale = 1
+        for c in reversed(self._c):
+            hp, hq = hp * p + d * hq * q + c * scale, hp * q + hq * p
+            scale *= e
+        return _quad(hp, hq, self._den * e ** max(self.degree, 0), d, x.field)
 
     # -- normal forms ---------------------------------------------------------
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self._c:
             return self
-        lead = self.leading
-        return Poly(tuple(c / lead for c in self.coeffs))
+        lead = self._c[-1]
+        return _poly(self._c if lead > 0 else [-c for c in self._c], abs(lead))
+
+    def _primitive_part(self) -> "Poly":
+        if not self._c:
+            return self
+        g = gcd(*self._c) * (1 if self._c[-1] > 0 else -1)
+        return _poly([c // g for c in self._c], 1)
 
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """Write self = content * P with P integer-coefficient, coprime,
         positive leading coefficient; returns (content, P)."""
-        if self.is_zero:
+        if not self._c:
             return Fraction(0), self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        prim = Poly(tuple(Fraction(v, g) for v in ints))
-        return Fraction(g, den_lcm), prim
+        prim = self._primitive_part()
+        return Fraction(self._c[-1], self._den * prim._c[-1]), prim
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic() if not a.is_zero else a
+        """Monic greatest common divisor: the primitive pseudo-remainder
+        sequence over Z, which replaces each remainder by its primitive
+        part."""
+        a, b = self._primitive_part(), other._primitive_part()
+        while b:
+            a, b = b, (a % b)._primitive_part()
+        return a.monic()
 
     # -- display --------------------------------------------------------------
 
     def format(self, var: str = "t") -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
+        terms = []
         for k in range(self.degree, -1, -1):
             c = self[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = f"{mag}"
-            else:
-                head = "" if mag == 1 else f"{mag}"
-                body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+            if c:
+                mag = "" if abs(c) == 1 and k else f"{abs(c)}"
+                power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+                terms.append(("-" if c < 0 else "+") + f" {mag}{power}")
+        text = " ".join(terms) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __str__(self) -> str:
         return self.format()
@@ -236,11 +270,14 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
+_ZERO, _ONE = Poly.zero(), Poly.one()
+
+
 def _as_poly(value) -> Poly | None:
-    if isinstance(value, Poly):
+    if type(value) is Poly:
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
+        return Poly((value,))
     return None
 
 
@@ -273,26 +310,18 @@ def _divisors(*values: int) -> list[list[int]]:
 
 def _rational_roots(prim: Poly) -> list[Fraction]:
     """All rational roots of a primitive integer polynomial, ascending."""
-    if prim.degree < 1 or prim.coeffs[0] == 0:
+    if prim.degree < 1 or prim._c[0] == 0:
         raise ValueError("expects a nonzero constant term")
-    lead = int(prim.leading)
-    const = int(prim.coeffs[0])
     roots = set()
-    leads, consts = _divisors(lead, const)
+    leads, consts = _divisors(prim._c[-1], prim._c[0])
     for q in leads:
         for p in consts:
-            if int_gcd(p, q) != 1:
+            if gcd(p, q) != 1:
                 continue
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if prim.eval(cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _root_bound(prim: Poly) -> Fraction:
-    """Cauchy bound: every complex root z has |z| <= 1 + max|c_i|/|lead|."""
-    lead = abs(prim.leading)
-    return 1 + max(abs(c) for c in prim.coeffs) / lead
 
 
 def _find_quadratic_factor(prim: Poly) -> Poly | None:
@@ -301,36 +330,46 @@ def _find_quadratic_factor(prim: Poly) -> Poly | None:
 
     A factor u*x^2 + v*x + w must have u | lead, w | const, value at 1
     dividing prim(1), and value at -1 dividing prim(-1) (both nonzero
-    since prim has no rational roots); a Cauchy root bound caps |v|, |w|.
+    since prim has no rational roots); Cauchy's root bound rho/rho_den =
+    1 + max|c_i|/|lead| caps |v| <= 2*u*rho/rho_den and |w| <= u*(rho/rho_den)^2.
     """
     if prim.degree == 2:
         return prim
-    lead = int(prim.leading)
-    const = int(prim.coeffs[0])
-    at_one = int(prim.eval(1))
-    at_minus_one = int(prim.eval(-1))
-    rho = _root_bound(prim)
-    leads, consts, one_divisors = _divisors(lead, const, at_one)
+    cs = prim._c
+    at_one = sum(cs)
+    at_minus_one = sum(cs[0::2]) - sum(cs[1::2])
+    rho_den = abs(cs[-1])
+    rho = rho_den + max(abs(c) for c in cs)
+    leads, consts, one_divisors = _divisors(cs[-1], cs[0], at_one)
     for u in leads:
         vmax = 2 * u * rho
         wmax = u * rho * rho
         for w_abs in consts:
-            if w_abs > wmax:
+            if w_abs * rho_den * rho_den > wmax:
                 continue
             for w in (w_abs, -w_abs):
                 for d in one_divisors:
                     for d_signed in (d, -d):
                         v = d_signed - u - w          # u + v + w divides prim(1)
-                        if abs(v) > vmax:
+                        if abs(v) * rho_den > vmax:
                             continue
                         if (u - v + w) == 0 or at_minus_one % (u - v + w) != 0:
                             continue
-                        if int_gcd(u, int_gcd(abs(v), w_abs)) != 1:
+                        if gcd(u, v, w) != 1:
                             continue
-                        cand = Poly((w, v, u))
+                        cand = _poly((w, v, u), 1)
                         if cand.divides(prim):
                             return cand
     return None
+
+
+def _divide_out(p: Poly, factor: Poly) -> tuple[Poly, int]:
+    """(p / factor^m, m) for the largest m with factor^m dividing p."""
+    mult = 0
+    while not (split := divmod(p, factor))[1]:
+        p = split[0]
+        mult += 1
+    return p, mult
 
 
 def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
@@ -344,30 +383,21 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    _, rem = p.primitive()
+    rem = p._primitive_part()
     factors: list[tuple[Poly, int]] = []
 
-    zeros = 0
-    while zeros < len(rem.coeffs) and rem.coeffs[zeros] == 0:
-        zeros += 1
+    zeros = next(k for k, c in enumerate(rem._c) if c)
     if zeros:
         factors.append((Poly.variable(), zeros))
-        rem = Poly(rem.coeffs[zeros:])
+        rem = _poly(rem._c[zeros:], 1)
 
     if rem.degree < 1:
         return factors
 
     for root in _rational_roots(rem):
-        lin = Poly((-root.numerator, root.denominator))
-        mult = 0
-        while True:
-            quo, r = divmod(rem, lin)
-            if not r.is_zero:
-                break
-            rem = quo
-            mult += 1
-        if mult:
-            factors.append((lin, mult))
+        lin = _poly((-root.numerator, root.denominator), 1)
+        rem, mult = _divide_out(rem, lin)
+        factors.append((lin, mult))
 
     while rem.degree > 0:
         _, rem = rem.primitive()
@@ -376,25 +406,19 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
             raise UnsupportedDegreeError(
                 f"irreducible factor of degree {rem.degree} (only rational roots "
                 "and quadratics are supported)")
-        mult = 0
-        while True:
-            quo, r = divmod(rem, quad)
-            if not r.is_zero:
-                break
-            rem = quo
-            mult += 1
+        rem, mult = _divide_out(rem, quad)
         factors.append((quad, mult))
 
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    factors.sort(key=lambda fm: (fm[0].degree, fm[0]._c))
     return factors
 
 
 class RatFunc:
     """Rational function num/den over Q; gcd(num, den) = 1 and den monic."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
-    def __init__(self, num, den=Poly.one()) -> None:
+    def __init__(self, num, den=_ONE) -> None:
         num = _as_poly(num)
         den = _as_poly(den)
         if num is None or den is None:
@@ -402,20 +426,29 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            num, den = Poly.zero(), Poly.one()
+            num, den = _ZERO, _ONE
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.leading
-            if lead != 1:
-                num = num * (1 / lead)
+            # a constant on either side has no common factor with the other
+            if num.degree > 0 and den.degree > 0:
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
+            lead, lead_den = den._c[-1], den._den
+            if lead != lead_den:                # den is not monic
+                sign = 1 if lead > 0 else -1
+                num = _poly([c * sign * lead_den for c in num._c],
+                            num._den * sign * lead)
                 den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._num = num
+        self._den = den
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
+    @property
+    def num(self) -> Poly:
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        return self._den
 
     @staticmethod
     def constant(c) -> "RatFunc":
@@ -444,6 +477,8 @@ class RatFunc:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self) -> int:
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
@@ -453,6 +488,10 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is None:
             return NotImplemented
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        if self.den.degree == other.den.degree == 0:      # both are 1
+            return RatFunc(self.num + other.num)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -474,6 +513,10 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is None:
             return NotImplemented
+        if self.is_zero or other.is_zero:
+            return self if self.is_zero else other
+        if self.den.degree == other.den.degree == 0:
+            return RatFunc(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -503,7 +546,7 @@ class RatFunc:
         return ratfunc_eval(self, x)
 
     def format(self, var: str = "t") -> str:
-        if self.den == Poly.one():
+        if self.den.degree == 0:
             return self.num.format(var)
         return f"({self.num.format(var)})/({self.den.format(var)})"
 
@@ -527,7 +570,9 @@ def _as_ratfunc(value) -> RatFunc | None:
 def ratfunc_eval(f: RatFunc, x) -> QuadExt:
     """Exact value of f at x; raises PoleError at a denominator zero."""
     if not isinstance(x, QuadExt):
-        x = QuadExt(_as_rat(x))
+        x = QuadExt(x)
+    if f.den.degree == 0:
+        return f.num.eval(x)
     den = f.den.eval(x)
     if den.is_zero:
         raise PoleError(f"pole of {f} at {x}")
@@ -540,26 +585,23 @@ def ratfunc_eval(f: RatFunc, x) -> QuadExt:
 # a power itself, so every power is computed from text-sized operands.
 MAX_EXPONENT = 64
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _degrees(f: RatFunc) -> tuple[int, int]:
+    return f.num.degree, f.den.degree
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"bad character in expression: {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("int", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    tokens.append(("end", ""))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"bad character in expression: {text[m.start():]!r}")
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
+    return tokens + [("end", "")]
 
 
 class _ExprParser:
@@ -589,28 +631,32 @@ class _ExprParser:
         return value
 
     def expr(self) -> RatFunc:
-        value = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        return self.chain(self.term, "+-")
 
     def term(self) -> RatFunc:
-        value = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.take()
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
+        return self.chain(self.unary, "*/")
+
+    def chain(self, operand, ops: str) -> RatFunc:
+        """operand (op operand)* for op in ops, left to right.  A step is
+        refused before it is computed when the degree it may reach in its
+        numerator or denominator is above MAX_DEGREE."""
+        value = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            op = self.take()[1]
+            rhs = operand()
+            (a, b), (c, d) = _degrees(value), _degrees(rhs)
+            if op == "/":
+                c, d = d, c
+            if max(a + c if op in "*/" else max(a + d, b + c), b + d) > MAX_DEGREE:
+                raise ParseError(f"degree above {MAX_DEGREE} in {self.text!r}")
+            value = _BINARY[op](value, rhs)
         return value
 
     def unary(self) -> RatFunc:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return -self.unary()
-        if self.peek() == ("op", "+"):
-            self.take()
-            return self.unary()
+        if self.peek() in (("op", "-"), ("op", "+")):
+            sign = self.take()[1]
+            value = self.unary()
+            return -value if sign == "-" else value
         return self.power()
 
     def power(self) -> RatFunc:
@@ -631,6 +677,8 @@ class _ExprParser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} above {MAX_EXPONENT} "
                                  f"in {self.text!r}")
+            if max(_degrees(base)) * exponent > MAX_DEGREE:
+                raise ParseError(f"degree above {MAX_DEGREE} in {self.text!r}")
             return base ** (sign * exponent)
         return base
 

@@ -54,9 +54,19 @@ def test_square_free_part_beyond_trial_division():
     assert square_free_part(10 ** 24 + 7) == (1, 10 ** 24 + 7)          # prime, proven
 
 
+def test_square_free_part_of_perfect_powers():
+    # a cube of a 13-digit prime is beyond Pollard-Brent's budget; the
+    # k-th-root test finds its root before rho is tried
+    p = 10 ** 12 + 39
+    assert square_free_part(p ** 3) == (p, p)
+    assert factor_integer(p ** 3) == {p: 3}
+    assert factor_integer(12 * P15 ** 7) == {2: 2, 3: 1, P15: 7}
+    assert factor_integer((2 ** 61 - 1) ** 6) == {2 ** 61 - 1: 6}     # root of a root
+    assert square_free_part(-(p ** 5)) == (p * p, -p)
+
+
 @pytest.mark.parametrize("n", [
     pytest.param(P15 * Q15, id="two-16-digit-primes"),      # beyond rho's budget
-    pytest.param((10 ** 12 + 39) ** 3, id="cube-of-13-digit-prime"),
     pytest.param(int("9" * 640), id="640-nines"),
     pytest.param(-int("7" * 640), id="640-sevens-negative"),
     pytest.param(2 ** 89 - 1, id="prime-above-proven-range"),

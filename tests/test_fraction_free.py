@@ -1,5 +1,6 @@
-"""The exact-geometry layer builds no Fraction: lattice_of, extract_sigma
-and verify_reflection run on QuadExt's integer triples alone.  Counted by
+"""The exact-geometry and plan layers build no Fraction: lattice_of,
+extract_sigma and verify_reflection run on QuadExt's integer triples alone,
+residual_numerators and evaluate_plan on Poly's integer tuples.  Counted by
 wrapping Fraction.__new__, so the gate is exact, not a timing."""
 
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import SWAP, Arrangement, lattice_of
+from arrsym.moduli import evaluate_plan, residual_numerators
 from arrsym.witness import extract_sigma, verify_reflection
 
 from conftest import ALL_CASES
@@ -73,4 +75,15 @@ def test_fermat_geometry_builds_no_fraction(m, fraction_count):
     sigma = extract_sigma(arrangement, arrangement, SWAP)
     assert sigma is not None and sigma.is_involution
     assert verify_reflection(arrangement, arrangement, sigma, SWAP).verified
+    assert fraction_count == []
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_plans_build_no_fraction(name, realized, fraction_count):
+    case, constraint, plus, minus = realized(name)
+    fraction_count.clear()
+    numerators = [num for _, _, num in residual_numerators(case.plan)]
+    assert numerators and all(constraint.poly.divides(num) for num in numerators)
+    for root, realization in zip(constraint.roots, (plus, minus)):
+        assert evaluate_plan(case.plan, root).lines == realization.lines
     assert fraction_count == []

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,8 @@ import pytest
 from arrsym.errors import (ParseError, PoleError, UnsupportedDegreeError,
                            ValidationError)
 from arrsym.fields import QuadExt, quad_roots
-from arrsym.polys import Poly, RatFunc, parse_ratfunc, poly_reduce, ratfunc_eval
+from arrsym.polys import (MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce,
+                          ratfunc_eval)
 
 T = Poly.variable()
 
@@ -160,3 +162,26 @@ def test_parse_ratfunc_errors():
                  "((t+1)^64*t)^64", "\u0663*t"):
         with pytest.raises(ParseError):
             parse_ratfunc(text)
+
+
+def test_parse_ratfunc_bounds_degree_before_computing(monkeypatch):
+    for text in ("t^64/t", "t^60 + t^10", "(t^32)*(t^32)", "1/t^32 - 1/t^32"):
+        f = parse_ratfunc(text)
+        assert max(f.num.degree, f.den.degree) <= MAX_DEGREE
+    # 40 factors of degree 64: degree 2,560 if it were multiplied out
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="degree above 64"):
+        parse_ratfunc("*".join(["(t+1)^64"] * 40))
+    assert time.perf_counter() - start < 1
+
+    def untouched(*args):
+        raise AssertionError("the bound was checked after computing")
+
+    for name, text in [("__mul__", "t^64*t"), ("__mul__", "t^33*t^32"),
+                       ("__truediv__", "t^-64/t"), ("__add__", "t^-40 + t^-30*t^-30"),
+                       ("__sub__", "t^-40 - t^-30"), ("__pow__", "(t*t-1)^33"),
+                       ("__pow__", "(1/(t*t+1))^-33")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(RatFunc, name, untouched)
+            with pytest.raises(ParseError, match="degree above 64"):
+                parse_ratfunc(text)
