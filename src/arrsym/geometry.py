@@ -10,12 +10,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 
 from .combinatorics import ConfigTable, Permutation
 from .errors import DegenerateError, ParseError, ValidationError
-from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar, parse_digits,
-                     parse_scalar)
+from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
+                     parse_digits, parse_scalar)
 
 
 def _as_scalar(value, field: FieldSpec) -> QuadExt:
@@ -46,6 +46,15 @@ class _Triple:
                          RATIONAL)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", _normalize_triple(coords, field))
+
+    @classmethod
+    def _normal(cls, coords: tuple, field: FieldSpec):
+        """An instance from coords of ``field`` that are already in normal
+        form, without normalizing them again."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "coords", coords)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -173,21 +182,80 @@ class IntersectionLattice:
         return out
 
 
+def _scaled(line: ProjLine) -> tuple[int, int, int, int, int, int]:
+    """The line as six integers (a0, b0, a1, b1, a2, b2): coordinate k is
+    (a_k + b_k*sqrt(d))/den for one common den, so the a_k + b_k*sqrt(d)
+    are coefficients of the same line."""
+    x, y, z = line.coords
+    den = lcm(x._den, y._den, z._den)
+    sx, sy, sz = den // x._den, den // y._den, den // z._den
+    return x._p * sx, x._q * sx, y._p * sy, y._q * sy, z._p * sz, z._q * sz
+
+
+def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
+    """The common point of two scaled lines as six integers, the same for
+    every representative of the point.  Raises DegenerateError when u and
+    v are one line.
+
+    The cross product over Z[sqrt d] is multiplied by the conjugate of its
+    first nonzero coordinate, which becomes that coordinate's integer norm,
+    then divided by the gcd of its six integers, with the pivot made
+    positive.  Two representatives with a rational pivot differ by a
+    rational scalar, so this primitive integer vector is unique."""
+    a0, b0, a1, b1, a2, b2 = u
+    c0, e0, c1, e1, c2, e2 = v
+    # (a + b*sqrt d)(c + e*sqrt d) = (ac + d*be) + (ae + bc)*sqrt d
+    w = [a1 * c2 - a2 * c1 + d * (b1 * e2 - b2 * e1),
+         a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1,
+         a2 * c0 - a0 * c2 + d * (b2 * e0 - b0 * e2),
+         a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2,
+         a0 * c1 - a1 * c0 + d * (b0 * e1 - b1 * e0),
+         a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0]
+    k = next((k for k in (0, 2, 4) if w[k] or w[k + 1]), None)
+    if k is None:
+        raise DegenerateError("intersect of identical lines")
+    s, t = w[k], w[k + 1]
+    if t:
+        # (p + q*sqrt d)(s - t*sqrt d) = (ps - d*qt) + (qs - pt)*sqrt d
+        w = [x for p, q in zip(w[::2], w[1::2])
+             for x in (p * s - d * q * t, q * s - p * t)]
+    g = gcd(*w)
+    if w[k] < 0:
+        g = -g
+    return tuple(w) if g == 1 else tuple([x // g for x in w])
+
+
 def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTable]:
     """Group all C(n,2) pairwise intersections by exact coincidence.
 
-    The derived ConfigTable lists only points of multiplicity >= 3,
-    labeled m1, m2, ... in lexicographic order of their sorted line sets.
+    Each pair's point is grouped by the integer key of ``_point_key``,
+    computed on plain ints from the lines scaled to integers once; one
+    normalized ProjPoint is built per group, in the field ``intersect``
+    gives the group's first pair.  Raises DegenerateError when two lines
+    coincide.  The derived ConfigTable lists only points of multiplicity
+    >= 3, labeled m1, m2, ... in lexicographic order of their sorted line
+    sets.
     """
-    groups: dict[tuple, set[int]] = {}
-    reps: dict[tuple, ProjPoint] = {}
-    for i, j in combinations(range(1, arrangement.n + 1), 2):
-        p = intersect(arrangement.line(i), arrangement.line(j))
-        key = p.coords
-        groups.setdefault(key, set()).update((i, j))
-        reps.setdefault(key, p)
-    entries = sorted(((reps[k], frozenset(s)) for k, s in groups.items()),
-                     key=lambda e: tuple(sorted(e[1])))
+    lines = arrangement.lines
+    d = arrangement.field.d or 0
+    scaled = [_scaled(ln) for ln in lines]
+    groups: dict[tuple, tuple[int, int, set[int]]] = {}
+    for i, j in combinations(range(arrangement.n), 2):
+        key = _point_key(scaled[i], scaled[j], d)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (i, j, {i + 1, j + 1})
+        else:
+            group[2].update((i + 1, j + 1))
+    entries = []
+    for key, (i, j, members) in groups.items():
+        field = lines[i].field if not lines[i].field.is_rational else lines[j].field
+        pivot, dd = next(x for x in key[::2] if x), field.d or 0
+        coords = (_quad(key[0], key[1], pivot, dd, field),
+                  _quad(key[2], key[3], pivot, dd, field),
+                  _quad(key[4], key[5], pivot, dd, field))
+        entries.append((ProjPoint._normal(coords, field), frozenset(members)))
+    entries.sort(key=lambda e: tuple(sorted(e[1])))
     lattice = IntersectionLattice(points=tuple(entries))
     total = sum(comb(len(s), 2) for _, s in lattice.points)
     if total != comb(arrangement.n, 2):

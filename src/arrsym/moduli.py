@@ -5,8 +5,8 @@ lines as rational-function coefficient triples (or joins of constructed
 points), and lists the incidences the target combinatorics still
 requires.  Evaluating those incidences symbolically leaves numerator
 polynomials whose common factor — filtered through exact realization and
-a lattice comparison at each root — is the constraint indexing the
-moduli components.
+a lattice comparison at a root — is the constraint indexing the moduli
+components.
 """
 
 from __future__ import annotations
@@ -268,7 +268,9 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
 class ModuliConstraint:
     """The admissible factor: a quadratic (or degenerately linear) polynomial
     whose roots index the moduli components.  ``realizations`` are the plan
-    evaluated at the two roots, as checked against the target lattice."""
+    at the two roots: over a quadratic field the plan is evaluated and
+    checked against the target lattice at the "+" root, and the "-"
+    realization is its Galois conjugate, coefficient by coefficient."""
 
     poly: Poly
     var: str
@@ -299,7 +301,9 @@ def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
 
 def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliConstraint:
     """Extract the residual incidence constraint and keep the unique factor
-    whose every root realizes the target combinatorics exactly.
+    whose every root realizes the target combinatorics exactly.  An
+    irreducible quadratic is checked at its "+" root only: its conjugate
+    root passes or fails alike.
 
     Factors of individual requirement numerators that are not common to
     all requirements are reported in `discarded` (a part that does not
@@ -342,7 +346,12 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         field, roots = _roots_of_factor(factor)
         verdict = None
         realizations = []
-        for root in roots:
+        # Over a quadratic field only the "+" root is evaluated.  A pole,
+        # degeneracy or lattice verdict there holds at the conjugate root
+        # too, because conjugation is a field automorphism that fixes the
+        # plan's rational coefficients; the "-" realization is the "+" one
+        # with every coefficient conjugated.
+        for root in roots if field.is_rational else roots[:1]:
             try:
                 realization = evaluate_plan(plan, root)
             except PoleError:
@@ -358,6 +367,12 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
                 break
             realizations.append(realization)
         if verdict is None:
+            if not field.is_rational:
+                # conjugation fixes a normal form's leading 1
+                plus = realizations[0]
+                realizations.append(Arrangement(plus.name, plus.field, [
+                    ProjLine._normal(tuple(c.conjugate() for c in ln.coords), ln.field)
+                    for ln in plus.lines]))
             admissible.append((factor, field, roots, realizations))
         else:
             discarded.append((factor, verdict))
@@ -379,7 +394,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
 def realize_components(plan: ConstructionPlan,
                        constraint: ModuliConstraint) -> tuple[Arrangement, Arrangement]:
     """The components: the plan's realizations at the "+" and "-" roots,
-    kept from `derive_constraint`."""
+    kept from `derive_constraint`; the "-" one is the Galois conjugate of
+    the "+" one, since the plan's coefficients are rational."""
     if constraint.poly.degree != 2 or constraint.field.is_rational:
         raise ConstraintError("moduli not disconnected: constraint has a single "
                               "rational root")

@@ -584,6 +584,10 @@ def ratfunc_eval(f: RatFunc, x) -> QuadExt:
 # Largest exponent accepted in an expression.  A power's base may not contain
 # a power itself, so every power is computed from text-sized operands.
 MAX_EXPONENT = 64
+# Deepest nesting of parentheses accepted in an expression.  Each level is a
+# few frames of the recursive-descent parser, so input stays far inside
+# Python's recursion limit and ends in ParseError, never RecursionError.
+MAX_NESTING = 64
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
@@ -610,6 +614,7 @@ class _ExprParser:
         self.pos = 0
         self.var = var
         self.text = text
+        self.depth = 0
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -653,11 +658,11 @@ class _ExprParser:
         return value
 
     def unary(self) -> RatFunc:
-        if self.peek() in (("op", "-"), ("op", "+")):
-            sign = self.take()[1]
-            value = self.unary()
-            return -value if sign == "-" else value
-        return self.power()
+        negate = False
+        while self.peek() in (("op", "-"), ("op", "+")):
+            negate ^= self.take()[1] == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> RatFunc:
         start = self.pos
@@ -691,8 +696,13 @@ class _ExprParser:
                 raise ParseError(f"unknown variable {val!r} (plan is over {self.var!r})")
             return RatFunc.variable()
         if (kind, val) == ("op", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} "
+                                 f"in {self.text!r}")
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r} in {self.text!r}")
 

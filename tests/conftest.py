@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from arrsym import corpus
+from arrsym.fields import RATIONAL, FieldSpec, QuadExt
+from arrsym.geometry import Arrangement
 from arrsym.moduli import derive_constraint, realize_components
 
 
@@ -23,3 +27,24 @@ def realized():
 POSITIVE_CASES = ["{1}", "{6}", "{7}", "maclane", "nazir-yoshinaga",
                   "11.B.3.b.2.iii", "11.B.3.b.2.iv", "11.B.2.iv"]
 ALL_CASES = POSITIVE_CASES + ["falk-sturmfels"]
+
+
+HALF = Fraction(1, 2)
+# m -> (field, a primitive m-th root of unity as (a, b) in a + b*sqrt(d))
+ROOTS_OF_UNITY = {2: (RATIONAL, (-1, 0)),
+                  3: (FieldSpec.quadratic(-3), (-HALF, HALF)),
+                  4: (FieldSpec.quadratic(-1), (0, 1)),
+                  6: (FieldSpec.quadratic(-3), (HALF, HALF))}
+
+
+def fermat_arrangement(m):
+    """A(m,m,3): x, y, z and x - ζy, y - ζz, z - ζx for every ζ with ζ^m = 1."""
+    field, (a, b) = ROOTS_OF_UNITY[m]
+    zeta = QuadExt(a, b, field)
+    powers = [zeta ** k for k in range(m)]
+    one, zero = QuadExt(1, 0, field), QuadExt(0, 0, field)
+    lines = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    lines += [(one, -z, zero) for z in powers]
+    lines += [(zero, one, -z) for z in powers]
+    lines += [(-z, zero, one) for z in powers]
+    return Arrangement(f"fermat-{m}", field, lines)

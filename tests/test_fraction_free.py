@@ -7,32 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import SWAP, Arrangement, lattice_of
+from arrsym.fields import QuadExt
+from arrsym.geometry import SWAP, lattice_of
 from arrsym.moduli import evaluate_plan, residual_numerators
 from arrsym.witness import extract_sigma, verify_reflection
 
-from conftest import ALL_CASES
-
-HALF = Fraction(1, 2)
-# m -> (field, a primitive m-th root of unity as (a, b) in a + b*sqrt(d))
-ROOTS_OF_UNITY = {2: (RATIONAL, (-1, 0)),
-                  3: (FieldSpec.quadratic(-3), (-HALF, HALF)),
-                  4: (FieldSpec.quadratic(-1), (0, 1)),
-                  6: (FieldSpec.quadratic(-3), (HALF, HALF))}
-
-
-def fermat_arrangement(m):
-    """A(m,m,3): x, y, z and x - ζy, y - ζz, z - ζx for every ζ with ζ^m = 1."""
-    field, (a, b) = ROOTS_OF_UNITY[m]
-    zeta = QuadExt(a, b, field)
-    powers = [zeta ** k for k in range(m)]
-    one, zero = QuadExt(1, 0, field), QuadExt(0, 0, field)
-    lines = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    lines += [(one, -z, zero) for z in powers]
-    lines += [(zero, one, -z) for z in powers]
-    lines += [(-z, zero, one) for z in powers]
-    return Arrangement(f"fermat-{m}", field, lines)
+from conftest import ALL_CASES, ROOTS_OF_UNITY, fermat_arrangement
 
 
 @pytest.fixture

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrsym.cli import main
 from arrsym.combinatorics import parse_config_table
 from arrsym.errors import ParseError
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
+from arrsym.polys import MAX_NESTING, RatFunc, parse_ratfunc
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "arrsym" / "corpus" / "data"
 
@@ -79,3 +81,58 @@ def test_field_radicands_end_in_bounded_time(sign, radicand):
     except ParseError:
         return
     assert arrangement.field.d == int(sign + radicand)
+
+
+# -- deep nesting ---------------------------------------------------------------
+
+T = RatFunc.variable()
+
+
+@pytest.mark.parametrize("count", [1, 1200, 1201, 20000])
+def test_leading_signs_do_not_recurse(count):
+    sign = -1 if count % 2 else 1
+    assert parse_ratfunc("-" * count + "1/t") == RatFunc.constant(sign) / T
+    assert parse_ratfunc("+-" * count + "t") == sign * T
+
+
+@pytest.mark.parametrize("text", ["(" * 1200 + "t" + ")" * 1200,
+                                  "-(" * 1200 + "t" + ")" * 1200,
+                                  "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1),
+                                  "(" * 1200])
+def test_deep_parentheses_are_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_ratfunc(text)
+
+
+def test_nesting_up_to_the_cap_parses():
+    assert parse_ratfunc("(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == T
+    assert parse_ratfunc("(-" * MAX_NESTING + "t" + ")" * MAX_NESTING) == T
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix=st.lists(st.sampled_from(["(", "-", "+", "-(", "+("]), max_size=1500))
+def test_nested_prefixes_parse_or_fail_cleanly(prefix):
+    text = "".join(prefix)
+    depth = text.count("(")
+    try:
+        value = parse_ratfunc(text + "t" + ")" * depth)
+    except ParseError:
+        assert depth > MAX_NESTING
+        return
+    assert depth <= MAX_NESTING
+    assert value == (-1) ** text.count("-") * T
+
+
+@pytest.mark.parametrize("entry, code", [("-" * 1200 + "1/t", 0),
+                                         ("(" * 1200 + "1/t" + ")" * 1200, 2)])
+def test_derive_on_a_deeply_nested_plan(entry, code, tmp_path, capsys):
+    plan = (DATA / "case-1.plan").read_text()
+    assert "line 1 : 0 ; 1 ; 1/t" in plan
+    path = tmp_path / "deep.plan"
+    path.write_text(plan.replace("line 1 : 0 ; 1 ; 1/t", f"line 1 : 0 ; 1 ; {entry}"))
+    assert main(["derive", str(path), str(DATA / "case-1.cfg")]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "constraint: t^2 - t - 1" in out
+    else:
+        assert err.startswith("error: line 3: parentheses nested deeper than 64")

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from arrsym import corpus, moduli
+from arrsym import corpus, geometry, moduli, witness
 from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism,
                                   parse_cycles)
@@ -155,6 +155,8 @@ def test_pipeline_contains_stored_choice_verified(name):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_run_case_evaluates_the_plan_once_per_root(name, monkeypatch):
+    # at most once per root: only at the "+" root, since the "-"
+    # realization is its Galois conjugate
     calls = []
     original = moduli.evaluate_plan
 
@@ -165,7 +167,23 @@ def test_run_case_evaluates_the_plan_once_per_root(name, monkeypatch):
     monkeypatch.setattr(moduli, "evaluate_plan", counting)
     case = corpus.get_case(name)
     report = run_case(case.name, case.config, case.plan)
-    assert calls == list(report.constraint.roots)
+    assert calls == [report.constraint.roots[0]]
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_run_case_builds_one_lattice(name, monkeypatch):
+    calls = []
+    original = geometry.lattice_of
+
+    def counting(arrangement):
+        calls.append(arrangement.name)
+        return original(arrangement)
+
+    for module in (geometry, moduli, witness):
+        monkeypatch.setattr(module, "lattice_of", counting)
+    case = corpus.get_case(name)
+    run_case(case.name, case.config, case.plan)
+    assert calls == [case.plan.name]
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
