@@ -3,9 +3,9 @@
 A configuration table records the multiple points (multiplicity >= 3) of
 a line arrangement as sets of line labels; double points are implicit as
 the uncovered pairs.  Automorphisms are found by individualization-
-refinement on the line/point incidence structure with pruning by the
-automorphisms already found; every candidate gets the full point-set check
-(refinement is an invariant, not a proof of isomorphism).
+refinement on the line/point incidences, pruned by the automorphisms
+already found; every candidate gets the full point-set check.  The group's
+elements are read off the stabilizer chain of the automorphisms found.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, count, groupby
 from math import comb, lcm
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .errors import ParseError, ValidationError
 from .fields import parse_digits
 
-# Largest accepted line count: the automorphism search allocates n x n.
+# Largest accepted line count, a bound on hostile input (the search keeps no n x n table).
 MAX_LINES = 1024
 
 
@@ -31,11 +31,18 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images) -> None:
-        imgs = tuple(int(v) for v in images)
+        imgs = tuple(map(int, images))
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValidationError(f"not a permutation of 1..{n}: {imgs}")
         object.__setattr__(self, "images", imgs)
+
+    @staticmethod
+    def _of(images: tuple) -> "Permutation":
+        """Trusted constructor: ``images`` is already a tuple of 1..n."""
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", images)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
@@ -52,7 +59,8 @@ class Permutation:
         return self.images[i - 1]
 
     def apply_set(self, labels) -> frozenset:
-        return frozenset(self(i) for i in labels)
+        images = self.images
+        return frozenset(images[i - 1] for i in labels)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(i) = p(q(i))."""
@@ -60,16 +68,21 @@ class Permutation:
             return NotImplemented
         if self.degree != other.degree:
             raise ValidationError("degree mismatch in composition")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.degree + 1)))
+        return Permutation._of(tuple(self.images[v - 1] for v in other.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images, start=1):
-            inv[v - 1] = i
-        return Permutation(inv)
+        """Each label's preimage, in order of image."""
+        return Permutation._of(tuple(i for _, i in sorted(zip(self.images, count(1)))))
 
     def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
+        """The lcm of the cycle lengths, walked without building the cycles."""
+        images, seen, lengths = self.images, bytearray(len(self.images) + 1), set()
+        for j in range(1, len(images) + 1):
+            length = 0
+            while not seen[j]:
+                seen[j], j, length = 1, images[j - 1], length + 1
+            lengths.add(length)
+        return lcm(*lengths - {0})
 
     @property
     def is_identity(self) -> bool:
@@ -77,8 +90,9 @@ class Permutation:
 
     @property
     def is_involution(self) -> bool:
-        images = self.images
-        return not self.is_identity and all(images[v - 1] == i for i, v in enumerate(images, 1))
+        images = self.images        # squared below by indexing the images from 1
+        identity = tuple(range(1, len(images) + 1))
+        return images != identity and itemgetter(*images)((0,) + images) == identity
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
@@ -116,8 +130,7 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
 
-    def __str__(self) -> str:
-        return self.cycle_string()
+    __str__ = cycle_string
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -128,8 +141,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     s = text.strip()
     if s in ("id", "()", ""):
         return Permutation.identity(n)
-    stripped = _CYCLE_RE.sub("", s)
-    if stripped.strip():
+    if _CYCLE_RE.sub("", s).strip():
         raise ParseError(f"malformed cycle notation {text!r}")
     images = list(range(1, n + 1))
     for body in _CYCLE_RE.findall(s):
@@ -157,9 +169,7 @@ class ConfigTable:
     def __init__(self, name: str, n: int, points) -> None:
         if not 1 <= n <= MAX_LINES:
             raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {n}")
-        pts = []
-        labels = set()
-        seen_pairs = {}
+        pts, labels, seen_pairs = [], set(), {}
         for label, lines in points:
             lines = frozenset(int(v) for v in lines)
             if len(lines) < 3:
@@ -190,21 +200,10 @@ class ConfigTable:
         return self._sets
 
     def multiplicity_census(self) -> dict[int, int]:
-        census: dict[int, int] = {}
-        for _, s in self.points:
-            census[len(s)] = census.get(len(s), 0) + 1
-        return census
+        return dict(Counter(len(s) for _, s in self.points))
 
     def double_count(self) -> int:
         return comb(self.n, 2) - sum(comb(len(s), 2) for _, s in self.points)
-
-    def pair_weights(self) -> dict[tuple[int, int], int]:
-        """weight{i,j} = multiplicity of the listed point through i and j, else 2."""
-        w = {}
-        for _, s in self.points:
-            for pair in combinations(sorted(s), 2):
-                w[pair] = len(s)
-        return w
 
     def serialize(self) -> str:
         out = [f"arrangement {self.name}", f"lines {self.n}"]
@@ -225,8 +224,7 @@ class ConfigTable:
 
 def parse_config_table(text: str) -> ConfigTable:
     """Parse the .cfg format (line-oriented, # comments)."""
-    name = None
-    n = None
+    name = n = None
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -286,11 +284,7 @@ class AutGroup:
         return len(self.elements)
 
     def element_order_profile(self) -> dict[int, int]:
-        profile: dict[int, int] = {}
-        for g in self.elements:
-            k = g.order()
-            profile[k] = profile.get(k, 0) + 1
-        return profile
+        return dict(Counter(g.order() for g in self.elements))
 
     def is_abelian(self) -> bool:
         return all(g * h == h * g for g, h in combinations(self.elements, 2))
@@ -310,9 +304,8 @@ class AutGroup:
             (12, ((1, 1), (2, 7), (3, 2), (6, 2))): "S3 x Z2",
             (8, ((1, 1), (2, 5), (4, 2))): "D4",
         }
-        label = known.get((n, profile))
-        if label:
-            return label
+        if (n, profile) in known:
+            return known[n, profile]
         if any(g.order() == n for g in self.elements):
             return f"Z{n}"
         if self.is_abelian():
@@ -328,14 +321,11 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     of the automorphisms found so far is searched, cut wherever the
     refinement trace departs from the first path's, for a leaf passing
     ``is_lattice_isomorphism``.  The automorphisms found are a strong
-    generating set (Seress, *Permutation Group Algorithms*, 2003), not a
-    minimal one; the elements are their closure, sorted by image sequence.
-    """
+    generating set for the lines individualized on the first path (Seress,
+    *Permutation Group Algorithms*, 2003): the elements, sorted by images,
+    are the products of one coset representative per level, read off the
+    Schreier tree of its line under the generators found at or below it."""
     n = table.n
-    # a pair's weight and the other line's colour (0..n-1) as one sortable int
-    pair_keys = [[0 if j == i else 2 * n for j in range(n)] for i in range(n)]
-    for (i, j), w in table.pair_weights().items():
-        pair_keys[i - 1][j - 1] = pair_keys[j - 1][i - 1] = w * n
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
     through: list[list[int]] = [[] for _ in range(n)]
     for p, (_, s) in enumerate(table.points):
@@ -344,18 +334,31 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
 
     def refine(colours, expected=None):
         """The equitable refinement of ``colours`` (a line's colour counts the
-        lines in lower cells) and the trace of its rounds, each the sorted
-        line signatures; (None, None) once the trace departs from ``expected``."""
+        lines in lower cells) and its trace; (None, None) once the trace
+        departs from ``expected``.  A line's signature is its colour and the
+        sorted ranks of its points' colour lists; the trace keeps each round's
+        sorted lists and signatures, and the colours these fix."""
         trace = []
         while True:
             point_colours = [sorted(get(colours)) for get in point_lines]
-            sigs = [(colours[i], sorted(map(add, pair_keys[i], colours)),
-                     sorted(point_colours[p] for p in through[i])) for i in range(n)]
-            step = sorted(sigs)
-            if expected is not None and expected[len(trace)] != step:
+            lists = sorted(point_colours)
+            ranks = [bisect_left(lists, pc) for pc in point_colours]
+            sigs = [(c, tuple(sorted(map(ranks.__getitem__, points))))
+                    for c, points in zip(colours, through)]
+            step = (lists, sorted(sigs))
+            if expected is None:
+                start = {}
+                for colour, cell in groupby(step[1], itemgetter(0)):
+                    parts = Counter(cell)
+                    for sig in (sorted(parts, key=lambda sig: _pair_order(sig, lists))
+                                if len(parts) > 1 else parts):
+                        start[sig], colour = colour, colour + parts[sig]
+            elif expected[len(trace)][0] == step:
+                start = expected[len(trace)][1]
+            else:
                 return None, None
-            trace.append(step)
-            refined = [bisect_left(step, sig) for sig in sigs]
+            trace.append((step, start))
+            refined = list(map(start.__getitem__, sigs))
             if refined == colours:
                 return colours, trace
             colours = refined
@@ -367,56 +370,69 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         cell = [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
         return [(v, colours[:v] + [colours[v] + size - 1] + colours[v + 1:]) for v in cell]
 
-    colours, trace = refine([0] * n)
-    traces, path = [trace], []          # path: the children of each first-path node
-    while kids := children(colours):
+    first_leaf, trace = refine([0] * n)     # the first path's nodes, down to its leaf
+    traces, path = [trace], []              # path: the children of each first-path node
+    while kids := children(first_leaf):
         path.append(kids)
-        colours, trace = refine(kids[0][1])
+        first_leaf, trace = refine(kids[0][1])
         traces.append(trace)
-    first_leaf = colours
 
     def search(colours, depth):
-        """An automorphism (0-based images) carrying the first leaf to a leaf
-        below this individualized node at ``depth``, or None."""
+        """An automorphism carrying the first leaf below this node, or None."""
         colours, _ = refine(colours, traces[depth])
         if colours is None:
             return None
         kids = children(colours)
         if not kids:
             line_of = sorted(range(n), key=colours.__getitem__)
-            gamma = tuple(line_of[c] for c in first_leaf)
-            tau = Permutation(v + 1 for v in gamma)
-            return gamma if is_lattice_isomorphism(table, table, tau) else None
-        for _, child in kids:
-            gamma = search(child, depth + 1)
-            if gamma is not None:
-                return gamma
-        return None
+            tau = Permutation([line_of[c] + 1 for c in first_leaf])
+            return tau if is_lattice_isomorphism(table, table, tau) else None
+        return next(filter(None, (search(child, depth + 1) for _, child in kids)), None)
 
-    gens: list[tuple[int, ...]] = []
+    def orbit(u):
+        """Schreier tree of line u: each line of its orbit under ``moves`` ->
+        a product of moves carrying u there."""
+        tree, frontier = {u: tuple(range(n))}, [u]
+        for x in frontier:
+            for g in moves:
+                if g[x] not in tree:
+                    tree[g[x]] = tuple(map(g.__getitem__, tree[x]))
+                    frontier.append(g[x])
+        return tree
+
+    gens, moves, trees = [], [], []     # moves: the generators' 0-based images
     for depth in reversed(range(len(path))):
         tried = [path[depth][0][0]]
+        tree = seen = orbit(tried[0])
         for v, child in path[depth][1:]:
-            if not any(v in _orbit(u, [g.__getitem__ for g in gens]) for u in tried):
-                gamma = search(child, depth + 1)
-                if gamma is None:
+            if v not in seen:
+                tau = search(child, depth + 1)
+                if tau is None:
                     tried.append(v)
                 else:
-                    gens.append(gamma)
-    elements = _orbit(tuple(range(n)), [itemgetter(*g) for g in gens])
-    return AutGroup(n=n, elements=tuple(Permutation(v + 1 for v in p) for p in sorted(elements)),
-                    generators=tuple(Permutation(v + 1 for v in g) for g in gens))
+                    gens.append(tau)
+                    moves.append(tuple(i - 1 for i in tau.images))
+                    tree = orbit(tried[0])
+                seen = set(tree).union(*map(orbit, tried[1:]))
+        trees.append(tree)
+    # top level first: p * u for each coset representative u; (p * u)(i) = p(u(i))
+    elements = [tuple(range(1, n + 1))]
+    for tree in reversed(trees):
+        getters = [itemgetter(*u) for u in list(tree.values())[1:]]
+        elements += [get(p) for get in getters for p in elements]
+    return AutGroup(n=n, elements=tuple(map(Permutation._of, sorted(elements))),
+                    generators=tuple(gens))
 
 
-def _orbit(start, moves) -> set:
-    """Everything reachable from ``start`` by applying ``moves``."""
-    orbit, frontier = {start}, [start]
-    while frontier:
-        x = frontier.pop()
-        new = {move(x) for move in moves} - orbit
-        orbit |= new
-        frontier.extend(new)
-    return orbit
+def _pair_order(sig, lists) -> tuple:
+    """Sort key, within their cell, of the lines of signature ``sig``: their
+    sorted (pair weight, other line's colour) lists over all lines, read off
+    the neighbours alone (README, "Automorphisms"), then their ranks."""
+    colour, points = sig[0], [lists[r] for r in sig[1]]
+    near = sorted(chain.from_iterable(points))
+    at = bisect_left(near, colour)
+    del near[at:at + len(points)]
+    return [-x for x in near], sorted([(len(pc), x) for pc in points for x in pc]), sig[1]
 
 
 def involutions(group: AutGroup) -> list[Permutation]:

@@ -140,6 +140,14 @@ class Arrangement:
     def __setattr__(self, name, value):
         raise AttributeError("Arrangement is immutable")
 
+    def _renamed(self, name: str) -> "Arrangement":
+        """The same lines under another name, not checked again."""
+        out = object.__new__(Arrangement)
+        object.__setattr__(out, "name", name)
+        object.__setattr__(out, "field", self.field)
+        object.__setattr__(out, "lines", self.lines)
+        return out
+
     @property
     def n(self) -> int:
         return len(self.lines)

@@ -399,7 +399,7 @@ def realize_components(plan: ConstructionPlan,
     if constraint.poly.degree != 2 or constraint.field.is_rational:
         raise ConstraintError("moduli not disconnected: constraint has a single "
                               "rational root")
-    return tuple(Arrangement(plan.name + sign, a.field, a.lines)
+    return tuple(a._renamed(plan.name + sign)
                  for sign, a in zip("+-", constraint.realizations))
 
 

@@ -588,11 +588,22 @@ MAX_EXPONENT = 64
 # few frames of the recursive-descent parser, so input stays far inside
 # Python's recursion limit and ends in ParseError, never RecursionError.
 MAX_NESTING = 64
+# A ParseError quotes at most this many characters of an expression, so a
+# message stays short however long the input.
+QUOTE_CHARS = 60
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
+
+
+def _quoted(text: str) -> str:
+    """``text`` as an error message quotes it: its first QUOTE_CHARS
+    characters, with "..." after them if it is longer."""
+    if len(text) <= QUOTE_CHARS:
+        return repr(text)
+    return repr(text[:QUOTE_CHARS]) + "..."
 
 
 def _degrees(f: RatFunc) -> tuple[int, int]:
@@ -603,7 +614,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
-            raise ParseError(f"bad character in expression: {text[m.start():]!r}")
+            raise ParseError(f"bad character in expression: {_quoted(text[m.start():])}")
         tokens.append((m.lastgroup, m.group(m.lastgroup)))
     return tokens + [("end", "")]
 
@@ -627,12 +638,12 @@ class _ExprParser:
     def expect_op(self, op: str) -> None:
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in {self.text!r}")
+            raise ParseError(f"expected {op!r} in {_quoted(self.text)}")
 
     def parse(self) -> RatFunc:
         value = self.expr()
         if self.peek()[0] != "end":
-            raise ParseError(f"trailing input in {self.text!r}")
+            raise ParseError(f"trailing input in {_quoted(self.text)}")
         return value
 
     def expr(self) -> RatFunc:
@@ -653,7 +664,7 @@ class _ExprParser:
             if op == "/":
                 c, d = d, c
             if max(a + c if op in "*/" else max(a + d, b + c), b + d) > MAX_DEGREE:
-                raise ParseError(f"degree above {MAX_DEGREE} in {self.text!r}")
+                raise ParseError(f"degree above {MAX_DEGREE} in {_quoted(self.text)}")
             value = _BINARY[op](value, rhs)
         return value
 
@@ -669,7 +680,7 @@ class _ExprParser:
         base = self.atom()
         if self.peek() == ("op", "^"):
             if ("op", "^") in self.tokens[start:self.pos]:
-                raise ParseError(f"power of a power in {self.text!r}")
+                raise ParseError(f"power of a power in {_quoted(self.text)}")
             self.take()
             sign = 1
             if self.peek() == ("op", "-"):
@@ -677,13 +688,13 @@ class _ExprParser:
                 sign = -1
             kind, val = self.take()
             if kind != "int":
-                raise ParseError(f"expected integer exponent in {self.text!r}")
+                raise ParseError(f"expected integer exponent in {_quoted(self.text)}")
             exponent = parse_digits(val, "an exponent")
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} above {MAX_EXPONENT} "
-                                 f"in {self.text!r}")
+                                 f"in {_quoted(self.text)}")
             if max(_degrees(base)) * exponent > MAX_DEGREE:
-                raise ParseError(f"degree above {MAX_DEGREE} in {self.text!r}")
+                raise ParseError(f"degree above {MAX_DEGREE} in {_quoted(self.text)}")
             return base ** (sign * exponent)
         return base
 
@@ -693,18 +704,19 @@ class _ExprParser:
             return RatFunc.constant(parse_digits(val, "an integer"))
         if kind == "name":
             if val != self.var:
-                raise ParseError(f"unknown variable {val!r} (plan is over {self.var!r})")
+                raise ParseError(f"unknown variable {_quoted(val)} "
+                                 f"(plan is over {_quoted(self.var)})")
             return RatFunc.variable()
         if (kind, val) == ("op", "("):
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} "
-                                 f"in {self.text!r}")
+                                 f"in {_quoted(self.text)}")
             inner = self.expr()
             self.expect_op(")")
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected token {val!r} in {self.text!r}")
+        raise ParseError(f"unexpected token {_quoted(val)} in {_quoted(self.text)}")
 
 
 def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
@@ -714,4 +726,4 @@ def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
     try:
         return _ExprParser(text, var).parse()
     except ZeroDivisionError as exc:
-        raise ParseError(f"division by zero in {text!r}") from exc
+        raise ParseError(f"division by zero in {_quoted(text)}") from exc

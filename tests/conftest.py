@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from arrsym import corpus
+from arrsym.combinatorics import ConfigTable
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement
 from arrsym.moduli import derive_constraint, realize_components
@@ -48,3 +49,17 @@ def fermat_arrangement(m):
     lines += [(zero, one, -z) for z in powers]
     lines += [(-z, zero, one) for z in powers]
     return Arrangement(f"fermat-{m}", field, lines)
+
+
+def fermat_table(m):
+    """The Fermat arrangement A(m,m,3) from its combinatorics alone.
+
+    Lines 1, 2, 3 are x, y, z; lines 4 + k, 4 + m + k and 4 + 2m + k are
+    x - ζ^k y, y - ζ^k z and z - ζ^k x for a primitive m-th root of unity ζ.
+    The coordinate points carry the three points of multiplicity m + 2, and
+    x - ζ^a y, y - ζ^b z, z - ζ^c x meet exactly when a + b + c = 0 mod m."""
+    xy, yz, zx = ([start + k for k in range(m)] for start in (4, 4 + m, 4 + 2 * m))
+    points = [{1, 2, *xy}, {2, 3, *yz}, {3, 1, *zx}]
+    points += [{xy[a], yz[b], zx[-(a + b) % m]} for a in range(m) for b in range(m)]
+    return ConfigTable(f"A({m},{m},3)", 3 + 3 * m,
+                       [(f"p{k}", s) for k, s in enumerate(points, 1)])

@@ -1,0 +1,216 @@
+"""automorphism_group refines on the points' colour lists and reads its
+elements off the stabilizer chain; the reference below is the search it
+replaced, which refined with an n x n table of pair weights and closed the
+generators under composition.  Both must give the same elements, the same
+generators in the same order, the same involutions and the same number of
+leaf checks, and the search validates no permutation but its leaves."""
+
+from bisect import bisect_left
+from collections import Counter
+from itertools import combinations
+from math import factorial, lcm, prod
+from operator import add, itemgetter
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from arrsym import combinatorics, corpus, geometry
+from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
+                                  involutions, is_lattice_isomorphism)
+
+from conftest import fermat_arrangement, fermat_table
+
+# leaf checks of the search, exact
+CORPUS_LEAF_CHECKS = {"{1}": 1, "{6}": 1, "{7}": 3, "maclane": 3, "nazir-yoshinaga": 2,
+                      "11.B.3.b.2.iii": 1, "11.B.3.b.2.iv": 1, "11.B.2.iv": 1,
+                      "falk-sturmfels": 2}
+FERMAT_LEAF_CHECKS = {2: 4, 3: 5, 4: 5, 6: 5}            # realized A(m,m,3)
+COMBINATORIAL_LEAF_CHECKS = {8: 6, 12: 6}                 # A(m,m,3) tables
+COMBINATORIAL_ORDERS = {8: 1536, 12: 3456}
+
+
+def reference_search(table):
+    """(elements, generators, leaf checks) of the replaced search, as
+    sorted image tuples, generators in the order found."""
+    n = table.n
+    # a pair's weight (its point's multiplicity, 2 for a double, 0 for the
+    # line itself) and the other line's colour as one sortable int
+    pair_keys = [[0 if j == i else 2 * n for j in range(n)] for i in range(n)]
+    for _, s in table.points:
+        for i, j in combinations(s, 2):
+            pair_keys[i - 1][j - 1] = pair_keys[j - 1][i - 1] = len(s) * n
+    point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
+    through = [[p for p, (_, s) in enumerate(table.points) if i in s] for i in range(1, n + 1)]
+    checks = []
+
+    def refine(colours, expected=None):
+        trace = []
+        while True:
+            point_colours = [sorted(get(colours)) for get in point_lines]
+            sigs = [(colours[i], sorted(map(add, pair_keys[i], colours)),
+                     sorted(point_colours[p] for p in through[i])) for i in range(n)]
+            step = sorted(sigs)
+            if expected is not None and expected[len(trace)] != step:
+                return None, None
+            trace.append(step)
+            refined = [bisect_left(step, sig) for sig in sigs]
+            if refined == colours:
+                return colours, trace
+            colours = refined
+
+    def children(colours):
+        size, colour = max((k, -c) for c, k in Counter(colours).items())
+        cell = [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
+        return [(v, colours[:v] + [colours[v] + size - 1] + colours[v + 1:]) for v in cell]
+
+    colours, trace = refine([0] * n)
+    traces, path = [trace], []
+    while kids := children(colours):
+        path.append(kids)
+        colours, trace = refine(kids[0][1])
+        traces.append(trace)
+    first_leaf = colours
+
+    def search(colours, depth):
+        colours, _ = refine(colours, traces[depth])
+        if colours is None:
+            return None
+        kids = children(colours)
+        if not kids:
+            line_of = sorted(range(n), key=colours.__getitem__)
+            gamma = tuple(line_of[c] for c in first_leaf)
+            checks.append(gamma)
+            tau = Permutation(v + 1 for v in gamma)
+            return gamma if is_lattice_isomorphism(table, table, tau) else None
+        for _, child in kids:
+            gamma = search(child, depth + 1)
+            if gamma is not None:
+                return gamma
+        return None
+
+    gens = []
+    for depth in reversed(range(len(path))):
+        tried = [path[depth][0][0]]
+        for v, child in path[depth][1:]:
+            if not any(v in closure(u, [g.__getitem__ for g in gens]) for u in tried):
+                gamma = search(child, depth + 1)
+                if gamma is None:
+                    tried.append(v)
+                else:
+                    gens.append(gamma)
+    elements = closure(tuple(range(n)), [itemgetter(*g) for g in gens])
+    one_based = [tuple(v + 1 for v in p) for p in sorted(elements)]
+    return one_based, [tuple(v + 1 for v in g) for g in gens], len(checks)
+
+
+def closure(start, moves):
+    orbit, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        new = {move(x) for move in moves} - orbit
+        orbit |= new
+        frontier.extend(new)
+    return orbit
+
+
+def searched(table, monkeypatch):
+    """(group, leaf checks, validated Permutation constructions) of one
+    automorphism_group call."""
+    leaves, built = [], []
+    check, init = combinatorics.is_lattice_isomorphism, Permutation.__init__
+
+    def counted_check(a, b, tau):
+        leaves.append(tau)
+        return check(a, b, tau)
+
+    def counted_init(self, images):
+        built.append(images)
+        init(self, images)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(combinatorics, "is_lattice_isomorphism", counted_check)
+        patch.setattr(Permutation, "__init__", counted_init)
+        group = automorphism_group(table)
+    return group, len(leaves), len(built)
+
+
+def assert_matches_reference(table, monkeypatch, leaf_checks=None):
+    group, leaves, built = searched(table, monkeypatch)
+    elements, generators, reference_leaves = reference_search(table)
+    assert [g.images for g in group.elements] == elements
+    assert [g.images for g in group.generators] == generators
+    assert [g.images for g in involutions(group)] == [
+        p for p in elements
+        if p != tuple(sorted(p)) and all(p[v - 1] == i for i, v in enumerate(p, 1))]
+    assert leaves == reference_leaves
+    if leaf_checks is not None:
+        assert leaves == leaf_checks
+    assert built == leaves
+    return group
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_LEAF_CHECKS))
+def test_corpus_matches_the_reference(name, monkeypatch):
+    case = corpus.get_case(name)
+    group = assert_matches_reference(case.config, monkeypatch, CORPUS_LEAF_CHECKS[name])
+    assert group.order == case.expected_aut_order
+
+
+def test_corpus_leaf_checks_cover_every_case():
+    assert sorted(CORPUS_LEAF_CHECKS) == sorted(corpus.list_cases())
+
+
+@pytest.mark.parametrize("m", sorted(FERMAT_LEAF_CHECKS))
+def test_fermat_matches_the_reference(m, monkeypatch):
+    _, table = geometry.lattice_of(fermat_arrangement(m))
+    assert_matches_reference(table, monkeypatch, FERMAT_LEAF_CHECKS[m])
+
+
+@pytest.mark.parametrize("m", sorted(COMBINATORIAL_LEAF_CHECKS))
+def test_combinatorial_fermat_matches_the_reference(m, monkeypatch):
+    group = assert_matches_reference(fermat_table(m), monkeypatch,
+                                     COMBINATORIAL_LEAF_CHECKS[m])
+    assert group.order == COMBINATORIAL_ORDERS[m]
+
+
+@st.composite
+def tables(draw):
+    """Valid tables on 3 to 10 lines with points of 3 to 5 lines, whose
+    group is small enough for the reference's closure: at most the product
+    of k! over the line types (the multiplicities of a line's points)
+    occurring k times."""
+    n = draw(st.integers(3, 10))
+    points, covered = [], set()
+    for lines in draw(st.lists(st.sets(st.integers(1, n), min_size=3, max_size=min(5, n)),
+                               max_size=12)):
+        pairs = set(combinations(sorted(lines), 2))
+        if not pairs & covered:
+            points.append(lines)
+            covered |= pairs
+    types = Counter(tuple(sorted(len(s) for s in points if i in s)) for i in range(1, n + 1))
+    assume(prod(factorial(k) for k in types.values()) <= 20000)
+    return ConfigTable("random", n, [(f"p{k}", s) for k, s in enumerate(points, 1)])
+
+
+def table(n, *points):
+    return ConfigTable("example", n, [(f"p{k}", s) for k, s in enumerate(points, 1)])
+
+
+# Tables on which numbering the parts of a cell by their ranks alone, not by
+# their pair-weight lists, changes the generators found or their order.
+@settings(max_examples=150, deadline=None)
+@given(tables())
+@example(table(6, {1, 2, 6}, {3, 4, 5}))
+@example(table(8, {1, 2, 4, 5}, {1, 3, 6}, {2, 6, 7}, {3, 7, 8}))
+@example(table(10, {1, 2, 5, 7, 10}, {2, 3, 8, 9}, {3, 4, 6}, {5, 6, 8}, {6, 9, 10}))
+def test_generated_tables_match_the_reference(table):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_reference(table, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["{7}", "maclane", "falk-sturmfels"])
+def test_element_orders_match_their_cycles(name):
+    for g in automorphism_group(corpus.get_case(name).config).elements:
+        assert g.order() == lcm(*map(len, g.cycles()))
+        assert g.is_involution == (g.order() == 2)

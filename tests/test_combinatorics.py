@@ -11,6 +11,8 @@ from arrsym.combinatorics import (MAX_LINES, ConfigTable, Permutation, automorph
                                   parse_config_table, parse_cycles)
 from arrsym.errors import ParseError, ValidationError
 
+from conftest import fermat_table
+
 TABLE1_TEXT = """\
 # multiple points of the first ten-line case
 arrangement {1}
@@ -53,20 +55,6 @@ def generated(group):
                     nxt.append(p)
         frontier = nxt
     return elements
-
-
-def fermat_table(m):
-    """The Fermat arrangement A(m,m,3) from its combinatorics alone.
-
-    Lines 1, 2, 3 are x, y, z; lines 4 + k, 4 + m + k and 4 + 2m + k are
-    x - ζ^k y, y - ζ^k z and z - ζ^k x for a primitive m-th root of unity ζ.
-    The coordinate points carry the three points of multiplicity m + 2, and
-    x - ζ^a y, y - ζ^b z, z - ζ^c x meet exactly when a + b + c = 0 mod m."""
-    xy, yz, zx = ([start + k for k in range(m)] for start in (4, 4 + m, 4 + 2 * m))
-    points = [{1, 2, *xy}, {2, 3, *yz}, {3, 1, *zx}]
-    points += [{xy[a], yz[b], zx[-(a + b) % m]} for a in range(m) for b in range(m)]
-    return ConfigTable(f"A({m},{m},3)", 3 + 3 * m,
-                       [(f"p{k}", s) for k, s in enumerate(points, 1)])
 
 
 # m -> (|Aut|, number of involutions) of A(m,m,3)
@@ -263,7 +251,8 @@ def test_corpus_leaf_checks_within_group_order(name, leaf_checks):
 def test_signature_preservation():
     for name in ("{1}", "{7}", "maclane"):
         table = corpus.get_case(name).config
-        weights = table.pair_weights()
+        weights = {pair: len(s) for _, s in table.points
+                   for pair in combinations(sorted(s), 2)}
 
         def signature(i):
             return sorted(weights.get((min(i, j), max(i, j)), 2)

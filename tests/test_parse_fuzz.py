@@ -12,7 +12,7 @@ from arrsym.combinatorics import parse_config_table
 from arrsym.errors import ParseError
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
-from arrsym.polys import MAX_NESTING, RatFunc, parse_ratfunc
+from arrsym.polys import MAX_NESTING, QUOTE_CHARS, RatFunc, parse_ratfunc
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "arrsym" / "corpus" / "data"
 
@@ -136,3 +136,44 @@ def test_derive_on_a_deeply_nested_plan(entry, code, tmp_path, capsys):
         assert "constraint: t^2 - t - 1" in out
     else:
         assert err.startswith("error: line 3: parentheses nested deeper than 64")
+
+
+def test_derive_error_on_a_deeply_nested_plan_is_short(tmp_path, capsys):
+    plan = (DATA / "case-1.plan").read_text()
+    entry = "(" * 1200 + "1/t" + ")" * 1200
+    path = tmp_path / "deep.plan"
+    path.write_text(plan.replace("line 1 : 0 ; 1 ; 1/t", f"line 1 : 0 ; 1 ; {entry}"))
+    assert main(["derive", str(path), str(DATA / "case-1.cfg")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) < 200
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t +", "unexpected token '' in 't +'"),
+    ("(t", "expected ')' in '(t'"),
+    ("t t", "trailing input in 't t'"),
+    ("t^^2", "expected integer exponent in 't^^2'"),
+    ("t^99", "exponent 99 above 64 in 't^99'"),
+    ("t^x", "expected integer exponent in 't^x'"),
+    ("s + 1", "unknown variable 's' (plan is over 't')"),
+    ("1/(t-t)", "division by zero in '1/(t-t)'"),
+    ("t $ 1", "bad character in expression: ' $ 1'"),
+])
+def test_short_expressions_are_quoted_whole(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_ratfunc(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["t + " * 40 + "t +",
+                                  "(" * 100 + "t" + ")" * 99,
+                                  "x" * 5000,
+                                  "t + " * 100 + "1/(t-t)",
+                                  "t " + "$" * 5000])
+def test_long_expressions_are_quoted_in_part(text):
+    with pytest.raises(ParseError) as info:
+        parse_ratfunc(text)
+    message = str(info.value)
+    assert "..." in message
+    assert len(message) < QUOTE_CHARS + 80

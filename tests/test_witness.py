@@ -187,6 +187,24 @@ def test_run_case_builds_one_lattice(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
+def test_run_case_checks_the_lines_of_each_realization_once(name, monkeypatch):
+    """The plan's "+" realization and its conjugate are built with the
+    coincidence check; naming them as components does not repeat it."""
+    calls = []
+    init = geometry.Arrangement.__init__
+
+    def counting(self, arrangement_name, field, lines):
+        calls.append(arrangement_name)
+        init(self, arrangement_name, field, lines)
+
+    monkeypatch.setattr(geometry.Arrangement, "__init__", counting)
+    case = corpus.get_case(name)
+    report = run_case(case.name, case.config, case.plan)
+    assert calls == [case.plan.name, case.plan.name]
+    assert report.status == case.expected_status
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
 def test_one_attempt_per_sigma_and_map(name):
     case = corpus.get_case(name)
     report = run_pipeline(name)
