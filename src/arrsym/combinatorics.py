@@ -18,7 +18,7 @@ from itertools import chain, combinations, count, groupby
 from math import comb, lcm
 from operator import itemgetter
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _quoted
 from .fields import parse_digits
 
 # Largest accepted line count, a bound on hostile input (the search keeps no n x n table).
@@ -142,15 +142,15 @@ def parse_cycles(text: str, n: int) -> Permutation:
     if s in ("id", "()", ""):
         return Permutation.identity(n)
     if _CYCLE_RE.sub("", s).strip():
-        raise ParseError(f"malformed cycle notation {text!r}")
+        raise ParseError(f"malformed cycle notation {_quoted(text)}")
     images = list(range(1, n + 1))
     for body in _CYCLE_RE.findall(s):
         entries = [e for e in re.split(r"[,\s]+", body.strip()) if e]
         if len(entries) < 2:
-            raise ParseError(f"cycle with fewer than two entries in {text!r}")
+            raise ParseError(f"cycle with fewer than two entries in {_quoted(text)}")
         vals = [parse_digits(e, "a line label") for e in entries]
         if len(set(vals)) != len(vals):
-            raise ParseError(f"repeated label inside a cycle in {text!r}")
+            raise ParseError(f"repeated label inside a cycle in {_quoted(text)}")
         for v in vals:
             if not 1 <= v <= n:
                 raise ParseError(f"label {v} out of range 1..{n}")
@@ -252,7 +252,7 @@ def parse_config_table(text: str) -> ConfigTable:
             points.append((label, [parse_digits(v, f"line {lineno}: a line label")
                                    for v in rest]))
         else:
-            raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
+            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or n is None:
         raise ParseError("missing 'arrangement' or 'lines' header")
     try:

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+# A ParseError quotes at most this many characters of its input.
+QUOTE_CHARS = 60
+
+
+def _quoted(text: str, form=repr) -> str:
+    """form (repr, or str for a name) of text's first QUOTE_CHARS chars, "..." if cut."""
+    if len(text) <= QUOTE_CHARS:
+        return form(text)
+    return form(text[:QUOTE_CHARS]) + "..."
+
 
 class ArrsymError(Exception):
     """Base class for all errors raised by this package."""

@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import chain, count
 from math import gcd, sqrt
 
-from .errors import DegenerateError, FieldMixError, ParseError, ValidationError
+from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
+                     _quoted)
 
 
 def _as_rat(value: int | Fraction) -> Fraction:
@@ -506,7 +507,7 @@ def parse_digits(text: str, what: str) -> int:
     ParseError.  The file parsers read their counts, labels and literals
     here: ``str.isdigit`` also accepts superscripts, which ``int`` refuses."""
     if not (text.isascii() and text.isdigit()):
-        raise ParseError(f"expected {what}, got {text!r}")
+        raise ParseError(f"expected {what}, got {_quoted(text)}")
     if len(text) > MAX_DIGITS:
         raise ParseError(f"{what} has more than {MAX_DIGITS} digits")
     return int(text)
@@ -530,7 +531,7 @@ def _fraction_literal(text: str) -> Fraction:
     num, _, den = text.lstrip("+-").partition("/")
     den = parse_digits(den, "a denominator") if den else 1
     if den == 0:
-        raise ParseError(f"zero denominator in {text!r}")
+        raise ParseError(f"zero denominator in {_quoted(text)}")
     value = Fraction(parse_digits(num, "a numerator"), den)
     return -value if text.startswith("-") else value
 
@@ -548,12 +549,12 @@ def parse_scalar(text: str, field: FieldSpec = RATIONAL) -> QuadExt:
     else:
         m = _A_B_RE.match(s)
         if not m:
-            raise ParseError(f"malformed scalar {text!r}")
+            raise ParseError(f"malformed scalar {_quoted(text)}")
         b = _parse_b(m.group("b"))
     a = _fraction_literal(m.groupdict().get("a") or "0")
     if field.is_rational:
         if b != 0:
-            raise ParseError(f"scalar {text!r} uses w but the field is rational")
+            raise ParseError(f"scalar {_quoted(text)} uses w but the field is rational")
         return QuadExt(a)
     return QuadExt(a, b, field)
 

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 from .combinatorics import ConfigTable, Permutation
-from .errors import DegenerateError, ParseError, ValidationError
+from .errors import DegenerateError, ParseError, ValidationError, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
 
@@ -366,7 +366,7 @@ def parse_arrangement(text: str) -> Arrangement:
                 raise ParseError(f"line {lineno}: duplicate line index {idx}")
             entries[idx] = tuple(parse_scalar(p, field) for p in parts)
         else:
-            raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
+            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or field is None or not entries:
         raise ParseError("missing 'arrangement', 'field', or line entries")
     n = len(entries)

@@ -7,27 +7,37 @@ requires.  Evaluating those incidences symbolically leaves numerator
 polynomials whose common factor — filtered through exact realization and
 a lattice comparison at a root — is the constraint indexing the moduli
 components.
+
+The symbolic run is fraction-free (Geddes, Czapor & Labahn, Algorithms for
+Computer Algebra, 1992, ch. 2): integer-polynomial triples over one common
+denominator, reduced only at each requirement's incidence, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .combinatorics import (MAX_LINES, ConfigTable, Permutation,
                             is_lattice_isomorphism)
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
-                     UnsupportedDegreeError, ValidationError)
+                     UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
 from .geometry import Arrangement, ProjLine, cross, lattice_of
-from .polys import (MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce,
-                    ratfunc_eval)
+from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
+                    poly_reduce, ratfunc_eval)
 
 
 @dataclass(frozen=True)
 class GivenLine:
     index: int
     entries: tuple[RatFunc, RatFunc, RatFunc]
+    cleared: tuple = dataclass_field(init=False, repr=False, compare=False)  # see _cleared
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cleared", _cleared(self.entries))
 
 
 @dataclass(frozen=True)
@@ -99,14 +109,15 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                 raise ValidationError(f"line {step.index} defined twice")
             defined_lines.add(step.index)
         elif isinstance(step, MeetPoint):
+            point = _quoted(step.name, str)
             if step.name in defined_points:
-                raise ValidationError(f"point {step.name} defined twice")
+                raise ValidationError(f"point {point} defined twice")
             if step.i == step.j:
-                raise ValidationError(f"point {step.name}: meet of a line with itself")
+                raise ValidationError(f"point {point}: meet of a line with itself")
             for ref in (step.i, step.j):
                 if ref not in defined_lines:
                     raise ValidationError(
-                        f"point {step.name}: line {ref} used before definition")
+                        f"point {point}: line {ref} used before definition")
             defined_points.add(step.name)
         elif isinstance(step, JoinLine):
             if not 1 <= step.index <= n:
@@ -117,13 +128,13 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                 raise ValidationError(f"line {step.index}: join of a point with itself")
             for ref in (step.p, step.q):
                 if ref not in defined_points:
-                    raise ValidationError(
-                        f"line {step.index}: point {ref} used before definition")
+                    raise ValidationError(f"line {step.index}: point "
+                                          f"{_quoted(ref, str)} used before definition")
             defined_lines.add(step.index)
         elif isinstance(step, Require):
             if step.point not in defined_points:
-                raise ValidationError(
-                    f"require: point {step.point} used before definition")
+                raise ValidationError(f"require: point {_quoted(step.point, str)} "
+                                      "used before definition")
             if step.line not in defined_lines:
                 raise ValidationError(
                     f"require: line {step.line} used before definition")
@@ -199,7 +210,7 @@ def parse_plan(text: str) -> ConstructionPlan:
             steps.append(Require(point=fields[1], line=parse_digits(
                 fields[3], f"line {lineno}: a line label")))
         else:
-            raise ParseError(f"line {lineno}: unknown directive {keyword!r}")
+            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or var is None:
         raise ParseError("missing 'plan' header")
     if n is None:
@@ -210,35 +221,72 @@ def parse_plan(text: str) -> ConstructionPlan:
         raise ParseError(str(exc)) from exc
 
 
+def _add(a: list, b: list, sign: int = 1) -> list:
+    """a + sign*b, trailing zeros dropped; a is a fresh list, changed in place."""
+    a += [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        a[i] += sign * y
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _content_free(lists: list) -> tuple:
+    g = gcd(*(c for cs in lists for c in cs))
+    return tuple(lists) if g == 1 else tuple([c // g for c in cs] for cs in lists)
+
+
+def _cleared(entries) -> tuple:
+    """(P0, P1, P2, D): ascending integer lists with entries[k] == P_k / D, D the
+    product of the distinct (monic, so primitive) denominators; content-free."""
+    fracs = [(e.num, e.den) for e in entries]
+    dens = [d for d in dict.fromkeys(den._c for _, den in fracs) if d != (1,)]
+    scale = lcm(*(num._den for num, _ in fracs))
+    out = [reduce(_convolve, [d for d in dens if d != den._c],
+                  [c * (den._den * scale // num._den) for c in num._c])
+           for num, den in fracs]
+    return _content_free(out + [reduce(_convolve, dens, [scale])])
+
+
 def _run_plan(plan: ConstructionPlan, t0: QuadExt | None = None):
-    """Execute the plan steps over Q(t), or at t = t0 when t0 is given;
-    returns the line and point triples by label."""
+    """The line and point triples by label: over Q(t) cleared (_cleared), or at t0."""
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = (step.entries if t0 is None else
+            lines[step.index] = (step.cleared if t0 is None else
                                  tuple(ratfunc_eval(e, t0) for e in step.entries))
         elif isinstance(step, MeetPoint):
             points[step.name] = _cross(lines[step.i], lines[step.j],
                                        f"lines {step.i},{step.j}", plan, t0)
         elif isinstance(step, JoinLine):
-            lines[step.index] = _cross(points[step.p], points[step.q],
-                                       f"points {step.p},{step.q}", plan, t0)
+            what = f"points {_quoted(step.p, str)},{_quoted(step.q, str)}"
+            lines[step.index] = _cross(points[step.p], points[step.q], what, plan, t0)
     return lines, points
 
 
 def _cross(u: tuple, v: tuple, what: str, plan: ConstructionPlan, t0) -> tuple:
-    """The meet or join of u and v.  Raises DegenerateError when they
-    coincide and, over Q(t), ValidationError when an entry's numerator or
-    denominator has degree above MAX_DEGREE."""
-    w = cross(u, v)
-    if all(e.is_zero for e in w):
-        where = "identically" if t0 is None else f"at {plan.var}={t0}"
-        raise DegenerateError(f"{what} coincide {where}")
-    if t0 is None and max(max(e.num.degree, e.den.degree) for e in w) > MAX_DEGREE:
-        raise ValidationError(f"the meet or join of {what} has degree "
-                              f"above {MAX_DEGREE}")
+    """The meet or join of u and v.  Raises DegenerateError when they coincide
+    and, over Q(t), ValidationError when a reduced entry has degree above MAX_DEGREE."""
+    if t0 is not None:
+        w = cross(u, v)
+        if all(e.is_zero for e in w):
+            raise DegenerateError(f"{what} coincide at {plan.var}={t0}")
+        return w
+    (u0, u1, u2, du), (v0, v1, v2, dv) = u, v
+    w = _content_free([_add(_convolve(u1, v2), _convolve(u2, v1), -1),
+                       _add(_convolve(u2, v0), _convolve(u0, v2), -1),
+                       _add(_convolve(u0, v1), _convolve(u1, v0), -1),
+                       _convolve(du, dv)])
+    if not any(w[:3]):
+        raise DegenerateError(f"{what} coincide identically")
+    if max(map(len, w)) > MAX_DEGREE + 1:
+        # reduction only lowers degrees: reduce to apply the exact test
+        entries = tuple(RatFunc(_poly(p, 1), _poly(w[3], 1)) for p in w[:3])
+        if max(max(e.num.degree, e.den.degree) for e in entries) > MAX_DEGREE:
+            raise ValidationError(f"the meet or join of {what} has degree "
+                                  f"above {MAX_DEGREE}")
+        w = _cleared(entries)
     return w
 
 
@@ -256,11 +304,11 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
     lines, points = _run_plan(plan)
     out = []
     for req in plan.requires():
-        point = points[req.point]
-        line = lines[req.line]
-        expr = line[0] * point[0] + line[1] * point[1] + line[2] * point[2]
-        if not expr.is_zero:
-            out.append((req.point, req.line, expr.num))
+        (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
+        incidence = _add(_add(_convolve(l0, p0), _convolve(l1, p1)), _convolve(l2, p2))
+        if incidence:
+            reduced = RatFunc(_poly(incidence, 1), _poly(_convolve(dl, dp), 1))
+            out.append((req.point, req.line, reduced.num))
     return out
 
 
@@ -285,10 +333,6 @@ class ModuliConstraint:
 
     def __str__(self) -> str:
         return self.format()
-
-
-def _primitive(poly: Poly) -> Poly:
-    return poly.primitive()[1]
 
 
 def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
@@ -334,7 +378,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         try:
             factors = [f for f, _ in poly_reduce(num)]
         except (UnsupportedDegreeError, ValidationError):
-            factors = [_primitive(num)]
+            factors = [num.primitive()[1]]
         for factor in factors:
             if factor in seen_noncommon:
                 continue
@@ -386,7 +430,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         raise ConstraintError(f"more than one admissible factor: {polys}")
 
     factor, field, roots, realizations = admissible[0]
-    return ModuliConstraint(poly=_primitive(factor), var=plan.var, field=field,
+    return ModuliConstraint(poly=factor.primitive()[1], var=plan.var, field=field,
                             roots=(roots[0], roots[-1]), discarded=tuple(discarded),
                             realizations=(realizations[0], realizations[-1]))
 

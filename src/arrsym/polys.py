@@ -18,7 +18,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParseError, PoleError, UnsupportedDegreeError, ValidationError
+from .errors import (ParseError, PoleError, UnsupportedDegreeError, ValidationError,
+                     _quoted)
 from .fields import (QuadExt, _num_den, _quad, _rational_hash, factor_integer,
                      parse_digits)
 
@@ -29,6 +30,20 @@ from .fields import (QuadExt, _num_den, _quad, _rational_hash, factor_integer,
 MAX_DEGREE = 64
 
 _new = object.__new__
+
+
+def _convolve(a, b) -> list:
+    """The product of two polynomials given as ascending integer coefficients."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < 2:
+        return [x * b[0] for x in a] if b else []
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
 
 
 def _poly(cs, den: int) -> "Poly":
@@ -143,15 +158,7 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self._c, other._c
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1) if b else []
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a):
-                    out[i + j] += x * y
-        return _poly(out, self._den * other._den)
+        return _poly(_convolve(self._c, other._c), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -588,22 +595,11 @@ MAX_EXPONENT = 64
 # few frames of the recursive-descent parser, so input stays far inside
 # Python's recursion limit and ends in ParseError, never RecursionError.
 MAX_NESTING = 64
-# A ParseError quotes at most this many characters of an expression, so a
-# message stays short however long the input.
-QUOTE_CHARS = 60
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
-
-
-def _quoted(text: str) -> str:
-    """``text`` as an error message quotes it: its first QUOTE_CHARS
-    characters, with "..." after them if it is longer."""
-    if len(text) <= QUOTE_CHARS:
-        return repr(text)
-    return repr(text[:QUOTE_CHARS]) + "..."
 
 
 def _degrees(f: RatFunc) -> tuple[int, int]:

@@ -43,6 +43,11 @@ def grid_candidates(table: ConfigTable, sigma: Permutation) -> list[tuple[int, i
     return out
 
 
+def _grid_count(sigma: Permutation) -> int:
+    """len(grid_candidates(table, sigma)): k(k - 2) for the k lines sigma moves."""
+    return (k := sum(i != j for i, j in enumerate(sigma.images, 1))) * (k - 2)
+
+
 @dataclass(frozen=True)
 class ReflectionWitness:
     """Per-line certificates that map(L+_i) equals L-_{sigma(i)} projectively.
@@ -63,21 +68,15 @@ class ReflectionWitness:
 
 
 def _match_scalar(mapped: tuple, target: ProjLine) -> QuadExt | None:
-    """Scalar c with mapped == c * target.coords, or None."""
+    """Nonzero scalar c with mapped == c * target.coords, or None.  The
+    target is in normal form, so c is mapped's entry at its leading 1."""
     scale = None
     for m, t in zip(mapped, target.coords):
-        if t.is_zero:
-            if not m.is_zero:
-                return None
-            continue
-        ratio = m / t
-        if scale is None:
-            scale = ratio
-        elif ratio != scale:
+        if scale is None and not t.is_zero:
+            scale = m
+        elif m != (t if t.is_zero else scale * t):
             return None
-    if scale is None or scale.is_zero:
-        return None
-    return scale
+    return None if scale.is_zero else scale
 
 
 def verify_reflection(aplus: Arrangement, aminus: Arrangement,
@@ -219,7 +218,7 @@ def run_case(case_name: str, config: ConfigTable,
     attempts: list[Attempt] = []
     witness: ReflectionWitness | None = None
     for sigma in invs:
-        grids = len(grid_candidates(config, sigma))
+        grids = _grid_count(sigma)
         if not grids:
             continue
         for kind in kinds:

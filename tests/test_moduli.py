@@ -13,11 +13,14 @@ from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
 
+from conftest import chain_plan
+
 T = Poly.variable()
 
 
 def test_parse_shipped_plan():
     plan = corpus.get_case("{1}").plan
+    assert plan.name == "{1}"
     assert plan.n == 10
     assert plan.var == "t"
     assert plan.grid_labels() == (4, 5, 3, 2)
@@ -55,26 +58,6 @@ def test_oversized_plan_refused_before_any_work(monkeypatch):
         parse_plan("plan p over t\nlines 1\nline 1 : t^1000000000 ; 0 ; 0\n")
     with pytest.raises(ParseError, match="exponent"):
         parse_ratfunc("t^1000000000")
-
-
-def chain_plan(n):
-    """Grid lines 1-4 and generic lines 5-7; then line k, for k = 8..n, joins
-    meet(k-1, a) and meet(k-2, b), with a and b the first of lines 1-7 (in an
-    order rotated by k) that keep the join from degenerating.  The degree of
-    the entries grows about 2.6 times for every two lines."""
-    text = ["plan chain over t", f"lines {n}", "line 1 : 1 ; 0 ; 0",
-            "line 2 : 1 ; 0 ; -1", "line 3 : 0 ; 1 ; 0", "line 4 : 0 ; 1 ; -1",
-            "line 5 : 1 ; t ; 2", "line 6 : t ; 1 ; 3", "line 7 : 2 ; 3 ; t"]
-    through = {k: {k} for k in range(1, 8)}     # given lines each join uses
-    for k in range(8, n + 1):
-        pool = [5, 6, 7, 1, 2, 3, 4][k % 7:] + [5, 6, 7, 1, 2, 3, 4][:k % 7]
-        a = next(x for x in pool if x not in through[k - 1] | {k - 1})
-        b = next(x for x in pool
-                 if x not in through[k - 1] | through[k - 2] | {k - 2, a})
-        through[k] = {a, b}
-        text += [f"point P{k} : meet {k - 1} {a}", f"point Q{k} : meet {k - 2} {b}",
-                 f"line {k} : join P{k} Q{k}"]
-    return "\n".join(text + ["point Z : meet 1 3", f"require Z on {n}"]) + "\n"
 
 
 def test_plan_degree_is_bounded():

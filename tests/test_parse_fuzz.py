@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrsym.cli import main
-from arrsym.combinatorics import parse_config_table
-from arrsym.errors import ParseError
+from arrsym.combinatorics import parse_config_table, parse_cycles
+from arrsym.errors import QUOTE_CHARS, ParseError
+from arrsym.fields import parse_digits, parse_scalar
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
-from arrsym.polys import MAX_NESTING, QUOTE_CHARS, RatFunc, parse_ratfunc
+from arrsym.polys import MAX_NESTING, RatFunc, parse_ratfunc
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "arrsym" / "corpus" / "data"
 
@@ -177,3 +178,61 @@ def test_long_expressions_are_quoted_in_part(text):
     message = str(info.value)
     assert "..." in message
     assert len(message) < QUOTE_CHARS + 80
+
+
+PLAN_HEAD = ("plan p over t\nlines 4\nline 1 : 1 ; 0 ; 0\nline 2 : 1 ; 0 ; -1\n"
+             "line 3 : 0 ; 1 ; 0\nline 4 : 0 ; 1 ; -1\n")
+# Each parser fed its junk ``j``: a text that quotes j whole or in part.
+QUOTING_PARSERS = {
+    "cycles": lambda j: parse_cycles("(1 2)" + j, 10),
+    "cycle of one": lambda j: parse_cycles("(1" + " " * len(j) + ")", 10),
+    "repeated label": lambda j: parse_cycles("(1 1" + " 1" * len(j) + ")", 10),
+    "scalar": lambda j: parse_scalar("1/2" + j),
+    "scalar with w": lambda j: parse_scalar("1+w" + " " * len(j)),
+    "zero denominator": lambda j: parse_scalar("1/" + "0" * min(len(j), 600)),
+    "digits": lambda j: parse_digits("1" + j, "a line label"),
+    "cfg directive": lambda j: parse_config_table("arrangement a\nlines 3\nx" + j + " 1\n"),
+    "arr directive": lambda j: parse_arrangement("arrangement a\nx" + j + " 1\n"),
+    "plan directive": lambda j: parse_plan(PLAN_HEAD + "x" + j + " 1\n"),
+    "point twice": lambda j: parse_plan(
+        PLAN_HEAD + f"point P{j} : meet 1 3\npoint P{j} : meet 2 4\n"),
+    "point undefined": lambda j: parse_plan(PLAN_HEAD + f"require P{j} on 1\n"),
+    "meet of a line itself": lambda j: parse_plan(PLAN_HEAD + f"point P{j} : meet 1 1\n"),
+    "meet before its line": lambda j: parse_plan(PLAN_HEAD + f"point P{j} : meet 1 9\n"),
+    "join before its point": lambda j: parse_plan(
+        PLAN_HEAD.replace("lines 4", "lines 5") + f"point P : meet 1 3\nline 5 : join P Q{j}\n"),
+}
+SHORT_MESSAGES = {
+    "cycles": "malformed cycle notation '(1 2)qz'",
+    "cycle of one": "cycle with fewer than two entries in '(1  )'",
+    "repeated label": "repeated label inside a cycle in '(1 1 1 1)'",
+    "scalar": "malformed scalar '1/2qz'",
+    "scalar with w": "scalar '1+w  ' uses w but the field is rational",
+    "zero denominator": "zero denominator in '1/00'",
+    "digits": "expected a line label, got '1qz'",
+    "cfg directive": "line 3: unknown directive 'xqz'",
+    "arr directive": "line 2: unknown directive 'xqz'",
+    "plan directive": "line 7: unknown directive 'xqz'",
+    "point twice": "point Pqz defined twice",
+    "point undefined": "require: point Pqz used before definition",
+    "meet of a line itself": "point Pqz: meet of a line with itself",
+    "meet before its line": "point Pqz: line 9 used before definition",
+    "join before its point": "line 5: point Qqz used before definition",
+}
+
+
+def _message(parse, junk):
+    with pytest.raises(ParseError) as info:
+        parse(junk)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTING_PARSERS))
+def test_short_inputs_are_quoted_whole(kind):
+    assert _message(QUOTING_PARSERS[kind], "qz") == SHORT_MESSAGES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTING_PARSERS))
+def test_long_inputs_are_quoted_in_part(kind):
+    message = _message(QUOTING_PARSERS[kind], "qz" * 1500)
+    assert "..." in message and len(message) < 200

@@ -1,0 +1,194 @@
+"""The fraction-free plan interpreter against the RatFunc interpreter it
+replaced.
+
+residual_numerators runs meets and joins on integer-polynomial triples over
+a common denominator and reduces once per requirement.  The reference below
+is the replaced interpreter: every entry a reduced RatFunc, every product
+and sum reduced by a polynomial gcd.  Both must give the same numerators in
+the same order, and the same exception type and message on a plan that
+fails.  The gate counts RatFunc constructions: one per numerator returned
+(19 over the nine cases; the reference makes 767)."""
+
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrsym import corpus
+from arrsym.errors import DegenerateError, ValidationError
+from arrsym.geometry import cross
+from arrsym.moduli import GivenLine, JoinLine, MeetPoint, parse_plan, residual_numerators
+from arrsym.polys import MAX_DEGREE, Poly, RatFunc
+
+from conftest import ALL_CASES, chain_plan
+
+
+def _reference_cross(u, v, what):
+    w = cross(u, v)
+    if all(e.is_zero for e in w):
+        raise DegenerateError(f"{what} coincide identically")
+    if max(max(e.num.degree, e.den.degree) for e in w) > MAX_DEGREE:
+        raise ValidationError(f"the meet or join of {what} has degree "
+                              f"above {MAX_DEGREE}")
+    return w
+
+
+def reference_numerators(plan):
+    lines, points = {}, {}
+    for step in plan.steps:
+        if isinstance(step, GivenLine):
+            lines[step.index] = step.entries
+        elif isinstance(step, MeetPoint):
+            points[step.name] = _reference_cross(lines[step.i], lines[step.j],
+                                                 f"lines {step.i},{step.j}")
+        elif isinstance(step, JoinLine):
+            lines[step.index] = _reference_cross(points[step.p], points[step.q],
+                                                 f"points {step.p},{step.q}")
+    out = []
+    for req in plan.requires():
+        point, line = points[req.point], lines[req.line]
+        expr = line[0] * point[0] + line[1] * point[1] + line[2] * point[2]
+        if not expr.is_zero:
+            out.append((req.point, req.line, expr.num))
+    return out
+
+
+def outcome(run, plan):
+    """The numerators, with each Poly's exact integer form, or the error."""
+    try:
+        return [(p, l, num._c, num._den) for p, l, num in run(plan)]
+    except (DegenerateError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(plan):
+    expected = outcome(reference_numerators, plan)
+    assert outcome(residual_numerators, plan) == expected
+    return expected
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_plans_match_the_reference(name):
+    assert assert_same(corpus.get_case(name).plan)
+
+
+@pytest.mark.parametrize("n", range(8, 22))
+def test_chain_plans_match_the_reference(n):
+    result = assert_same(parse_plan(chain_plan(n)))
+    if n >= 16:
+        assert result == (ValidationError,
+                          "the meet or join of points P16,Q16 has degree above 64")
+
+
+def _count_ratfuncs(monkeypatch):
+    """A list that grows by one for every RatFunc built from now on."""
+    built = []
+    original = RatFunc.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting)
+    return built
+
+
+REDUCED_BELOW_THE_BOUND = """\
+plan cancel over t
+lines 8
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1/(t^40+t+1) ; 1 ; 0
+line 6 : 2/(t^40+t+1) ; 3 ; 0
+line 7 : t ; 1 ; 2/(t^40+t+1)
+line 8 : 1 ; t ; 1
+point P : meet 5 6
+point Q : meet 7 8
+point R : meet 6 8
+require P on 8
+require Q on 1
+require R on 7
+"""
+
+
+def test_degree_above_the_bound_that_reduces_below_it(monkeypatch):
+    # meet 5 6 has degree 80 over its product denominator, 40 once reduced:
+    # the interpreter reduces it, passes the bound and goes on
+    plan = parse_plan(REDUCED_BELOW_THE_BOUND)
+    built = _count_ratfuncs(monkeypatch)
+    numerators = residual_numerators(plan)
+    assert len(built) > len(numerators) == 3
+    assert assert_same(plan)
+
+
+def test_one_ratfunc_per_numerator(monkeypatch):
+    plans = [corpus.get_case(name).plan for name in ALL_CASES]
+    built = _count_ratfuncs(monkeypatch)
+    total = 0
+    for plan in plans:
+        built.clear()
+        count = len(residual_numerators(plan))
+        assert len(built) == count
+        total += count
+    assert total == 19
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_given_lines_are_cleared_exactly(name):
+    for step in corpus.get_case(name).plan.steps:
+        if isinstance(step, GivenLine):
+            *entries, den = step.cleared
+            assert all(RatFunc(Poly(p), Poly(den)) == e
+                       for p, e in zip(entries, step.entries))
+            assert den and gcd(*(c for cs in step.cleared for c in cs)) == 1
+
+
+GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",
+        "line 3 : 0 ; 1 ; 0", "line 4 : 0 ; 1 ; -1"]
+DENOMINATORS = ["1", "t", "t+1", "t-2", "t^2+1", "2*t-1", "3", "t^3-t+2"]
+
+
+@st.composite
+def entries(draw):
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    num = f"{a}*t^2 + {b}*t + {c}"
+    return f"({num})/({draw(st.sampled_from(DENOMINATORS))})"
+
+
+@st.composite
+def plans(draw):
+    """Grid lines, 1-4 lines with rational-function entries, meets, up to
+    three joins (each followed by a meet on the new line) and requirements."""
+    given = draw(st.integers(1, 4))
+    text = list(GRID)
+    for k in range(5, 5 + given):
+        text.append(f"line {k} : " + " ; ".join(draw(entries()) for _ in range(3)))
+    lines = list(range(1, 5 + given))
+    points = []
+
+    def meet(on=None):
+        i = on if on is not None else draw(st.sampled_from(lines))
+        j = draw(st.sampled_from([x for x in lines if x != i]))
+        points.append(f"P{len(points)}")
+        text.append(f"point {points[-1]} : meet {i} {j}")
+
+    for _ in range(draw(st.integers(2, 4))):
+        meet()
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.permutations(points))[:2]
+        lines.append(len(lines) + 1)
+        text.append(f"line {lines[-1]} : join {p} {q}")
+        meet(on=lines[-1])
+    for _ in range(draw(st.integers(1, 4))):
+        text.append(f"require {draw(st.sampled_from(points))} "
+                    f"on {draw(st.sampled_from(lines))}")
+    return "\n".join(["plan h over t", f"lines {len(lines)}", *text]) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(plans())
+def test_random_plans_match_the_reference(text):
+    assert_same(parse_plan(text))

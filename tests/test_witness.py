@@ -14,7 +14,7 @@ from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma,
                             grid_candidates, run_case, run_pipeline,
                             verify_reflection)
 
-from conftest import ALL_CASES, POSITIVE_CASES
+from conftest import ALL_CASES, POSITIVE_CASES, fermat_table
 
 
 def test_grid_candidates_case1():
@@ -44,6 +44,50 @@ def test_grid_candidates_single_transposition_empty():
 def test_paper_grid_is_candidate(name):
     case = corpus.get_case(name)
     assert case.grid[:2] in grid_candidates(case.config, case.sigma)
+
+
+@pytest.mark.parametrize("table", [corpus.get_case(name).config for name in ALL_CASES]
+                         + [fermat_table(m) for m in (2, 3, 4)], ids=lambda t: t.name)
+def test_grid_count_is_the_number_of_grid_candidates(table):
+    invs = involutions(automorphism_group(table))
+    assert invs
+    for sigma in invs:
+        assert witness._grid_count(sigma) == len(grid_candidates(table, sigma))
+
+
+def _match_scalar_by_division(mapped, target):
+    """The certificate as it was computed before, one ratio per coordinate."""
+    scale = None
+    for m, t in zip(mapped, target.coords):
+        if t.is_zero:
+            if not m.is_zero:
+                return None
+            continue
+        ratio = m / t
+        if scale is None:
+            scale = ratio
+        elif ratio != scale:
+            return None
+    if scale is None or scale.is_zero:
+        return None
+    return scale
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_certificates_match_the_division_reference(name, realized):
+    case, _, plus, minus = realized(name)
+    checked = 0
+    for sigma in involutions(automorphism_group(case.config)):
+        for kind in (SWAP, SWAP_CONJUGATE):
+            result = verify_reflection(plus, minus, sigma, kind)
+            expected = tuple(
+                (i, _match_scalar_by_division(kind.apply_line(plus.line(i)),
+                                              minus.line(sigma(i))))
+                for i in range(1, plus.n + 1))
+            assert result.per_line == expected
+            assert result.verified == all(c is not None for _, c in expected)
+            checked += sum(c is not None for _, c in expected)
+    assert checked
 
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
