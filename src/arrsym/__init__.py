@@ -6,19 +6,18 @@ from .combinatorics import (AutGroup, ConfigTable, Permutation,
                             automorphism_group, involutions,
                             is_lattice_isomorphism, parse_config_table,
                             parse_cycles)
-from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar,
-                     galois_conjugate, parse_scalar, quad_roots)
+from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar, parse_scalar,
+                     quad_roots)
 from .geometry import (Arrangement, IntersectionLattice, ProjLine, ProjPoint,
-                       apply_coordinate_map, intersect, lattice_of,
-                       lines_proj_equal, parse_arrangement, relabel)
+                       intersect, lattice_of, parse_arrangement)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      evaluate_plan, parse_plan, realize_components,
                      root_product)
-from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce, ratfunc_eval
+from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce
 from .render import RenderOptions, render_svg
 from .witness import (SWAP, SWAP_CONJUGATE, MapKind, PipelineReport,
-                      ReflectionWitness, extract_sigma, grid_candidates,
-                      run_pipeline, verify_reflection)
+                      ReflectionWitness, extract_sigma, run_pipeline,
+                      verify_reflection)
 
 __version__ = "0.1.0"
 
@@ -27,12 +26,10 @@ __all__ = [
     "IntersectionLattice", "MapKind", "ModuliConstraint", "Permutation",
     "PipelineReport", "Poly", "ProjLine", "ProjPoint", "QuadExt", "RATIONAL",
     "RatFunc", "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
-    "apply_coordinate_map", "automorphism_group", "derive_constraint",
-    "evaluate_plan", "extract_sigma", "format_scalar", "galois_conjugate",
-    "grid_candidates", "intersect", "involutions", "is_lattice_isomorphism",
-    "lattice_of", "lines_proj_equal", "parse_arrangement", "parse_config_table",
-    "parse_cycles", "parse_plan", "parse_ratfunc", "parse_scalar",
-    "poly_reduce", "quad_roots", "ratfunc_eval", "realize_components",
-    "relabel", "render_svg", "root_product", "run_pipeline",
-    "verify_reflection",
+    "automorphism_group", "derive_constraint", "evaluate_plan",
+    "extract_sigma", "format_scalar", "intersect", "involutions",
+    "is_lattice_isomorphism", "lattice_of", "parse_arrangement",
+    "parse_config_table", "parse_cycles", "parse_plan", "parse_ratfunc",
+    "parse_scalar", "poly_reduce", "quad_roots", "realize_components",
+    "render_svg", "root_product", "run_pipeline", "verify_reflection",
 ]

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import corpus
 from .combinatorics import (automorphism_group, involutions, parse_config_table,
                             parse_cycles)
-from .errors import ArrsymError
+from .errors import QUOTE_CHARS, ArrsymError, _quoted
 from .geometry import lattice_of, parse_arrangement
-from .moduli import derive_constraint, parse_plan, root_product
+from .moduli import derive_constraint, parse_plan
 from .render import RenderOptions, render_svg
 from .witness import (MapKind, extract_sigma, run_pipeline, verify_reflection)
 
@@ -31,7 +32,7 @@ def _read(path: str) -> str:
         raise ArrsymError(f"cannot read {path}: {exc}") from exc
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
+def _emit(payload, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -89,14 +90,8 @@ def _cmd_derive(args) -> int:
     plan = parse_plan(_read(args.plan))
     table = parse_config_table(_read(args.cfg))
     constraint = derive_constraint(plan, table)
-    product = (str(root_product(constraint.poly))
-               if constraint.poly.degree == 2 else None)
-    payload = {"plan": plan.name, "constraint": constraint.format(),
-               "field_d": constraint.field.d,
-               "roots": [str(r) for r in constraint.roots],
-               "root_product": product,
-               "discarded": [[f.format(plan.var), reason]
-                             for f, reason in constraint.discarded]}
+    payload = {"plan": plan.name, **constraint.to_dict()}
+    product = payload["root_product"]
     lines = [f"constraint: {constraint.format()}",
              f"field: {constraint.field}",
              f"roots: {constraint.roots[0]}, {constraint.roots[1]}"]
@@ -132,12 +127,26 @@ def _cmd_extract_sigma(args) -> int:
     b = parse_arrangement(_read(args.arr_b))
     kind = MapKind(swap=True, conjugate=args.conjugate)
     sigma = extract_sigma(a, b, kind)
-    if sigma is None:
-        _emit({"sigma": None, "map": kind.label}, args.json, "none")
-        return 1
-    _emit({"sigma": sigma.cycle_string(), "map": kind.label}, args.json,
-          sigma.cycle_string())
-    return 0
+    text = sigma.cycle_string() if sigma is not None else None
+    _emit({"sigma": text, "map": kind.label}, args.json, text or "none")
+    return 0 if sigma is not None else 1
+
+
+# A literal's exponent of four or more significant digits, as Fraction reads it.
+_HUGE_EXPONENT_RE = re.compile(r"(?<=[eE])[-+]?(?:0_?)*[1-9](?:_?\d){3,}")
+
+
+def _viewport_value(part: str, text: str) -> Fraction:
+    """Fraction(part), but a well-formed literal with an exponent above 999 is
+    refused before Fraction builds 10**exp."""
+    if _HUGE_EXPONENT_RE.search(part):
+        try:
+            Fraction(_HUGE_EXPONENT_RE.sub("0", part))
+        except ValueError:
+            pass                # malformed either way: Fraction(part) fails at once
+        else:
+            raise ArrsymError(f"bad viewport {_quoted(text)}: exponent above 999")
+    return Fraction(part)
 
 
 def _parse_viewport(text: str):
@@ -145,9 +154,10 @@ def _parse_viewport(text: str):
     if len(parts) != 4:
         raise ArrsymError("viewport must be xmin,ymin,xmax,ymax")
     try:
-        return tuple(Fraction(p.strip()) for p in parts)
+        return tuple(_viewport_value(p.strip(), text) for p in parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ArrsymError(f"bad viewport {text!r}: {exc}") from exc
+        reason = exc if len(text) <= QUOTE_CHARS else _quoted(str(exc), str)
+        raise ArrsymError(f"bad viewport {_quoted(text)}: {reason}") from exc
 
 
 def _cmd_render(args) -> int:
@@ -167,14 +177,9 @@ def _cmd_render(args) -> int:
 def _cmd_pipeline(args) -> int:
     if args.case == "all":
         reports = [run_pipeline(name) for name in corpus.list_cases()]
-        if args.json:
-            print(json.dumps([r.to_dict() for r in reports], indent=2))
-        else:
-            for report in reports:
-                print(report.to_text())
-                print()
-            summary = ", ".join(f"{r.case}={r.status}" for r in reports)
-            print(f"summary: {summary}")
+        summary = ", ".join(f"{r.case}={r.status}" for r in reports)
+        _emit([r.to_dict() for r in reports], args.json,
+              "".join(r.to_text() + "\n\n" for r in reports) + f"summary: {summary}")
         expected = all(r.status == corpus.get_case(r.case).expected_status
                        for r in reports)
         return 0 if expected else 1
@@ -189,11 +194,7 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_cases(args) -> int:
     names = corpus.list_cases()
-    if args.json:
-        print(json.dumps(names, indent=2))
-    else:
-        for name in names:
-            print(name)
+    _emit(names, args.json, "\n".join(names))
     return 0
 
 

@@ -196,10 +196,6 @@ class FieldSpec:
             raise ValidationError(f"unknown field kind {self.kind!r}")
 
     @staticmethod
-    def rational() -> "FieldSpec":
-        return RATIONAL
-
-    @staticmethod
     def quadratic(d: int) -> "FieldSpec":
         return FieldSpec("quadratic", d)
 
@@ -457,11 +453,6 @@ def _inverse(p: int, q: int, den: int, d: int, field: FieldSpec) -> QuadExt:
     if norm < 0:
         norm, den = -norm, -den
     return _quad(den * p, -den * q, norm, d, field)
-
-
-def galois_conjugate(x: QuadExt) -> QuadExt:
-    """The field map sqrt(d) -> -sqrt(d); an involution fixing the rationals."""
-    return x.conjugate()
 
 
 def quad_roots(a: int | Fraction, b: int | Fraction,

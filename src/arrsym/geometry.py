@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .combinatorics import ConfigTable, Permutation
+from .combinatorics import ConfigTable
 from .errors import DegenerateError, ParseError, ValidationError, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
@@ -109,11 +109,6 @@ def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     # a rational line's coordinates mix into the other line's field
     field = l1.field if not l1.field.is_rational else l2.field
     return ProjPoint(cross(l1.coords, l2.coords), field)
-
-
-def lines_proj_equal(l1: ProjLine, l2: ProjLine) -> bool:
-    """Projective equality: equal normalized coefficient triples."""
-    return l1.coords == l2.coords
 
 
 class Arrangement:
@@ -303,25 +298,6 @@ class MapKind:
 
 SWAP = MapKind(swap=True, conjugate=False)
 SWAP_CONJUGATE = MapKind(swap=True, conjugate=True)
-
-
-def apply_coordinate_map(arrangement: Arrangement, swap: bool,
-                         conjugate: bool) -> Arrangement:
-    """Apply MapKind(swap, conjugate) to every line.  Labels are preserved;
-    output is renormalized."""
-    kind = MapKind(swap, conjugate)
-    return Arrangement(arrangement.name, arrangement.field,
-                       [kind.apply_line(ln) for ln in arrangement.lines])
-
-
-def relabel(arrangement: Arrangement, sigma: Permutation) -> Arrangement:
-    """Send line i to position sigma(i): result.lines[sigma(i)] = lines[i]."""
-    if sigma.degree != arrangement.n:
-        raise ValidationError("permutation degree differs from line count")
-    slots: list[ProjLine | None] = [None] * arrangement.n
-    for i in range(1, arrangement.n + 1):
-        slots[sigma(i) - 1] = arrangement.line(i)
-    return Arrangement(arrangement.name, arrangement.field, slots)
 
 
 def parse_arrangement(text: str) -> Arrangement:

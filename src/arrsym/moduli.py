@@ -27,7 +27,7 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
 from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
 from .geometry import Arrangement, ProjLine, cross, lattice_of
 from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
-                    poly_reduce, ratfunc_eval)
+                    poly_reduce)
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _run_plan(plan: ConstructionPlan, t0: QuadExt | None = None):
     for step in plan.steps:
         if isinstance(step, GivenLine):
             lines[step.index] = (step.cleared if t0 is None else
-                                 tuple(ratfunc_eval(e, t0) for e in step.entries))
+                                 tuple(e.eval(t0) for e in step.entries))
         elif isinstance(step, MeetPoint):
             points[step.name] = _cross(lines[step.i], lines[step.j],
                                        f"lines {step.i},{step.j}", plan, t0)
@@ -330,6 +330,15 @@ class ModuliConstraint:
 
     def format(self) -> str:
         return self.poly.format(self.var)
+
+    def to_dict(self) -> dict:
+        """The JSON fields; root_product is None unless the poly is quadratic."""
+        return {"constraint": self.format(), "field_d": self.field.d,
+                "roots": [str(r) for r in self.roots],
+                "root_product": (str(root_product(self.poly))
+                                 if self.poly.degree == 2 else None),
+                "discarded": [[f.format(self.var), reason]
+                              for f, reason in self.discarded]}
 
     def __str__(self) -> str:
         return self.format()

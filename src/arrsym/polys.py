@@ -549,8 +549,16 @@ class RatFunc:
             return RatFunc(self.den, self.num) ** (-n)
         return RatFunc(self.num ** n, self.den ** n)
 
-    def eval(self, x):
-        return ratfunc_eval(self, x)
+    def eval(self, x) -> QuadExt:
+        """Exact value at x; raises PoleError at a denominator zero."""
+        if not isinstance(x, QuadExt):
+            x = QuadExt(x)
+        if self.den.degree == 0:
+            return self.num.eval(x)
+        den = self.den.eval(x)
+        if den.is_zero:
+            raise PoleError(f"pole of {self} at {x}")
+        return self.num.eval(x) / den
 
     def format(self, var: str = "t") -> str:
         if self.den.degree == 0:
@@ -572,18 +580,6 @@ def _as_ratfunc(value) -> RatFunc | None:
     if isinstance(value, (int, Fraction)):
         return RatFunc.constant(value)
     return None
-
-
-def ratfunc_eval(f: RatFunc, x) -> QuadExt:
-    """Exact value of f at x; raises PoleError at a denominator zero."""
-    if not isinstance(x, QuadExt):
-        x = QuadExt(x)
-    if f.den.degree == 0:
-        return f.num.eval(x)
-    den = f.den.eval(x)
-    if den.is_zero:
-        raise PoleError(f"pole of {f} at {x}")
-    return f.num.eval(x) / den
 
 
 # -- expression parser ---------------------------------------------------------

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RenderError
+from .fields import QuadExt
 from .geometry import Arrangement, lattice_of
 
 _CANVAS = 640.0
@@ -107,6 +108,15 @@ def _clip_segment(alpha: float, beta: float, gamma: float, box):
     return uniq[0], uniq[-1]
 
 
+def _floats(values) -> tuple[float, ...]:
+    """Exact scalars or Fractions as floats; RenderError beyond float range."""
+    try:
+        return tuple(v.to_float() if isinstance(v, QuadExt) else float(v)
+                     for v in values)
+    except OverflowError as exc:
+        raise RenderError(f"coordinate beyond float range ({exc})") from exc
+
+
 def render_primitives(arrangement: Arrangement, options: RenderOptions):
     """Float geometry behind the SVG: ((label, segment) list, (point, mult)
     list, viewport box), in world coordinates."""
@@ -115,13 +125,13 @@ def render_primitives(arrangement: Arrangement, options: RenderOptions):
         raise RenderError(f"no real section: field is {field}")
 
     forms, markers = _chart_transform(arrangement, options.infinity)
-    float_forms = [(idx, tuple(c.to_float() for c in form)) for idx, form in forms]
-    float_markers = [((x.to_float(), y.to_float()), mult) for (x, y), mult in markers]
+    float_forms = [(idx, _floats(form)) for idx, form in forms]
+    float_markers = [(_floats(point), mult) for point, mult in markers]
     # markers in lattice order are already deterministic; sort for stability
     float_markers.sort(key=lambda m: (m[0][0], m[0][1], m[1]))
 
     if options.viewport is not None:
-        xmin, ymin, xmax, ymax = (float(v) for v in options.viewport)
+        xmin, ymin, xmax, ymax = _floats(options.viewport)
         if not (xmax > xmin and ymax > ymin):
             raise RenderError("degenerate viewport")
     elif float_markers:

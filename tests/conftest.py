@@ -25,6 +25,30 @@ def realized():
     return get
 
 
+def apply_map(arrangement, kind):
+    """kind (a MapKind) applied to every line; labels kept, lines renormalized."""
+    return Arrangement(arrangement.name, arrangement.field,
+                       [kind.apply_line(line) for line in arrangement.lines])
+
+
+def relabel(arrangement, sigma):
+    """Line i moved to position sigma(i)."""
+    slots = [None] * arrangement.n
+    for i in range(1, arrangement.n + 1):
+        slots[sigma(i) - 1] = arrangement.line(i)
+    return Arrangement(arrangement.name, arrangement.field, slots)
+
+
+def grid_candidates(sigma):
+    """Ordered pairs (i, j), i != j, with sigma(i) not in {i, j} and
+    sigma(j) != j: the pairs eligible to be pinned to x=0 and x=z, listed
+    one by one (the reference for witness._grid_count)."""
+    n = sigma.degree
+    return [(i, j) for i in range(1, n + 1) if sigma(i) != i
+            for j in range(1, n + 1)
+            if j != i and sigma(j) != j and sigma(i) != j]
+
+
 POSITIVE_CASES = ["{1}", "{6}", "{7}", "maclane", "nazir-yoshinaga",
                   "11.B.3.b.2.iii", "11.B.3.b.2.iv", "11.B.2.iv"]
 ALL_CASES = POSITIVE_CASES + ["falk-sturmfels"]

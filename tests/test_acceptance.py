@@ -9,12 +9,14 @@ from fractions import Fraction as F
 from arrsym import corpus
 from arrsym.combinatorics import (Permutation, automorphism_group,
                                   is_lattice_isomorphism)
-from arrsym.fields import QuadExt, galois_conjugate, quad_roots
-from arrsym.geometry import apply_coordinate_map, lattice_of, relabel
+from arrsym.fields import QuadExt, quad_roots
+from arrsym.geometry import MapKind, lattice_of
 from arrsym.moduli import (derive_constraint, evaluate_plan,
                            realize_components, root_product)
 from arrsym.polys import Poly
 from arrsym.witness import extract_sigma, run_pipeline, verify_reflection
+
+from conftest import apply_map, relabel
 
 T = Poly.variable()
 
@@ -119,12 +121,12 @@ def test_criterion_6_property_suites():
     ok = True
     # involution laws
     field, plus, minus = quad_roots(1, -1, -1)
-    ok = ok and galois_conjugate(galois_conjugate(plus)) == plus
+    ok = ok and plus.conjugate().conjugate() == plus
     for name in ("{1}", "maclane"):
         _, _, aplus, _ = realize(name)
         for swap, conj in ((True, False), (False, True), (True, True)):
-            twice = apply_coordinate_map(
-                apply_coordinate_map(aplus, swap, conj), swap, conj)
+            kind = MapKind(swap, conj)
+            twice = apply_map(apply_map(aplus, kind), kind)
             ok = ok and twice == aplus
     # Vieta recomposition
     for name in POSITIVE:
@@ -139,8 +141,7 @@ def test_criterion_6_property_suites():
         case, _, aplus, aminus = realize(name)
         sigma = extract_sigma(aplus, aminus, case.map)
         ok = ok and sigma == case.sigma and not sigma.is_identity
-        ok = ok and relabel(apply_coordinate_map(
-            aminus, case.map.swap, case.map.conjugate), sigma) == aplus
+        ok = ok and relabel(apply_map(aminus, case.map), sigma) == aplus
     # off-root evaluation fails the lattice oracle for every shipped case
     for name in corpus.list_cases():
         case = corpus.get_case(name)

@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import arrsym
 from arrsym import corpus
 from arrsym.cli import main
 
@@ -188,6 +194,74 @@ def test_render_bad_viewport(capsys, arr_files, tmp_path):
         code, _, err = run(capsys, "render", str(plus_path), "--viewport", viewport,
                            "-o", str(tmp_path / "v.svg"))
         assert code == 2 and "bad viewport" in err
+
+
+def test_render_viewport_messages_keep_their_short_form(capsys, arr_files, tmp_path):
+    plus_path, _ = arr_files
+    for viewport, reason in (("0,0,1/0,1", "Fraction(1, 0)"),
+                             ("a,b,c,d", "Invalid literal for Fraction: 'a'")):
+        code, _, err = run(capsys, "render", str(plus_path), "--viewport", viewport,
+                           "-o", str(tmp_path / "v.svg"))
+        assert (code, err) == (2, f"error: bad viewport {viewport!r}: {reason}\n")
+
+
+def test_render_viewport_message_is_bounded(capsys, arr_files, tmp_path):
+    plus_path, _ = arr_files
+    code, _, err = run(capsys, "render", str(plus_path), "--viewport", "1,2,3," + "x" * 3000,
+                       "-o", str(tmp_path / "v.svg"))
+    assert code == 2 and err.startswith("error: bad viewport '1,2,3,xxx")
+    assert len(err) < 160
+
+
+def test_render_viewport_decimals(capsys, arr_files, tmp_path):
+    plus_path, _ = arr_files
+    for viewport in ("-0.5,-1e-3,2.5,1e2", "0,0,1E300,1e-300"):
+        code, out, _ = run(capsys, "render", str(plus_path), "--infinity", "10",
+                           f"--viewport={viewport}", "-o", str(tmp_path / "v.svg"))
+        assert code == 0 and out.startswith("wrote ")
+
+
+def _limited_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_render_viewport_huge_exponent_is_refused_at_once(arr_files, tmp_path):
+    # Fraction("1e999999999") would build a number of about 415 MB; run in a
+    # child process with a time and memory limit so a regression cannot hang
+    plus_path, _ = arr_files
+    src = str(Path(arrsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "arrsym", "render", str(plus_path),
+         "--viewport=0,0,1e999999999,1", "-o", str(tmp_path / "v.svg")],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=_limited_memory)
+    assert done.returncode == 2
+    assert done.stderr == "error: bad viewport '0,0,1e999999999,1': exponent above 999\n"
+
+
+def test_render_coordinates_beyond_float_range(capsys, arr_files, tmp_path):
+    big = tmp_path / "big.arr"
+    big.write_text("arrangement big\nfield rational\nline 1 : 1 ; 0 ; -" + "9" * 400 + "\n")
+    plus_path, _ = arr_files
+    for argv in ([str(big)], [str(plus_path), "--infinity", "10", "--viewport=0,0,1e400,1"]):
+        code, _, err = run(capsys, "render", *argv, "-o", str(tmp_path / "v.svg"))
+        assert code == 2
+        assert err.startswith("error: coordinate beyond float range") and err.count("\n") == 1
+
+
+def test_derive_and_pipeline_share_the_constraint_fields(capsys, data_dir):
+    keys = ("constraint", "field_d", "roots", "root_product", "discarded")
+    for name in corpus.list_cases():
+        stem = corpus._SPECS[name].stem
+        _, out, _ = run(capsys, "pipeline", name, "--json")
+        pipeline = json.loads(out)
+        _, out, _ = run(capsys, "derive", "--json", str(data_dir / f"{stem}.plan"),
+                        str(data_dir / f"{stem}.cfg"))
+        derive = json.loads(out)
+        assert list(derive) == ["plan", *keys]
+        assert [derive[k] for k in keys] == [pipeline[k] for k in keys], name
 
 
 def test_pipeline_all(capsys):

@@ -7,9 +7,11 @@ from arrsym import corpus
 from arrsym.combinatorics import Permutation, is_lattice_isomorphism, parse_cycles
 from arrsym.errors import DegenerateError, ParseError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt, quad_roots
-from arrsym.geometry import (Arrangement, ProjLine, ProjPoint,
-                             apply_coordinate_map, intersect, lattice_of,
-                             lines_proj_equal, parse_arrangement, relabel)
+from arrsym.geometry import (SWAP, SWAP_CONJUGATE, Arrangement, MapKind,
+                             ProjLine, ProjPoint, intersect, lattice_of,
+                             parse_arrangement)
+
+from conftest import apply_map, relabel
 
 Q5 = FieldSpec.quadratic(5)
 QI = FieldSpec.quadratic(-1)
@@ -49,16 +51,16 @@ def test_intersect_golden_triple():
 
 
 def test_lines_proj_equal():
-    assert lines_proj_equal(ProjLine((1, 0, 0)), ProjLine((2, 0, 0)))
-    assert not lines_proj_equal(ProjLine((1, 0, 0)), ProjLine((1, 0, 1)))
+    assert ProjLine((1, 0, 0)) == ProjLine((2, 0, 0))
+    assert ProjLine((1, 0, 0)) != ProjLine((1, 0, 1))
 
 
 def test_lines_proj_equal_complex_scaling(realized):
     # swapping coordinates of the ninth line at one root gives the ninth
     # line at the other root, up to a nonzero complex scalar
     _, _, plus, minus = realized("nazir-yoshinaga")
-    mapped = apply_coordinate_map(plus, swap=True, conjugate=False)
-    assert lines_proj_equal(mapped.line(9), minus.line(9))
+    mapped = apply_map(plus, SWAP)
+    assert mapped.line(9) == minus.line(9)
 
 
 def test_lattice_of_case1(realized):
@@ -100,7 +102,7 @@ def test_lattice_duplicate_lines():
 
 def test_apply_coordinate_map_swap():
     arrangement = Arrangement("a", RATIONAL, [ProjLine((1, 0, 0))])
-    swapped = apply_coordinate_map(arrangement, swap=True, conjugate=False)
+    swapped = apply_map(arrangement, SWAP)
     assert swapped.line(1) == ProjLine((0, 1, 0))
 
 
@@ -108,15 +110,15 @@ def test_apply_coordinate_map_maclane_example(realized):
     # swap+conjugate carries the third line at one root to the fourth line
     # at the other root: x = t+ z  ->  y = t- z
     case, constraint, plus, minus = realized("maclane")
-    mapped = apply_coordinate_map(plus, swap=True, conjugate=True)
-    assert lines_proj_equal(mapped.line(3), minus.line(4))
+    mapped = apply_map(plus, SWAP_CONJUGATE)
+    assert mapped.line(3) == minus.line(4)
 
 
 @pytest.mark.parametrize("swap,conjugate", [(True, False), (False, True), (True, True)])
 def test_coordinate_maps_are_involutions(realized, swap, conjugate):
     _, _, plus, _ = realized("maclane")
-    twice = apply_coordinate_map(
-        apply_coordinate_map(plus, swap, conjugate), swap, conjugate)
+    kind = MapKind(swap, conjugate)
+    twice = apply_map(apply_map(plus, kind), kind)
     assert twice == plus
 
 
@@ -146,7 +148,7 @@ def test_relabel_equivariance(realized):
 
 def test_galois_commutes_with_intersect(realized):
     _, _, plus, _ = realized("maclane")
-    conjugated = apply_coordinate_map(plus, swap=False, conjugate=True)
+    conjugated = apply_map(plus, MapKind(swap=False, conjugate=True))
     for i, j in [(1, 4), (3, 7), (2, 8)]:
         direct = intersect(conjugated.line(i), conjugated.line(j))
         other = intersect(plus.line(i), plus.line(j))

@@ -318,3 +318,15 @@ def test_root_product_examples():
     assert root_product(2 * T * T - 2 * T + 1) == F(1, 2)
     with pytest.raises(ValidationError):
         root_product(T + 1)
+
+
+def test_constraint_fields_give_a_root_product_only_for_a_quadratic(realized):
+    _, constraint, _, _ = realized("nazir-yoshinaga")
+    assert constraint.to_dict() == {
+        "constraint": "2t^2 - 2t + 1", "field_d": -1,
+        "roots": [str(r) for r in constraint.roots], "root_product": "1/2",
+        "discarded": [[f.format("t"), reason] for f, reason in constraint.discarded]}
+    linear = moduli.ModuliConstraint(poly=T + 1, var="t", field=constraint.field,
+                                     roots=(QuadExt(-1), QuadExt(-1)), discarded=(),
+                                     realizations=())
+    assert linear.to_dict()["root_product"] is None

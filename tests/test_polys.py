@@ -6,8 +6,7 @@ import pytest
 from arrsym.errors import (ParseError, PoleError, UnsupportedDegreeError,
                            ValidationError)
 from arrsym.fields import QuadExt, quad_roots
-from arrsym.polys import (MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce,
-                          ratfunc_eval)
+from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce
 
 T = Poly.variable()
 
@@ -104,19 +103,19 @@ def test_ratfunc_normal_form():
 
 
 def test_ratfunc_eval_identity():
-    assert ratfunc_eval(RatFunc.variable(), F(7, 2)) == QuadExt(F(7, 2))
+    assert RatFunc.variable().eval(F(7, 2)) == QuadExt(F(7, 2))
 
 
 def test_ratfunc_eval_golden_identity():
     # (1 + t)/t fixes the golden ratio because t^2 = t + 1 there
     _, plus, _ = quad_roots(1, -1, -1)
     f = (1 + RatFunc.variable()) / RatFunc.variable()
-    assert ratfunc_eval(f, plus) == plus
+    assert f.eval(plus) == plus
 
 
 def test_ratfunc_pole():
     with pytest.raises(PoleError):
-        ratfunc_eval(1 / RatFunc.variable(), F(0))
+        (1 / RatFunc.variable()).eval(F(0))
 
 
 def test_ratfunc_field_ops():
@@ -124,8 +123,8 @@ def test_ratfunc_field_ops():
     f = (t - 1) / (t + 2)
     g = 1 / t
     x = F(3)
-    assert ratfunc_eval(f + g, x) == ratfunc_eval(f, x) + ratfunc_eval(g, x)
-    assert ratfunc_eval(f * g, x) == ratfunc_eval(f, x) * ratfunc_eval(g, x)
+    assert (f + g).eval(x) == f.eval(x) + g.eval(x)
+    assert (f * g).eval(x) == f.eval(x) * g.eval(x)
     assert (f / f) == RatFunc.constant(1)
 
 
@@ -142,7 +141,7 @@ def test_ratfunc_field_ops():
     ("(t+1)^-2", F(1), F(1, 4)),
 ])
 def test_parse_ratfunc(text, at, expected):
-    assert ratfunc_eval(parse_ratfunc(text), at) == QuadExt(expected)
+    assert parse_ratfunc(text).eval(at) == QuadExt(expected)
 
 
 def test_parse_ratfunc_errors():

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from arrsym.combinatorics import Permutation
 from arrsym.fields import FieldSpec, QuadExt, quad_roots
-from arrsym.geometry import (Arrangement, ProjLine, ProjPoint,
-                             apply_coordinate_map, intersect, lattice_of,
-                             relabel)
+from arrsym.geometry import (Arrangement, MapKind, ProjLine, ProjPoint,
+                             intersect, lattice_of)
 from arrsym.polys import Poly, RatFunc, poly_reduce
+
+from conftest import apply_map, relabel
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -144,8 +145,8 @@ def small_arrangements(draw):
 @settings(max_examples=40)
 @given(small_arrangements(), st.booleans(), st.booleans())
 def test_coordinate_maps_are_involutions(arrangement, swap, conjugate):
-    twice = apply_coordinate_map(
-        apply_coordinate_map(arrangement, swap, conjugate), swap, conjugate)
+    kind = MapKind(swap, conjugate)
+    twice = apply_map(apply_map(arrangement, kind), kind)
     assert twice == arrangement
 
 
@@ -174,7 +175,7 @@ def test_intersections_lie_on_both_lines(arrangement):
 @settings(max_examples=40)
 @given(small_arrangements())
 def test_conjugation_commutes_with_intersection(arrangement):
-    conj = apply_coordinate_map(arrangement, swap=False, conjugate=True)
+    conj = apply_map(arrangement, MapKind(swap=False, conjugate=True))
     for i in range(1, arrangement.n):
         direct = intersect(conj.line(i), conj.line(i + 1))
         original = intersect(arrangement.line(i), arrangement.line(i + 1))

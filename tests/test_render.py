@@ -82,3 +82,12 @@ def test_degenerate_viewport(realized):
     _, _, plus, _ = realized("{1}")
     with pytest.raises(RenderError):
         render_svg(plus, RenderOptions(viewport=(F(1), F(0), F(1), F(2))))
+
+
+def test_coordinates_beyond_float_range_raise_render_error():
+    arrangement = Arrangement("big", RATIONAL, [ProjLine((1, 0, -10 ** 400))])
+    with pytest.raises(RenderError, match="beyond float range"):
+        render_primitives(arrangement, RenderOptions())
+    one = Arrangement("one", RATIONAL, [ProjLine((1, 0, 0))])
+    with pytest.raises(RenderError, match="beyond float range"):
+        render_primitives(one, RenderOptions(viewport=(F(0), F(0), F(10) ** 400, F(1))))

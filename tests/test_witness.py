@@ -1,49 +1,54 @@
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrsym import corpus, geometry, moduli, witness
 from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism,
                                   parse_cycles)
 from arrsym.errors import ValidationError
-from arrsym.geometry import apply_coordinate_map, lattice_of, relabel
+from arrsym.fields import RATIONAL, FieldSpec, QuadExt
+from arrsym.geometry import (Arrangement, MapKind, ProjLine, cross, intersect,
+                             lattice_of)
 from arrsym.moduli import root_product
-from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma,
-                            grid_candidates, run_case, run_pipeline,
-                            verify_reflection)
+from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma, run_case,
+                            run_pipeline, verify_reflection)
 
-from conftest import ALL_CASES, POSITIVE_CASES, fermat_table
+from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, apply_map,
+                      fermat_arrangement, fermat_table, grid_candidates,
+                      relabel)
 
 
 def test_grid_candidates_case1():
     case = corpus.get_case("{1}")
-    candidates = grid_candidates(case.config, case.sigma)
+    candidates = grid_candidates(case.sigma)
     assert (4, 5) in candidates
     for i, j in candidates:
         assert i != j and case.sigma(i) not in (i, j) and case.sigma(j) != j
 
 
 def test_grid_candidates_identity_empty():
-    case = corpus.get_case("{1}")
-    assert grid_candidates(case.config, Permutation.identity(10)) == []
+    identity = Permutation.identity(10)
+    assert grid_candidates(identity) == [] and witness._grid_count(identity) == 0
 
 
 def test_grid_candidates_case6():
     case = corpus.get_case("{6}")
-    assert (4, 6) in grid_candidates(case.config, case.sigma)
+    assert (4, 6) in grid_candidates(case.sigma)
 
 
 def test_grid_candidates_single_transposition_empty():
-    table = ConfigTable("g", 4, [])
-    assert grid_candidates(table, parse_cycles("(1 2)", 4)) == []
+    sigma = parse_cycles("(1 2)", 4)
+    assert grid_candidates(sigma) == [] and witness._grid_count(sigma) == 0
 
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
 def test_paper_grid_is_candidate(name):
     case = corpus.get_case(name)
-    assert case.grid[:2] in grid_candidates(case.config, case.sigma)
+    assert case.grid[:2] in grid_candidates(case.sigma)
 
 
 @pytest.mark.parametrize("table", [corpus.get_case(name).config for name in ALL_CASES]
@@ -52,7 +57,7 @@ def test_grid_count_is_the_number_of_grid_candidates(table):
     invs = involutions(automorphism_group(table))
     assert invs
     for sigma in invs:
-        assert witness._grid_count(sigma) == len(grid_candidates(table, sigma))
+        assert witness._grid_count(sigma) == len(grid_candidates(sigma))
 
 
 def _match_scalar_by_division(mapped, target):
@@ -118,7 +123,7 @@ def test_verify_reflection_falk_sturmfels_fails_all_grids(realized):
     sigma = involutions(automorphism_group(case.config))[0]
     assert not verify_reflection(plus, minus, sigma, SWAP).verified
     # the swap instead fixes each component (trivial action on the moduli):
-    mapped = apply_coordinate_map(plus, swap=True, conjugate=False)
+    mapped = apply_map(plus, SWAP)
     assert relabel(mapped, sigma.inverse()) == plus
 
 
@@ -134,7 +139,7 @@ def test_component_exchange_symmetry(name, realized):
     # applying the map to the minus component and relabeling by sigma
     # recovers the plus component line-for-line
     case, _, plus, minus = realized(name)
-    mapped = apply_coordinate_map(minus, case.map.swap, case.map.conjugate)
+    mapped = apply_map(minus, case.map)
     assert relabel(mapped, case.sigma) == plus
     # equivalently, the witness verifies with the components exchanged
     # (sigma is its own inverse)
@@ -155,7 +160,7 @@ def test_extract_sigma_consistency(name, realized):
 
 def test_extract_sigma_positional_identity(realized):
     _, _, plus, _ = realized("{1}")
-    mapped = apply_coordinate_map(plus, swap=True, conjugate=False)
+    mapped = apply_map(plus, SWAP)
     assert extract_sigma(plus, mapped, SWAP) == Permutation.identity(10)
 
 
@@ -163,6 +168,73 @@ def test_extract_sigma_none_for_unrelated(realized):
     _, _, plus1, _ = realized("{1}")
     _, _, plus6, _ = realized("{6}")
     assert extract_sigma(plus1, plus6, SWAP) is None
+
+
+# extract_sigma runs no lattice check: the map is a collineation, so the
+# sigma it reads off must be a lattice isomorphism.  These tests run the
+# check it dropped, as an oracle.
+
+def _is_lattice_isomorphism(a, b, sigma):
+    return is_lattice_isomorphism(lattice_of(a)[1], lattice_of(b)[1], sigma)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_extracted_sigma_is_a_lattice_isomorphism_on_the_corpus(name, realized):
+    _, _, plus, minus = realized(name)
+    found = 0
+    for kind in (SWAP, SWAP_CONJUGATE):
+        for a, b in ((plus, minus), (minus, plus), (plus, plus)):
+            sigma = extract_sigma(a, b, kind)
+            if sigma is not None:
+                found += 1
+                assert _is_lattice_isomorphism(a, b, sigma), (kind, a.name, b.name)
+    assert found
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
+def test_extracted_sigma_is_a_lattice_isomorphism_on_fermat(m):
+    arrangement = fermat_arrangement(m)
+    for kind in (SWAP, SWAP_CONJUGATE):
+        sigma = extract_sigma(arrangement, arrangement, kind)
+        assert sigma is not None and _is_lattice_isomorphism(arrangement, arrangement, sigma)
+
+
+@st.composite
+def concurrent_arrangements(draw):
+    """x, y, z and a line with nonzero coefficients, then one to three lines
+    each joining two intersection points, so the lattice has triple points."""
+    field = draw(st.sampled_from([RATIONAL, FieldSpec.quadratic(5),
+                                  FieldSpec.quadratic(-1), FieldSpec.quadratic(-3)]))
+
+    def nonzero():
+        a = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        return QuadExt(a, 0 if field.is_rational else draw(st.integers(-3, 3)), field)
+
+    lines = [ProjLine(c, field) for c in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    lines.append(ProjLine((nonzero(), nonzero(), nonzero()), field))
+    for _ in range(draw(st.integers(1, 3))):
+        points = list(dict.fromkeys(intersect(l1, l2)
+                                    for l1, l2 in combinations(lines, 2)))
+        joins = [line for line in dict.fromkeys(
+                     ProjLine(cross(p.coords, q.coords), field)
+                     for p, q in combinations(points, 2))
+                 if line not in lines]
+        lines.append(draw(st.sampled_from(joins)))
+    return Arrangement("h", field, lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(concurrent_arrangements(),
+       st.sampled_from([SWAP, SWAP_CONJUGATE, MapKind(swap=False, conjugate=True)]),
+       st.data())
+def test_extracted_sigma_is_a_lattice_isomorphism_on_synthetic_pairs(a, kind, data):
+    # b is a mapped and then relabelled by tau, so tau is the one answer
+    tau = Permutation(data.draw(st.permutations(range(1, a.n + 1))))
+    b = relabel(apply_map(a, kind), tau)
+    assert lattice_of(a)[1].points
+    sigma = extract_sigma(a, b, kind)
+    assert _is_lattice_isomorphism(a, b, sigma)
+    assert sigma == tau
 
 
 def test_certificate_root_relation(realized):
@@ -255,7 +327,7 @@ def test_one_attempt_per_sigma_and_map(name):
     keys = [(at.sigma, at.map) for at in report.attempts]
     assert len(keys) == len(set(keys))
     for at in report.attempts:
-        assert at.grids == len(grid_candidates(case.config, at.sigma)) > 0
+        assert at.grids == len(grid_candidates(at.sigma)) > 0
     if name == "maclane":
         assert len(report.attempts) == 26
 
