@@ -18,22 +18,13 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
 
 
-def _as_scalar(value, field: FieldSpec) -> QuadExt:
-    if isinstance(value, QuadExt):
-        return value.with_field(field)
-    return QuadExt(value, 0, field)
-
-
 def _normalize_triple(coords, field: FieldSpec) -> tuple[QuadExt, QuadExt, QuadExt]:
-    vals = tuple(v if type(v) is QuadExt and v.field is field else _as_scalar(v, field)
+    vals = tuple(v if type(v) is QuadExt and v.field is field else
+                 v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
                  for v in coords)
     if len(vals) != 3:
         raise ValidationError("expected a coefficient triple")
-    pivot = next((v for v in vals if not v.is_zero), None)
-    if pivot is None:
-        raise ValidationError("all three coefficients are zero")
-    inv = pivot.inverse()
-    return tuple(v * inv for v in vals)
+    return _normal_coords(_scaled(vals), field.d or 0, field)
 
 
 class _Triple:
@@ -185,11 +176,10 @@ class IntersectionLattice:
         return out
 
 
-def _scaled(line: ProjLine) -> tuple[int, int, int, int, int, int]:
-    """The line as six integers (a0, b0, a1, b1, a2, b2): coordinate k is
-    (a_k + b_k*sqrt(d))/den for one common den, so the a_k + b_k*sqrt(d)
-    are coefficients of the same line."""
-    x, y, z = line.coords
+def _scaled(coords: tuple) -> tuple[int, int, int, int, int, int]:
+    """A triple as six integers (a0, b0, a1, b1, a2, b2): coordinate k is
+    (a_k + b_k*sqrt(d))/den for one common den, a multiple of the triple."""
+    x, y, z = coords
     den = lcm(x._den, y._den, z._den)
     sx, sy, sz = den // x._den, den // y._den, den // z._den
     return x._p * sx, x._q * sx, y._p * sy, y._q * sy, z._p * sz, z._q * sz
@@ -214,8 +204,8 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
          a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2,
          a0 * c1 - a1 * c0 + d * (b0 * e1 - b1 * e0),
          a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0]
-    k = next((k for k in (0, 2, 4) if w[k] or w[k + 1]), None)
-    if k is None:
+    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
+    if k < 0:
         raise DegenerateError("intersect of identical lines")
     s, t = w[k], w[k + 1]
     if t:
@@ -228,20 +218,29 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
     return tuple(w) if g == 1 else tuple([x // g for x in w])
 
 
-def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTable]:
-    """Group all C(n,2) pairwise intersections by exact coincidence.
+def _normal_coords(w, d: int, field: FieldSpec) -> tuple[QuadExt, QuadExt, QuadExt]:
+    """The normal form of the triple with entries w[2k] + w[2k+1]*sqrt(d): all
+    over the first nonzero entry, made rational by its conjugate first.
+    Raises ValidationError when all three entries are zero."""
+    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
+    if k < 0:
+        raise ValidationError("all three coefficients are zero")
+    s, t = w[k], w[k + 1]
+    if t:
+        w = [x for p, q in zip(w[::2], w[1::2])
+             for x in (p * s - d * q * t, q * s - p * t)]
+        s = w[k]
+    if s < 0:
+        w, s = [-x for x in w], -s
+    return (_quad(w[0], w[1], s, d, field), _quad(w[2], w[3], s, d, field),
+            _quad(w[4], w[5], s, d, field))
 
-    Each pair's point is grouped by the integer key of ``_point_key``,
-    computed on plain ints from the lines scaled to integers once; one
-    normalized ProjPoint is built per group, in the field ``intersect``
-    gives the group's first pair.  Raises DegenerateError when two lines
-    coincide.  The derived ConfigTable lists only points of multiplicity
-    >= 3, labeled m1, m2, ... in lexicographic order of their sorted line
-    sets.
-    """
-    lines = arrangement.lines
+
+def _pair_groups(arrangement: Arrangement) -> dict[tuple, tuple[int, int, set[int]]]:
+    """The line pairs grouped by the key of their common point: key -> (i, j,
+    labels), (i, j) the 0-based first pair.  DegenerateError if two coincide."""
     d = arrangement.field.d or 0
-    scaled = [_scaled(ln) for ln in lines]
+    scaled = [_scaled(ln.coords) for ln in arrangement.lines]
     groups: dict[tuple, tuple[int, int, set[int]]] = {}
     for i, j in combinations(range(arrangement.n), 2):
         key = _point_key(scaled[i], scaled[j], d)
@@ -250,13 +249,21 @@ def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTab
             groups[key] = (i, j, {i + 1, j + 1})
         else:
             group[2].update((i + 1, j + 1))
+    return groups
+
+
+def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTable]:
+    """Group all C(n,2) pairwise intersections by exact coincidence
+    (``_pair_groups``), with one normalized ProjPoint per group, in the field
+    ``intersect`` gives its first pair.  Raises DegenerateError when two
+    lines coincide.  The derived ConfigTable lists only points of
+    multiplicity >= 3, labeled m1, m2, ... in lexicographic order of their
+    sorted line sets."""
+    lines = arrangement.lines
     entries = []
-    for key, (i, j, members) in groups.items():
+    for key, (i, j, members) in _pair_groups(arrangement).items():
         field = lines[i].field if not lines[i].field.is_rational else lines[j].field
-        pivot, dd = next(x for x in key[::2] if x), field.d or 0
-        coords = (_quad(key[0], key[1], pivot, dd, field),
-                  _quad(key[2], key[3], pivot, dd, field),
-                  _quad(key[4], key[5], pivot, dd, field))
+        coords = _normal_coords(key, field.d or 0, field)
         entries.append((ProjPoint._normal(coords, field), frozenset(members)))
     entries.sort(key=lambda e: tuple(sorted(e[1])))
     lattice = IntersectionLattice(points=tuple(entries))

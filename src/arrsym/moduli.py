@@ -8,9 +8,10 @@ polynomials whose common factor — filtered through exact realization and
 a lattice comparison at a root — is the constraint indexing the moduli
 components.
 
-The symbolic run is fraction-free (Geddes, Czapor & Labahn, Algorithms for
-Computer Algebra, 1992, ch. 2): integer-polynomial triples over one common
-denominator, reduced only at each requirement's incidence, once.
+Both runs are fraction-free (Geddes, Czapor & Labahn, Algorithms for Computer
+Algebra, 1992, ch. 2): over Q(t), integer-polynomial triples over one common
+denominator, reduced once at each requirement; at a root, triples over
+Z[sqrt d], whose lattice is compared on integer keys with no QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import mul
 
-from .combinatorics import (MAX_LINES, ConfigTable, Permutation,
-                            is_lattice_isomorphism)
+from .combinatorics import MAX_LINES, ConfigTable
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
-from .geometry import Arrangement, ProjLine, cross, lattice_of
+from .geometry import (Arrangement, ProjLine, _normal_coords, _pair_groups,
+                       _point_key)
 from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
                     poly_reduce)
 
@@ -248,31 +250,26 @@ def _cleared(entries) -> tuple:
     return _content_free(out + [reduce(_convolve, dens, [scale])])
 
 
-def _run_plan(plan: ConstructionPlan, t0: QuadExt | None = None):
-    """The line and point triples by label: over Q(t) cleared (_cleared), or at t0."""
+def _run_plan(plan: ConstructionPlan, given, cross):
+    """The line and point values by label: ``given(step)`` is a GivenLine's
+    value and ``cross(u, v, what)`` the meet or join of two values."""
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = (step.cleared if t0 is None else
-                                 tuple(e.eval(t0) for e in step.entries))
+            lines[step.index] = given(step)
         elif isinstance(step, MeetPoint):
-            points[step.name] = _cross(lines[step.i], lines[step.j],
-                                       f"lines {step.i},{step.j}", plan, t0)
+            points[step.name] = cross(lines[step.i], lines[step.j],
+                                      f"lines {step.i},{step.j}")
         elif isinstance(step, JoinLine):
             what = f"points {_quoted(step.p, str)},{_quoted(step.q, str)}"
-            lines[step.index] = _cross(points[step.p], points[step.q], what, plan, t0)
+            lines[step.index] = cross(points[step.p], points[step.q], what)
     return lines, points
 
 
-def _cross(u: tuple, v: tuple, what: str, plan: ConstructionPlan, t0) -> tuple:
-    """The meet or join of u and v.  Raises DegenerateError when they coincide
-    and, over Q(t), ValidationError when a reduced entry has degree above MAX_DEGREE."""
-    if t0 is not None:
-        w = cross(u, v)
-        if all(e.is_zero for e in w):
-            raise DegenerateError(f"{what} coincide at {plan.var}={t0}")
-        return w
+def _cross(u: tuple, v: tuple, what: str) -> tuple:
+    """The meet or join of two cleared triples over Q(t).  Raises DegenerateError
+    when they coincide, ValidationError when it has degree above MAX_DEGREE."""
     (u0, u1, u2, du), (v0, v1, v2, dv) = u, v
     w = _content_free([_add(_convolve(u1, v2), _convolve(u2, v1), -1),
                        _add(_convolve(u2, v0), _convolve(u0, v2), -1),
@@ -291,17 +288,44 @@ def _cross(u: tuple, v: tuple, what: str, plan: ConstructionPlan, t0) -> tuple:
 
 
 def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
-    """Evaluate every entry exactly at t0.  Requirements are NOT checked."""
+    """Evaluate the plan exactly at t0, on six-integer triples over Z[sqrt d].
+    Requirements are NOT checked.  With t0 = (p + q*sqrt d)/e, each cleared
+    list is summed against the powers (p + q*sqrt d)^k * e^(N-k); a zero sum
+    for the common denominator D means a pole.  A meet or join is a key of
+    ``_point_key``; each line is normalized once, at the end."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
-    lines, _ = _run_plan(plan, t0)
-    return Arrangement(plan.name, t0.field,
-                       [ProjLine(lines[i], t0.field) for i in range(1, plan.n + 1)])
+    p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0.field
+    top = max(max(map(len, step.cleared)) for step in plan.steps
+              if isinstance(step, GivenLine))
+    real, surd, x, y = [], [], 1, 0     # real[k] + surd[k]*sqrt(d): power k
+    for k in range(top):
+        real.append(x * e ** (top - 1 - k))
+        surd.append(y * e ** (top - 1 - k))
+        x, y = x * p + d * y * q, x * q + y * p
+
+    def given(step: GivenLine) -> list[int]:
+        values = [sum(map(mul, cs, pw)) for cs in step.cleared for pw in (real, surd)]
+        if not (values[6] or values[7]):    # D(t0) = 0: raise the entry's PoleError
+            for entry in step.entries:
+                entry.eval(t0)
+        return values[:6]
+
+    def meet(u: tuple, v: tuple, what: str) -> tuple:
+        try:
+            return _point_key(u, v, d)
+        except DegenerateError:
+            raise DegenerateError(f"{what} coincide at {plan.var}={t0}") from None
+
+    lines, _ = _run_plan(plan, given, meet)
+    return Arrangement(plan.name, field, [
+        ProjLine._normal(_normal_coords(lines[i], d, field), field)
+        for i in range(1, plan.n + 1)])
 
 
 def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
     """Numerator polynomial of each non-identically-satisfied requirement."""
-    lines, points = _run_plan(plan)
+    lines, points = _run_plan(plan, lambda step: step.cleared, _cross)
     out = []
     for req in plan.requires():
         (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
@@ -354,9 +378,10 @@ def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
 
 def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliConstraint:
     """Extract the residual incidence constraint and keep the unique factor
-    whose every root realizes the target combinatorics exactly.  An
-    irreducible quadratic is checked at its "+" root only: its conjugate
-    root passes or fails alike.
+    whose every root realizes the target combinatorics exactly: the plan's
+    lines at the root, grouped by ``_pair_groups``, meet in the target's
+    points.  An irreducible quadratic is checked at its "+" root only: its
+    conjugate root passes or fails alike.
 
     Factors of individual requirement numerators that are not common to
     all requirements are reported in `discarded` (a part that does not
@@ -413,9 +438,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             except (DegenerateError, ValidationError) as exc:
                 verdict = f"degenerate: {exc}"
                 break
-            _, derived = lattice_of(realization)
-            if not is_lattice_isomorphism(derived, target,
-                                          Permutation.identity(plan.n)):
+            derived = frozenset(frozenset(s) for _, _, s in
+                                _pair_groups(realization).values() if len(s) >= 3)
+            if derived != target.point_sets:
                 verdict = "lattice mismatch"
                 break
             realizations.append(realization)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 
 from .errors import RenderError
 from .fields import QuadExt
@@ -144,6 +145,9 @@ def render_primitives(arrangement: Arrangement, options: RenderOptions):
         ymin, ymax = ymin - pad_y, ymax + pad_y
     else:
         xmin, ymin, xmax, ymax = -1.0, -1.0, 1.0, 1.0
+    width, height = xmax - xmin, ymax - ymin
+    if not (0 < width < inf and 0 < height < inf and _CANVAS / max(width, height) < inf):
+        raise RenderError(f"viewport {width:g} by {height:g} cannot be drawn")
     box = (xmin, ymin, xmax, ymax)
 
     segments = []
@@ -157,6 +161,10 @@ def render_primitives(arrangement: Arrangement, options: RenderOptions):
 def render_svg(arrangement: Arrangement, options: RenderOptions) -> str:
     """Deterministic SVG: one clipped segment per finite line, one circle per
     finite multiple point."""
+    for what, value in (("stroke width", options.stroke_width),
+                        ("marker radius", options.marker_radius)):
+        if not 0 < value < inf:
+            raise RenderError(f"{what} must be finite and positive, not {value:g}")
     segments, float_markers, box = render_primitives(arrangement, options)
     xmin, ymin, xmax, ymax = box
     scale = _CANVAS / max(xmax - xmin, ymax - ymin)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from arrsym import corpus
 from arrsym.combinatorics import ConfigTable
@@ -107,3 +108,45 @@ def chain_plan(n):
         text += [f"point P{k} : meet {k - 1} {a}", f"point Q{k} : meet {k - 2} {b}",
                  f"line {k} : join P{k} Q{k}"]
     return "\n".join(text + ["point Z : meet 1 3", f"require Z on {n}"]) + "\n"
+
+
+GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",
+        "line 3 : 0 ; 1 ; 0", "line 4 : 0 ; 1 ; -1"]
+DENOMINATORS = ["1", "t", "t+1", "t-2", "t^2+1", "2*t-1", "3", "t^3-t+2"]
+
+
+@st.composite
+def entries(draw):
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    num = f"{a}*t^2 + {b}*t + {c}"
+    return f"({num})/({draw(st.sampled_from(DENOMINATORS))})"
+
+
+@st.composite
+def plans(draw):
+    """Grid lines, 1-4 lines with rational-function entries, meets, up to
+    three joins (each followed by a meet on the new line) and requirements."""
+    given = draw(st.integers(1, 4))
+    text = list(GRID)
+    for k in range(5, 5 + given):
+        text.append(f"line {k} : " + " ; ".join(draw(entries()) for _ in range(3)))
+    lines = list(range(1, 5 + given))
+    points = []
+
+    def meet(on=None):
+        i = on if on is not None else draw(st.sampled_from(lines))
+        j = draw(st.sampled_from([x for x in lines if x != i]))
+        points.append(f"P{len(points)}")
+        text.append(f"point {points[-1]} : meet {i} {j}")
+
+    for _ in range(draw(st.integers(2, 4))):
+        meet()
+    for _ in range(draw(st.integers(0, 3))):
+        p, q = draw(st.permutations(points))[:2]
+        lines.append(len(lines) + 1)
+        text.append(f"line {lines[-1]} : join {p} {q}")
+        meet(on=lines[-1])
+    for _ in range(draw(st.integers(1, 4))):
+        text.append(f"require {draw(st.sampled_from(points))} "
+                    f"on {draw(st.sampled_from(lines))}")
+    return "\n".join(["plan h over t", f"lines {len(lines)}", *text]) + "\n"

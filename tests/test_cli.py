@@ -221,6 +221,26 @@ def test_render_viewport_decimals(capsys, arr_files, tmp_path):
         assert code == 0 and out.startswith("wrote ")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--viewport=-1e308,-1,1e308,1",), "viewport inf by 2 cannot be drawn"),
+    (("--viewport=0,0,1e-320,1e-320",),
+     "viewport 9.99989e-321 by 9.99989e-321 cannot be drawn"),
+    (("--stroke-width=nan",), "stroke width must be finite and positive, not nan"),
+    (("--stroke-width=inf",), "stroke width must be finite and positive, not inf"),
+    (("--marker-radius=-1",), "marker radius must be finite and positive, not -1"),
+    (("--marker-radius=0",), "marker radius must be finite and positive, not 0"),
+])
+def test_render_refuses_sizes_not_finite_and_positive(capsys, arr_files, tmp_path,
+                                                     args, message):
+    # an overflowing box width used to reach the SVG as width="nan"
+    plus_path, _ = arr_files
+    out_path = tmp_path / "bad.svg"
+    code, out, err = run(capsys, "render", str(plus_path), "--infinity", "10", *args,
+                         "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
 def _limited_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

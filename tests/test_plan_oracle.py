@@ -13,7 +13,6 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arrsym import corpus
 from arrsym.errors import DegenerateError, ValidationError
@@ -21,7 +20,7 @@ from arrsym.geometry import cross
 from arrsym.moduli import GivenLine, JoinLine, MeetPoint, parse_plan, residual_numerators
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc
 
-from conftest import ALL_CASES, chain_plan
+from conftest import ALL_CASES, chain_plan, plans
 
 
 def _reference_cross(u, v, what):
@@ -144,48 +143,6 @@ def test_given_lines_are_cleared_exactly(name):
             assert all(RatFunc(Poly(p), Poly(den)) == e
                        for p, e in zip(entries, step.entries))
             assert den and gcd(*(c for cs in step.cleared for c in cs)) == 1
-
-
-GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",
-        "line 3 : 0 ; 1 ; 0", "line 4 : 0 ; 1 ; -1"]
-DENOMINATORS = ["1", "t", "t+1", "t-2", "t^2+1", "2*t-1", "3", "t^3-t+2"]
-
-
-@st.composite
-def entries(draw):
-    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
-    num = f"{a}*t^2 + {b}*t + {c}"
-    return f"({num})/({draw(st.sampled_from(DENOMINATORS))})"
-
-
-@st.composite
-def plans(draw):
-    """Grid lines, 1-4 lines with rational-function entries, meets, up to
-    three joins (each followed by a meet on the new line) and requirements."""
-    given = draw(st.integers(1, 4))
-    text = list(GRID)
-    for k in range(5, 5 + given):
-        text.append(f"line {k} : " + " ; ".join(draw(entries()) for _ in range(3)))
-    lines = list(range(1, 5 + given))
-    points = []
-
-    def meet(on=None):
-        i = on if on is not None else draw(st.sampled_from(lines))
-        j = draw(st.sampled_from([x for x in lines if x != i]))
-        points.append(f"P{len(points)}")
-        text.append(f"point {points[-1]} : meet {i} {j}")
-
-    for _ in range(draw(st.integers(2, 4))):
-        meet()
-    for _ in range(draw(st.integers(0, 3))):
-        p, q = draw(st.permutations(points))[:2]
-        lines.append(len(lines) + 1)
-        text.append(f"line {lines[-1]} : join {p} {q}")
-        meet(on=lines[-1])
-    for _ in range(draw(st.integers(1, 4))):
-        text.append(f"require {draw(st.sampled_from(points))} "
-                    f"on {draw(st.sampled_from(lines))}")
-    return "\n".join(["plan h over t", f"lines {len(lines)}", *text]) + "\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,0 +1,375 @@
+"""The integer plan evaluation and lattice check against the QuadExt code
+they replaced.
+
+evaluate_plan runs a plan at a root on six-integer triples over Z[sqrt d]
+and normalizes each line once; derive_constraint compares the lattice at
+the root on the integer keys of its pairwise intersections.  The
+references below are the replaced code: every entry evaluated as a
+RatFunc, meets and joins as QuadExt cross products, lines normalized by
+multiplying with the pivot's inverse, and the lattice checked by
+lattice_of plus is_lattice_isomorphism under the identity.  Both sides
+must give the same lines down to their integer triples and fields, or the
+same exception type and message.  The gates count QuadExt operators and
+lattice_of calls, so they are exact, not timings."""
+
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arrsym import corpus, moduli
+from arrsym.combinatorics import ConfigTable, Permutation, is_lattice_isomorphism
+from arrsym.errors import (ArrsymError, ConstraintError, DegenerateError, PoleError,
+                           UnsupportedDegreeError, ValidationError, _quoted)
+from arrsym.fields import RATIONAL, FieldSpec, QuadExt
+from arrsym.geometry import Arrangement, ProjLine, ProjPoint, cross, lattice_of
+from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint,
+                           derive_constraint, evaluate_plan, parse_plan,
+                           residual_numerators)
+from arrsym.polys import poly_reduce
+
+from conftest import ALL_CASES, chain_plan, plans
+
+SMALL_T = (0, 1, 2, 3, 7)
+
+
+# -- references -----------------------------------------------------------------
+
+def reference_normal(cls, coords, field):
+    """The normal form in QuadExt arithmetic: every coordinate times the
+    inverse of the first nonzero one."""
+    vals = [c.with_field(field) if isinstance(c, QuadExt) else QuadExt(c, 0, field)
+            for c in coords]
+    pivot = next((v for v in vals if not v.is_zero), None)
+    if pivot is None:
+        raise ValidationError("all three coefficients are zero")
+    inv = pivot.inverse()
+    return cls._normal(tuple(v * inv for v in vals), field)
+
+
+def _reference_cross(u, v, what, plan, t0):
+    w = cross(u, v)
+    if all(e.is_zero for e in w):
+        raise DegenerateError(f"{what} coincide at {plan.var}={t0}")
+    return w
+
+
+def reference_evaluate_plan(plan, t0):
+    if not isinstance(t0, QuadExt):
+        t0 = QuadExt(t0)
+    lines, points = {}, {}
+    for step in plan.steps:
+        if isinstance(step, GivenLine):
+            lines[step.index] = tuple(e.eval(t0) for e in step.entries)
+        elif isinstance(step, MeetPoint):
+            points[step.name] = _reference_cross(lines[step.i], lines[step.j],
+                                                 f"lines {step.i},{step.j}", plan, t0)
+        elif isinstance(step, JoinLine):
+            what = f"points {_quoted(step.p, str)},{_quoted(step.q, str)}"
+            lines[step.index] = _reference_cross(points[step.p], points[step.q],
+                                                 what, plan, t0)
+    return Arrangement(plan.name, t0.field,
+                       [reference_normal(ProjLine, lines[i], t0.field)
+                        for i in range(1, plan.n + 1)])
+
+
+def reference_derive_constraint(plan, target):
+    """derive_constraint with the reference evaluation and the lattice
+    checked by lattice_of and is_lattice_isomorphism."""
+    if plan.n != target.n:
+        raise ValidationError("plan and table have different line counts")
+    numerators = [num for _, _, num in residual_numerators(plan)]
+    discarded = []
+    if not numerators:
+        raise ConstraintError("no residual requirements: nothing constrains the parameter")
+    common = numerators[0]
+    for num in numerators[1:]:
+        common = common.gcd(num)
+    candidates = [f for f, _ in poly_reduce(common)] if common.degree > 0 else []
+    seen_noncommon = set()
+    for num in numerators:
+        while (shared := num.gcd(common)).degree > 0:
+            num = num // shared
+        if num.degree < 1:
+            continue
+        try:
+            factors = [f for f, _ in poly_reduce(num)]
+        except (UnsupportedDegreeError, ValidationError):
+            factors = [num.primitive()[1]]
+        for factor in factors:
+            if factor not in seen_noncommon:
+                seen_noncommon.add(factor)
+                discarded.append((factor, "not common to all requirements"))
+    admissible = []
+    for factor in candidates:
+        field, roots = moduli._roots_of_factor(factor)
+        verdict, realizations = None, []
+        for root in roots if field.is_rational else roots[:1]:
+            try:
+                realization = reference_evaluate_plan(plan, root)
+            except PoleError:
+                verdict = f"pole at root of {factor.format(plan.var)}"
+                break
+            except (DegenerateError, ValidationError) as exc:
+                verdict = f"degenerate: {exc}"
+                break
+            _, derived = lattice_of(realization)
+            if not is_lattice_isomorphism(derived, target, Permutation.identity(plan.n)):
+                verdict = "lattice mismatch"
+                break
+            realizations.append(realization)
+        if verdict is None:
+            if not field.is_rational:
+                plus = realizations[0]
+                realizations.append(Arrangement(plus.name, plus.field, [
+                    ProjLine._normal(tuple(c.conjugate() for c in ln.coords), ln.field)
+                    for ln in plus.lines]))
+            admissible.append((factor, field, roots, realizations))
+        else:
+            discarded.append((factor, verdict))
+    if not admissible:
+        raise ConstraintError(
+            "zero admissible factors: no candidate realizes the target lattice "
+            f"(discarded: {[(f.format(plan.var), r) for f, r in discarded]})")
+    if len(admissible) > 1:
+        polys = ", ".join(f.format(plan.var) for f, *_ in admissible)
+        raise ConstraintError(f"more than one admissible factor: {polys}")
+    factor, field, roots, realizations = admissible[0]
+    return ModuliConstraint(poly=factor.primitive()[1], var=plan.var, field=field,
+                            roots=(roots[0], roots[-1]), discarded=tuple(discarded),
+                            realizations=(realizations[0], realizations[-1]))
+
+
+# -- comparison -----------------------------------------------------------------
+
+def scalar(c):
+    return c._p, c._q, c._den, c._d, c.field
+
+
+def exact_arrangement(arrangement):
+    """Everything an arrangement holds, each coordinate as its integers and
+    field, so equal values stored in other fields differ."""
+    return (arrangement.name, arrangement.field,
+            tuple((ln.field, tuple(map(scalar, ln.coords))) for ln in arrangement.lines))
+
+
+def evaluated(run, plan, t0):
+    try:
+        return exact_arrangement(run(plan, t0))
+    except (PoleError, DegenerateError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_evaluation(plan, t0):
+    expected = evaluated(reference_evaluate_plan, plan, t0)
+    assert evaluated(evaluate_plan, plan, t0) == expected
+    return expected
+
+
+def derived(run, plan, target):
+    try:
+        c = run(plan, target)
+    except ArrsymError as exc:
+        return type(exc), str(exc)
+    return (c.poly, c.var, c.field, tuple(map(scalar, c.roots)), c.discarded,
+            tuple(map(exact_arrangement, c.realizations)))
+
+
+def assert_same_constraint(plan, target):
+    expected = derived(reference_derive_constraint, plan, target)
+    assert derived(derive_constraint, plan, target) == expected
+    return expected
+
+
+# -- evaluate_plan --------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_plans_match_the_reference(name, realized):
+    case, constraint, _, _ = realized(name)
+    for t0 in constraint.roots + SMALL_T:
+        assert_same_evaluation(case.plan, t0)
+
+
+def test_the_corpus_reaches_every_outcome():
+    """Poles, meets that degenerate, lines that coincide, and arrangements."""
+    seen = set()
+    for name in ALL_CASES:
+        for t0 in SMALL_T:
+            result = assert_same_evaluation(corpus.get_case(name).plan, t0)
+            failed = isinstance(result[0], type)
+            seen.add((result[0], "after normalization" in result[1]) if failed else "ok")
+    assert seen == {(PoleError, False), (DegenerateError, False), (DegenerateError, True),
+                    "ok"}
+
+
+@pytest.mark.parametrize("n", range(8, 22))
+def test_chain_plans_match_the_reference(n):
+    plan = parse_plan(chain_plan(n))
+    for t0 in SMALL_T + (F(-5, 3), QuadExt(1, 2, FieldSpec.quadratic(-3))):
+        assert_same_evaluation(plan, t0)
+
+
+def _roots(poly):
+    """The roots of poly's linear and quadratic factors; none when it does not
+    split into them."""
+    try:
+        factors = [f for f, _ in poly_reduce(poly)] if poly.degree > 0 else []
+    except (UnsupportedDegreeError, ValidationError):
+        return []
+    return [r for f in factors for r in moduli._roots_of_factor(f)[1]]
+
+
+def evaluation_points(plan):
+    """The roots of the plan's residual factors and of its entries'
+    denominators, where the pole and degenerate paths are taken."""
+    points = [QuadExt(0), QuadExt(1)]
+    try:
+        for _, _, num in residual_numerators(plan):
+            points += _roots(num)
+    except (DegenerateError, ValidationError):
+        pass
+    for step in plan.steps:
+        if isinstance(step, GivenLine):
+            for entry in step.entries:
+                points += _roots(entry.den)
+    return list(dict.fromkeys(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_random_plans_match_the_reference(text):
+    plan = parse_plan(text)
+    for t0 in evaluation_points(plan):
+        assert_same_evaluation(plan, t0)
+
+
+def test_random_plans_reach_the_error_paths():
+    """The strategy's plans do hit poles and degeneracies at their points."""
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(plans())
+    def collect(text):
+        plan = parse_plan(text)
+        for t0 in evaluation_points(plan):
+            result = assert_same_evaluation(plan, t0)
+            seen.add(result[0] if isinstance(result[0], type) else "arrangement")
+
+    collect()
+    assert {PoleError, DegenerateError, "arrangement"} <= seen
+
+
+# -- normal forms ---------------------------------------------------------------
+
+FIELDS = [RATIONAL, FieldSpec.quadratic(-1), FieldSpec.quadratic(-3),
+          FieldSpec.quadratic(2), FieldSpec.quadratic(5)]
+
+
+@st.composite
+def triples(draw):
+    field = draw(st.sampled_from(FIELDS))
+    ints = st.one_of(st.just(0), st.integers(-30, 30))
+    coords = []
+    for _ in range(3):
+        a, b = F(draw(ints), draw(st.integers(1, 9))), F(draw(ints), draw(st.integers(1, 9)))
+        coords.append(QuadExt(a, 0 if field.is_rational else b, field))
+    return field, coords
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples(), st.sampled_from([ProjLine, ProjPoint]))
+@example((RATIONAL, [0, 0, 0]), ProjLine)
+def test_normal_forms_match_the_quadext_reference(triple, cls):
+    field, coords = triple
+    try:
+        expected = reference_normal(cls, coords, field)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
+            cls(coords, field)
+        return
+    got = cls(coords, field)
+    assert got == expected and got.field == expected.field
+    assert list(map(scalar, got.coords)) == list(map(scalar, expected.coords))
+
+
+# -- derive_constraint ----------------------------------------------------------
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_constraints_match_the_reference(name):
+    case = corpus.get_case(name)
+    assert not isinstance(assert_same_constraint(case.plan, case.config)[0], type)
+    other = corpus.get_case("{1}" if name != "{1}" else "{6}").config
+    if other.n == case.config.n:        # a wrong target: every factor mismatches
+        assert assert_same_constraint(case.plan, other)[0] is ConstraintError
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans())
+def test_random_constraints_match_the_reference(text):
+    plan = parse_plan(text)
+    targets = [ConfigTable("none", plan.n, [])]
+    for t0 in evaluation_points(plan):
+        try:
+            targets.append(lattice_of(reference_evaluate_plan(plan, t0))[1])
+        except (PoleError, DegenerateError, ValidationError):
+            continue
+    for target in targets:
+        assert_same_constraint(plan, target)
+
+
+# -- gates ----------------------------------------------------------------------
+
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse")
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """A list that grows by one for every QuadExt operator called from now on."""
+    calls = []
+    for name in OPERATORS:
+        original = getattr(QuadExt, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(QuadExt, name, counting)
+    return calls
+
+
+def test_the_counter_sees_operators(operator_calls):
+    x = QuadExt(1, 1, FieldSpec.quadratic(2))
+    assert (x * x - x + 1) * (x / 2).inverse() ** 2 == QuadExt(20, -12, x.field)
+    assert {"__mul__", "__sub__", "__add__", "__truediv__", "inverse",
+            "__pow__"} <= set(operator_calls)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_evaluate_plan_calls_no_quadext_operator(name, realized, operator_calls):
+    case, constraint, plus, minus = realized(name)
+    operator_calls.clear()
+    for root, realization in zip(constraint.roots, (plus, minus)):
+        assert evaluate_plan(case.plan, root).lines == realization.lines
+    for t0 in (2, F(3), QuadExt(7)):
+        evaluate_plan(case.plan, t0)
+    assert operator_calls == []
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_derive_constraint_checks_the_lattice_on_keys(name, monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("the lattice check builds no lattice")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("arrsym")]:
+        for attr in ("lattice_of", "is_lattice_isomorphism"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    case = corpus.get_case(name)
+    assert derive_constraint(case.plan, case.config).poly == case.expected_constraint
+    assert calls == []
