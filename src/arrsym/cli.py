@@ -77,7 +77,7 @@ def _cmd_lattice(args) -> int:
     lattice, table = lattice_of(arrangement)
     census = lattice.census()
     census_text = ", ".join(f"{census[m]} of multiplicity {m}"
-                            for m in sorted(census, reverse=True))
+                            for m in sorted(census, reverse=True)) or "no intersection points"
     payload = {"name": arrangement.name, "lines": arrangement.n,
                "census": {str(m): c for m, c in sorted(census.items())},
                "multiple_points": [[label, sorted(s)] for label, s in table.points]}

@@ -1,8 +1,11 @@
 """Exact projective geometry over Q(sqrt d): lines, incidence, lattices.
 
-Lines and points are coefficient triples normalized so the first nonzero
-entry is 1; every equality test is syntactic equality of normal forms,
-never numeric.
+A line or point is identified by its key: the primitive integer vector
+(a0, b0, a1, b1, a2, b2) of a multiple (a_k + b_k*sqrt(d))_k of its
+coefficient triple whose first nonzero entry is a positive integer
+(``_primitive``).  Every equality test, lookup and map compares or moves
+keys, never numeric values.  The normal form, the triple over its first
+nonzero entry as QuadExt scalars, is built from the key for output only.
 """
 
 from __future__ import annotations
@@ -18,43 +21,78 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
 
 
-def _normalize_triple(coords, field: FieldSpec) -> tuple[QuadExt, QuadExt, QuadExt]:
-    vals = tuple(v if type(v) is QuadExt and v.field is field else
-                 v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
-                 for v in coords)
-    if len(vals) != 3:
-        raise ValidationError("expected a coefficient triple")
-    return _normal_coords(_scaled(vals), field.d or 0, field)
+def _primitive(w, d: int) -> tuple[int, int, int, int, int, int]:
+    """The key of the triple with entries w[2k] + w[2k+1]*sqrt(d), the same
+    for every nonzero multiple of it.  Raises ValidationError when all
+    three entries are zero.
+
+    The triple is multiplied by the conjugate of its first nonzero entry,
+    the pivot, which becomes that entry's integer norm, then divided by the
+    gcd of its six integers, with the pivot made positive.  Two multiples
+    with a rational pivot differ by a rational scalar, so this primitive
+    integer vector is unique, and its pivot is rational and positive."""
+    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
+    if k < 0:
+        raise ValidationError("all three coefficients are zero")
+    s, t = w[k], w[k + 1]
+    if t:
+        # (p + q*sqrt d)(s - t*sqrt d) = (ps - d*qt) + (qs - pt)*sqrt d
+        w = [x for p, q in zip(w[::2], w[1::2])
+             for x in (p * s - d * q * t, q * s - p * t)]
+    g = gcd(*w)
+    if w[k] < 0:
+        g = -g
+    return tuple(w) if g == 1 else tuple([x // g for x in w])
 
 
 class _Triple:
-    __slots__ = ("coords", "field")
+    """A projective line or point, identified by its key (``_primitive``)
+    over the field's sqrt(d); ``coords`` is its normal form, the key over
+    its pivot, built on first use."""
 
-    def __init__(self, coords, field: FieldSpec | None = None) -> None:
+    __slots__ = ("key", "field", "_coords")
+
+    def __new__(cls, coords, field: FieldSpec | None = None):
         if field is None:
             field = next((c.field for c in coords
                           if isinstance(c, QuadExt) and not c.field.is_rational),
                          RATIONAL)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", _normalize_triple(coords, field))
+        vals = tuple(v if type(v) is QuadExt and v.field is field else
+                     v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
+                     for v in coords)
+        if len(vals) != 3:
+            raise ValidationError("expected a coefficient triple")
+        den = lcm(*(v._den for v in vals))
+        w = [c * (den // v._den) for v in vals for c in (v._p, v._q)]
+        return cls._keyed(_primitive(w, field.d or 0), field)
 
     @classmethod
-    def _normal(cls, coords: tuple, field: FieldSpec):
-        """An instance from coords of ``field`` that are already in normal
-        form, without normalizing them again."""
+    def _keyed(cls, key: tuple, field: FieldSpec):
+        """An instance from a key of ``field`` that is already primitive."""
         x = object.__new__(cls)
-        object.__setattr__(x, "field", field)
-        object.__setattr__(x, "coords", coords)
+        for name, value in (("key", key), ("field", field), ("_coords", None)):
+            object.__setattr__(x, name, value)
         return x
+
+    @property
+    def coords(self) -> tuple[QuadExt, QuadExt, QuadExt]:
+        if self._coords is None:
+            w, field = self.key, self.field
+            s = w[0] or w[2] or w[4]            # the pivot, rational
+            object.__setattr__(self, "_coords", tuple(
+                _quad(w[k], w[k + 1], s, field.d or 0, field) for k in (0, 2, 4)))
+        return self._coords
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.coords == other.coords
+        # a key with no sqrt(d) part is one rational line in every field
+        return (type(self) is type(other) and self.key == other.key
+                and (self.field == other.field or not any(self.key[1::2])))
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.coords))
+        return hash((type(self).__name__, self.key))
 
     def __iter__(self):
         return iter(self.coords)
@@ -115,10 +153,10 @@ class Arrangement:
                 raise ValidationError("line field differs from arrangement field")
         seen = {}
         for idx, ln in enumerate(lns, start=1):
-            if ln.coords in seen:
+            if ln.key in seen:
                 raise DegenerateError(
-                    f"lines {seen[ln.coords]} and {idx} coincide after normalization")
-            seen[ln.coords] = idx
+                    f"lines {seen[ln.key]} and {idx} coincide after normalization")
+            seen[ln.key] = idx
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "lines", lns)
@@ -176,25 +214,10 @@ class IntersectionLattice:
         return out
 
 
-def _scaled(coords: tuple) -> tuple[int, int, int, int, int, int]:
-    """A triple as six integers (a0, b0, a1, b1, a2, b2): coordinate k is
-    (a_k + b_k*sqrt(d))/den for one common den, a multiple of the triple."""
-    x, y, z = coords
-    den = lcm(x._den, y._den, z._den)
-    sx, sy, sz = den // x._den, den // y._den, den // z._den
-    return x._p * sx, x._q * sx, y._p * sy, y._q * sy, z._p * sz, z._q * sz
-
-
 def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
-    """The common point of two scaled lines as six integers, the same for
-    every representative of the point.  Raises DegenerateError when u and
-    v are one line.
-
-    The cross product over Z[sqrt d] is multiplied by the conjugate of its
-    first nonzero coordinate, which becomes that coordinate's integer norm,
-    then divided by the gcd of its six integers, with the pivot made
-    positive.  Two representatives with a rational pivot differ by a
-    rational scalar, so this primitive integer vector is unique."""
+    """The key of the common point of the lines with keys u and v: their
+    cross product over Z[sqrt d], made primitive.  Raises DegenerateError
+    when u and v are one line."""
     a0, b0, a1, b1, a2, b2 = u
     c0, e0, c1, e1, c2, e2 = v
     # (a + b*sqrt d)(c + e*sqrt d) = (ac + d*be) + (ae + bc)*sqrt d
@@ -204,46 +227,20 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
          a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2,
          a0 * c1 - a1 * c0 + d * (b0 * e1 - b1 * e0),
          a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0]
-    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
-    if k < 0:
-        raise DegenerateError("intersect of identical lines")
-    s, t = w[k], w[k + 1]
-    if t:
-        # (p + q*sqrt d)(s - t*sqrt d) = (ps - d*qt) + (qs - pt)*sqrt d
-        w = [x for p, q in zip(w[::2], w[1::2])
-             for x in (p * s - d * q * t, q * s - p * t)]
-    g = gcd(*w)
-    if w[k] < 0:
-        g = -g
-    return tuple(w) if g == 1 else tuple([x // g for x in w])
-
-
-def _normal_coords(w, d: int, field: FieldSpec) -> tuple[QuadExt, QuadExt, QuadExt]:
-    """The normal form of the triple with entries w[2k] + w[2k+1]*sqrt(d): all
-    over the first nonzero entry, made rational by its conjugate first.
-    Raises ValidationError when all three entries are zero."""
-    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
-    if k < 0:
-        raise ValidationError("all three coefficients are zero")
-    s, t = w[k], w[k + 1]
-    if t:
-        w = [x for p, q in zip(w[::2], w[1::2])
-             for x in (p * s - d * q * t, q * s - p * t)]
-        s = w[k]
-    if s < 0:
-        w, s = [-x for x in w], -s
-    return (_quad(w[0], w[1], s, d, field), _quad(w[2], w[3], s, d, field),
-            _quad(w[4], w[5], s, d, field))
+    try:
+        return _primitive(w, d)
+    except ValidationError:
+        raise DegenerateError("intersect of identical lines") from None
 
 
 def _pair_groups(arrangement: Arrangement) -> dict[tuple, tuple[int, int, set[int]]]:
     """The line pairs grouped by the key of their common point: key -> (i, j,
     labels), (i, j) the 0-based first pair.  DegenerateError if two coincide."""
     d = arrangement.field.d or 0
-    scaled = [_scaled(ln.coords) for ln in arrangement.lines]
+    keys = [ln.key for ln in arrangement.lines]
     groups: dict[tuple, tuple[int, int, set[int]]] = {}
     for i, j in combinations(range(arrangement.n), 2):
-        key = _point_key(scaled[i], scaled[j], d)
+        key = _point_key(keys[i], keys[j], d)
         group = groups.get(key)
         if group is None:
             groups[key] = (i, j, {i + 1, j + 1})
@@ -263,8 +260,7 @@ def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTab
     entries = []
     for key, (i, j, members) in _pair_groups(arrangement).items():
         field = lines[i].field if not lines[i].field.is_rational else lines[j].field
-        coords = _normal_coords(key, field.d or 0, field)
-        entries.append((ProjPoint._normal(coords, field), frozenset(members)))
+        entries.append((ProjPoint._keyed(key, field), frozenset(members)))
     entries.sort(key=lambda e: tuple(sorted(e[1])))
     lattice = IntersectionLattice(points=tuple(entries))
     total = sum(comb(len(s), 2) for _, s in lattice.points)
@@ -291,13 +287,16 @@ class MapKind:
                                        ("conjugate", self.conjugate)) if on]
         return "+".join(parts) or "identity"
 
-    def apply_line(self, line: ProjLine) -> tuple[QuadExt, QuadExt, QuadExt]:
-        a, b, c = line.coords
+    def _image(self, key: tuple) -> tuple[int, ...]:
+        """The map on keys: swap exchanges the first two pairs, conjugate
+        negates the sqrt(d) parts.  Conjugation keeps a key primitive; a
+        swap can move the pivot, so its image needs ``_primitive``."""
+        a0, b0, a1, b1, a2, b2 = key
         if self.swap:
-            a, b = b, a
+            a0, b0, a1, b1 = a1, b1, a0, b0
         if self.conjugate:
-            a, b, c = a.conjugate(), b.conjugate(), c.conjugate()
-        return (a, b, c)
+            return (a0, -b0, a1, -b1, a2, -b2)
+        return (a0, b0, a1, b1, a2, b2)
 
     def __str__(self) -> str:
         return self.label

@@ -26,8 +26,8 @@ from .combinatorics import MAX_LINES, ConfigTable
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
-from .geometry import (Arrangement, ProjLine, _normal_coords, _pair_groups,
-                       _point_key)
+from .geometry import (Arrangement, MapKind, ProjLine, _pair_groups, _point_key,
+                       _primitive)
 from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
                     poly_reduce)
 
@@ -292,7 +292,7 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
     Requirements are NOT checked.  With t0 = (p + q*sqrt d)/e, each cleared
     list is summed against the powers (p + q*sqrt d)^k * e^(N-k); a zero sum
     for the common denominator D means a pole.  A meet or join is a key of
-    ``_point_key``; each line is normalized once, at the end."""
+    ``_point_key``; each line is made primitive once, at the end."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0.field
@@ -319,8 +319,7 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
 
     lines, _ = _run_plan(plan, given, meet)
     return Arrangement(plan.name, field, [
-        ProjLine._normal(_normal_coords(lines[i], d, field), field)
-        for i in range(1, plan.n + 1)])
+        ProjLine._keyed(_primitive(lines[i], d), field) for i in range(1, plan.n + 1)])
 
 
 def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
@@ -446,10 +445,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             realizations.append(realization)
         if verdict is None:
             if not field.is_rational:
-                # conjugation fixes a normal form's leading 1
-                plus = realizations[0]
+                # conjugation keeps a key primitive: its pivot is rational
+                plus, conjugate = realizations[0], MapKind(swap=False, conjugate=True)
                 realizations.append(Arrangement(plus.name, plus.field, [
-                    ProjLine._normal(tuple(c.conjugate() for c in ln.coords), ln.field)
+                    ProjLine._keyed(conjugate._image(ln.key), ln.field)
                     for ln in plus.lines]))
             admissible.append((factor, field, roots, realizations))
         else:

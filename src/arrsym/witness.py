@@ -10,7 +10,9 @@ records how many grid choices the involution admits.  The conjugating map
 is attempted only over imaginary fields, where the Galois conjugation is
 complex conjugation and therefore a genuine homeomorphism of the plane.
 
-``extract_sigma`` reads the relabelling off the map and runs no lattice
+Both maps act on the lines' keys: a line matches when its image, made
+primitive, is the target's key.  ``extract_sigma`` looks the images up
+among the other arrangement's keys and runs no lattice
 check: both maps are collineations, so the relabelling keeps every
 concurrence and is a lattice isomorphism by construction.
 """
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 from .combinatorics import (AutGroup, ConfigTable, Permutation,
                             automorphism_group, involutions)
 from .errors import ValidationError
-from .fields import QuadExt
-from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, ProjLine
+from .fields import QuadExt, _quad
+from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, _primitive
 from .geometry import lattice_of  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      realize_components, root_product)
@@ -55,18 +57,6 @@ class ReflectionWitness:
         return [i for i, cert in self.per_line if cert is None]
 
 
-def _match_scalar(mapped: tuple, target: ProjLine) -> QuadExt | None:
-    """Nonzero scalar c with mapped == c * target.coords, or None.  The
-    target is in normal form, so c is mapped's entry at its leading 1."""
-    scale = None
-    for m, t in zip(mapped, target.coords):
-        if scale is None and not t.is_zero:
-            scale = m
-        elif m != (t if t.is_zero else scale * t):
-            return None
-    return None if scale.is_zero else scale
-
-
 def verify_reflection(aplus: Arrangement, aminus: Arrangement,
                       sigma: Permutation, map_kind: MapKind,
                       case: str | None = None,
@@ -76,10 +66,18 @@ def verify_reflection(aplus: Arrangement, aminus: Arrangement,
         raise ValidationError("size mismatch between arrangements and permutation")
     if aplus.field != aminus.field:
         raise ValidationError("arrangements live over different fields")
+    d = aplus.field.d or 0
     certificates = []
     for i in range(1, aplus.n + 1):
-        mapped = map_kind.apply_line(aplus.line(i))
-        certificates.append((i, _match_scalar(mapped, aminus.line(sigma(i)))))
+        source, target = aplus.line(i), aminus.line(sigma(i))
+        image = map_kind._image(source.key)
+        cert = None
+        if _primitive(image, d) == target.key:
+            # the image over the source's pivot, at the target's pivot
+            k = 0 if target.key[0] else 2 if target.key[2] else 4
+            s = source.key[0] or source.key[2] or source.key[4]
+            cert = _quad(image[k], image[k + 1], s, source.field.d or 0, source.field)
+        certificates.append((i, cert))
     verified = all(cert is not None for _, cert in certificates)
     return ReflectionWitness(case=case if case is not None else aplus.name,
                              sigma=sigma, map=map_kind, verified=verified,
@@ -98,11 +96,11 @@ def extract_sigma(a: Arrangement, b: Arrangement,
         raise ValidationError("size mismatch")
     if a.field != b.field:
         raise ValidationError("arrangements live over different fields")
-    position = {line.coords: idx for idx, line in enumerate(b.lines, start=1)}
+    d = a.field.d or 0
+    position = {line.key: idx for idx, line in enumerate(b.lines, start=1)}
     images = []
-    for i in range(1, a.n + 1):
-        mapped = ProjLine(map_kind.apply_line(a.line(i)), a.field)
-        target = position.get(mapped.coords)
+    for line in a.lines:
+        target = position.get(_primitive(map_kind._image(line.key), d))
         if target is None:
             return None
         images.append(target)

@@ -26,10 +26,38 @@ def realized():
     return get
 
 
+@pytest.fixture
+def method_calls(monkeypatch):
+    """A list that grows by the name of every QuadExt method called from now
+    on; construction (``__new__``) and the read-only properties are not
+    counted."""
+    calls = []
+    for name, member in list(vars(QuadExt).items()):
+        if callable(member) and name != "__new__":
+            def counting(*args, _name=name, _original=member):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(QuadExt, name, counting)
+    return calls
+
+
+def apply_line(kind, line):
+    """kind (a MapKind) on a line's QuadExt normal form: swap exchanges the
+    first two coordinates, conjugate conjugates all three.  The reference
+    for the key map ``MapKind._image``."""
+    a, b, c = line.coords
+    if kind.swap:
+        a, b = b, a
+    if kind.conjugate:
+        a, b, c = a.conjugate(), b.conjugate(), c.conjugate()
+    return (a, b, c)
+
+
 def apply_map(arrangement, kind):
     """kind (a MapKind) applied to every line; labels kept, lines renormalized."""
     return Arrangement(arrangement.name, arrangement.field,
-                       [kind.apply_line(line) for line in arrangement.lines])
+                       [apply_line(kind, line) for line in arrangement.lines])
 
 
 def relabel(arrangement, sigma):

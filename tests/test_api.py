@@ -29,3 +29,12 @@ def test_removed_helpers_are_gone():
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
+
+
+def test_lines_have_one_representation():
+    # a line or point is its key; the QuadExt round trips and the map on
+    # normal forms that read it were replaced by key code
+    for owner, name in ((geometry, "_scaled"), (geometry, "_normal_coords"),
+                        (geometry, "_normalize_triple"), (witness, "_match_scalar"),
+                        (geometry.ProjLine, "_normal"), (geometry.MapKind, "apply_line")):
+        assert not hasattr(owner, name)

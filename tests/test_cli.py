@@ -83,6 +83,17 @@ def test_lattice(capsys, arr_files):
     assert "2 of multiplicity 4" in out and "8 of multiplicity 3" in out
 
 
+def test_lattice_of_one_line(capsys, tmp_path):
+    arr = tmp_path / "one.arr"
+    arr.write_text("arrangement x\nfield rational\nline 1 : 1 ; 0 ; 0\n")
+    code, out, _ = run(capsys, "lattice", str(arr))
+    assert code == 0
+    assert out == "lattice of x: no intersection points\narrangement x\nlines 1\n"
+    code, out, _ = run(capsys, "lattice", "--json", str(arr))
+    assert code == 0 and json.loads(out) == {"name": "x", "lines": 1, "census": {},
+                                             "multiple_points": []}
+
+
 @pytest.mark.parametrize("radicand, code, expected", [
     ("1000000000000000003", 0, "3 of multiplicity 2"),        # a prime
     ("9" * 640, 2, "step budget"),                             # cannot be factored

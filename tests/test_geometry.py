@@ -28,6 +28,16 @@ def test_normalization():
         ProjLine((0, 0, 0))
 
 
+def test_a_key_is_one_line_in_each_field():
+    # equal keys with a sqrt(d) part are different lines in different fields;
+    # a rational line is the same in every field
+    q2, q3 = FieldSpec.quadratic(2), FieldSpec.quadratic(3)
+    assert ProjLine((1, QuadExt(0, 1, q2), 0)) != ProjLine((1, QuadExt(0, 1, q3), 0))
+    assert ProjLine((1, 2, 3)) == ProjLine((1, 2, 3), q2)
+    assert hash(ProjLine((1, 2, 3))) == hash(ProjLine((1, 2, 3), q2))
+    assert ProjLine((1, 2, 3)) != ProjPoint((1, 2, 3))
+
+
 def test_intersect_axes():
     assert intersect(ProjLine((1, 0, 0)), ProjLine((0, 1, 0))) == ProjPoint((0, 0, 1))
     assert intersect(ProjLine((1, 0, 0)), ProjLine((1, 0, -1))) == ProjPoint((0, 1, 0))

@@ -128,22 +128,26 @@ def test_generated_arrangements_match_the_reference(arrangement):
 
 @pytest.fixture
 def normalizations(monkeypatch):
-    """A list that grows by one for every _normalize_triple call."""
+    """A list that grows by one for every line or point built from its
+    coordinates, by the constructor that normalizes them."""
     calls = []
-    original = geometry._normalize_triple
+    original = geometry._Triple.__new__
 
-    def counting(coords, field):
+    def counting(cls, coords, field=None):
         calls.append(coords)
-        return original(coords, field)
+        return original(cls, coords, field)
 
-    monkeypatch.setattr(geometry, "_normalize_triple", counting)
+    monkeypatch.setattr(geometry._Triple, "__new__", staticmethod(counting))
     return calls
 
 
 def lattice_work(arrangement, normalizations):
+    """lattice_of builds each point from its key: it normalizes no
+    coordinates and builds no normal form until one is read."""
     normalizations.clear()
     lattice, _ = lattice_of(arrangement)
-    assert len(normalizations) <= len(lattice.points)
+    assert normalizations == []
+    assert all(p._coords is None for p, _ in lattice.points)
     return lattice
 
 

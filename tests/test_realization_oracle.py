@@ -14,6 +14,7 @@ lattice_of calls, so they are exact, not timings."""
 
 import sys
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +30,7 @@ from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint,
                            derive_constraint, evaluate_plan, parse_plan,
                            residual_numerators)
 from arrsym.polys import poly_reduce
+from arrsym.witness import run_case
 
 from conftest import ALL_CASES, chain_plan, plans
 
@@ -37,16 +39,33 @@ SMALL_T = (0, 1, 2, 3, 7)
 
 # -- references -----------------------------------------------------------------
 
-def reference_normal(cls, coords, field):
+def reference_normal(coords, field):
     """The normal form in QuadExt arithmetic: every coordinate times the
-    inverse of the first nonzero one."""
+    inverse of the first nonzero one.  It reads no key."""
     vals = [c.with_field(field) if isinstance(c, QuadExt) else QuadExt(c, 0, field)
             for c in coords]
     pivot = next((v for v in vals if not v.is_zero), None)
     if pivot is None:
         raise ValidationError("all three coefficients are zero")
     inv = pivot.inverse()
-    return cls._normal(tuple(v * inv for v in vals), field)
+    return tuple(v * inv for v in vals)
+
+
+def reference_arrangement(name, field, normals):
+    """(name, field, ((line field, normal form), ...)), refused as
+    Arrangement refuses two equal lines, with normal forms compared."""
+    seen = {}
+    for idx, coords in enumerate(normals, start=1):
+        if coords in seen:
+            raise DegenerateError(
+                f"lines {seen[coords]} and {idx} coincide after normalization")
+        seen[coords] = idx
+    return name, field, tuple((field, coords) for coords in normals)
+
+
+def as_arrangement(reference):
+    name, field, rows = reference
+    return Arrangement(name, field, [coords for _, coords in rows])
 
 
 def _reference_cross(u, v, what, plan, t0):
@@ -70,9 +89,9 @@ def reference_evaluate_plan(plan, t0):
             what = f"points {_quoted(step.p, str)},{_quoted(step.q, str)}"
             lines[step.index] = _reference_cross(points[step.p], points[step.q],
                                                  what, plan, t0)
-    return Arrangement(plan.name, t0.field,
-                       [reference_normal(ProjLine, lines[i], t0.field)
-                        for i in range(1, plan.n + 1)])
+    return reference_arrangement(plan.name, t0.field,
+                                 [reference_normal(lines[i], t0.field)
+                                  for i in range(1, plan.n + 1)])
 
 
 def reference_derive_constraint(plan, target):
@@ -115,17 +134,16 @@ def reference_derive_constraint(plan, target):
             except (DegenerateError, ValidationError) as exc:
                 verdict = f"degenerate: {exc}"
                 break
-            _, derived = lattice_of(realization)
+            _, derived = lattice_of(as_arrangement(realization))
             if not is_lattice_isomorphism(derived, target, Permutation.identity(plan.n)):
                 verdict = "lattice mismatch"
                 break
             realizations.append(realization)
         if verdict is None:
             if not field.is_rational:
-                plus = realizations[0]
-                realizations.append(Arrangement(plus.name, plus.field, [
-                    ProjLine._normal(tuple(c.conjugate() for c in ln.coords), ln.field)
-                    for ln in plus.lines]))
+                name, plus_field, rows = realizations[0]
+                realizations.append(reference_arrangement(name, plus_field, [
+                    tuple(c.conjugate() for c in coords) for _, coords in rows]))
             admissible.append((factor, field, roots, realizations))
         else:
             discarded.append((factor, verdict))
@@ -149,10 +167,13 @@ def scalar(c):
 
 
 def exact_arrangement(arrangement):
-    """Everything an arrangement holds, each coordinate as its integers and
-    field, so equal values stored in other fields differ."""
-    return (arrangement.name, arrangement.field,
-            tuple((ln.field, tuple(map(scalar, ln.coords))) for ln in arrangement.lines))
+    """Everything an arrangement (or a reference one) holds, each coordinate
+    as its integers and field, so equal values stored in other fields differ."""
+    if isinstance(arrangement, Arrangement):
+        arrangement = (arrangement.name, arrangement.field,
+                       tuple((ln.field, ln.coords) for ln in arrangement.lines))
+    name, field, rows = arrangement
+    return name, field, tuple((f, tuple(map(scalar, coords))) for f, coords in rows)
 
 
 def evaluated(run, plan, t0):
@@ -278,20 +299,33 @@ def triples(draw):
     return field, coords
 
 
+def is_primitive(key):
+    """Six coprime integers whose first nonzero entry pair is (s, 0), s > 0."""
+    pivot = next(k for k in (0, 2, 4) if key[k] or key[k + 1])
+    return gcd(*key) == 1 and key[pivot] > 0 and key[pivot + 1] == 0
+
+
 @settings(max_examples=300, deadline=None)
-@given(triples(), st.sampled_from([ProjLine, ProjPoint]))
-@example((RATIONAL, [0, 0, 0]), ProjLine)
-def test_normal_forms_match_the_quadext_reference(triple, cls):
+@given(triples(), st.sampled_from([ProjLine, ProjPoint]),
+       st.integers(-9, 9).filter(bool), st.integers(-9, 9), st.integers(1, 5))
+@example((RATIONAL, [0, 0, 0]), ProjLine, 1, 0, 1)
+@example((FieldSpec.quadratic(-3), [QuadExt(0), QuadExt(2, 1, FieldSpec.quadratic(-3)),
+                                    QuadExt(1)]), ProjLine, -1, 3, 2)
+def test_normal_forms_match_the_quadext_reference(triple, cls, p, q, den):
     field, coords = triple
     try:
-        expected = reference_normal(cls, coords, field)
+        expected = reference_normal(coords, field)
     except ValidationError as exc:
         with pytest.raises(ValidationError, match=str(exc)):
             cls(coords, field)
         return
     got = cls(coords, field)
-    assert got == expected and got.field == expected.field
-    assert list(map(scalar, got.coords)) == list(map(scalar, expected.coords))
+    assert is_primitive(got.key) and got.field == field
+    assert list(map(scalar, got.coords)) == list(map(scalar, expected))
+    # every nonzero multiple, irrational ones included, has the same key
+    c = QuadExt(F(p, den), 0 if field.is_rational else F(q, den), field)
+    multiple = cls(tuple(c * v for v in coords), field)
+    assert multiple.key == got.key and multiple == got
 
 
 # -- derive_constraint ----------------------------------------------------------
@@ -312,7 +346,7 @@ def test_random_constraints_match_the_reference(text):
     targets = [ConfigTable("none", plan.n, [])]
     for t0 in evaluation_points(plan):
         try:
-            targets.append(lattice_of(reference_evaluate_plan(plan, t0))[1])
+            targets.append(lattice_of(as_arrangement(reference_evaluate_plan(plan, t0)))[1])
         except (PoleError, DegenerateError, ValidationError):
             continue
     for target in targets:
@@ -356,6 +390,22 @@ def test_evaluate_plan_calls_no_quadext_operator(name, realized, operator_calls)
     for t0 in (2, F(3), QuadExt(7)):
         evaluate_plan(case.plan, t0)
     assert operator_calls == []
+
+
+def test_the_method_counter_sees_every_method(method_calls):
+    x = QuadExt(1, 1, FieldSpec.quadratic(2))
+    assert method_calls == []
+    assert x == x.conjugate().conjugate() and hash(x) and x * 2 / x == 2
+    assert {"conjugate", "__eq__", "__hash__", "__mul__", "__truediv__"} <= set(method_calls)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_run_case_calls_no_quadext_method(name, method_calls):
+    """Only quad_roots conjugates its "+" root; the plan, the lattice check,
+    the "-" realization and verification all run on integer keys."""
+    case = corpus.get_case(name)
+    assert run_case(name, case.config, case.plan).status == case.expected_status
+    assert method_calls == ["conjugate"]
 
 
 @pytest.mark.parametrize("name", ALL_CASES)

@@ -18,9 +18,9 @@ from arrsym.moduli import root_product
 from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma, run_case,
                             run_pipeline, verify_reflection)
 
-from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, apply_map,
-                      fermat_arrangement, fermat_table, grid_candidates,
-                      relabel)
+from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, apply_line,
+                      apply_map, fermat_arrangement, fermat_table,
+                      grid_candidates, relabel)
 
 
 def test_grid_candidates_case1():
@@ -79,21 +79,79 @@ def _match_scalar_by_division(mapped, target):
     return scale
 
 
+# The QuadExt reference: every map on normal forms (conftest.apply_line), a
+# certificate as coordinate ratios, and a normal form as the triple times
+# its pivot's inverse; none of it reads a key.
+KINDS = (SWAP, SWAP_CONJUGATE, MapKind(swap=False, conjugate=True))
+
+
+def exact(c):
+    """A certificate as its stored integers and field, so equal values held
+    in other fields differ."""
+    return None if c is None else (c._p, c._q, c._den, c._d, c.field)
+
+
+def reference_verify(plus, minus, sigma, kind):
+    return tuple((i, exact(_match_scalar_by_division(apply_line(kind, plus.line(i)),
+                                                     minus.line(sigma(i)))))
+                 for i in range(1, plus.n + 1))
+
+
+def reference_extract_sigma(a, b, kind):
+    targets = [tuple(map(exact, line.coords)) for line in b.lines]
+    images = []
+    for line in a.lines:
+        mapped = apply_line(kind, line)
+        inverse = next(v for v in mapped if not v.is_zero).inverse()
+        normal = tuple(exact(v * inverse) for v in mapped)
+        if normal not in targets:
+            return None
+        images.append(targets.index(normal) + 1)
+    return Permutation(images)
+
+
+def assert_matches_the_reference(a, b, sigmas):
+    """verify_reflection under every sigma and extract_sigma, each map."""
+    verified = 0
+    for kind in KINDS:
+        for sigma in sigmas:
+            result = verify_reflection(a, b, sigma, kind)
+            expected = reference_verify(a, b, sigma, kind)
+            assert tuple((i, exact(c)) for i, c in result.per_line) == expected
+            assert result.verified == all(c is not None for _, c in expected)
+            verified += result.verified
+        assert extract_sigma(a, b, kind) == reference_extract_sigma(a, b, kind)
+    return verified
+
+
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_certificates_match_the_division_reference(name, realized):
     case, _, plus, minus = realized(name)
-    checked = 0
-    for sigma in involutions(automorphism_group(case.config)):
-        for kind in (SWAP, SWAP_CONJUGATE):
-            result = verify_reflection(plus, minus, sigma, kind)
-            expected = tuple(
-                (i, _match_scalar_by_division(kind.apply_line(plus.line(i)),
-                                              minus.line(sigma(i))))
-                for i in range(1, plus.n + 1))
-            assert result.per_line == expected
-            assert result.verified == all(c is not None for _, c in expected)
-            checked += sum(c is not None for _, c in expected)
-    assert checked
+    sigmas = involutions(automorphism_group(case.config))
+    assert assert_matches_the_reference(plus, minus, sigmas)
+    for a, b in ((minus, plus), (plus, plus)):
+        assert_matches_the_reference(a, b, sigmas[:2])
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_verification_calls_no_quadext_method(name, realized, method_calls):
+    """Lines are matched and looked up by key, and a certificate is built
+    from integers, so verification calls no QuadExt method at all."""
+    case, _, plus, minus = realized(name)
+    method_calls.clear()
+    for kind in KINDS:
+        verify_reflection(plus, minus, case.sigma, kind)
+        extract_sigma(plus, minus, kind)
+    assert method_calls == []
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
+def test_certificates_match_the_division_reference_on_fermat(m):
+    # the swap sends x - ζy to the key of -ζx + y, whose pivot -ζ is
+    # irrational for m = 3, 4, 6 and is made rational again
+    arrangement = fermat_arrangement(m)
+    sigmas = involutions(automorphism_group(fermat_table(m)))
+    assert assert_matches_the_reference(arrangement, arrangement, sigmas)
 
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
@@ -236,6 +294,7 @@ def test_extracted_sigma_is_a_lattice_isomorphism_on_synthetic_pairs(a, kind, da
     sigma = extract_sigma(a, b, kind)
     assert _is_lattice_isomorphism(a, b, sigma)
     assert sigma == tau
+    assert assert_matches_the_reference(a, b, [tau, Permutation.identity(a.n)])
 
 
 def test_certificate_root_relation(realized):
