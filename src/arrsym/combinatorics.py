@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, count, groupby
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import itemgetter
 
 from .errors import ParseError, ValidationError, _quoted
@@ -23,6 +23,8 @@ from .fields import parse_digits
 
 # Largest accepted line count, a bound on hostile input (the search keeps no n x n table).
 MAX_LINES = 1024
+# Most entries (order times line count) a listed automorphism group may hold.
+_MAX_ELEMENT_ENTRIES = 1 << 22
 
 
 class Permutation:
@@ -324,7 +326,9 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     generating set for the lines individualized on the first path (Seress,
     *Permutation Group Algorithms*, 2003): the elements, sorted by images,
     are the products of one coset representative per level, read off the
-    Schreier tree of its line under the generators found at or below it."""
+    Schreier tree of its line under the generators found at or below it.
+    Their number, the product of the trees' sizes, is checked against
+    _MAX_ELEMENT_ENTRIES before any is built."""
     n = table.n
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
     through: list[list[int]] = [[] for _ in range(n)]
@@ -415,6 +419,10 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                     tree = orbit(tried[0])
                 seen = set(tree).union(*map(orbit, tried[1:]))
         trees.append(tree)
+    order = prod(map(len, trees))       # one element per choice of representatives
+    if order * n > _MAX_ELEMENT_ENTRIES:
+        raise ValidationError(f"automorphism group of order {order} on {n} lines is too "
+                              f"large to list (over {_MAX_ELEMENT_ENTRIES} entries)")
     # top level first: p * u for each coset representative u; (p * u)(i) = p(u(i))
     elements = [tuple(range(1, n + 1))]
     for tree in reversed(trees):

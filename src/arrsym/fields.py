@@ -22,14 +22,6 @@ from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError
                      _quoted)
 
 
-def _as_rat(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational value, got {type(value).__name__}")
-
-
 # -- integer factorization ----------------------------------------------------
 
 # Trial division takes out every prime below this bound (dividing by 2 and
@@ -327,8 +319,6 @@ class QuadExt:
         if operand is None:
             return NotImplemented
         p, q, den, d, field = operand
-        if den == self._den:
-            return _quad(self._p + p, self._q + q, den, d, field)
         return _quad(self._p * den + p * self._den, self._q * den + q * self._den,
                      self._den * den, d, field)
 
@@ -339,8 +329,6 @@ class QuadExt:
         if operand is None:
             return NotImplemented
         p, q, den, d, field = operand
-        if den == self._den:
-            return _quad(self._p - p, self._q - q, den, d, field)
         return _quad(self._p * den - p * self._den, self._q * den - q * self._den,
                      self._den * den, d, field)
 
@@ -464,7 +452,7 @@ def quad_roots(a: int | Fraction, b: int | Fraction,
     (or zero) discriminant degrades to the rational field, where the
     larger root is designated "+".
     """
-    a, b, c = _as_rat(a), _as_rat(b), _as_rat(c)
+    a, b, c = (Fraction(*_num_den(v)) for v in (a, b, c))
     if a == 0:
         raise DegenerateError("degenerate quadratic: leading coefficient is zero")
     disc = b * b - 4 * a * c

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd, lcm
 
-from .combinatorics import ConfigTable
+from .combinatorics import MAX_LINES, ConfigTable
 from .errors import DegenerateError, ParseError, ValidationError, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
@@ -57,8 +57,7 @@ class _Triple:
             field = next((c.field for c in coords
                           if isinstance(c, QuadExt) and not c.field.is_rational),
                          RATIONAL)
-        vals = tuple(v if type(v) is QuadExt and v.field is field else
-                     v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
+        vals = tuple(v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
                      for v in coords)
         if len(vals) != 3:
             raise ValidationError("expected a coefficient triple")
@@ -255,7 +254,10 @@ def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTab
     ``intersect`` gives its first pair.  Raises DegenerateError when two
     lines coincide.  The derived ConfigTable lists only points of
     multiplicity >= 3, labeled m1, m2, ... in lexicographic order of their
-    sorted line sets."""
+    sorted line sets.  ConfigTable's line count check comes first, before
+    the quadratic grouping."""
+    if not 1 <= arrangement.n <= MAX_LINES:
+        raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {arrangement.n}")
     lines = arrangement.lines
     entries = []
     for key, (i, j, members) in _pair_groups(arrangement).items():

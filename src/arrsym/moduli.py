@@ -62,12 +62,10 @@ class Require:
     line: int
 
 
-_GRID = (
-    (Fraction(1), Fraction(0), Fraction(0)),    # x = 0
-    (Fraction(1), Fraction(0), Fraction(-1)),   # x = z
-    (Fraction(0), Fraction(1), Fraction(0)),    # y = 0
-    (Fraction(0), Fraction(1), Fraction(-1)),   # y = z
-)
+_GRID = ((1, 0, 0, 0, 0, 0),          # x = 0, as a key of geometry._primitive
+         (1, 0, 0, 0, -1, 0),         # x = z
+         (0, 0, 1, 0, 0, 0),          # y = 0
+         (0, 0, 1, 0, -1, 0))         # y = z
 
 
 @dataclass(frozen=True)
@@ -81,18 +79,15 @@ class ConstructionPlan:
         return [s for s in self.steps if isinstance(s, Require)]
 
     def grid_labels(self) -> tuple[int, int, int, int]:
-        """Labels of the lines pinned to x=0, x=z, y=0, y=z."""
+        """Labels of the lines pinned to x=0, x=z, y=0, y=z: the given lines
+        whose cleared entries are constants, not all zero, keyed by
+        ``_primitive`` (a later line with the same key wins)."""
         found: dict[tuple, int] = {}
         for step in self.steps:
-            if not isinstance(step, GivenLine):
-                continue
-            if not all(e.is_constant for e in step.entries):
-                continue
-            vals = tuple(e.constant_value() for e in step.entries)
-            pivot = next((v for v in vals if v != 0), None)
-            if pivot is None:
-                continue
-            found[tuple(v / pivot for v in vals)] = step.index
+            if (isinstance(step, GivenLine) and max(map(len, step.cleared)) == 1
+                    and any(step.cleared[:3])):
+                w = [x for cs in step.cleared[:3] for x in (cs[0] if cs else 0, 0)]
+                found[_primitive(w, 0)] = step.index
         try:
             return tuple(found[g] for g in _GRID)
         except KeyError:
@@ -295,7 +290,7 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
     ``_point_key``; each line is made primitive once, at the end."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
-    p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0.field
+    p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0._field
     top = max(max(map(len, step.cleared)) for step in plan.steps
               if isinstance(step, GivenLine))
     real, surd, x, y = [], [], 1, 0     # real[k] + surd[k]*sqrt(d): power k
@@ -379,8 +374,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root, grouped by ``_pair_groups``, meet in the target's
-    points.  An irreducible quadratic is checked at its "+" root only: its
-    conjugate root passes or fails alike.
+    points.  The plan is evaluated once per factor, at its first root: the
+    one root of a linear factor, or the "+" root of an irreducible
+    quadratic, whose conjugate root passes or fails alike.
 
     Factors of individual requirement numerators that are not common to
     all requirements are reported in `discarded` (a part that does not
@@ -398,16 +394,12 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     common = numerators[0]
     for num in numerators[1:]:
         common = common.gcd(num)
-    candidates = []
-    if common.degree > 0:
-        candidates = [f for f, _ in poly_reduce(common)]
+    candidates = [f for f, _ in poly_reduce(common)]    # [] for a constant
 
     seen_noncommon = set()
     for num in numerators:
         while (shared := num.gcd(common)).degree > 0:
             num = num // shared
-        if num.degree < 1:
-            continue
         try:
             factors = [f for f, _ in poly_reduce(num)]
         except (UnsupportedDegreeError, ValidationError):
@@ -420,39 +412,33 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
 
     admissible = []
     for factor in candidates:
+        # poly_reduce splits off every rational root, so a factor's field is
+        # rational exactly when the factor is linear.  A pole, degeneracy or
+        # lattice verdict at the "+" root holds at the conjugate root too,
+        # because conjugation is a field automorphism that fixes the plan's
+        # rational coefficients; the "-" realization is the "+" one with
+        # every coefficient conjugated.
         field, roots = _roots_of_factor(factor)
-        verdict = None
-        realizations = []
-        # Over a quadratic field only the "+" root is evaluated.  A pole,
-        # degeneracy or lattice verdict there holds at the conjugate root
-        # too, because conjugation is a field automorphism that fixes the
-        # plan's rational coefficients; the "-" realization is the "+" one
-        # with every coefficient conjugated.
-        for root in roots if field.is_rational else roots[:1]:
-            try:
-                realization = evaluate_plan(plan, root)
-            except PoleError:
-                verdict = f"pole at root of {factor.format(plan.var)}"
-                break
-            except (DegenerateError, ValidationError) as exc:
-                verdict = f"degenerate: {exc}"
-                break
-            derived = frozenset(frozenset(s) for _, _, s in
-                                _pair_groups(realization).values() if len(s) >= 3)
-            if derived != target.point_sets:
-                verdict = "lattice mismatch"
-                break
-            realizations.append(realization)
-        if verdict is None:
-            if not field.is_rational:
-                # conjugation keeps a key primitive: its pivot is rational
-                plus, conjugate = realizations[0], MapKind(swap=False, conjugate=True)
-                realizations.append(Arrangement(plus.name, plus.field, [
-                    ProjLine._keyed(conjugate._image(ln.key), ln.field)
-                    for ln in plus.lines]))
-            admissible.append((factor, field, roots, realizations))
+        try:
+            plus = evaluate_plan(plan, roots[0])
+        except PoleError:
+            verdict = f"pole at root of {factor.format(plan.var)}"
+        except (DegenerateError, ValidationError) as exc:
+            verdict = f"degenerate: {exc}"
         else:
+            derived = frozenset(frozenset(s) for _, _, s in
+                                _pair_groups(plus).values() if len(s) >= 3)
+            verdict = None if derived == target.point_sets else "lattice mismatch"
+        if verdict is not None:
             discarded.append((factor, verdict))
+            continue
+        minus = plus
+        if not field.is_rational:
+            # conjugation keeps a key primitive: its pivot is rational
+            conjugate = MapKind(swap=False, conjugate=True)
+            minus = Arrangement(plus.name, plus.field, [
+                ProjLine._keyed(conjugate._image(ln.key), ln.field) for ln in plus.lines])
+        admissible.append((factor, field, roots, (plus, minus)))
 
     if not admissible:
         raise ConstraintError(
@@ -465,7 +451,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     factor, field, roots, realizations = admissible[0]
     return ModuliConstraint(poly=factor.primitive()[1], var=plan.var, field=field,
                             roots=(roots[0], roots[-1]), discarded=tuple(discarded),
-                            realizations=(realizations[0], realizations[-1]))
+                            realizations=realizations)
 
 
 def realize_components(plan: ConstructionPlan,

@@ -213,18 +213,22 @@ class Poly:
 
     def eval(self, x):
         """Value at a QuadExt (a QuadExt of its field) or at an int or
-        Fraction (a Fraction).  With x = (p + q*sqrt(d))/e, Horner's rule
-        runs on the integers in the homogeneous form
-        sum(c_k * (p + q*sqrt(d))^k * e^(n-k)), divided once by den*e^n."""
-        if type(x) is not QuadExt:
-            return self.eval(QuadExt(x)).a
-        p, q, e, d = x._p, x._q, x._den, x._d
+        Fraction (a Fraction).  With x = (p + q*sqrt(d))/e, q = d = 0 for a
+        rational x, Horner's rule runs on the integers in the homogeneous
+        form sum(c_k * (p + q*sqrt(d))^k * e^(n-k)), divided once by
+        den*e^n."""
+        quad = type(x) is QuadExt
+        if quad:
+            p, q, e, d = x._p, x._q, x._den, x._d
+        else:
+            (p, e), q, d = _num_den(x), 0, 0
         hp = hq = 0
         scale = 1
         for c in reversed(self._c):
             hp, hq = hp * p + d * hq * q + c * scale, hp * q + hq * p
             scale *= e
-        return _quad(hp, hq, self._den * e ** max(self.degree, 0), d, x.field)
+        den = self._den * e ** max(self.degree, 0)
+        return _quad(hp, hq, den, d, x._field) if quad else Fraction(hp, den)
 
     # -- normal forms ---------------------------------------------------------
 
@@ -469,15 +473,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant rational function")
-        return self.num[0] / self.den[0]
-
     def __eq__(self, other) -> bool:
         other = _as_ratfunc(other)
         return (isinstance(other, RatFunc)
@@ -495,10 +490,6 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return other if self.is_zero else self
-        if self.den.degree == other.den.degree == 0:      # both are 1
-            return RatFunc(self.num + other.num)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
@@ -520,10 +511,6 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self if self.is_zero else other
-        if self.den.degree == other.den.degree == 0:
-            return RatFunc(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -553,8 +540,6 @@ class RatFunc:
         """Exact value at x; raises PoleError at a denominator zero."""
         if not isinstance(x, QuadExt):
             x = QuadExt(x)
-        if self.den.degree == 0:
-            return self.num.eval(x)
         den = self.den.eval(x)
         if den.is_zero:
             raise PoleError(f"pole of {self} at {x}")
@@ -575,10 +560,8 @@ class RatFunc:
 def _as_ratfunc(value) -> RatFunc | None:
     if isinstance(value, RatFunc):
         return value
-    if isinstance(value, Poly):
+    if isinstance(value, (Poly, int, Fraction)):
         return RatFunc(value)
-    if isinstance(value, (int, Fraction)):
-        return RatFunc.constant(value)
     return None
 
 

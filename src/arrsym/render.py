@@ -13,7 +13,7 @@ from math import inf
 
 from .errors import RenderError
 from .fields import QuadExt
-from .geometry import Arrangement, lattice_of
+from .geometry import Arrangement, ProjLine, lattice_of
 
 _CANVAS = 640.0
 
@@ -27,44 +27,34 @@ class RenderOptions:
 
 
 def _chart_transform(arrangement: Arrangement, infinity: int | None):
-    """Exact change of coordinates sending the chosen line to z' = 0.
+    """Exact change of coordinates sending the chosen line l to z' = 0.
 
     Returns (line_forms, finite_points): affine line coefficients
     (alpha, beta, gamma) meaning alpha*x + beta*y + gamma = 0, and the
     finite multiple points as ((x, y), multiplicity) — all still exact.
+    With no line chosen, l is z = 0 itself: gamma is a line's z-coefficient,
+    (alpha, beta) its other two, and a point's z' is its z.
     """
     n = arrangement.n
     if infinity is not None and not 1 <= infinity <= n:
         raise RenderError(f"infinity line {infinity} out of range 1..{n}")
     lattice, _ = lattice_of(arrangement)
+    ell = (ProjLine((0, 0, 1)) if infinity is None else arrangement.line(infinity)).coords
+    pivot = next(k for k in range(3) if not ell[k].is_zero)
+    keep = [k for k in range(3) if k != pivot]
 
-    if infinity is None:
-        def line_form(line):
-            a, b, c = line.coords
-            return (a, b, c)
+    def line_form(line):
+        coords = line.coords
+        gamma = coords[pivot] / ell[pivot]
+        residual = tuple(coords[k] - gamma * ell[k] for k in range(3))
+        return (residual[keep[0]], residual[keep[1]], gamma)
 
-        def point_coords(point):
-            x, y, z = point.coords
-            if z.is_zero:
-                return None
-            return (x / z, y / z)
-    else:
-        ell = arrangement.line(infinity).coords
-        pivot = next(k for k in range(3) if not ell[k].is_zero)
-        keep = [k for k in range(3) if k != pivot]
-
-        def line_form(line):
-            coords = line.coords
-            gamma = coords[pivot] / ell[pivot]
-            residual = tuple(coords[k] - gamma * ell[k] for k in range(3))
-            return (residual[keep[0]], residual[keep[1]], gamma)
-
-        def point_coords(point):
-            coords = point.coords
-            zp = ell[0] * coords[0] + ell[1] * coords[1] + ell[2] * coords[2]
-            if zp.is_zero:
-                return None
-            return (coords[keep[0]] / zp, coords[keep[1]] / zp)
+    def point_coords(point):
+        coords = point.coords
+        zp = ell[0] * coords[0] + ell[1] * coords[1] + ell[2] * coords[2]
+        if zp.is_zero:
+            return None
+        return (coords[keep[0]] / zp, coords[keep[1]] / zp)
 
     forms = []
     for idx, line in enumerate(arrangement.lines, start=1):

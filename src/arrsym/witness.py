@@ -22,8 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .combinatorics import (AutGroup, ConfigTable, Permutation,
-                            automorphism_group, involutions)
+from .combinatorics import ConfigTable, Permutation, automorphism_group, involutions
 from .errors import ValidationError
 from .fields import QuadExt, _quad
 from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, _primitive
@@ -172,13 +171,11 @@ class PipelineReport:
 
 
 def run_case(case_name: str, config: ConfigTable,
-             plan: ConstructionPlan | None,
-             group: AutGroup | None = None) -> PipelineReport:
+             plan: ConstructionPlan | None) -> PipelineReport:
     """The whole method on one case: automorphism group, involutions,
     constraint, components, and one attempt per (involution, map) for every
     involution with at least one grid candidate."""
-    if group is None:
-        group = automorphism_group(config)
+    group = automorphism_group(config)
     invs = involutions(group)
     label = group.structure_name()
     if not invs:

@@ -28,12 +28,18 @@ def realized():
 
 @pytest.fixture
 def method_calls(monkeypatch):
-    """A list that grows by the name of every QuadExt method called from now
-    on; construction (``__new__``) and the read-only properties are not
-    counted."""
+    """A list that grows by the name of every QuadExt method called and
+    every QuadExt property read from now on; only construction
+    (``__new__``) is not counted."""
     calls = []
     for name, member in list(vars(QuadExt).items()):
-        if callable(member) and name != "__new__":
+        if isinstance(member, property):
+            def reading(self, _name=name, _original=member.fget):
+                calls.append(_name)
+                return _original(self)
+
+            monkeypatch.setattr(QuadExt, name, property(reading))
+        elif callable(member) and name != "__new__":
             def counting(*args, _name=name, _original=member):
                 calls.append(_name)
                 return _original(*args)

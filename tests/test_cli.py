@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,39 @@ def test_render_viewport_huge_exponent_is_refused_at_once(arr_files, tmp_path):
         preexec_fn=_limited_memory)
     assert done.returncode == 2
     assert done.stderr == "error: bad viewport '0,0,1e999999999,1': exponent above 999\n"
+
+
+@pytest.mark.parametrize("command", ["lattice", "render"])
+def test_an_oversized_arrangement_is_refused_before_its_pairs(capsys, tmp_path, command):
+    # the C(1500, 2) line pairs used to be grouped, for about 18 s, before
+    # the table built from them refused the line count
+    arr = tmp_path / "big.arr"
+    arr.write_text("arrangement big\nfield rational\n"
+                   + "".join(f"line {k} : 1 ; {k} ; {k * k}\n" for k in range(1, 1501)))
+    out_path = tmp_path / "big.svg"
+    argv = [command, str(arr)] + (["-o", str(out_path)] if command == "render" else [])
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: line count must be in 1..1024, not 1500\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n):
+    # with no multiple point every permutation is an automorphism: listing
+    # S_11 raised MemoryError, so run in a child process under a memory limit
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text(f"arrangement free\nlines {n}\n")
+    src = str(Path(arrsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "arrsym", "aut", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limited_memory)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: automorphism group of order ")
+    assert done.stderr.count("\n") == 1
 
 
 def test_render_coordinates_beyond_float_range(capsys, arr_files, tmp_path):

@@ -232,6 +232,16 @@ def test_search_matches_brute_force_on_random_tables(table):
     assert generated(group) == set(group.elements)
 
 
+def test_the_listed_group_is_bounded():
+    # the combinatorial Fermat tables up to m = 16 and S_8 are listed; S_10
+    # (10 lines, no multiple point) is refused before its elements are built
+    for m, order in ((8, 1536), (12, 3456), (16, 12288)):
+        assert automorphism_group(fermat_table(m)).order == order
+    assert automorphism_group(ConfigTable("free", 8, [])).order == 40320
+    with pytest.raises(ValidationError, match="order 3628800 on 10 lines is too large"):
+        automorphism_group(ConfigTable("free", 10, []))
+
+
 @pytest.mark.parametrize("m", sorted(FERMAT))
 def test_fermat_groups_within_group_order_leaf_checks(m, leaf_checks):
     table = fermat_table(m)

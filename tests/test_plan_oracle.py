@@ -9,16 +9,19 @@ the same order, and the same exception type and message on a plan that
 fails.  The gate counts RatFunc constructions: one per numerator returned
 (19 over the nine cases; the reference makes 767)."""
 
+from fractions import Fraction as F
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrsym import corpus
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.geometry import cross
-from arrsym.moduli import GivenLine, JoinLine, MeetPoint, parse_plan, residual_numerators
-from arrsym.polys import MAX_DEGREE, Poly, RatFunc
+from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, parse_plan,
+                           residual_numerators)
+from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
 
 from conftest import ALL_CASES, chain_plan, plans
 
@@ -149,3 +152,87 @@ def test_given_lines_are_cleared_exactly(name):
 @given(plans())
 def test_random_plans_match_the_reference(text):
     assert_same(parse_plan(text))
+
+
+# -- the grid lines ---------------------------------------------------------------
+# grid_labels keys the constant lines' cleared integers with geometry._primitive.
+# The reference is the replaced code: constant entries as Fractions, divided
+# by the first nonzero one.
+
+REFERENCE_GRID = tuple(tuple(map(F, g)) for g in
+                       ((1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1)))
+
+
+def reference_grid_labels(plan):
+    """The labels of x=0, x=z, y=0, y=z, None where one is missing."""
+    found = {}
+    for step in plan.steps:
+        if not isinstance(step, GivenLine):
+            continue
+        if not all(e.num.degree <= 0 and e.den.degree == 0 for e in step.entries):
+            continue
+        vals = tuple(e.num[0] / e.den[0] for e in step.entries)
+        pivot = next((v for v in vals if v != 0), None)
+        if pivot is not None:
+            found[tuple(v / pivot for v in vals)] = step.index
+    return tuple(found.get(g) for g in REFERENCE_GRID)
+
+
+def assert_same_grid(plan):
+    expected = reference_grid_labels(plan)
+    if None in expected:
+        with pytest.raises(ValidationError, match="plan lacks the four grid lines"):
+            plan.grid_labels()
+    else:
+        assert plan.grid_labels() == expected
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_grid_labels_match_the_reference(name):
+    plan = corpus.get_case(name).plan
+    assert None not in reference_grid_labels(plan)
+    assert_same_grid(plan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plans())
+def test_grid_labels_of_random_plans_match_the_reference(text):
+    assert_same_grid(parse_plan(text))
+
+
+scales = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-5/3", "t/t", "(2*t+2)/(t+1)"])
+
+
+@st.composite
+def grid_rows(draw):
+    """Entry texts of given lines: each grid line times a constant (written
+    as a quotient of polynomials, too), over t (no constant line) or left
+    out; then constant lines, all-zero lines and more grid multiples, which
+    a later line overrides; in random order."""
+    def scaled(coords):
+        scale = draw(scales)
+        return tuple(f"({c})*({scale})" for c in coords)
+
+    rows = []
+    for g in REFERENCE_GRID:
+        kind = draw(st.sampled_from(["scaled", "scaled", "scaled", "over t", "absent"]))
+        if kind == "scaled":
+            rows.append(scaled(g))
+        elif kind == "over t":
+            rows.append(tuple(f"({c})/t" for c in g))
+    for kind in draw(st.lists(st.sampled_from(["constant", "zero", "grid"]), max_size=4)):
+        if kind == "zero":
+            rows.append(("0", "0", "0"))
+        else:
+            rows.append(scaled(draw(st.sampled_from(REFERENCE_GRID)) if kind == "grid" else
+                               [draw(st.integers(-2, 2)) for _ in range(3)]))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_rows())
+def test_grid_labels_of_constant_lines_match_the_reference(rows):
+    steps = [GivenLine(index=k, entries=tuple(parse_ratfunc(e) for e in row))
+             for k, row in enumerate(rows, start=1)]
+    plan = ConstructionPlan(name="g", var="t", n=max(len(rows), 1), steps=tuple(steps))
+    assert_same_grid(plan)

@@ -13,6 +13,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from arrsym.errors import PoleError
+from arrsym.fields import QuadExt
 from arrsym.polys import Poly, RatFunc
 
 from test_scalar_oracle import FIELDS, agrees, scalar
@@ -155,6 +156,26 @@ def test_eval_at_rationals_matches_the_model(ps, x):
     p, rp = ps
     assert p.eval(x) == reval(rp, x) and isinstance(p.eval(x), F)
     assert p.eval(x.numerator) == reval(rp, F(x.numerator))
+
+
+def fraction_horner(cs, x):
+    """Horner's rule on Fractions: the reference for Poly.eval at a rational."""
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+@given(poly(), st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                         st.builds(F, st.integers(-10 ** 20, 10 ** 20),
+                                   st.integers(1, 10 ** 20))))
+def test_eval_at_ints_and_fractions_is_the_fraction_horner(ps, x):
+    """An int or Fraction point runs the integer loop with q = d = 0 and
+    gives a Fraction in lowest terms, equal to the QuadExt value there."""
+    p, rp = ps
+    value = p.eval(x)
+    assert type(value) is F and value == fraction_horner(rp, x)
+    assert p.eval(QuadExt(x)) == value
 
 
 @given(poly(), st.sampled_from(FIELDS).flatmap(

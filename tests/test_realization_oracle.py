@@ -397,6 +397,9 @@ def test_the_method_counter_sees_every_method(method_calls):
     assert method_calls == []
     assert x == x.conjugate().conjugate() and hash(x) and x * 2 / x == 2
     assert {"conjugate", "__eq__", "__hash__", "__mul__", "__truediv__"} <= set(method_calls)
+    method_calls.clear()
+    assert (x.a, x.b, x.field, x.is_zero, x.is_rational_value) == (1, 1, x._field, False, False)
+    assert method_calls == ["a", "b", "field", "is_zero", "is_rational_value"]
 
 
 @pytest.mark.parametrize("name", ALL_CASES)

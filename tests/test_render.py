@@ -3,11 +3,16 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrsym import render
 from arrsym.errors import RenderError
-from arrsym.fields import RATIONAL
-from arrsym.geometry import Arrangement, ProjLine
+from arrsym.fields import RATIONAL, FieldSpec, QuadExt
+from arrsym.geometry import Arrangement, ProjLine, cross, lattice_of
 from arrsym.render import RenderOptions, render_primitives, render_svg
+
+from conftest import ALL_CASES
 
 
 def segments_of(svg):
@@ -91,3 +96,95 @@ def test_coordinates_beyond_float_range_raise_render_error():
     one = Arrangement("one", RATIONAL, [ProjLine((1, 0, 0))])
     with pytest.raises(RenderError, match="beyond float range"):
         render_primitives(one, RenderOptions(viewport=(F(0), F(0), F(10) ** 400, F(1))))
+
+
+# -- the chart with no line at infinity -------------------------------------------
+# _chart_transform runs one chart; with no line chosen it sends z = 0 to
+# infinity.  The reference is the replaced branch for that case: a line's
+# coordinates as they are, a point's x/z and y/z.
+
+def reference_chart(arrangement):
+    lattice, _ = lattice_of(arrangement)
+    forms = []
+    for idx, line in enumerate(arrangement.lines, start=1):
+        a, b, c = line.coords
+        if a.is_zero and b.is_zero:
+            raise RenderError(f"line {idx} coincides with the infinity line")
+        forms.append((idx, (a, b, c)))
+    markers = []
+    for point, incident in lattice.multiple_points():
+        x, y, z = point.coords
+        if not z.is_zero:
+            markers.append(((x / z, y / z), len(incident)))
+    return forms, markers
+
+
+def exact(chart):
+    """Each scalar as its integers and field, so equal charts compare equal
+    down to the representation."""
+    def key(v):
+        return (v._p, v._q, v._den, v._d, v.field)
+
+    forms, markers = chart
+    return ([(idx, tuple(map(key, form))) for idx, form in forms],
+            [(tuple(map(key, point)), mult) for point, mult in markers])
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except RenderError as exc:
+        return str(exc)
+
+
+def assert_same_chart(arrangement, monkeypatch):
+    got = outcome(lambda: exact(render._chart_transform(arrangement, None)))
+    assert got == outcome(lambda: exact(reference_chart(arrangement)))
+    if arrangement.field.d is not None and arrangement.field.d < 0:
+        return
+    options = RenderOptions()
+    primitives = outcome(render_primitives, arrangement, options)
+    with monkeypatch.context() as patch:
+        patch.setattr(render, "_chart_transform", lambda a, _: reference_chart(a))
+        assert primitives == outcome(render_primitives, arrangement, options)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_the_plain_chart_matches_the_reference_on_the_corpus(name, realized, monkeypatch):
+    _, _, plus, minus = realized(name)
+    for arrangement in (plus, minus):
+        assert_same_chart(arrangement, monkeypatch)
+
+
+small = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def real_arrangements(draw):
+    """Lines over Q or Q(sqrt 5), some through common points, some parallel
+    in the plain chart or equal to z = 0."""
+    field = draw(st.sampled_from([RATIONAL, FieldSpec.quadratic(5)]))
+
+    def triple():
+        return tuple(QuadExt(draw(small), draw(small) if field.d else 0, field)
+                     for _ in range(3))
+
+    raw = [triple() for _ in range(draw(st.integers(1, 4)))]
+    for size in draw(st.lists(st.sampled_from([3, 4]), max_size=2)):
+        center = triple()
+        if draw(st.booleans()):         # a point at infinity of the plain chart
+            center = center[:2] + (QuadExt(0),)
+        raw += [cross(center, triple()) for _ in range(size)]
+    lines = {}
+    for coords in raw:
+        if not all(c.is_zero for c in coords):
+            line = ProjLine(coords, field)
+            lines.setdefault(line.key, line)
+    return Arrangement("generated", field, list(lines.values()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_arrangements().filter(lambda arrangement: arrangement.n))
+def test_the_plain_chart_matches_the_reference(arrangement):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_same_chart(arrangement, monkeypatch)
