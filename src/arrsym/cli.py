@@ -32,6 +32,14 @@ def _read(path: str) -> str:
         raise ArrsymError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ArrsymError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(payload, as_json: bool, text: str) -> None:
     if as_json:
         print(json.dumps(payload, indent=2))
@@ -167,8 +175,7 @@ def _cmd_render(args) -> int:
                             stroke_width=args.stroke_width,
                             marker_radius=args.marker_radius)
     svg = render_svg(arrangement, options)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.output, svg)
     print(f"wrote {args.output} ({svg.count('<line ')} segment(s), "
           f"{svg.count('<circle ')} marker(s))")
     return 0

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, count, groupby
-from math import comb, lcm, prod
+from math import comb, lcm
 from operator import itemgetter
 
 from .errors import ParseError, ValidationError, _quoted
@@ -77,14 +77,7 @@ class Permutation:
         return Permutation._of(tuple(i for _, i in sorted(zip(self.images, count(1)))))
 
     def order(self) -> int:
-        """The lcm of the cycle lengths, walked without building the cycles."""
-        images, seen, lengths = self.images, bytearray(len(self.images) + 1), set()
-        for j in range(1, len(images) + 1):
-            length = 0
-            while not seen[j]:
-                seen[j], j, length = 1, images[j - 1], length + 1
-            lengths.add(length)
-        return lcm(*lengths - {0})
+        return lcm(*map(len, self.cycles()))
 
     @property
     def is_identity(self) -> bool:
@@ -98,18 +91,15 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
+        images, seen, out = self.images, set(), []
+        for start in range(1, len(images) + 1):
             if start in seen:
                 continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
+            cyc, j = [start], images[start - 1]
             while j != start:
                 cyc.append(j)
-                seen.add(j)
-                j = self(j)
+                j = images[j - 1]
+            seen.update(cyc)
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -328,7 +318,8 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     are the products of one coset representative per level, read off the
     Schreier tree of its line under the generators found at or below it.
     Their number, the product of the trees' sizes, is checked against
-    _MAX_ELEMENT_ENTRIES before any is built."""
+    _MAX_ELEMENT_ENTRIES after each level, before any is built.  The first
+    path keeps each node's colours and target cell, not its children."""
     n = table.n
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
     through: list[list[int]] = [[] for _ in range(n)]
@@ -367,18 +358,21 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                 return colours, trace
             colours = refined
 
-    def children(colours):
-        """(v, colours with v individualized) for each line v of the target
-        cell: the largest non-singleton cell, the lowest colour among ties."""
+    def target(colours):
+        """The lines of the target cell: the largest non-singleton cell, the
+        lowest colour among ties; none once the colours are discrete."""
         size, colour = max((k, -c) for c, k in Counter(colours).items())
-        cell = [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
-        return [(v, colours[:v] + [colours[v] + size - 1] + colours[v + 1:]) for v in cell]
+        return [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
+
+    def child(colours, cell, v):
+        """``colours`` with line v of the target ``cell`` individualized."""
+        return colours[:v] + [colours[v] + len(cell) - 1] + colours[v + 1:]
 
     first_leaf, trace = refine([0] * n)     # the first path's nodes, down to its leaf
-    traces, path = [trace], []              # path: the children of each first-path node
-    while kids := children(first_leaf):
-        path.append(kids)
-        first_leaf, trace = refine(kids[0][1])
+    traces, path = [trace], []              # path: each first-path node's colours and cell
+    while cell := target(first_leaf):
+        path.append((first_leaf, cell))
+        first_leaf, trace = refine(child(first_leaf, cell, cell[0]))
         traces.append(trace)
 
     def search(colours, depth):
@@ -386,12 +380,13 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         colours, _ = refine(colours, traces[depth])
         if colours is None:
             return None
-        kids = children(colours)
-        if not kids:
+        cell = target(colours)
+        if not cell:
             line_of = sorted(range(n), key=colours.__getitem__)
             tau = Permutation([line_of[c] + 1 for c in first_leaf])
             return tau if is_lattice_isomorphism(table, table, tau) else None
-        return next(filter(None, (search(child, depth + 1) for _, child in kids)), None)
+        return next(filter(None, (search(child(colours, cell, v), depth + 1)
+                                  for v in cell)), None)
 
     def orbit(u):
         """Schreier tree of line u: each line of its orbit under ``moves`` ->
@@ -404,13 +399,14 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                     frontier.append(g[x])
         return tree
 
-    gens, moves, trees = [], [], []     # moves: the generators' 0-based images
+    gens, moves, trees, order = [], [], [], 1     # moves: the generators' 0-based images
     for depth in reversed(range(len(path))):
-        tried = [path[depth][0][0]]
+        colours, cell = path[depth]
+        tried = [cell[0]]
         tree = seen = orbit(tried[0])
-        for v, child in path[depth][1:]:
+        for v in cell[1:]:
             if v not in seen:
-                tau = search(child, depth + 1)
+                tau = search(child(colours, cell, v), depth + 1)
                 if tau is None:
                     tried.append(v)
                 else:
@@ -419,10 +415,11 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                     tree = orbit(tried[0])
                 seen = set(tree).union(*map(orbit, tried[1:]))
         trees.append(tree)
-    order = prod(map(len, trees))       # one element per choice of representatives
-    if order * n > _MAX_ELEMENT_ENTRIES:
-        raise ValidationError(f"automorphism group of order {order} on {n} lines is too "
-                              f"large to list (over {_MAX_ELEMENT_ENTRIES} entries)")
+        order *= len(tree)          # one element per choice of representatives
+        if order * n > _MAX_ELEMENT_ENTRIES:
+            bound = "at least " if depth else ""
+            raise ValidationError(f"automorphism group of order {bound}{order} on {n} lines "
+                                  f"is too large to list (over {_MAX_ELEMENT_ENTRIES} entries)")
     # top level first: p * u for each coset representative u; (p * u)(i) = p(u(i))
     elements = [tuple(range(1, n + 1))]
     for tree in reversed(trees):

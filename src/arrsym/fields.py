@@ -385,10 +385,6 @@ class QuadExt:
     def is_zero(self) -> bool:
         return not self._p and not self._q
 
-    @property
-    def is_rational_value(self) -> bool:
-        return not self._q
-
     def __eq__(self, other) -> bool:
         if type(other) is QuadExt:
             return (self._p == other._p and self._q == other._q
@@ -419,11 +415,6 @@ class QuadExt:
         if self._d < 0:
             raise ValueError("no real value: field is imaginary")
         return self._p / self._den + self._q / self._den * sqrt(self._d)
-
-    def to_complex(self) -> complex:
-        if not self._q or self._d > 0:
-            return complex(self.to_float())
-        return complex(self._p / self._den, self._q / self._den * sqrt(-self._d))
 
     def __str__(self) -> str:
         return format_scalar(self)

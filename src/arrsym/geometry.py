@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
-from .errors import DegenerateError, ParseError, ValidationError, _quoted
+from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
                      parse_digits, parse_scalar)
 
@@ -103,14 +103,6 @@ class _Triple:
 class ProjLine(_Triple):
     """Projective line A*x + B*y + C*z = 0, normalized."""
 
-    def incidence(self, point: "ProjPoint") -> QuadExt:
-        a, b, c = self.coords
-        x, y, z = point.coords
-        return a * x + b * y + c * z
-
-    def contains(self, point: "ProjPoint") -> bool:
-        return self.incidence(point).is_zero
-
     def __repr__(self) -> str:
         return "ProjLine(%s; %s; %s)" % tuple(format_scalar(c) for c in self.coords)
 
@@ -122,21 +114,15 @@ class ProjPoint(_Triple):
         return "ProjPoint[%s : %s : %s]" % tuple(format_scalar(c) for c in self.coords)
 
 
-def cross(u, v) -> tuple:
-    """Cross product of coefficient/coordinate triples (works for any
-    scalar type with ring operations)."""
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
-    """The unique common point of two distinct lines."""
+    """The unique common point of two distinct lines (``_point_key``), in
+    the irrational field of either line."""
     if l1 == l2:
         raise DegenerateError("intersect of identical lines")
-    # a rational line's coordinates mix into the other line's field
     field = l1.field if not l1.field.is_rational else l2.field
-    return ProjPoint(cross(l1.coords, l2.coords), field)
+    if not l2.field.is_rational and l2.field != field:
+        raise FieldMixError(f"cannot mix {l1.field} with {l2.field}")
+    return ProjPoint._keyed(_point_key(l1.key, l2.key, field.d or 0), field)
 
 
 class Arrangement:

@@ -99,11 +99,18 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
     defined_lines: set[int] = set()
     defined_points: set[str] = set()
     for step in steps:
-        if isinstance(step, GivenLine):
+        if isinstance(step, (GivenLine, JoinLine)):
             if not 1 <= step.index <= n:
                 raise ValidationError(f"line {step.index} out of range 1..{n}")
             if step.index in defined_lines:
                 raise ValidationError(f"line {step.index} defined twice")
+            if isinstance(step, JoinLine):
+                if step.p == step.q:
+                    raise ValidationError(f"line {step.index}: join of a point with itself")
+                for ref in (step.p, step.q):
+                    if ref not in defined_points:
+                        raise ValidationError(f"line {step.index}: point "
+                                              f"{_quoted(ref, str)} used before definition")
             defined_lines.add(step.index)
         elif isinstance(step, MeetPoint):
             point = _quoted(step.name, str)
@@ -116,18 +123,6 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                     raise ValidationError(
                         f"point {point}: line {ref} used before definition")
             defined_points.add(step.name)
-        elif isinstance(step, JoinLine):
-            if not 1 <= step.index <= n:
-                raise ValidationError(f"line {step.index} out of range 1..{n}")
-            if step.index in defined_lines:
-                raise ValidationError(f"line {step.index} defined twice")
-            if step.p == step.q:
-                raise ValidationError(f"line {step.index}: join of a point with itself")
-            for ref in (step.p, step.q):
-                if ref not in defined_points:
-                    raise ValidationError(f"line {step.index}: point "
-                                          f"{_quoted(ref, str)} used before definition")
-            defined_lines.add(step.index)
         elif isinstance(step, Require):
             if step.point not in defined_points:
                 raise ValidationError(f"require: point {_quoted(step.point, str)} "

@@ -45,21 +45,17 @@ class ReflectionWitness:
     triple to the stored normal form of the target line; None marks a line
     pair that is not projectively equal."""
 
-    case: str
     sigma: Permutation
     map: MapKind
     verified: bool
     per_line: tuple[tuple[int, QuadExt | None], ...]
-    roots: tuple[QuadExt, QuadExt] | None = None
 
     def failures(self) -> list[int]:
         return [i for i, cert in self.per_line if cert is None]
 
 
 def verify_reflection(aplus: Arrangement, aminus: Arrangement,
-                      sigma: Permutation, map_kind: MapKind,
-                      case: str | None = None,
-                      roots: tuple[QuadExt, QuadExt] | None = None) -> ReflectionWitness:
+                      sigma: Permutation, map_kind: MapKind) -> ReflectionWitness:
     """Check map(L+_i) = L-_{sigma(i)} projectively for every i."""
     if aplus.n != aminus.n or sigma.degree != aplus.n:
         raise ValidationError("size mismatch between arrangements and permutation")
@@ -78,9 +74,8 @@ def verify_reflection(aplus: Arrangement, aminus: Arrangement,
             cert = _quad(image[k], image[k + 1], s, source.field.d or 0, source.field)
         certificates.append((i, cert))
     verified = all(cert is not None for _, cert in certificates)
-    return ReflectionWitness(case=case if case is not None else aplus.name,
-                             sigma=sigma, map=map_kind, verified=verified,
-                             per_line=tuple(certificates), roots=roots)
+    return ReflectionWitness(sigma=sigma, map=map_kind, verified=verified,
+                             per_line=tuple(certificates))
 
 
 def extract_sigma(a: Arrangement, b: Arrangement,
@@ -197,8 +192,7 @@ def run_case(case_name: str, config: ConfigTable,
         if not grids:
             continue
         for kind in kinds:
-            result = verify_reflection(aplus, aminus, sigma, kind,
-                                       case=case_name, roots=constraint.roots)
+            result = verify_reflection(aplus, aminus, sigma, kind)
             attempts.append(Attempt(sigma=sigma, map=kind, grids=grids,
                                     verified=result.verified))
             if result.verified and witness is None:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from arrsym import corpus
 from arrsym.combinatorics import ConfigTable
+from arrsym.errors import DegenerateError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import Arrangement
+from arrsym.geometry import Arrangement, ProjPoint
 from arrsym.moduli import derive_constraint, realize_components
 
 
@@ -46,6 +47,35 @@ def method_calls(monkeypatch):
 
             monkeypatch.setattr(QuadExt, name, counting)
     return calls
+
+
+def cross(u, v):
+    """Cross product of coefficient or coordinate triples, for any scalar
+    type with ring operations: the QuadExt meet and join of the references."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def meet(l1, l2):
+    """The common point of two distinct lines as the QuadExt cross product of
+    their normal forms, normalized in the field of either line that is
+    irrational: the reference for the key meet ``geometry.intersect``."""
+    if l1 == l2:
+        raise DegenerateError("intersect of identical lines")
+    field = l1.field if not l1.field.is_rational else l2.field
+    return ProjPoint(cross(l1.coords, l2.coords), field)
+
+
+def incidence(line, point):
+    """The sum of the products of a line's and a point's coordinates."""
+    a, b, c = line.coords
+    x, y, z = point.coords
+    return a * x + b * y + c * z
+
+
+def contains(line, point):
+    return incidence(line, point).is_zero
 
 
 def apply_line(kind, line):

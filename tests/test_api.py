@@ -1,5 +1,8 @@
 """The public API: the names in ``arrsym.__all__``, and no more."""
 
+import dataclasses
+import inspect
+
 import arrsym
 from arrsym import fields, geometry, polys, witness
 
@@ -38,3 +41,15 @@ def test_lines_have_one_representation():
                         (geometry, "_normalize_triple"), (witness, "_match_scalar"),
                         (geometry.ProjLine, "_normal"), (geometry.MapKind, "apply_line")):
         assert not hasattr(owner, name)
+
+
+def test_unread_names_are_gone():
+    # no caller in the package: the tests keep cross, incidence and contains
+    for owner, name in ((geometry, "cross"), (geometry.ProjLine, "incidence"),
+                        (geometry.ProjLine, "contains"), (fields.QuadExt, "to_complex"),
+                        (fields.QuadExt, "is_rational_value")):
+        assert not hasattr(owner, name)
+    assert [f.name for f in dataclasses.fields(witness.ReflectionWitness)] == [
+        "sigma", "map", "verified", "per_line"]
+    assert list(inspect.signature(witness.verify_reflection).parameters) == [
+        "aplus", "aminus", "sigma", "map_kind"]

@@ -253,6 +253,17 @@ def test_render_refuses_sizes_not_finite_and_positive(capsys, arr_files, tmp_pat
     assert not out_path.exists()
 
 
+def test_render_to_a_path_that_cannot_be_written(capsys, arr_files, tmp_path):
+    # the OSError of open() escaped as a traceback with exit code 1
+    plus_path, _ = arr_files
+    for out_path in (tmp_path / "missing" / "x.svg", tmp_path):
+        code, out, err = run(capsys, "render", str(plus_path), "--infinity", "10",
+                             "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def _limited_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -289,17 +300,18 @@ def test_an_oversized_arrangement_is_refused_before_its_pairs(capsys, tmp_path, 
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("n", [10, 11, 200, 1024])
 def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n):
     # with no multiple point every permutation is an automorphism: listing
-    # S_11 raised MemoryError, so run in a child process under a memory limit
+    # S_11 raised MemoryError, and the first path's child colourings of 1,024
+    # lines filled 4.6 GiB, so run in a child process under a memory limit
     cfg = tmp_path / "free.cfg"
     cfg.write_text(f"arrangement free\nlines {n}\n")
     src = str(Path(arrsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-m", "arrsym", "aut", str(cfg)],
-                          env=env, capture_output=True, text=True, timeout=60,
+                          env=env, capture_output=True, text=True, timeout=10,
                           preexec_fn=_limited_memory)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: automorphism group of order ")

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, permutations
 from math import comb
 
@@ -240,6 +241,17 @@ def test_the_listed_group_is_bounded():
     assert automorphism_group(ConfigTable("free", 8, [])).order == 40320
     with pytest.raises(ValidationError, match="order 3628800 on 10 lines is too large"):
         automorphism_group(ConfigTable("free", 10, []))
+
+
+def test_the_group_bound_is_checked_level_by_level():
+    # the first path built every child colouring, about n^3/2 entries, before
+    # the bound was checked once at the end: 200 free lines took seconds
+    with pytest.raises(ValidationError, match="of order at least 3628800 on 11 lines"):
+        automorphism_group(ConfigTable("free", 11, []))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="of order at least 40320 on 200 lines"):
+        automorphism_group(ConfigTable("free", 200, []))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("m", sorted(FERMAT))

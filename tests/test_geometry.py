@@ -1,17 +1,18 @@
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
 
 from arrsym import corpus
 from arrsym.combinatorics import Permutation, is_lattice_isomorphism, parse_cycles
-from arrsym.errors import DegenerateError, ParseError, ValidationError
+from arrsym.errors import DegenerateError, FieldMixError, ParseError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt, quad_roots
 from arrsym.geometry import (SWAP, SWAP_CONJUGATE, Arrangement, MapKind,
                              ProjLine, ProjPoint, intersect, lattice_of,
                              parse_arrangement)
 
-from conftest import apply_map, relabel
+from conftest import apply_map, contains, meet, relabel
 
 Q5 = FieldSpec.quadratic(5)
 QI = FieldSpec.quadratic(-1)
@@ -57,7 +58,34 @@ def test_intersect_golden_triple():
     l10 = ProjLine((0, 0, 1), Q5)
     p = intersect(l7, l8)
     assert p == ProjPoint((1, 1, 0), Q5)
-    assert l10.contains(p)
+    assert contains(l10, p)
+
+
+def test_intersect_checks_identity_before_fields():
+    # a rational line is one line in every field, so two copies of it are
+    # identical whatever fields they carry
+    with pytest.raises(DegenerateError, match="^intersect of identical lines$"):
+        intersect(ProjLine((1, 0, 0), QI), ProjLine((1, 0, 0), Q5))
+    w5, wi = QuadExt(0, 1, Q5), QuadExt(0, 1, QI)
+    for l1, l2 in ((ProjLine((1, 0, 0), QI), ProjLine((0, 1, 0), Q5)),
+                   (ProjLine((1, w5, 0), Q5), ProjLine((wi, 1, 2), QI))):
+        with pytest.raises(FieldMixError) as exc:
+            intersect(l1, l2)
+        assert str(exc.value) == f"cannot mix {l1.field} with {l2.field}"
+
+
+def test_intersect_matches_the_quadext_meet():
+    # the key meet against the cross product of normal forms, down to the
+    # key and the field, for every order of lines over Q, Q(sqrt 5), Q(i)
+    lines = [ProjLine(t) for t in ((1, 2, 3), (0, 1, -1), (2, 0, 1), (1, 1, 1))]
+    for field in (Q5, QI):
+        w = QuadExt(0, 1, field)
+        lines += [ProjLine(t, field) for t in ((1, w, 0), (w, 1, 2), (1, 1, 1 + w),
+                                               (1, 1, 1), (0, 3, F(1, 2)))]
+    for l1, l2 in permutations(lines, 2):
+        if l1 != l2 and {l1.field, l2.field} != {Q5, QI}:
+            got, want = intersect(l1, l2), meet(l1, l2)
+            assert (got.key, got.field) == (want.key, want.field)
 
 
 def test_lines_proj_equal():

@@ -1,8 +1,9 @@
 """lattice_of groups intersections by an integer key; the reference below
 is the direct algorithm it replaced, which normalizes every pairwise
-intersection as a ProjPoint and groups the normal forms.  Both must give
-identical lattices and tables: the same points, the same representatives
-down to their integer triples and fields, in the same order."""
+intersection, a QuadExt cross product, as a ProjPoint and groups the
+normal forms.  Both must give identical lattices and tables: the same
+points, the same representatives down to their integer triples and
+fields, in the same order."""
 
 from fractions import Fraction as F
 from itertools import combinations
@@ -16,16 +17,15 @@ from arrsym import geometry
 from arrsym.combinatorics import ConfigTable
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import (Arrangement, IntersectionLattice, ProjLine,
-                             cross, intersect, lattice_of)
+from arrsym.geometry import Arrangement, IntersectionLattice, ProjLine, lattice_of
 
-from conftest import ALL_CASES, ROOTS_OF_UNITY, fermat_arrangement
+from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet
 
 
 def reference_lattice_of(arrangement):
     groups, reps = {}, {}
     for i, j in combinations(range(1, arrangement.n + 1), 2):
-        p = intersect(arrangement.line(i), arrangement.line(j))
+        p = meet(arrangement.line(i), arrangement.line(j))
         groups.setdefault(p.coords, set()).update((i, j))
         reps.setdefault(p.coords, p)
     entries = sorted(((reps[k], frozenset(s)) for k, s in groups.items()),
@@ -110,7 +110,7 @@ def arrangements(draw):
         if line.coords in seen:
             continue
         seen.add(line.coords)
-        if all(c.is_rational_value for c in coords) and draw(st.booleans()):
+        if all(c.b == 0 for c in coords) and draw(st.booleans()):
             line = ProjLine(tuple(c.a for c in coords), RATIONAL)
         lines.append(line)
     return Arrangement("generated", field, lines)

@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 
 from arrsym import corpus
 from arrsym.errors import DegenerateError, ValidationError
-from arrsym.geometry import cross
 from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, parse_plan,
                            residual_numerators)
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
 
-from conftest import ALL_CASES, chain_plan, plans
+from conftest import ALL_CASES, chain_plan, cross, plans
 
 
 def _reference_cross(u, v, what):

@@ -11,7 +11,7 @@ from arrsym.geometry import (Arrangement, MapKind, ProjLine, ProjPoint,
                              intersect, lattice_of)
 from arrsym.polys import Poly, RatFunc, poly_reduce
 
-from conftest import apply_map, relabel
+from conftest import apply_map, contains, relabel
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -168,8 +168,8 @@ def test_intersections_lie_on_both_lines(arrangement):
     for i in range(1, arrangement.n + 1):
         for j in range(i + 1, arrangement.n + 1):
             point = intersect(arrangement.line(i), arrangement.line(j))
-            assert arrangement.line(i).contains(point)
-            assert arrangement.line(j).contains(point)
+            assert contains(arrangement.line(i), point)
+            assert contains(arrangement.line(j), point)
 
 
 @settings(max_examples=40)

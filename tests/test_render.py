@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from arrsym import render
 from arrsym.errors import RenderError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import Arrangement, ProjLine, cross, lattice_of
+from arrsym.geometry import Arrangement, ProjLine, lattice_of
 from arrsym.render import RenderOptions, render_primitives, render_svg
 
-from conftest import ALL_CASES
+from conftest import ALL_CASES, cross
 
 
 def segments_of(svg):

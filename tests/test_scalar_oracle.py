@@ -168,7 +168,7 @@ def test_rational_hash_matches_fraction(r):
 @given(scalar(FIELDS[1]), scalar(FIELDS[2]))
 def test_two_quadratic_fields_do_not_mix(xs, ys):
     (x, _), (y, _) = xs, ys
-    assume(not x.is_rational_value and not y.is_rational_value)
+    assume(x.b != 0 and y.b != 0)
     for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
         with pytest.raises(FieldMixError):
             op()

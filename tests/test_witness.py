@@ -12,14 +12,13 @@ from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
                                   parse_cycles)
 from arrsym.errors import ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import (Arrangement, MapKind, ProjLine, cross, intersect,
-                             lattice_of)
+from arrsym.geometry import Arrangement, MapKind, ProjLine, intersect, lattice_of
 from arrsym.moduli import root_product
 from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma, run_case,
                             run_pipeline, verify_reflection)
 
 from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, apply_line,
-                      apply_map, fermat_arrangement, fermat_table,
+                      apply_map, cross, fermat_arrangement, fermat_table,
                       grid_candidates, relabel)
 
 
@@ -156,9 +155,8 @@ def test_certificates_match_the_division_reference_on_fermat(m):
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
 def test_verify_reflection_positive(name, realized):
-    case, constraint, plus, minus = realized(name)
-    witness = verify_reflection(plus, minus, case.sigma, case.map,
-                                roots=constraint.roots)
+    case, _, plus, minus = realized(name)
+    witness = verify_reflection(plus, minus, case.sigma, case.map)
     assert witness.verified
     assert witness.failures() == []
     for _, certificate in witness.per_line:
