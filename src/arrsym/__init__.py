@@ -8,8 +8,8 @@ from .combinatorics import (AutGroup, ConfigTable, Permutation,
                             parse_cycles)
 from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar, parse_scalar,
                      quad_roots)
-from .geometry import (Arrangement, IntersectionLattice, ProjLine, ProjPoint,
-                       intersect, lattice_of, parse_arrangement)
+from .geometry import (Arrangement, ProjLine, ProjPoint, intersect, lattice_of,
+                       parse_arrangement)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      evaluate_plan, parse_plan, realize_components,
                      root_product)
@@ -23,9 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutGroup", "Arrangement", "ConfigTable", "ConstructionPlan", "FieldSpec",
-    "IntersectionLattice", "MapKind", "ModuliConstraint", "Permutation",
-    "PipelineReport", "Poly", "ProjLine", "ProjPoint", "QuadExt", "RATIONAL",
-    "RatFunc", "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
+    "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc",
+    "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
     "automorphism_group", "derive_constraint", "evaluate_plan",
     "extract_sigma", "format_scalar", "intersect", "involutions",
     "is_lattice_isomorphism", "lattice_of", "parse_arrangement",

@@ -82,8 +82,10 @@ def _cmd_aut(args) -> int:
 
 def _cmd_lattice(args) -> int:
     arrangement = parse_arrangement(_read(args.arr))
-    lattice, table = lattice_of(arrangement)
-    census = lattice.census()
+    _, table = lattice_of(arrangement)
+    census = table.multiplicity_census()
+    if table.double_count():
+        census[2] = table.double_count()
     census_text = ", ".join(f"{census[m]} of multiplicity {m}"
                             for m in sorted(census, reverse=True)) or "no intersection points"
     payload = {"name": arrangement.name, "lines": arrangement.n,

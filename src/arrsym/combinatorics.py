@@ -19,7 +19,7 @@ from math import comb, lcm
 from operator import itemgetter
 
 from .errors import ParseError, ValidationError, _quoted
-from .fields import parse_digits
+from .fields import _directives, parse_digits
 
 # Largest accepted line count, a bound on hostile input (the search keeps no n x n table).
 MAX_LINES = 1024
@@ -218,11 +218,7 @@ def parse_config_table(text: str) -> ConfigTable:
     """Parse the .cfg format (line-oriented, # comments)."""
     name = n = None
     points = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in _directives(text):
         keyword = fields[0]
         if keyword == "arrangement":
             if len(fields) != 2:

@@ -483,6 +483,23 @@ def parse_digits(text: str, what: str) -> int:
     return int(text)
 
 
+def _directives(text: str):
+    """(lineno, line, fields) for each line of a .cfg, .plan or .arr file
+    that is not blank once its # comment is cut.  A header directive may
+    appear once: ParseError on the second."""
+    headers = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if fields[0] in ("arrangement", "lines", "field", "plan"):
+            if fields[0] in headers:
+                raise ParseError(f"line {lineno}: repeated {_quoted(fields[0])} header")
+            headers.add(fields[0])
+        yield lineno, line, fields
+
+
 _RAT = r"-?\d+(?:/\d+)?"
 _RAT_RE = re.compile(rf"^{_RAT}$")
 _B_ONLY_RE = re.compile(r"^(?P<b>[+-]?(?:\d+(?:/\d+)?)?)w$")

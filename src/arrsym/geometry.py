@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
-from .fields import (RATIONAL, FieldSpec, QuadExt, _quad, format_scalar,
-                     parse_digits, parse_scalar)
+from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad,
+                     format_scalar, parse_digits, parse_scalar)
 
 
 def _primitive(w, d: int) -> tuple[int, int, int, int, int, int]:
@@ -182,23 +181,6 @@ class Arrangement:
         return f"Arrangement({self.name!r}, n={self.n}, field={self.field})"
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
-    """Every pairwise intersection grouped by coincident point; covers each
-    unordered line pair exactly once."""
-
-    points: tuple[tuple[ProjPoint, frozenset], ...]
-
-    def multiple_points(self) -> list[tuple[ProjPoint, frozenset]]:
-        return [(p, s) for p, s in self.points if len(s) >= 3]
-
-    def census(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, s in self.points:
-            out[len(s)] = out.get(len(s), 0) + 1
-        return out
-
-
 def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
     """The key of the common point of the lines with keys u and v: their
     cross product over Z[sqrt d], made primitive.  Raises DegenerateError
@@ -218,46 +200,50 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
         raise DegenerateError("intersect of identical lines") from None
 
 
-def _pair_groups(arrangement: Arrangement) -> dict[tuple, tuple[int, int, set[int]]]:
-    """The line pairs grouped by the key of their common point: key -> (i, j,
-    labels), (i, j) the 0-based first pair.  DegenerateError if two coincide."""
+def _multiple_points(arrangement: Arrangement) -> dict[tuple, set[int]]:
+    """The points on three or more lines: key -> line labels, in
+    lexicographic order of the sorted labels.  Each line's meets with the
+    later lines are grouped by ``_point_key``, so a point is found whole at
+    its smallest line; a double point is never kept.  ValidationError unless
+    the pairs that meet at each found key are the pairs of its lines;
+    DegenerateError if two lines coincide."""
     d = arrangement.field.d or 0
     keys = [ln.key for ln in arrangement.lines]
-    groups: dict[tuple, tuple[int, int, set[int]]] = {}
-    for i, j in combinations(range(arrangement.n), 2):
-        key = _point_key(keys[i], keys[j], d)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = (i, j, {i + 1, j + 1})
-        else:
-            group[2].update((i + 1, j + 1))
-    return groups
+    found: dict[tuple, set[int]] = {}
+    pairs: dict[tuple, int] = {}            # found key -> pairs met there
+    inside = True                           # each of them joins two of its lines
+    for i, u in enumerate(keys, start=1):
+        groups: dict[tuple, list[int]] = {}
+        for j in range(i, len(keys)):
+            groups.setdefault(_point_key(u, keys[j], d), []).append(j + 1)
+        for key, later in groups.items():
+            if key in found:
+                inside = inside and found[key].issuperset((i, *later))
+                pairs[key] += len(later)
+            elif len(later) >= 2:
+                found[key], pairs[key] = {i, *later}, len(later)
+    if not inside or any(pairs[key] != comb(len(s), 2) for key, s in found.items()):
+        raise ValidationError("lattice does not cover every line pair exactly once")
+    return found
 
 
-def lattice_of(arrangement: Arrangement) -> tuple[IntersectionLattice, ConfigTable]:
-    """Group all C(n,2) pairwise intersections by exact coincidence
-    (``_pair_groups``), with one normalized ProjPoint per group, in the field
-    ``intersect`` gives its first pair.  Raises DegenerateError when two
-    lines coincide.  The derived ConfigTable lists only points of
-    multiplicity >= 3, labeled m1, m2, ... in lexicographic order of their
-    sorted line sets.  ConfigTable's line count check comes first, before
-    the quadratic grouping."""
+def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:
+    """The multiple points (``_multiple_points``) as ProjPoints, and the
+    ConfigTable of their line sets labeled m1, m2, ... in the same order:
+    points[k] is table.points[k], in the field ``intersect`` gives its first
+    pair, its two smallest labels.  No double point is built.  Raises
+    DegenerateError when two lines coincide.  The line count is checked
+    first, before the quadratic grouping."""
     if not 1 <= arrangement.n <= MAX_LINES:
         raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {arrangement.n}")
-    lines = arrangement.lines
-    entries = []
-    for key, (i, j, members) in _pair_groups(arrangement).items():
-        field = lines[i].field if not lines[i].field.is_rational else lines[j].field
-        entries.append((ProjPoint._keyed(key, field), frozenset(members)))
-    entries.sort(key=lambda e: tuple(sorted(e[1])))
-    lattice = IntersectionLattice(points=tuple(entries))
-    total = sum(comb(len(s), 2) for _, s in lattice.points)
-    if total != comb(arrangement.n, 2):
-        raise ValidationError("lattice does not cover every line pair exactly once")
-    multiple = [s for _, s in entries if len(s) >= 3]
+    found = _multiple_points(arrangement)
+    points = []
+    for key, labels in found.items():
+        first, second = (arrangement.line(k).field for k in sorted(labels)[:2])
+        points.append(ProjPoint._keyed(key, second if first.is_rational else first))
     table = ConfigTable(arrangement.name, arrangement.n,
-                        [(f"m{k}", s) for k, s in enumerate(multiple, start=1)])
-    return lattice, table
+                        [(f"m{k}", s) for k, s in enumerate(found.values(), start=1)])
+    return tuple(points), table
 
 
 @dataclass(frozen=True)
@@ -299,11 +285,7 @@ def parse_arrangement(text: str) -> Arrangement:
     name = None
     field = None
     entries: dict[int, tuple] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in _directives(text):
         keyword = fields[0]
         if keyword == "arrangement":
             if len(fields) != 2:

@@ -25,8 +25,9 @@ from operator import mul
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
-from .fields import RATIONAL, FieldSpec, QuadExt, parse_digits, quad_roots
-from .geometry import (Arrangement, MapKind, ProjLine, _pair_groups, _point_key,
+from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
+                     quad_roots)
+from .geometry import (Arrangement, MapKind, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
                     poly_reduce)
@@ -146,11 +147,7 @@ def parse_plan(text: str) -> ConstructionPlan:
     var = None
     n = None
     steps: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, line, fields in _directives(text):
         keyword = fields[0]
         if keyword == "plan":
             if len(fields) != 4 or fields[2] != "over":
@@ -368,7 +365,7 @@ def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
 def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliConstraint:
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
-    lines at the root, grouped by ``_pair_groups``, meet in the target's
+    lines at the root, grouped by ``_multiple_points``, meet in the target's
     points.  The plan is evaluated once per factor, at its first root: the
     one root of a linear factor, or the "+" root of an irreducible
     quadratic, whose conjugate root passes or fails alike.
@@ -421,8 +418,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         except (DegenerateError, ValidationError) as exc:
             verdict = f"degenerate: {exc}"
         else:
-            derived = frozenset(frozenset(s) for _, _, s in
-                                _pair_groups(plus).values() if len(s) >= 3)
+            derived = frozenset(map(frozenset, _multiple_points(plus).values()))
             verdict = None if derived == target.point_sets else "lattice mismatch"
         if verdict is not None:
             discarded.append((factor, verdict))

@@ -38,7 +38,7 @@ def _chart_transform(arrangement: Arrangement, infinity: int | None):
     n = arrangement.n
     if infinity is not None and not 1 <= infinity <= n:
         raise RenderError(f"infinity line {infinity} out of range 1..{n}")
-    lattice, _ = lattice_of(arrangement)
+    points, table = lattice_of(arrangement)
     ell = (ProjLine((0, 0, 1)) if infinity is None else arrangement.line(infinity)).coords
     pivot = next(k for k in range(3) if not ell[k].is_zero)
     keep = [k for k in range(3) if k != pivot]
@@ -66,7 +66,7 @@ def _chart_transform(arrangement: Arrangement, infinity: int | None):
         forms.append((idx, (alpha, beta, gamma)))
 
     markers = []
-    for point, incident in lattice.multiple_points():
+    for point, (_, incident) in zip(points, table.points):
         affine = point_coords(point)
         if affine is not None:
             markers.append((affine, len(incident)))

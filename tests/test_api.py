@@ -2,15 +2,19 @@
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import arrsym
 from arrsym import fields, geometry, polys, witness
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 PUBLIC = [
     "Arrangement", "AutGroup", "ConfigTable", "ConstructionPlan", "FieldSpec",
-    "IntersectionLattice", "MapKind", "ModuliConstraint", "Permutation",
-    "PipelineReport", "Poly", "ProjLine", "ProjPoint", "QuadExt", "RATIONAL",
-    "RatFunc", "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
+    "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc",
+    "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
     "automorphism_group", "derive_constraint", "evaluate_plan", "extract_sigma",
     "format_scalar", "intersect", "involutions", "is_lattice_isomorphism",
     "lattice_of", "parse_arrangement", "parse_config_table", "parse_cycles",
@@ -22,7 +26,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(arrsym.__all__) == sorted(PUBLIC)
-    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 42
+    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 41
     assert all(hasattr(arrsym, name) for name in arrsym.__all__)
 
 
@@ -30,8 +34,16 @@ def test_removed_helpers_are_gone():
     # each duplicated another name or was called only by the tests
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
-                         (fields, "galois_conjugate"), (polys, "ratfunc_eval")):
+                         (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
+                         (geometry, "IntersectionLattice"), (geometry, "_pair_groups")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
+
+
+def test_readme_lists_the_public_api():
+    text = README.read_text(encoding="utf-8")
+    counts = re.findall(r"`arrsym\.__all__`\s+has\s+(\d+)\s+names", text)
+    assert counts == [str(len(arrsym.__all__))]
+    assert [name for name in arrsym.__all__ if f"`{name}`" not in text] == []
 
 
 def test_lines_have_one_representation():

@@ -264,22 +264,31 @@ def test_render_to_a_path_that_cannot_be_written(capsys, arr_files, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _limited_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def test_lattice_refuses_a_repeated_header(capsys, tmp_path):
+    arr = tmp_path / "twice.arr"
+    arr.write_text("arrangement a\narrangement b\nfield rational\nline 1 : 1 ; 0 ; 0\n")
+    assert run(capsys, "lattice", str(arr)) == (
+        2, "", "error: line 2: repeated 'arrangement' header\n")
+
+
+def _child(*argv, timeout, memory=1 << 30):
+    """``python -m arrsym *argv`` in a child process, under a time limit and
+    a limit of ``memory`` bytes on its address space."""
+    src = str(Path(arrsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-m", "arrsym", *argv], env=env, capture_output=True,
+        text=True, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
 
 
 def test_render_viewport_huge_exponent_is_refused_at_once(arr_files, tmp_path):
     # Fraction("1e999999999") would build a number of about 415 MB; run in a
     # child process with a time and memory limit so a regression cannot hang
     plus_path, _ = arr_files
-    src = str(Path(arrsym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-m", "arrsym", "render", str(plus_path),
-         "--viewport=0,0,1e999999999,1", "-o", str(tmp_path / "v.svg")],
-        env=env, capture_output=True, text=True, timeout=30,
-        preexec_fn=_limited_memory)
+    done = _child("render", str(plus_path), "--viewport=0,0,1e999999999,1",
+                  "-o", str(tmp_path / "v.svg"), timeout=30)
     assert done.returncode == 2
     assert done.stderr == "error: bad viewport '0,0,1e999999999,1': exponent above 999\n"
 
@@ -300,6 +309,20 @@ def test_an_oversized_arrangement_is_refused_before_its_pairs(capsys, tmp_path, 
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["lattice", "render"])
+def test_a_lattice_of_1024_lines_fits_in_bounded_memory(tmp_path, command):
+    # no three of these lines meet (their determinants are Vandermonde), so
+    # all C(1024, 2) points are double: one entry per pair filled 517 MiB
+    arr = tmp_path / "doubles.arr"
+    arr.write_text("arrangement doubles\nfield sqrt 5\n" + "".join(
+        f"line {k} : 1 ; {k} ; {k * k}+1w\n" for k in range(1, 1025)))
+    out = ["-o", str(tmp_path / "doubles.svg")] if command == "render" else []
+    done = _child(command, str(arr), *out, timeout=60, memory=256 << 20)
+    assert (done.returncode, done.stderr) == (0, "")
+    if command == "lattice":
+        assert done.stdout.startswith("lattice of doubles: 523776 of multiplicity 2\n")
+
+
 @pytest.mark.parametrize("n", [10, 11, 200, 1024])
 def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n):
     # with no multiple point every permutation is an automorphism: listing
@@ -307,12 +330,7 @@ def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n):
     # lines filled 4.6 GiB, so run in a child process under a memory limit
     cfg = tmp_path / "free.cfg"
     cfg.write_text(f"arrangement free\nlines {n}\n")
-    src = str(Path(arrsym.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "arrsym", "aut", str(cfg)],
-                          env=env, capture_output=True, text=True, timeout=10,
-                          preexec_fn=_limited_memory)
+    done = _child("aut", str(cfg), timeout=10)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: automorphism group of order ")
     assert done.stderr.count("\n") == 1

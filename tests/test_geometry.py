@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -101,36 +101,51 @@ def test_lines_proj_equal_complex_scaling(realized):
     assert mapped.line(9) == minus.line(9)
 
 
+def census(table):
+    """The multiplicity census with the double points, which the table
+    counts but does not list."""
+    return {**table.multiplicity_census(), 2: table.double_count()}
+
+
 def test_lattice_of_case1(realized):
     case, _, plus, minus = realized("{1}")
-    lattice, table = lattice_of(plus)
-    assert lattice.census() == {4: 2, 3: 8, 2: 9}
+    points, table = lattice_of(plus)
+    assert census(table) == {4: 2, 3: 8, 2: 9}
+    assert len(points) == len(table.points)
     assert is_lattice_isomorphism(table, case.config, Permutation.identity(10))
-    lattice_m, table_m = lattice_of(minus)
+    _, table_m = lattice_of(minus)
     assert is_lattice_isomorphism(table_m, case.config, Permutation.identity(10))
 
 
 def test_lattice_of_maclane(realized):
     case, _, plus, _ = realized("maclane")
-    lattice, table = lattice_of(plus)
-    assert lattice.census() == {3: 8, 2: 4}
+    _, table = lattice_of(plus)
+    assert census(table) == {3: 8, 2: 4}
     assert is_lattice_isomorphism(table, case.config, Permutation.identity(8))
 
 
 def test_lattice_of_generic_triangle():
     arrangement = Arrangement("g", RATIONAL, [
         ProjLine((1, 0, 0)), ProjLine((0, 1, 0)), ProjLine((1, 1, -1))])
-    lattice, table = lattice_of(arrangement)
-    assert lattice.census() == {2: 3}
-    assert not table.points
+    points, table = lattice_of(arrangement)
+    assert census(table) == {2: 3}
+    assert points == () and not table.points
 
 
 def test_lattice_pair_budget_exact(realized):
+    # each pair meets at the listed point of its two lines, if there is one,
+    # and otherwise at a point that is not listed: a double point
     for name in corpus.list_cases():
         _, _, plus, _ = realized(name)
-        lattice, _ = lattice_of(plus)
-        assert (sum(comb(len(s), 2) for _, s in lattice.points)
-                == comb(plus.n, 2)), name
+        points, table = lattice_of(plus)
+        listed = {pair: p for p, (_, s) in zip(points, table.points)
+                  for pair in combinations(sorted(s), 2)}
+        doubles = 0
+        for i, j in combinations(range(1, plus.n + 1), 2):
+            p = intersect(plus.line(i), plus.line(j))
+            assert listed.get((i, j), p) == p and ((i, j) in listed) == (p in points), name
+            doubles += (i, j) not in listed
+        assert doubles == table.double_count() == comb(plus.n, 2) - len(listed), name
 
 
 def test_lattice_duplicate_lines():

@@ -1,9 +1,10 @@
-"""lattice_of groups intersections by an integer key; the reference below
-is the direct algorithm it replaced, which normalizes every pairwise
-intersection, a QuadExt cross product, as a ProjPoint and groups the
-normal forms.  Both must give identical lattices and tables: the same
-points, the same representatives down to their integer triples and
-fields, in the same order."""
+"""lattice_of groups each line's meets with the later lines by an integer
+key and keeps only the multiple points; the reference below is the direct
+algorithm it replaced, which normalizes every pairwise intersection, a
+QuadExt cross product, as a ProjPoint and groups the normal forms of all
+C(n,2) pairs.  Both must give identical multiple points and tables: the
+same points, the same representatives down to their integer triples and
+fields, in the same order, and as many double points."""
 
 from fractions import Fraction as F
 from itertools import combinations
@@ -17,41 +18,42 @@ from arrsym import geometry
 from arrsym.combinatorics import ConfigTable
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import Arrangement, IntersectionLattice, ProjLine, lattice_of
+from arrsym.geometry import Arrangement, ProjLine, lattice_of
 
 from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet
 
 
 def reference_lattice_of(arrangement):
+    """(multiple points, table, number of double points)."""
     groups, reps = {}, {}
     for i, j in combinations(range(1, arrangement.n + 1), 2):
         p = meet(arrangement.line(i), arrangement.line(j))
         groups.setdefault(p.coords, set()).update((i, j))
         reps.setdefault(p.coords, p)
-    entries = sorted(((reps[k], frozenset(s)) for k, s in groups.items()),
-                     key=lambda e: tuple(sorted(e[1])))
-    lattice = IntersectionLattice(points=tuple(entries))
-    if sum(comb(len(s), 2) for _, s in entries) != comb(arrangement.n, 2):
+    if sum(comb(len(s), 2) for s in groups.values()) != comb(arrangement.n, 2):
         raise ValidationError("lattice does not cover every line pair exactly once")
-    multiple = [s for _, s in entries if len(s) >= 3]
+    multiple = sorted(((reps[k], frozenset(s)) for k, s in groups.items() if len(s) >= 3),
+                      key=lambda e: sorted(e[1]))
     table = ConfigTable(arrangement.name, arrangement.n,
-                        [(f"m{k}", s) for k, s in enumerate(multiple, start=1)])
-    return lattice, table
+                        [(f"m{k}", s) for k, (_, s) in enumerate(multiple, start=1)])
+    doubles = sum(len(s) == 2 for s in groups.values())
+    return tuple(p for p, _ in multiple), table, doubles
 
 
-def exact(lattice, table):
-    """Everything the lattice and table hold, with each coordinate as its
+def exact(points, table):
+    """Everything the points and table hold, with each coordinate as its
     stored integers and field, so equal values in other fields differ."""
-    points = [(type(p), p.field, repr(p), members,
-               tuple((c._p, c._q, c._den, c._d, c.field) for c in p.coords))
-              for p, members in lattice.points]
-    return points, (table.name, table.n, table.points)
+    return ([(type(p), p.field, repr(p),
+              tuple((c._p, c._q, c._den, c._d, c.field) for c in p.coords))
+             for p in points], (table.name, table.n, table.points))
 
 
 def assert_same_lattice(arrangement):
-    got, want = lattice_of(arrangement), reference_lattice_of(arrangement)
-    assert got == want
-    assert exact(*got) == exact(*want)
+    points, table = lattice_of(arrangement)
+    want_points, want_table, doubles = reference_lattice_of(arrangement)
+    assert (points, table) == (want_points, want_table)
+    assert exact(points, table) == exact(want_points, want_table)
+    assert table.double_count() == doubles
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
@@ -145,10 +147,10 @@ def lattice_work(arrangement, normalizations):
     """lattice_of builds each point from its key: it normalizes no
     coordinates and builds no normal form until one is read."""
     normalizations.clear()
-    lattice, _ = lattice_of(arrangement)
+    points, table = lattice_of(arrangement)
     assert normalizations == []
-    assert all(p._coords is None for p, _ in lattice.points)
-    return lattice
+    assert all(p._coords is None for p in points)
+    return table
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
@@ -161,5 +163,34 @@ def test_corpus_lattice_normalizes_at_most_once_per_point(name, realized,
 
 @pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
 def test_fermat_lattice_normalizes_at_most_once_per_point(m, normalizations):
-    lattice = lattice_work(fermat_arrangement(m), normalizations)
-    assert lattice.census() == {m + 2: 3, 3: m * m, 2: 3 * m}
+    table = lattice_work(fermat_arrangement(m), normalizations)
+    assert table.multiplicity_census() == {m + 2: 3, 3: m * m}
+    assert table.double_count() == 3 * m
+
+
+# -- the coverage check ---------------------------------------------------------
+
+@pytest.mark.parametrize("fault", ["split", "exchange"])
+def test_a_pair_at_a_wrong_key_is_refused(monkeypatch, fault):
+    # lines 1-3 meet at [0:0:1]; a faulty key moves the pair (2, 3) to a
+    # fresh point, and on "exchange" also moves the pair (4, 5) in: the
+    # pair count at [0:0:1] is right then, but line 4 is not on it
+    arrangement = Arrangement("triple", RATIONAL, [
+        ProjLine(t) for t in ((1, 0, 0), (0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 2, 3))])
+    points, table = lattice_of(arrangement)
+    assert [s for _, s in table.points] == [{1, 2, 3}] and table.double_count() == 7
+    k = [None] + [ln.key for ln in arrangement.lines]
+    original = geometry._point_key
+    fresh = (7, 0, 11, 0, 13, 0)
+    assert all(original(u, v, 0) != fresh for u, v in combinations(k[1:], 2))
+
+    def faulty(u, v, d):
+        if {u, v} == {k[2], k[3]}:
+            return fresh
+        if fault == "exchange" and {u, v} == {k[4], k[5]}:
+            return points[0].key
+        return original(u, v, d)
+
+    monkeypatch.setattr(geometry, "_point_key", faulty)
+    with pytest.raises(ValidationError, match="does not cover every line pair exactly once"):
+        lattice_of(arrangement)

@@ -68,6 +68,30 @@ def test_only_parse_error_escapes(parse, data):
         pass
 
 
+@pytest.mark.parametrize("parse, keyword", [
+    (parse_config_table, "arrangement"), (parse_config_table, "lines"),
+    (parse_arrangement, "arrangement"), (parse_arrangement, "field"),
+    (parse_plan, "plan"), (parse_plan, "lines")],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_a_repeated_header_is_refused(parse, keyword):
+    lines = SEEDS[parse][0].splitlines()
+    parse("\n".join(lines))
+    header = next(line for line in lines if line.split()[:1] == [keyword])
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines + [header]))
+    assert str(err.value) == f"line {len(lines) + 1}: repeated '{keyword}' header"
+
+
+def test_a_second_field_is_a_parse_error_not_a_field_mix():
+    # the second field used to be read: these two lines raised FieldMixError,
+    # and with a rational first line the file was read over Q(sqrt 2)
+    text = ("arrangement twice\nfield sqrt 5\nline 1 : 1 ; 0 ; {}\n"
+            "field sqrt 2\nline 2 : 0 ; 1 ; 1w\n")
+    for first in ("1w", "1"):
+        with pytest.raises(ParseError, match="^line 4: repeated 'field' header$"):
+            parse_arrangement(text.format(first))
+
+
 # Each example may spend the whole factoring budget (about 0.1-0.3 s on a
 # 640-digit radicand), so fewer examples than above.
 @settings(max_examples=40, deadline=1000)

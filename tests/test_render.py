@@ -104,7 +104,7 @@ def test_coordinates_beyond_float_range_raise_render_error():
 # coordinates as they are, a point's x/z and y/z.
 
 def reference_chart(arrangement):
-    lattice, _ = lattice_of(arrangement)
+    points, table = lattice_of(arrangement)
     forms = []
     for idx, line in enumerate(arrangement.lines, start=1):
         a, b, c = line.coords
@@ -112,7 +112,7 @@ def reference_chart(arrangement):
             raise RenderError(f"line {idx} coincides with the infinity line")
         forms.append((idx, (a, b, c)))
     markers = []
-    for point, incident in lattice.multiple_points():
+    for point, (_, incident) in zip(points, table.points):
         x, y, z = point.coords
         if not z.is_zero:
             markers.append(((x / z, y / z), len(incident)))
