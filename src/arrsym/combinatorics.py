@@ -156,12 +156,13 @@ def parse_cycles(text: str, n: int) -> Permutation:
 class ConfigTable:
     """Multiple points of an arrangement: (label, set of incident lines)."""
 
-    __slots__ = ("name", "n", "points", "_sets")
+    __slots__ = ("name", "n", "points", "_sets", "_through")
 
     def __init__(self, name: str, n: int, points) -> None:
         if not 1 <= n <= MAX_LINES:
             raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {n}")
-        pts, labels, seen_pairs = [], set(), {}
+        pts, labels = [], set()
+        through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
         for label, lines in points:
             lines = frozenset(int(v) for v in lines)
             if len(lines) < 3:
@@ -172,17 +173,22 @@ class ConfigTable:
             if label in labels:
                 raise ValidationError(f"duplicate point label {label}")
             labels.add(label)
-            for pair in combinations(sorted(lines), 2):
-                if pair in seen_pairs:
-                    raise ValidationError(
-                        f"lines {pair[0]},{pair[1]} lie on two points "
-                        f"({seen_pairs[pair]} and {label}): two lines meet once")
-                seen_pairs[pair] = label
+            met, k = [], len(pts)       # met: the earlier points on these lines, once per line
+            for v in lines:
+                met += (on_v := through[v - 1])
+                on_v.append(k)
+            if len(set(met)) < len(met):
+                # the first pair, as this point's lines sort, on an earlier point
+                (a, b, *_), p = min((sorted(pts[p][1] & lines), p)
+                                    for p, shared in Counter(met).items() if shared > 1)
+                raise ValidationError(f"lines {a},{b} lie on two points "
+                                      f"({pts[p][0]} and {label}): two lines meet once")
             pts.append((str(label), lines))
         object.__setattr__(self, "name", str(name))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "points", tuple(pts))
         object.__setattr__(self, "_sets", frozenset(s for _, s in pts))
+        object.__setattr__(self, "_through", through)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConfigTable is immutable")
@@ -318,10 +324,6 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     path keeps each node's colours and target cell, not its children."""
     n = table.n
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
-    through: list[list[int]] = [[] for _ in range(n)]
-    for p, (_, s) in enumerate(table.points):
-        for i in s:
-            through[i - 1].append(p)
 
     def refine(colours, expected=None):
         """The equitable refinement of ``colours`` (a line's colour counts the
@@ -335,7 +337,7 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
             lists = sorted(point_colours)
             ranks = [bisect_left(lists, pc) for pc in point_colours]
             sigs = [(c, tuple(sorted(map(ranks.__getitem__, points))))
-                    for c, points in zip(colours, through)]
+                    for c, points in zip(colours, table._through)]
             step = (lists, sorted(sigs))
             if expected is None:
                 start = {}

@@ -112,6 +112,8 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                     if ref not in defined_points:
                         raise ValidationError(f"line {step.index}: point "
                                               f"{_quoted(ref, str)} used before definition")
+            elif not any(step.cleared[:3]):
+                raise ValidationError(f"line {step.index}: all three entries are zero")
             defined_lines.add(step.index)
         elif isinstance(step, MeetPoint):
             point = _quoted(step.name, str)

@@ -12,9 +12,10 @@ complex conjugation and therefore a genuine homeomorphism of the plane.
 
 Both maps act on the lines' keys: a line matches when its image, made
 primitive, is the target's key.  ``extract_sigma`` looks the images up
-among the other arrangement's keys and runs no lattice
-check: both maps are collineations, so the relabelling keeps every
-concurrence and is a lattice isomorphism by construction.
+among the other arrangement's keys and runs no lattice check: both maps
+are collineations, so the relabelling keeps every concurrence and is a
+lattice isomorphism by construction.  The pipeline runs it once per map;
+an attempt is verified when its involution is that relabelling.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ class PipelineReport:
     involution_count: int
     constraint: ModuliConstraint | None = None
     attempts: tuple[Attempt, ...] = ()
-    witness: ReflectionWitness | None = None      # first verified attempt
 
     def to_dict(self) -> dict:
         data = {
@@ -185,23 +185,17 @@ def run_case(case_name: str, config: ConfigTable,
     # conjugation is complex conjugation only over imaginary fields
     if constraint.field.d is not None and constraint.field.d < 0:
         kinds.append(SWAP_CONJUGATE)
-    attempts: list[Attempt] = []
-    witness: ReflectionWitness | None = None
-    for sigma in invs:
-        grids = _grid_count(sigma)
-        if not grids:
-            continue
-        for kind in kinds:
-            result = verify_reflection(aplus, aminus, sigma, kind)
-            attempts.append(Attempt(sigma=sigma, map=kind, grids=grids,
-                                    verified=result.verified))
-            if result.verified and witness is None:
-                witness = result
-    status = "SUCCESS" if witness is not None else "FAILURE"
+    # A-'s keys are distinct (Arrangement refuses coinciding lines), so each
+    # image of a line of A+ is the key of at most one line of A-:
+    # verify_reflection(sigma, kind) holds exactly when sigma is the
+    # relabelling extract_sigma reads off, and for no sigma when that is None.
+    found = {kind: extract_sigma(aplus, aminus, kind) for kind in kinds}
+    attempts = [Attempt(sigma=sigma, map=kind, grids=grids, verified=sigma == found[kind])
+                for sigma in invs if (grids := _grid_count(sigma)) for kind in kinds]
+    status = "SUCCESS" if any(at.verified for at in attempts) else "FAILURE"
     return PipelineReport(case=case_name, status=status, aut_order=group.order,
                           group_label=label, involution_count=len(invs),
-                          constraint=constraint, attempts=tuple(attempts),
-                          witness=witness)
+                          constraint=constraint, attempts=tuple(attempts))
 
 
 def run_pipeline(case) -> PipelineReport:

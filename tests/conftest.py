@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from arrsym import corpus
@@ -193,7 +194,9 @@ def plans(draw):
     given = draw(st.integers(1, 4))
     text = list(GRID)
     for k in range(5, 5 + given):
-        text.append(f"line {k} : " + " ; ".join(draw(entries()) for _ in range(3)))
+        row = [draw(entries()) for _ in range(3)]
+        assume(not all(e.startswith("(0*t^2 + 0*t + 0)") for e in row))  # refused by parse_plan
+        text.append(f"line {k} : " + " ; ".join(row))
     lines = list(range(1, 5 + given))
     points = []
 

@@ -65,3 +65,7 @@ def test_unread_names_are_gone():
         "sigma", "map", "verified", "per_line"]
     assert list(inspect.signature(witness.verify_reflection).parameters) == [
         "aplus", "aminus", "sigma", "map_kind"]
+    # nothing read the report's stored witness; the verified attempts name sigma
+    assert [f.name for f in dataclasses.fields(witness.PipelineReport)] == [
+        "case", "status", "aut_order", "group_label", "involution_count",
+        "constraint", "attempts"]

@@ -114,6 +114,14 @@ def test_derive(capsys, data_dir):
     assert "t^2 + t - 1" in out and "root product: -1" in out
 
 
+def test_derive_refuses_a_line_of_three_zero_entries(capsys, data_dir, tmp_path):
+    plan = tmp_path / "zero.plan"
+    plan.write_text((data_dir / "case-1.plan").read_text().replace(
+        "line 1 : 0 ; 1 ; 1/t", "line 1 : 0 ; 0 ; t-t"))
+    code, out, err = run(capsys, "derive", str(plan), str(data_dir / "case-1.cfg"))
+    assert (code, out, err) == (2, "", "error: line 1: all three entries are zero\n")
+
+
 def test_verify_ok(capsys, arr_files):
     plus_path, minus_path = arr_files
     code, out, _ = run(capsys, "verify", str(plus_path), str(minus_path),
@@ -321,6 +329,23 @@ def test_a_lattice_of_1024_lines_fits_in_bounded_memory(tmp_path, command):
     assert (done.returncode, done.stderr) == (0, "")
     if command == "lattice":
         assert done.stdout.startswith("lattice of doubles: 523776 of multiplicity 2\n")
+
+
+@pytest.mark.parametrize("command, name, text, census", [
+    ("parse", "one.cfg", "arrangement one\nlines 1024\npoint p : "
+     + " ".join(map(str, range(1, 1025))) + "\n",
+     "arrangement one: 1024 lines, 1 point(s) of multiplicity 1024, 0 double(s)\n"),
+    ("lattice", "pencil.arr", "arrangement pencil\nfield rational\n"
+     + "".join(f"line {k} : 1 ; {k} ; 0\n" for k in range(1, 1025)),
+     "lattice of pencil: 1 of multiplicity 1024\n")])
+def test_one_point_on_1024_lines_fits_in_bounded_memory(tmp_path, command, name, text, census):
+    # the table's check that two lines meet once kept one entry per pair of
+    # a point, C(1024, 2) of them: MemoryError under this limit
+    path = tmp_path / name
+    path.write_text(text)
+    done = _child(command, str(path), timeout=60, memory=64 << 20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(census)
 
 
 @pytest.mark.parametrize("n", [10, 11, 200, 1024])

@@ -120,6 +120,37 @@ def test_line_count_cap_checked_first():
     assert ConfigTable("edge", MAX_LINES, []).n == MAX_LINES
 
 
+def pair_check_reference(points):
+    """The message of the replaced check, one dict entry per pair of lines,
+    or None if no pair of lines lies on two points."""
+    seen = {}
+    for label, lines in points:
+        for pair in combinations(sorted(lines), 2):
+            if pair in seen:
+                return (f"lines {pair[0]},{pair[1]} lie on two points "
+                        f"({seen[pair]} and {label}): two lines meet once")
+            seen[pair] = label
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.sets(st.integers(1, n), min_size=3, max_size=n), max_size=8))))
+def test_pair_check_matches_the_per_pair_reference(drawn):
+    # the first fault is the one the per-pair dict reported, several faults included
+    n, sets = drawn
+    points = [(f"p{k}", s) for k, s in enumerate(sets, 1)]
+    expected = pair_check_reference(points)
+    if expected is None:
+        table = ConfigTable("random", n, points)
+        assert [sorted(p for p, (_, s) in enumerate(table.points) if v in s)
+                for v in range(1, n + 1)] == table._through
+    else:
+        with pytest.raises(ValidationError) as caught:
+            ConfigTable("random", n, points)
+        assert str(caught.value) == expected
+
+
 def test_serialize_round_trip():
     t = table1()
     assert parse_config_table(t.serialize()).serialize() == t.serialize()

@@ -46,6 +46,17 @@ def test_parse_plan_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("index, entries", [(1, "0 ; 0 ; t-t"), (9, "0 ; 0 ; 0")])
+def test_a_given_line_of_three_zero_entries_is_refused(index, entries):
+    # it was accepted: as line 1 the plan failed on "lines 1,2 coincide
+    # identically", as line 9 every factor was discarded as degenerate
+    text = corpus._read_data("case-1.plan")
+    lines = [f"line {index} : {entries}" if line.startswith(f"line {index} :") else line
+             for line in text.splitlines()]
+    with pytest.raises(ParseError, match=f"^line {index}: all three entries are zero$"):
+        parse_plan("\n".join(lines))
+
+
 def test_oversized_plan_refused_before_any_work(monkeypatch):
     def untouched(*args):
         raise AssertionError("oversized input reached the work it asks for")

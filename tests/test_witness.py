@@ -313,7 +313,57 @@ def test_pipeline_case1_details():
     case = corpus.get_case("{1}")
     assert report.status == "SUCCESS"
     assert report.aut_order == 2
-    assert report.witness is not None and report.witness.sigma == case.sigma
+    assert [at.sigma for at in report.attempts if at.verified] == [case.sigma]
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_attempts_match_the_verify_reflection_oracle(name):
+    # the per-row verify_reflection loop that run_case replaced is the reference
+    report = run_pipeline(name)
+    plus, minus = report.constraint.realizations
+    assert report.attempts
+    for at in report.attempts:
+        assert at.verified == verify_reflection(plus, minus, at.sigma, at.map).verified
+    assert sum(at.verified for at in report.attempts) == (report.status == "SUCCESS")
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_fermat_involutions_verify_exactly_at_the_relabelling(m):
+    # A's keys are distinct, so a map verifies under at most one sigma:
+    # the one extract_sigma reads off
+    a = fermat_arrangement(m)
+    invs = involutions(automorphism_group(lattice_of(a)[1]))
+    verified = 0
+    for kind in KINDS:
+        found = extract_sigma(a, a, kind)
+        for sigma in invs:
+            result = verify_reflection(a, a, sigma, kind).verified
+            assert result == (sigma == found)
+            verified += result
+    assert verified
+
+
+def test_run_case_reads_one_relabelling_per_map(monkeypatch):
+    calls = []
+    original = witness.extract_sigma
+
+    def counting(a, b, kind):
+        calls.append(kind)
+        return original(a, b, kind)
+
+    def refused(*args):
+        raise AssertionError("run_case verified a row line by line")
+
+    monkeypatch.setattr(witness, "extract_sigma", counting)
+    monkeypatch.setattr(witness, "verify_reflection", refused)
+    total = 0
+    for name in ALL_CASES:
+        case = corpus.get_case(name)
+        report = run_case(case.name, case.config, case.plan)
+        assert calls == list(dict.fromkeys(at.map for at in report.attempts)), name
+        total += len(calls)
+        calls.clear()
+    assert total == 14
 
 
 @pytest.mark.parametrize("name", POSITIVE_CASES)
