@@ -14,7 +14,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, count, groupby
+from itertools import combinations, count
 from math import comb, lcm
 from operator import itemgetter
 
@@ -320,17 +320,29 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     are the products of one coset representative per level, read off the
     Schreier tree of its line under the generators found at or below it.
     Their number, the product of the trees' sizes, is checked against
-    _MAX_ELEMENT_ENTRIES after each level, before any is built.  The first
-    path keeps each node's colours and target cell, not its children."""
+    _MAX_ELEMENT_ENTRIES after each level, before any is built; before the
+    first path, so is the lower bound that the classes of interchangeable
+    lines give.  The first path keeps each node's colours and target cell,
+    not its children."""
     n = table.n
+    # (i j) is an automorphism exactly when lines i and j lie on the same
+    # points: a point S on i alone would go to S - {i} + {j}, which shares
+    # |S| - 1 >= 2 lines with S.  A class of k such lines gives S_k inside
+    # the group, so the product of the classes' k! is a lower bound.
+    bound = 1
+    for k in Counter(map(tuple, table._through)).values():
+        for f in range(2, k + 1):
+            bound *= f
+            _refuse_above(bound, n, exact=f == n)
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
 
     def refine(colours, expected=None):
         """The equitable refinement of ``colours`` (a line's colour counts the
         lines in lower cells) and its trace; (None, None) once the trace
         departs from ``expected``.  A line's signature is its colour and the
-        sorted ranks of its points' colour lists; the trace keeps each round's
-        sorted lists and signatures, and the colours these fix."""
+        sorted ranks of its points' colour lists, and its new colour counts
+        the lines of smaller signature; the trace keeps each round's sorted
+        lists and signatures."""
         trace = []
         while True:
             point_colours = [sorted(get(colours)) for get in point_lines]
@@ -339,19 +351,10 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
             sigs = [(c, tuple(sorted(map(ranks.__getitem__, points))))
                     for c, points in zip(colours, table._through)]
             step = (lists, sorted(sigs))
-            if expected is None:
-                start = {}
-                for colour, cell in groupby(step[1], itemgetter(0)):
-                    parts = Counter(cell)
-                    for sig in (sorted(parts, key=lambda sig: _pair_order(sig, lists))
-                                if len(parts) > 1 else parts):
-                        start[sig], colour = colour, colour + parts[sig]
-            elif expected[len(trace)][0] == step:
-                start = expected[len(trace)][1]
-            else:
+            if expected is not None and expected[len(trace)] != step:
                 return None, None
-            trace.append((step, start))
-            refined = list(map(start.__getitem__, sigs))
+            trace.append(step)
+            refined = [bisect_left(step[1], sig) for sig in sigs]
             if refined == colours:
                 return colours, trace
             colours = refined
@@ -414,10 +417,7 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                 seen = set(tree).union(*map(orbit, tried[1:]))
         trees.append(tree)
         order *= len(tree)          # one element per choice of representatives
-        if order * n > _MAX_ELEMENT_ENTRIES:
-            bound = "at least " if depth else ""
-            raise ValidationError(f"automorphism group of order {bound}{order} on {n} lines "
-                                  f"is too large to list (over {_MAX_ELEMENT_ENTRIES} entries)")
+        _refuse_above(order, n, exact=not depth)
     # top level first: p * u for each coset representative u; (p * u)(i) = p(u(i))
     elements = [tuple(range(1, n + 1))]
     for tree in reversed(trees):
@@ -427,15 +427,13 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
                     generators=tuple(gens))
 
 
-def _pair_order(sig, lists) -> tuple:
-    """Sort key, within their cell, of the lines of signature ``sig``: their
-    sorted (pair weight, other line's colour) lists over all lines, read off
-    the neighbours alone (README, "Automorphisms"), then their ranks."""
-    colour, points = sig[0], [lists[r] for r in sig[1]]
-    near = sorted(chain.from_iterable(points))
-    at = bisect_left(near, colour)
-    del near[at:at + len(points)]
-    return [-x for x in near], sorted([(len(pc), x) for pc in points for x in pc]), sig[1]
+def _refuse_above(order: int, n: int, exact: bool) -> None:
+    """Refuse a group on n lines of ``order``, or of at least ``order``
+    unless ``exact``, whose listing would exceed _MAX_ELEMENT_ENTRIES."""
+    if order * n > _MAX_ELEMENT_ENTRIES:
+        bound = "" if exact else "at least "
+        raise ValidationError(f"automorphism group of order {bound}{order} on {n} lines "
+                              f"is too large to list (over {_MAX_ELEMENT_ENTRIES} entries)")
 
 
 def involutions(group: AutGroup) -> list[Permutation]:

@@ -169,31 +169,27 @@ def square_free_part(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Ground field: the rationals, or Q(sqrt d) for a square-free d."""
+    """Ground field: the rationals (d is None), or Q(sqrt d) for a square-free d."""
 
-    kind: str
     d: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "rational":
-            if self.d is not None:
-                raise ValidationError("rational field carries no d")
-        elif self.kind == "quadratic":
-            if self.d is None or self.d in (0, 1):
+        if self.d is not None:
+            if self.d in (0, 1):
                 raise ValidationError(f"invalid quadratic field d={self.d}")
             _, sf = square_free_part(self.d)
             if sf != self.d:
                 raise ValidationError(f"d={self.d} is not square-free")
-        else:
-            raise ValidationError(f"unknown field kind {self.kind!r}")
 
     @staticmethod
     def quadratic(d: int) -> "FieldSpec":
-        return FieldSpec("quadratic", d)
+        if d is None:
+            raise ValidationError("invalid quadratic field d=None")
+        return FieldSpec(d)
 
     @property
     def is_rational(self) -> bool:
-        return self.kind == "rational"
+        return self.d is None
 
     def header(self) -> str:
         """Field clause used by the .arr format."""
@@ -203,7 +199,7 @@ class FieldSpec:
         return "Q" if self.is_rational else f"Q(sqrt {self.d})"
 
 
-RATIONAL = FieldSpec("rational")
+RATIONAL = FieldSpec()
 
 # CPython's hash of a rational p/den (den > 0, any common factor): the
 # numeric-hash rule that hash(Fraction) follows, computed on the integers.

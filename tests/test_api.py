@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import arrsym
-from arrsym import fields, geometry, polys, witness
+from arrsym import combinatorics, fields, geometry, polys, witness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,11 +31,13 @@ def test_public_names_are_pinned():
 
 
 def test_removed_helpers_are_gone():
-    # each duplicated another name or was called only by the tests
+    # each duplicated another name, was called only by the tests, or kept
+    # the order of a replaced search
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
-                         (geometry, "IntersectionLattice"), (geometry, "_pair_groups")):
+                         (geometry, "IntersectionLattice"), (geometry, "_pair_groups"),
+                         (combinatorics, "_pair_order")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

@@ -1,9 +1,12 @@
 """automorphism_group refines on the points' colour lists and reads its
 elements off the stabilizer chain; the reference below is the search it
 replaced, which refined with an n x n table of pair weights and closed the
-generators under composition.  Both must give the same elements, the same
-generators in the same order, the same involutions and the same number of
-leaf checks, and the search validates no permutation but its leaves."""
+generators under composition.  Its signatures put a line's point lists
+before its pair weights, which these and the colours determine, so its
+cells split alike and their parts are numbered in the same order.  Both
+must give the same elements, the same generators in the same order, the
+same involutions and the same number of leaf checks, and the search
+validates no permutation but its leaves."""
 
 from bisect import bisect_left
 from collections import Counter
@@ -48,8 +51,8 @@ def reference_search(table):
         trace = []
         while True:
             point_colours = [sorted(get(colours)) for get in point_lines]
-            sigs = [(colours[i], sorted(map(add, pair_keys[i], colours)),
-                     sorted(point_colours[p] for p in through[i])) for i in range(n)]
+            sigs = [(colours[i], sorted(point_colours[p] for p in through[i]),
+                     sorted(map(add, pair_keys[i], colours))) for i in range(n)]
             step = sorted(sigs)
             if expected is not None and expected[len(trace)] != step:
                 return None, None
@@ -197,8 +200,9 @@ def table(n, *points):
     return ConfigTable("example", n, [(f"p{k}", s) for k, s in enumerate(points, 1)])
 
 
-# Tables on which numbering the parts of a cell by their ranks alone, not by
-# their pair-weight lists, changes the generators found or their order.
+# Tables on which numbering the parts of a cell by their pair-weight lists,
+# before the signatures put the point lists first, found other generators or
+# the same in another order: the two numberings still differ here.
 @settings(max_examples=150, deadline=None)
 @given(tables())
 @example(table(6, {1, 2, 6}, {3, 4, 5}))

@@ -348,17 +348,22 @@ def test_one_point_on_1024_lines_fits_in_bounded_memory(tmp_path, command, name,
     assert done.stdout.startswith(census)
 
 
-@pytest.mark.parametrize("n", [10, 11, 200, 1024])
-def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n):
-    # with no multiple point every permutation is an automorphism: listing
-    # S_11 raised MemoryError, and the first path's child colourings of 1,024
-    # lines filled 4.6 GiB, so run in a child process under a memory limit
+@pytest.mark.parametrize("n, points, order", [
+    (10, "", "3628800"), (11, "", "at least 3628800"), (200, "", "at least 40320"),
+    (1024, "", "at least 5040"),
+    pytest.param(1024, "point p : " + " ".join(map(str, range(1, 1025))) + "\n",
+                 "at least 5040", id="1024-pencil")])
+def test_aut_of_a_huge_group_is_refused_in_bounded_memory(tmp_path, n, points, order):
+    # with no multiple point, or one on every line, every permutation is an
+    # automorphism: listing S_11 raised MemoryError, and the first path of
+    # 1,024 lines filled 4.6 GiB, then 196 MiB, so run in a child process
+    # under a memory limit
     cfg = tmp_path / "free.cfg"
-    cfg.write_text(f"arrangement free\nlines {n}\n")
-    done = _child("aut", str(cfg), timeout=10)
+    cfg.write_text(f"arrangement free\nlines {n}\n{points}")
+    done = _child("aut", str(cfg), timeout=10, memory=(64 if n == 1024 else 1024) << 20)
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr.startswith("error: automorphism group of order ")
-    assert done.stderr.count("\n") == 1
+    assert done.stderr == (f"error: automorphism group of order {order} on {n} lines is "
+                           "too large to list (over 4194304 entries)\n")
 
 
 def test_render_coordinates_beyond_float_range(capsys, arr_files, tmp_path):

@@ -264,12 +264,27 @@ def test_search_matches_brute_force_on_random_tables(table):
     assert generated(group) == set(group.elements)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_tables())
+def test_interchangeable_lines_are_the_lines_on_the_same_points(table):
+    # the group bound checked before the search multiplies the sizes of the
+    # classes of lines with equal point lists
+    pairs = list(combinations(range(1, table.n + 1), 2))
+    same = {(i, j) for i, j in pairs if table._through[i - 1] == table._through[j - 1]}
+    listed = {g.cycles()[0] for g in automorphism_group(table).elements
+              if [len(c) for c in g.cycles()] == [2]}
+    passing = {(i, j) for i, j in pairs
+               if is_lattice_isomorphism(table, table, parse_cycles(f"({i} {j})", table.n))}
+    assert listed == same == passing
+
+
 def test_the_listed_group_is_bounded():
-    # the combinatorial Fermat tables up to m = 16 and S_8 are listed; S_10
-    # (10 lines, no multiple point) is refused before its elements are built
+    # the combinatorial Fermat tables up to m = 16, S_8 and S_9 are listed;
+    # S_10 (10 lines, no multiple point) is refused before its elements are built
     for m, order in ((8, 1536), (12, 3456), (16, 12288)):
         assert automorphism_group(fermat_table(m)).order == order
     assert automorphism_group(ConfigTable("free", 8, [])).order == 40320
+    assert automorphism_group(ConfigTable("free", 9, [])).order == 362880
     with pytest.raises(ValidationError, match="order 3628800 on 10 lines is too large"):
         automorphism_group(ConfigTable("free", 10, []))
 

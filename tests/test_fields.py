@@ -85,7 +85,10 @@ def test_field_spec_validation():
         FieldSpec.quadratic(0)
     with pytest.raises(ValidationError):
         FieldSpec.quadratic(1)
+    with pytest.raises(ValidationError, match="invalid quadratic field d=None"):
+        FieldSpec.quadratic(None)
     assert FieldSpec.quadratic(-3).d == -3
+    assert RATIONAL == FieldSpec() and RATIONAL.is_rational
 
 
 def test_quad_roots_golden_ratio():
