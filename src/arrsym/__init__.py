@@ -14,7 +14,6 @@ from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      evaluate_plan, parse_plan, realize_components,
                      root_product)
 from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce
-from .render import RenderOptions, render_svg
 from .witness import (SWAP, SWAP_CONJUGATE, MapKind, PipelineReport,
                       ReflectionWitness, extract_sigma, run_pipeline,
                       verify_reflection)
@@ -33,3 +32,11 @@ __all__ = [
     "parse_scalar", "poly_reduce", "quad_roots", "realize_components",
     "render_svg", "root_product", "run_pipeline", "verify_reflection",
 ]
+
+
+def __getattr__(name: str):
+    """Load ``render`` on first use of its names (PEP 562): no pipeline step draws."""
+    if name not in ("RenderOptions", "render_svg"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import render
+    return getattr(render, name)

@@ -20,7 +20,6 @@ from .combinatorics import (automorphism_group, involutions, parse_config_table,
 from .errors import QUOTE_CHARS, ArrsymError, _quoted
 from .geometry import lattice_of, parse_arrangement
 from .moduli import derive_constraint, parse_plan
-from .render import RenderOptions, render_svg
 from .witness import (MapKind, extract_sigma, run_pipeline, verify_reflection)
 
 
@@ -171,6 +170,8 @@ def _parse_viewport(text: str):
 
 
 def _cmd_render(args) -> int:
+    from .render import RenderOptions, render_svg
+
     arrangement = parse_arrangement(_read(args.arr))
     viewport = _parse_viewport(args.viewport) if args.viewport else None
     options = RenderOptions(infinity=args.infinity, viewport=viewport,

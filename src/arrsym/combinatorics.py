@@ -13,13 +13,13 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, count
 from math import comb, lcm
 from operator import itemgetter
 
 from .errors import ParseError, ValidationError, _quoted
 from .fields import _directives, parse_digits
+from .record import Record
 
 # Largest accepted line count, a bound on hostile input (the search keeps no n x n table).
 MAX_LINES = 1024
@@ -27,7 +27,7 @@ MAX_LINES = 1024
 _MAX_ELEMENT_ENTRIES = 1 << 22
 
 
-class Permutation:
+class Permutation(Record):
     """Bijection of {1..n}; images[i-1] = image of i."""
 
     __slots__ = ("images",)
@@ -45,9 +45,6 @@ class Permutation:
         p = object.__new__(Permutation)
         object.__setattr__(p, "images", images)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -110,12 +107,6 @@ class Permutation:
             return "id"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
@@ -153,7 +144,7 @@ def parse_cycles(text: str, n: int) -> Permutation:
     return Permutation(images)
 
 
-class ConfigTable:
+class ConfigTable(Record):
     """Multiple points of an arrangement: (label, set of incident lines)."""
 
     __slots__ = ("name", "n", "points", "_sets", "_through")
@@ -184,14 +175,7 @@ class ConfigTable:
                 raise ValidationError(f"lines {a},{b} lie on two points "
                                       f"({pts[p][0]} and {label}): two lines meet once")
             pts.append((str(label), lines))
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "_sets", frozenset(s for _, s in pts))
-        object.__setattr__(self, "_through", through)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConfigTable is immutable")
+        self._fill(str(name), int(n), tuple(pts), frozenset(s for _, s in pts), through)
 
     @property
     def point_sets(self) -> frozenset:
@@ -265,13 +249,14 @@ def is_lattice_isomorphism(a: ConfigTable, b: ConfigTable, tau: Permutation) -> 
     return frozenset(tau.apply_set(s) for s in a.point_sets) == b.point_sets
 
 
-@dataclass(frozen=True)
-class AutGroup:
+class AutGroup(Record):
     """Full automorphism group of a configuration table."""
 
-    n: int
-    elements: tuple[Permutation, ...]
-    generators: tuple[Permutation, ...]
+    __slots__ = ("n", "elements", "generators")
+
+    def __init__(self, n: int, elements: tuple[Permutation, ...],
+                 generators: tuple[Permutation, ...]) -> None:
+        self._fill(n, elements, generators)
 
     @property
     def order(self) -> int:

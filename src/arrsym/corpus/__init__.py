@@ -11,45 +11,32 @@ marked "derived" and is validated purely through the lattice oracle.
 
 from __future__ import annotations
 
-import shutil
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from importlib import resources
-from pathlib import Path
 
-from ..combinatorics import ConfigTable, Permutation, parse_config_table, parse_cycles
+from ..combinatorics import parse_config_table, parse_cycles
 from ..errors import ValidationError
-from ..moduli import ConstructionPlan, parse_plan
+from ..moduli import parse_plan
 from ..polys import Poly
-from ..witness import SWAP, SWAP_CONJUGATE, MapKind
+from ..record import Record
+from ..witness import SWAP, SWAP_CONJUGATE
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class CaseData:
-    name: str
-    config: ConfigTable
-    plan: ConstructionPlan
-    sigma: Permutation
-    grid: tuple[int, int, int, int]          # (i, j, sigma(i), sigma(j))
-    map: MapKind
-    expected_aut_order: int
-    expected_constraint: Poly
-    expected_root_product: Fraction
-    expected_status: str                     # SUCCESS | FAILURE
-    constraint_provenance: str               # "published" | "derived"
+class CaseData(Record):
+    # grid: (i, j, sigma(i), sigma(j)); expected_status: SUCCESS | FAILURE;
+    # constraint_provenance: "published" | "derived"
+    __slots__ = ("name", "config", "plan", "sigma", "grid", "map", "expected_aut_order",
+                 "expected_constraint", "expected_root_product", "expected_status",
+                 "constraint_provenance")
 
 
-@dataclass(frozen=True)
-class _CaseSpec:
-    stem: str
-    sigma: str
-    grid: tuple[int, int]
-    map: MapKind
-    aut_order: int
-    constraint: tuple[int, ...]              # ascending coefficients
-    root_product: Fraction
-    status: str
-    provenance: str = "published"
+class _CaseSpec(Record):
+    # constraint: ascending coefficients
+    __slots__ = ("stem", "sigma", "grid", "map", "aut_order", "constraint",
+                 "root_product", "status", "provenance")
+    _defaults = ("published",)
 
 
 _SPECS: dict[str, _CaseSpec] = {
@@ -83,7 +70,8 @@ def list_cases() -> list[str]:
 
 
 def _read_data(filename: str) -> str:
-    return resources.files(__package__).joinpath("data", filename).read_text()
+    with open(os.path.join(_DATA, filename), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def get_case(name: str) -> CaseData:
@@ -120,15 +108,16 @@ def data_files() -> list[str]:
     return out
 
 
-def export_data(destination) -> list[Path]:
-    """Copy the embedded data files into a directory for user editing."""
+def export_data(destination) -> list:
+    """Copy the embedded data files into a directory for user editing; return their paths."""
+    import shutil
+    from pathlib import Path
+
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     written = []
     for filename in data_files():
         target = dest / filename
-        with resources.as_file(
-                resources.files(__package__).joinpath("data", filename)) as src:
-            shutil.copy(src, target)
+        shutil.copy(os.path.join(_DATA, filename), target)
         written.append(target)
     return written

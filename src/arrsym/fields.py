@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd, sqrt
 
 from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
                      _quoted)
+from .record import Record
 
 
 # -- integer factorization ----------------------------------------------------
@@ -167,19 +167,19 @@ def square_free_part(n: int) -> tuple[int, int]:
     return s, (d if n > 0 else -d)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Ground field: the rationals (d is None), or Q(sqrt d) for a square-free d."""
 
-    d: int | None = None
+    __slots__ = ("d",)
 
-    def __post_init__(self) -> None:
-        if self.d is not None:
-            if self.d in (0, 1):
-                raise ValidationError(f"invalid quadratic field d={self.d}")
-            _, sf = square_free_part(self.d)
-            if sf != self.d:
-                raise ValidationError(f"d={self.d} is not square-free")
+    def __init__(self, d: int | None = None) -> None:
+        if d is not None:
+            if d in (0, 1):
+                raise ValidationError(f"invalid quadratic field d={d}")
+            _, sf = square_free_part(d)
+            if sf != d:
+                raise ValidationError(f"d={d} is not square-free")
+        self._fill(d)
 
     @staticmethod
     def quadratic(d: int) -> "FieldSpec":

@@ -11,13 +11,13 @@ nonzero entry as QuadExt scalars, is built from the key for output only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad,
                      format_scalar, parse_digits, parse_scalar)
+from .record import Record
 
 
 def _primitive(w, d: int) -> tuple[int, int, int, int, int, int]:
@@ -44,12 +44,13 @@ def _primitive(w, d: int) -> tuple[int, int, int, int, int, int]:
     return tuple(w) if g == 1 else tuple([x // g for x in w])
 
 
-class _Triple:
+class _Triple(Record):
     """A projective line or point, identified by its key (``_primitive``)
     over the field's sqrt(d); ``coords`` is its normal form, the key over
     its pivot, built on first use."""
 
     __slots__ = ("key", "field", "_coords")
+    __init__ = object.__init__              # __new__ builds the instance
 
     def __new__(cls, coords, field: FieldSpec | None = None):
         if field is None:
@@ -67,9 +68,10 @@ class _Triple:
     @classmethod
     def _keyed(cls, key: tuple, field: FieldSpec):
         """An instance from a key of ``field`` that is already primitive."""
-        x = object.__new__(cls)
-        for name, value in (("key", key), ("field", field), ("_coords", None)):
-            object.__setattr__(x, name, value)
+        x = object.__new__(cls)         # slot by slot: faster than _fill, and built often
+        object.__setattr__(x, "key", key)
+        object.__setattr__(x, "field", field)
+        object.__setattr__(x, "_coords", None)
         return x
 
     @property
@@ -80,9 +82,6 @@ class _Triple:
             object.__setattr__(self, "_coords", tuple(
                 _quad(w[k], w[k + 1], s, field.d or 0, field) for k in (0, 2, 4)))
         return self._coords
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
         # a key with no sqrt(d) part is one rational line in every field
@@ -124,7 +123,7 @@ def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
     return ProjPoint._keyed(_point_key(l1.key, l2.key, field.d or 0), field)
 
 
-class Arrangement:
+class Arrangement(Record):
     """Ordered projective lines, labeled 1..n by position."""
 
     __slots__ = ("name", "field", "lines")
@@ -141,19 +140,12 @@ class Arrangement:
                 raise DegenerateError(
                     f"lines {seen[ln.key]} and {idx} coincide after normalization")
             seen[ln.key] = idx
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "lines", lns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Arrangement is immutable")
+        self._fill(str(name), field, lns)
 
     def _renamed(self, name: str) -> "Arrangement":
         """The same lines under another name, not checked again."""
         out = object.__new__(Arrangement)
-        object.__setattr__(out, "name", name)
-        object.__setattr__(out, "field", self.field)
-        object.__setattr__(out, "lines", self.lines)
+        out._fill(name, self.field, self.lines)
         return out
 
     @property
@@ -246,14 +238,12 @@ def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigT
     return tuple(points), table
 
 
-@dataclass(frozen=True)
-class MapKind:
+class MapKind(Record):
     """Coordinate map: swap sends (A,B,C) to (B,A,C), the reflection
     exchanging x and y; conjugate then applies the Galois conjugation to
     every coefficient."""
 
-    swap: bool
-    conjugate: bool
+    __slots__ = ("swap", "conjugate")
 
     @property
     def label(self) -> str:
@@ -278,6 +268,7 @@ class MapKind:
 
 SWAP = MapKind(swap=True, conjugate=False)
 SWAP_CONJUGATE = MapKind(swap=True, conjugate=True)
+_CONJUGATE = MapKind(swap=False, conjugate=True)
 
 
 def parse_arrangement(text: str) -> Arrangement:

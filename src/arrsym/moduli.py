@@ -16,7 +16,6 @@ Z[sqrt d], whose lattice is compared on integer keys with no QuadExt arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -27,40 +26,30 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
-from .geometry import (Arrangement, MapKind, ProjLine, _multiple_points, _point_key,
+from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
                     poly_reduce)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GivenLine:
-    index: int
-    entries: tuple[RatFunc, RatFunc, RatFunc]
-    cleared: tuple = dataclass_field(init=False, repr=False, compare=False)  # see _cleared
+class GivenLine(Record, compared=2):
+    __slots__ = ("index", "entries", "cleared")          # cleared: see _cleared
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cleared", _cleared(self.entries))
+    def __init__(self, index: int, entries: tuple[RatFunc, RatFunc, RatFunc]) -> None:
+        self._fill(index, entries, _cleared(entries))
 
 
-@dataclass(frozen=True)
-class MeetPoint:
-    name: str
-    i: int
-    j: int
+class MeetPoint(Record):
+    __slots__ = ("name", "i", "j")                   # point name, line labels i, j
 
 
-@dataclass(frozen=True)
-class JoinLine:
-    index: int
-    p: str
-    q: str
+class JoinLine(Record):
+    __slots__ = ("index", "p", "q")                  # line label, point names p, q
 
 
-@dataclass(frozen=True)
-class Require:
-    point: str
-    line: int
+class Require(Record):
+    __slots__ = ("point", "line")                    # point name, line label
 
 
 _GRID = ((1, 0, 0, 0, 0, 0),          # x = 0, as a key of geometry._primitive
@@ -69,12 +58,8 @@ _GRID = ((1, 0, 0, 0, 0, 0),          # x = 0, as a key of geometry._primitive
          (0, 0, 1, 0, -1, 0))         # y = z
 
 
-@dataclass(frozen=True)
-class ConstructionPlan:
-    name: str
-    var: str
-    n: int
-    steps: tuple
+class ConstructionPlan(Record):
+    __slots__ = ("name", "var", "n", "steps")
 
     def requires(self) -> list[Require]:
         return [s for s in self.steps if isinstance(s, Require)]
@@ -324,21 +309,19 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
     return out
 
 
-@dataclass(frozen=True)
-class ModuliConstraint:
+class ModuliConstraint(Record, compared=5):
     """The admissible factor: a quadratic (or degenerately linear) polynomial
     whose roots index the moduli components.  ``realizations`` are the plan
     at the two roots: over a quadratic field the plan is evaluated and
     checked against the target lattice at the "+" root, and the "-"
     realization is its Galois conjugate, coefficient by coefficient."""
 
-    poly: Poly
-    var: str
-    field: FieldSpec
-    roots: tuple[QuadExt, QuadExt]
-    discarded: tuple[tuple[Poly, str], ...]
-    realizations: tuple[Arrangement, Arrangement] = dataclass_field(
-        compare=False, repr=False)
+    __slots__ = ("poly", "var", "field", "roots", "discarded", "realizations")
+
+    def __init__(self, poly: Poly, var: str, field: FieldSpec, roots: tuple[QuadExt, QuadExt],
+                 discarded: tuple[tuple[Poly, str], ...],
+                 realizations: tuple[Arrangement, Arrangement]) -> None:
+        self._fill(poly, var, field, roots, discarded, realizations)
 
     def format(self) -> str:
         return self.poly.format(self.var)
@@ -428,9 +411,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         minus = plus
         if not field.is_rational:
             # conjugation keeps a key primitive: its pivot is rational
-            conjugate = MapKind(swap=False, conjugate=True)
             minus = Arrangement(plus.name, plus.field, [
-                ProjLine._keyed(conjugate._image(ln.key), ln.field) for ln in plus.lines])
+                ProjLine._keyed(_CONJUGATE._image(ln.key), ln.field) for ln in plus.lines])
         admissible.append((factor, field, roots, (plus, minus)))
 
     if not admissible:

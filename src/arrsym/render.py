@@ -7,23 +7,19 @@ marker.  This is the only place in the package where floats appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import inf
 
 from .errors import RenderError
 from .fields import QuadExt
 from .geometry import Arrangement, ProjLine, lattice_of
+from .record import Record
 
 _CANVAS = 640.0
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    infinity: int | None = None
-    viewport: tuple[Fraction, Fraction, Fraction, Fraction] | None = None
-    stroke_width: float = 1.5
-    marker_radius: float = 4.0
+class RenderOptions(Record):
+    __slots__ = ("infinity", "viewport", "stroke_width", "marker_radius")
+    _defaults = (None, None, 1.5, 4.0)          # viewport: (xmin, ymin, xmax, ymax)
 
 
 def _chart_transform(arrangement: Arrangement, infinity: int | None):

@@ -20,9 +20,6 @@ an attempt is verified when its involution is that relabelling.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 from .combinatorics import ConfigTable, Permutation, automorphism_group, involutions
 from .errors import ValidationError
 from .fields import QuadExt, _quad
@@ -30,6 +27,7 @@ from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, _primitive
 from .geometry import lattice_of  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      realize_components, root_product)
+from .record import Record
 
 
 def _grid_count(sigma: Permutation) -> int:
@@ -38,18 +36,18 @@ def _grid_count(sigma: Permutation) -> int:
     return (k := sum(i != j for i, j in enumerate(sigma.images, 1))) * (k - 2)
 
 
-@dataclass(frozen=True)
-class ReflectionWitness:
+class ReflectionWitness(Record):
     """Per-line certificates that map(L+_i) equals L-_{sigma(i)} projectively.
 
     Each certificate is the scalar relating the mapped (pre-normalization)
     triple to the stored normal form of the target line; None marks a line
     pair that is not projectively equal."""
 
-    sigma: Permutation
-    map: MapKind
-    verified: bool
-    per_line: tuple[tuple[int, QuadExt | None], ...]
+    __slots__ = ("sigma", "map", "verified", "per_line")
+
+    def __init__(self, sigma: Permutation, map: MapKind, verified: bool,
+                 per_line: tuple[tuple[int, QuadExt | None], ...]) -> None:
+        self._fill(sigma, map, verified, per_line)
 
     def failures(self) -> list[int]:
         return [i for i, cert in self.per_line if cert is None]
@@ -102,25 +100,24 @@ def extract_sigma(a: Arrangement, b: Arrangement,
     return Permutation(images)
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(Record):
     """One verdict for (sigma, map); grids counts sigma's grid candidates."""
 
-    sigma: Permutation
-    map: MapKind
-    grids: int
-    verified: bool
+    __slots__ = ("sigma", "map", "grids", "verified")
+
+    def __init__(self, sigma: Permutation, map: MapKind, grids: int, verified: bool) -> None:
+        self._fill(sigma, map, grids, verified)
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    case: str
-    status: str                                   # SUCCESS | FAILURE | INAPPLICABLE
-    aut_order: int
-    group_label: str
-    involution_count: int
-    constraint: ModuliConstraint | None = None
-    attempts: tuple[Attempt, ...] = ()
+class PipelineReport(Record):
+    __slots__ = ("case", "status", "aut_order", "group_label", "involution_count",
+                 "constraint", "attempts")
+
+    def __init__(self, case: str, status: str, aut_order: int, group_label: str,
+                 involution_count: int, constraint: ModuliConstraint | None = None,
+                 attempts: tuple[Attempt, ...] = ()) -> None:
+        # status: SUCCESS | FAILURE | INAPPLICABLE
+        self._fill(case, status, aut_order, group_label, involution_count, constraint, attempts)
 
     def to_dict(self) -> dict:
         data = {
@@ -141,6 +138,8 @@ class PipelineReport:
         return data
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:

@@ -1,14 +1,17 @@
 """The public API: the names in ``arrsym.__all__``, and no more."""
 
-import dataclasses
+import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import arrsym
 from arrsym import combinatorics, fields, geometry, polys, witness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 PUBLIC = [
     "Arrangement", "AutGroup", "ConfigTable", "ConstructionPlan", "FieldSpec",
@@ -63,11 +66,34 @@ def test_unread_names_are_gone():
                         (geometry.ProjLine, "contains"), (fields.QuadExt, "to_complex"),
                         (fields.QuadExt, "is_rational_value")):
         assert not hasattr(owner, name)
-    assert [f.name for f in dataclasses.fields(witness.ReflectionWitness)] == [
-        "sigma", "map", "verified", "per_line"]
+    assert witness.ReflectionWitness.__slots__ == ("sigma", "map", "verified", "per_line")
     assert list(inspect.signature(witness.verify_reflection).parameters) == [
         "aplus", "aminus", "sigma", "map_kind"]
     # nothing read the report's stored witness; the verified attempts name sigma
-    assert [f.name for f in dataclasses.fields(witness.PipelineReport)] == [
+    assert witness.PipelineReport.__slots__ == (
         "case", "status", "aut_order", "group_label", "involution_count",
-        "constraint", "attempts"]
+        "constraint", "attempts")
+
+
+# A fresh interpreter without site (whose .pth files can load modules first)
+# reports what importing the package and the corpus loads.
+COLD_IMPORT = """
+import sys
+sys.path.insert(0, {src!r})
+import arrsym
+package = [m for m in ("dataclasses", "inspect", "json", "arrsym.render") if m in sys.modules]
+import arrsym.corpus
+corpus = [m for m in ("shutil", "pathlib", "importlib.resources") if m in sys.modules]
+names = {{}}
+exec("from arrsym import *", names)
+print([package, corpus, arrsym.render_svg.__module__, arrsym.RenderOptions.__module__,
+       sorted(set(arrsym.__all__) - set(names))])
+"""
+
+
+def test_import_loads_no_unused_module():
+    out = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT.format(src=str(SRC))],
+                         capture_output=True, text=True, timeout=60, check=True)
+    package, corpus, *render, missing = ast.literal_eval(out.stdout.strip())
+    assert package == [] and corpus == []
+    assert render == ["arrsym.render", "arrsym.render"] and missing == []
