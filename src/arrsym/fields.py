@@ -269,6 +269,9 @@ class QuadExt:
         den = ad * bd // gcd(ad, bd)
         return _quad(an * (den // ad), bn * (den // bd), den, field.d or 0, field)
 
+    def __reduce__(self):                   # for copy and pickle
+        return _quad, (self._p, self._q, self._den, self._d, self._field)
+
     @property
     def a(self) -> Fraction:
         """The rational part."""

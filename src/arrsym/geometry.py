@@ -30,18 +30,26 @@ def _primitive(w, d: int) -> tuple[int, int, int, int, int, int]:
     gcd of its six integers, with the pivot made positive.  Two multiples
     with a rational pivot differ by a rational scalar, so this primitive
     integer vector is unique, and its pivot is rational and positive."""
-    k = 0 if w[0] or w[1] else 2 if w[2] or w[3] else 4 if w[4] or w[5] else -1
-    if k < 0:
+    a0, b0, a1, b1, a2, b2 = w
+    if a0 or b0:
+        s, t = a0, b0
+    elif a1 or b1:
+        s, t = a1, b1
+    elif a2 or b2:
+        s, t = a2, b2
+    else:
         raise ValidationError("all three coefficients are zero")
-    s, t = w[k], w[k + 1]
-    if t:
-        # (p + q*sqrt d)(s - t*sqrt d) = (ps - d*qt) + (qs - pt)*sqrt d
-        w = [x for p, q in zip(w[::2], w[1::2])
-             for x in (p * s - d * q * t, q * s - p * t)]
-    g = gcd(*w)
-    if w[k] < 0:
+    if t:               # (p + q*sqrt d)(s - t*sqrt d) = (ps - d*qt) + (qs - pt)*sqrt d
+        dt = d * t
+        a0, b0, a1, b1, a2, b2 = (a0 * s - b0 * dt, b0 * s - a0 * t, a1 * s - b1 * dt,
+                                  b1 * s - a1 * t, a2 * s - b2 * dt, b2 * s - a2 * t)
+        s = s * s - t * dt              # the pivot, now its norm
+    g = gcd(a0, b0, a1, b1, a2, b2)
+    if s < 0:
         g = -g
-    return tuple(w) if g == 1 else tuple([x // g for x in w])
+    elif g == 1:
+        return a0, b0, a1, b1, a2, b2
+    return a0 // g, b0 // g, a1 // g, b1 // g, a2 // g, b2 // g
 
 
 class _Triple(Record):
@@ -73,6 +81,9 @@ class _Triple(Record):
         object.__setattr__(x, "field", field)
         object.__setattr__(x, "_coords", None)
         return x
+
+    def __reduce__(self):                   # for copy and pickle: the key as it is
+        return self._keyed, (self.key, self.field)
 
     @property
     def coords(self) -> tuple[QuadExt, QuadExt, QuadExt]:
@@ -180,12 +191,12 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
     a0, b0, a1, b1, a2, b2 = u
     c0, e0, c1, e1, c2, e2 = v
     # (a + b*sqrt d)(c + e*sqrt d) = (ac + d*be) + (ae + bc)*sqrt d
-    w = [a1 * c2 - a2 * c1 + d * (b1 * e2 - b2 * e1),
+    w = (a1 * c2 - a2 * c1 + d * (b1 * e2 - b2 * e1),
          a1 * e2 + b1 * c2 - a2 * e1 - b2 * c1,
          a2 * c0 - a0 * c2 + d * (b2 * e0 - b0 * e2),
          a2 * e0 + b2 * c0 - a0 * e2 - b0 * c2,
          a0 * c1 - a1 * c0 + d * (b0 * e1 - b1 * e0),
-         a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0]
+         a0 * e1 + b0 * c1 - a1 * e0 - b1 * c0)
     try:
         return _primitive(w, d)
     except ValidationError:

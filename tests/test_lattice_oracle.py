@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrsym import geometry
+from arrsym import corpus, geometry, moduli
 from arrsym.combinatorics import ConfigTable
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjLine, lattice_of
+from arrsym.moduli import JoinLine, MeetPoint
 
 from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet
 
@@ -166,6 +167,61 @@ def test_fermat_lattice_normalizes_at_most_once_per_point(m, normalizations):
     table = lattice_work(fermat_arrangement(m), normalizations)
     assert table.multiplicity_census() == {m + 2: 3, 3: m * m}
     assert table.double_count() == 3 * m
+
+
+@pytest.fixture
+def meets(monkeypatch):
+    """A list that grows by the pair (u, v) of every ``_point_key`` call,
+    from lattice_of and from evaluate_plan."""
+    calls = []
+    original = geometry._point_key
+
+    def counting(u, v, d):
+        calls.append((u, v))
+        return original(u, v, d)
+
+    monkeypatch.setattr(geometry, "_point_key", counting)
+    monkeypatch.setattr(moduli, "_point_key", counting)
+    return calls
+
+
+def assert_meets_every_pair_once(arrangement, meets):
+    """lattice_of computes the meet of each of the C(n, 2) pairs exactly
+    once: the coverage check needs them all, and no pair twice."""
+    meets.clear()
+    lattice_of(arrangement)
+    keys = [ln.key for ln in arrangement.lines]
+    assert len(meets) == comb(arrangement.n, 2)
+    assert {frozenset(pair) for pair in meets} == set(map(frozenset, combinations(keys, 2)))
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_lattice_meets_every_pair_once(name, realized, meets):
+    _, _, plus, minus = realized(name)
+    for arrangement in (plus, minus):
+        assert_meets_every_pair_once(arrangement, meets)
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
+def test_fermat_lattice_meets_every_pair_once(m, meets):
+    assert_meets_every_pair_once(fermat_arrangement(m), meets)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_derive_constraint_meets_once_per_step_and_pair(name, meets, monkeypatch):
+    # every corpus case evaluates one factor, at one root, and it reaches
+    # the lattice check: one meet per MeetPoint and JoinLine step, then one
+    # per pair of its lines
+    case = corpus.get_case(name)
+    checks = []
+    original = moduli._multiple_points
+    monkeypatch.setattr(moduli, "_multiple_points",
+                        lambda arrangement: checks.append(arrangement) or original(arrangement))
+    meets.clear()
+    moduli.derive_constraint(case.plan, case.config)
+    steps = sum(isinstance(s, (MeetPoint, JoinLine)) for s in case.plan.steps)
+    assert len(checks) == 1
+    assert len(meets) == steps + comb(case.plan.n, 2)
 
 
 # -- the coverage check ---------------------------------------------------------

@@ -25,7 +25,8 @@ from arrsym.combinatorics import ConfigTable, Permutation, is_lattice_isomorphis
 from arrsym.errors import (ArrsymError, ConstraintError, DegenerateError, PoleError,
                            UnsupportedDegreeError, ValidationError, _quoted)
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import Arrangement, ProjLine, ProjPoint, lattice_of
+from arrsym.geometry import (Arrangement, ProjLine, ProjPoint, _point_key, _primitive,
+                             lattice_of)
 from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint,
                            derive_constraint, evaluate_plan, parse_plan,
                            residual_numerators)
@@ -326,6 +327,80 @@ def test_normal_forms_match_the_quadext_reference(triple, cls, p, q, den):
     c = QuadExt(F(p, den), 0 if field.is_rational else F(q, den), field)
     multiple = cls(tuple(c * v for v in coords), field)
     assert multiple.key == got.key and multiple == got
+
+
+# -- the key kernel on raw integer vectors --------------------------------------
+
+SQRT5, SQRT7 = FieldSpec.quadratic(5), FieldSpec.quadratic(7)
+
+
+@st.composite
+def raw_keys(draw, field):
+    """Six integers (a0, b0, a1, b1, a2, b2) for the triple (a_k + b_k*sqrt d)_k,
+    not made primitive; the sqrt(d) parts are zero on the rationals, and may
+    all be zero on a quadratic field too."""
+    ints = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-10**9, 10**9))
+    rational = field.is_rational or draw(st.booleans())
+    return tuple(draw(st.just(0) if rational and k % 2 else ints) for k in range(6))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A field, two raw keys of it and a nonzero p + q*sqrt(d) of Z[sqrt d]."""
+    field = draw(st.sampled_from(FIELDS + [SQRT7]))
+    p, q = draw(st.integers(-9, 9)), 0 if field.is_rational else draw(st.integers(-9, 9))
+    return field, draw(raw_keys(field)), draw(raw_keys(field)), (p if p or q else 1, q)
+
+
+def times(w, c, d):
+    """(a + b*sqrt d)(p + q*sqrt d) = (ap + d*bq) + (aq + bp)*sqrt d, entrywise."""
+    p, q = c
+    return tuple(x for a, b in zip(w[::2], w[1::2]) for x in (a * p + d * b * q, a * q + b * p))
+
+
+def as_triple(w, field):
+    return tuple(QuadExt(w[k], w[k + 1], field) for k in (0, 2, 4))
+
+
+def keyed_normal(key, field):
+    """The normal form a key stands for, read from the key alone."""
+    return list(map(scalar, ProjPoint._keyed(key, field).coords))
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_inputs())
+@example((SQRT5, (1, 1, 2, 0, 0, 3), (0, 0, 0, 0, 1, 0), (2, 0)))   # norm 1 - 5 < 0
+@example((SQRT5, (0, 0, -6, -4, 2, 2), (0, 0, 1, 1, 3, 0), (1, 1)))  # norm 36 - 80 < 0
+@example((FieldSpec.quadratic(2), (3, 3, 0, 1, 5, 0), (1, 0, 0, 0, 0, 0), (-1, 1)))
+@example((SQRT7, (4, 0, -6, 0, 2, 0), (6, 0, 1, 0, 0, 0), (0, 3)))    # no sqrt(d) part
+@example((FieldSpec.quadratic(-3), (0, 0, -4, 0, 10, 0), (0, 0, 0, 0, -7, 0), (2, -1)))
+@example((RATIONAL, (0, 0, 0, 0, 0, 0), (-12, 0, 8, 0, 4, 0), (3, 0)))
+def test_the_key_kernel_matches_the_quadext_reference(inputs):
+    """_primitive on a raw vector is the QuadExt normal form's key, the same
+    for every nonzero multiple over Z[sqrt d]; _point_key(u, v) is the key of
+    the QuadExt cross product, and refuses two multiples of one line."""
+    field, u, v, c = inputs
+    d = field.d or 0
+    for w in (u, v):
+        try:
+            expected = reference_normal(as_triple(w, field), field)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=str(exc)):
+                _primitive(w, d)
+            continue
+        key = _primitive(w, d)
+        assert is_primitive(key) and keyed_normal(key, field) == list(map(scalar, expected))
+        assert _primitive(times(w, c, d), d) == key
+        with pytest.raises(DegenerateError, match="intersect of identical lines"):
+            _point_key(w, times(w, c, d), d)
+    meet = cross(as_triple(u, field), as_triple(v, field))
+    if all(e.is_zero for e in meet):
+        with pytest.raises(DegenerateError, match="intersect of identical lines"):
+            _point_key(u, v, d)
+        return
+    key = _point_key(u, v, d)
+    assert is_primitive(key)
+    assert keyed_normal(key, field) == list(map(scalar, reference_normal(meet, field)))
 
 
 # -- derive_constraint ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package's immutable records: built by position and by keyword, with
 their defaults; equal and hashed on the fields they compare; shown by the
-same repr; and frozen."""
+same repr; and frozen.  They, and the scalars, lines and points they hold,
+come back whole from copy, deepcopy and pickle."""
 
 import copy
 import pickle
@@ -8,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from arrsym import RATIONAL, FieldSpec, Permutation, corpus, moduli, witness
+from arrsym import RATIONAL, FieldSpec, Permutation, corpus, geometry, moduli, witness
 from arrsym.combinatorics import AutGroup, ConfigTable
-from arrsym.geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, ProjLine
+from arrsym.fields import QuadExt
+from arrsym.geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, ProjLine, ProjPoint
 from arrsym.polys import Poly, parse_ratfunc
 from arrsym.render import RenderOptions
 
@@ -111,6 +113,34 @@ def test_record_builds_compares_and_freezes(cls, fields, values, others, ignored
             delattr(by_position, name)
     with pytest.raises(AttributeError):
         by_position.extra = 1
+
+
+# (id, builder) of the immutable values that build themselves in __new__
+# (QuadExt, ProjLine, ProjPoint) and of records that hold them; built in the
+# test, because the last two run the pipeline
+F5 = FieldSpec(5)
+VALUES = [
+    ("QuadExt", lambda: QuadExt(Fraction(3, 2), Fraction(-1, 4), FieldSpec(-3))),
+    ("QuadExt-rational", lambda: QuadExt(7)),
+    ("ProjLine", lambda: ProjLine((2, QuadExt(0, 1, F5), -4), F5)),
+    ("ProjPoint", lambda: ProjPoint((Fraction(1, 3), 0, 1))),
+    ("Arrangement", lambda: Arrangement("a", F5, [(1, 0, 0), (0, QuadExt(1, 1, F5), 1)])),
+    ("ModuliConstraint", lambda: moduli.derive_constraint(corpus.get_case("{1}").plan,
+                                                          corpus.get_case("{1}").config)),
+    ("PipelineReport", lambda: witness.run_pipeline("{1}")),
+]
+
+
+@pytest.mark.parametrize("build", [build for _, build in VALUES],
+                         ids=[name for name, _ in VALUES])
+def test_values_round_trip_through_copy_and_pickle(build, monkeypatch):
+    value = build()
+    monkeypatch.setattr(geometry, "_primitive", None)       # no key is made primitive again
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value))):
+        assert type(clone) is type(value) and clone == value and repr(clone) == repr(value)
+        # the same integers and fields all the way down, realizations included
+        assert pickle.dumps(clone) == pickle.dumps(value)
 
 
 def test_record_defaults():
