@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, count
 from math import comb, lcm
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .errors import ParseError, ValidationError, _quoted
 from .fields import _directives, parse_digits
@@ -33,7 +33,7 @@ class Permutation(Record):
     __slots__ = ("images",)
 
     def __init__(self, images) -> None:
-        imgs = tuple(map(int, images))
+        imgs = _labels(images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValidationError(f"not a permutation of 1..{n}: {imgs}")
@@ -116,6 +116,16 @@ class Permutation(Record):
     __str__ = cycle_string
 
 
+def _labels(values) -> tuple[int, ...]:
+    """``values`` as ints; ValidationError on one that ``int`` would truncate or parse."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = repr(next((v for v in values if not hasattr(type(v), "__index__")), values))
+        raise ValidationError(f"line label {_quoted(bad, str)} is not an integer") from None
+
+
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
@@ -155,7 +165,7 @@ class ConfigTable(Record):
         pts, labels = [], set()
         through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
         for label, lines in points:
-            lines = frozenset(int(v) for v in lines)
+            label, lines = str(label), frozenset(_labels(lines))
             if len(lines) < 3:
                 raise ValidationError(f"point {label} has fewer than 3 lines")
             for v in lines:
@@ -174,7 +184,7 @@ class ConfigTable(Record):
                                     for p, shared in Counter(met).items() if shared > 1)
                 raise ValidationError(f"lines {a},{b} lie on two points "
                                       f"({pts[p][0]} and {label}): two lines meet once")
-            pts.append((str(label), lines))
+            pts.append((label, lines))
         self._fill(str(name), int(n), tuple(pts), frozenset(s for _, s in pts), through)
 
     @property
@@ -253,10 +263,6 @@ class AutGroup(Record):
     """Full automorphism group of a configuration table."""
 
     __slots__ = ("n", "elements", "generators")
-
-    def __init__(self, n: int, elements: tuple[Permutation, ...],
-                 generators: tuple[Permutation, ...]) -> None:
-        self._fill(n, elements, generators)
 
     @property
     def order(self) -> int:
@@ -408,8 +414,7 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     for tree in reversed(trees):
         getters = [itemgetter(*u) for u in list(tree.values())[1:]]
         elements += [get(p) for get in getters for p in elements]
-    return AutGroup(n=n, elements=tuple(map(Permutation._of, sorted(elements))),
-                    generators=tuple(gens))
+    return AutGroup._of(n, tuple(map(Permutation._of, sorted(elements))), tuple(gens))
 
 
 def _refuse_above(order: int, n: int, exact: bool) -> None:

@@ -458,7 +458,7 @@ def quad_roots(a: int | Fraction, b: int | Fraction,
         if r1.a < r2.a:
             r1, r2 = r2, r1
         return RATIONAL, r1, r2
-    field = FieldSpec.quadratic(d)
+    field = FieldSpec._of(d)            # square_free_part proved d square-free, not 0 or 1
     coeff = abs(Fraction(s, disc.denominator) / (2 * a))
     plus = QuadExt(center, coeff, field)
     return field, plus, plus.conjugate()

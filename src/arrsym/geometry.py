@@ -153,12 +153,6 @@ class Arrangement(Record):
             seen[ln.key] = idx
         self._fill(str(name), field, lns)
 
-    def _renamed(self, name: str) -> "Arrangement":
-        """The same lines under another name, not checked again."""
-        out = object.__new__(Arrangement)
-        out._fill(name, self.field, self.lines)
-        return out
-
     @property
     def n(self) -> int:
         return len(self.lines)
@@ -240,12 +234,17 @@ def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigT
     if not 1 <= arrangement.n <= MAX_LINES:
         raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {arrangement.n}")
     found = _multiple_points(arrangement)
-    points = []
-    for key, labels in found.items():
-        first, second = (arrangement.line(k).field for k in sorted(labels)[:2])
+    points, rows = [], []
+    through: list[list[int]] = [[] for _ in range(arrangement.n)]   # as ConfigTable fills it
+    for k, (key, labels) in enumerate(found.items()):
+        first, second = (arrangement.line(v).field for v in sorted(labels)[:2])
         points.append(ProjPoint._keyed(key, second if first.is_rational else first))
-    table = ConfigTable(arrangement.name, arrangement.n,
-                        [(f"m{k}", s) for k, s in enumerate(found.values(), start=1)])
+        rows.append((f"m{k + 1}", frozenset(labels)))
+        for v in labels:
+            through[v - 1].append(k)
+    # checked already: >= 3 lines a point, labels in 1..n, one meet a pair; m1.. are unique
+    table = ConfigTable._of(arrangement.name, arrangement.n, tuple(rows),
+                            frozenset(s for _, s in rows), through)
     return tuple(points), table
 
 

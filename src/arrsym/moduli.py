@@ -318,11 +318,6 @@ class ModuliConstraint(Record, compared=5):
 
     __slots__ = ("poly", "var", "field", "roots", "discarded", "realizations")
 
-    def __init__(self, poly: Poly, var: str, field: FieldSpec, roots: tuple[QuadExt, QuadExt],
-                 discarded: tuple[tuple[Poly, str], ...],
-                 realizations: tuple[Arrangement, Arrangement]) -> None:
-        self._fill(poly, var, field, roots, discarded, realizations)
-
     def format(self) -> str:
         return self.poly.format(self.var)
 
@@ -424,9 +419,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         raise ConstraintError(f"more than one admissible factor: {polys}")
 
     factor, field, roots, realizations = admissible[0]
-    return ModuliConstraint(poly=factor.primitive()[1], var=plan.var, field=field,
-                            roots=(roots[0], roots[-1]), discarded=tuple(discarded),
-                            realizations=realizations)
+    return ModuliConstraint._of(factor.primitive()[1], plan.var, field,
+                                (roots[0], roots[-1]), tuple(discarded), realizations)
 
 
 def realize_components(plan: ConstructionPlan,
@@ -437,7 +431,7 @@ def realize_components(plan: ConstructionPlan,
     if constraint.poly.degree != 2 or constraint.field.is_rational:
         raise ConstraintError("moduli not disconnected: constraint has a single "
                               "rational root")
-    return tuple(a._renamed(plan.name + sign)
+    return tuple(Arrangement._of(plan.name + sign, a.field, a.lines)
                  for sign, a in zip("+-", constraint.realizations))
 
 

@@ -6,8 +6,8 @@ from operator import attrgetter
 class Record:
     """``__slots__`` names the fields in constructor order, ``_defaults`` the
     values of the last ones; the first ``compared`` (a class keyword, all by
-    default) are compared, hashed and shown by repr.  A class with its own
-    ``__init__``, as the records built on every job have, calls ``_fill``."""
+    default) are compared, hashed and shown by repr.  ``_of`` builds one of
+    values already checked; an ``__init__`` that checks its input calls ``_fill``."""
 
     __slots__ = ()
     _defaults = ()
@@ -24,6 +24,13 @@ class Record:
                 or values.keys() != set(names)):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
         self._fill(*map(values.get, names))
+
+    @classmethod
+    def _of(cls, *values):
+        """A record of values, by position, with no check: the last defaults fill the rest."""
+        record, missing = object.__new__(cls), len(cls.__slots__) - len(values)
+        record._fill(*values, *cls._defaults[len(cls._defaults) - missing:])
+        return record
 
     def _fill(self, *values) -> None:
         for name, value in zip(self.__slots__, values):

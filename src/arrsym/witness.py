@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from .combinatorics import ConfigTable, Permutation, automorphism_group, involutions
 from .errors import ValidationError
-from .fields import QuadExt, _quad
+from .fields import _quad
 from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, _primitive
 from .geometry import lattice_of  # noqa: F401  (unused; perfbench's tracer test reads it)
-from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
-                     realize_components, root_product)
+from .moduli import ConstructionPlan, derive_constraint, realize_components, root_product
 from .record import Record
 
 
@@ -44,10 +43,6 @@ class ReflectionWitness(Record):
     pair that is not projectively equal."""
 
     __slots__ = ("sigma", "map", "verified", "per_line")
-
-    def __init__(self, sigma: Permutation, map: MapKind, verified: bool,
-                 per_line: tuple[tuple[int, QuadExt | None], ...]) -> None:
-        self._fill(sigma, map, verified, per_line)
 
     def failures(self) -> list[int]:
         return [i for i, cert in self.per_line if cert is None]
@@ -73,8 +68,7 @@ def verify_reflection(aplus: Arrangement, aminus: Arrangement,
             cert = _quad(image[k], image[k + 1], s, source.field.d or 0, source.field)
         certificates.append((i, cert))
     verified = all(cert is not None for _, cert in certificates)
-    return ReflectionWitness(sigma=sigma, map=map_kind, verified=verified,
-                             per_line=tuple(certificates))
+    return ReflectionWitness._of(sigma, map_kind, verified, tuple(certificates))
 
 
 def extract_sigma(a: Arrangement, b: Arrangement,
@@ -105,19 +99,12 @@ class Attempt(Record):
 
     __slots__ = ("sigma", "map", "grids", "verified")
 
-    def __init__(self, sigma: Permutation, map: MapKind, grids: int, verified: bool) -> None:
-        self._fill(sigma, map, grids, verified)
-
 
 class PipelineReport(Record):
+    # status: SUCCESS | FAILURE | INAPPLICABLE
     __slots__ = ("case", "status", "aut_order", "group_label", "involution_count",
                  "constraint", "attempts")
-
-    def __init__(self, case: str, status: str, aut_order: int, group_label: str,
-                 involution_count: int, constraint: ModuliConstraint | None = None,
-                 attempts: tuple[Attempt, ...] = ()) -> None:
-        # status: SUCCESS | FAILURE | INAPPLICABLE
-        self._fill(case, status, aut_order, group_label, involution_count, constraint, attempts)
+    _defaults = (None, ())
 
     def to_dict(self) -> dict:
         data = {
@@ -173,9 +160,7 @@ def run_case(case_name: str, config: ConfigTable,
     invs = involutions(group)
     label = group.structure_name()
     if not invs:
-        return PipelineReport(case=case_name, status="INAPPLICABLE",
-                              aut_order=group.order, group_label=label,
-                              involution_count=0)
+        return PipelineReport._of(case_name, "INAPPLICABLE", group.order, label, 0)
     if plan is None:
         raise ValidationError("a construction plan is required once involutions exist")
     constraint = derive_constraint(plan, config)
@@ -189,12 +174,11 @@ def run_case(case_name: str, config: ConfigTable,
     # verify_reflection(sigma, kind) holds exactly when sigma is the
     # relabelling extract_sigma reads off, and for no sigma when that is None.
     found = {kind: extract_sigma(aplus, aminus, kind) for kind in kinds}
-    attempts = [Attempt(sigma=sigma, map=kind, grids=grids, verified=sigma == found[kind])
+    attempts = [Attempt._of(sigma, kind, grids, sigma == found[kind])
                 for sigma in invs if (grids := _grid_count(sigma)) for kind in kinds]
     status = "SUCCESS" if any(at.verified for at in attempts) else "FAILURE"
-    return PipelineReport(case=case_name, status=status, aut_order=group.order,
-                          group_label=label, involution_count=len(invs),
-                          constraint=constraint, attempts=tuple(attempts))
+    return PipelineReport._of(case_name, status, group.order, label, len(invs),
+                              constraint, tuple(attempts))
 
 
 def run_pipeline(case) -> PipelineReport:

@@ -34,13 +34,13 @@ def test_public_names_are_pinned():
 
 
 def test_removed_helpers_are_gone():
-    # each duplicated another name, was called only by the tests, or kept
-    # the order of a replaced search
+    # each duplicated another name, was called only by the tests, kept the
+    # order of a replaced search, or built a record a second way (Record._of)
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
                          (geometry, "IntersectionLattice"), (geometry, "_pair_groups"),
-                         (combinatorics, "_pair_order")):
+                         (combinatorics, "_pair_order"), (geometry.Arrangement, "_renamed")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

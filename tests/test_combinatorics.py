@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import combinations, permutations
 from math import comb
@@ -154,6 +155,41 @@ def test_pair_check_matches_the_per_pair_reference(drawn):
 def test_serialize_round_trip():
     t = table1()
     assert parse_config_table(t.serialize()).serialize() == t.serialize()
+
+
+def test_point_labels_are_unique_as_written():
+    # labels are kept as str, so 1 and "1" are one label: the table would
+    # serialize two "point 1" lines, which the parser refuses
+    with pytest.raises(ValidationError, match="duplicate point label 1"):
+        ConfigTable("t", 6, [(1, {1, 2, 3}), ("1", {4, 5, 6})])
+    t = ConfigTable("t", 6, [(1, {1, 2, 3}), ("2", {4, 5, 6})])
+    assert [label for label, _ in t.points] == ["1", "2"]
+    back = parse_config_table(t.serialize())
+    assert back == t and back.points == t.points and back.serialize() == t.serialize()
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: Permutation([1.7, 2.2]), "1.7"),
+    (lambda: Permutation([2.0, 1.0]), "2.0"),
+    (lambda: Permutation(["2", "1"]), "'2'"),
+    (lambda: ConfigTable("u", 4, [("P", [1.9, 2, 3])]), "1.9"),
+    (lambda: ConfigTable("u", 4, [("P", [1, "2", 3])]), "'2'"),
+])
+def test_line_labels_must_be_integers(build, bad):
+    # int() would truncate a float or parse a string; the label is refused and named
+    with pytest.raises(ValidationError, match=re.escape(f"line label {bad} is not an")):
+        build()
+
+
+def test_integral_labels_are_taken_as_they_are():
+    assert Permutation(v for v in (2, 1, True + 2)).images == (2, 1, 3)
+    assert all(type(v) is int for v in Permutation([True, 2]).images)
+    table = ConfigTable("u", 4, [("P", (v + 1 for v in range(3)))])
+    assert table.points == (("P", frozenset({1, 2, 3})),)
+    assert table._through == [[0], [0], [0], []]
+    # the parsers hand over ints: cycle notation and .cfg input read as before
+    assert parse_cycles("(1 3)(2 4)", 5).images == (3, 4, 1, 2, 5)
+    assert table1().points[0] == ("q1", frozenset({1, 2, 3, 10}))
 
 
 def test_is_lattice_isomorphism_examples():

@@ -197,3 +197,6 @@ def test_expected_constraints_match_derived(realized):
     for name in ALL_CASES:
         case, constraint, _, _ = realized(name)
         assert constraint.poly == case.expected_constraint, name
+        # the pinned root product is the derived one, and the pinned constraint's
+        assert (root_product(constraint.poly) == case.expected_root_product
+                == root_product(case.expected_constraint)), name

@@ -54,6 +54,8 @@ def assert_same_lattice(arrangement):
     want_points, want_table, doubles = reference_lattice_of(arrangement)
     assert (points, table) == (want_points, want_table)
     assert exact(points, table) == exact(want_points, want_table)
+    # lattice_of builds its table unchecked; the reference table is validated
+    assert table._through == want_table._through
     assert table.double_count() == doubles
 
 

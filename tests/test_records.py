@@ -96,6 +96,10 @@ def test_record_builds_compares_and_freezes(cls, fields, values, others, ignored
     assert [getattr(by_keyword, name) for name in fields] == list(values)
     assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
     assert repr(by_position) == shown
+    trusted = cls._of(*values)          # the unchecked build the package uses
+    assert type(trusted) is cls and [getattr(trusted, name) for name in fields] == list(values)
+    assert trusted == by_position and hash(trusted) == hash(by_position)
+    assert repr(trusted) == shown
     for k, name in enumerate(fields):
         changed = cls(*values[:k], others[k], *values[k + 1:])
         if name in ignored:
@@ -145,8 +149,10 @@ def test_values_round_trip_through_copy_and_pickle(build, monkeypatch):
 
 def test_record_defaults():
     assert FieldSpec() == RATIONAL and FieldSpec().d is None
-    report = witness.PipelineReport("c", "INAPPLICABLE", 1, "trivial", 0)
-    assert report.constraint is None and report.attempts == ()
+    for build in (witness.PipelineReport, witness.PipelineReport._of):
+        report = build("c", "INAPPLICABLE", 1, "trivial", 0)
+        assert report.constraint is None and report.attempts == ()
+    assert witness.PipelineReport._of("c", "SUCCESS", 2, "Z2", 1, "k").attempts == ()
     spec = corpus._CaseSpec("s", "(1 2)", (1, 2), SWAP, 2, (1,), Fraction(1), "SUCCESS")
     assert spec.provenance == "published"
     assert RenderOptions() == RenderOptions(None, None, 1.5, 4.0)
