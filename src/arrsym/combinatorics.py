@@ -55,11 +55,12 @@ class Permutation(Record):
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
+        if 0 < i <= len(self.images):
+            return self.images[i - 1]
+        raise ValidationError(f"label {i} out of range 1..{len(self.images)}")
 
     def apply_set(self, labels) -> frozenset:
-        images = self.images
-        return frozenset(images[i - 1] for i in labels)
+        return frozenset(map(self, labels))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(i) = p(q(i))."""
@@ -82,9 +83,7 @@ class Permutation(Record):
 
     @property
     def is_involution(self) -> bool:
-        images = self.images        # squared below by indexing the images from 1
-        identity = tuple(range(1, len(images) + 1))
-        return images != identity and itemgetter(*images)((0,) + images) == identity
+        return _involutive(self.images, tuple(range(1, len(self.images) + 1)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its smallest element."""
@@ -116,14 +115,19 @@ class Permutation(Record):
     __str__ = cycle_string
 
 
-def _labels(values) -> tuple[int, ...]:
+def _labels(values, what: str = "line label") -> tuple[int, ...]:
     """``values`` as ints; ValidationError on one that ``int`` would truncate or parse."""
     values = tuple(values)
     try:
         return tuple(map(index, values))
     except TypeError:
         bad = repr(next((v for v in values if not hasattr(type(v), "__index__")), values))
-        raise ValidationError(f"line label {_quoted(bad, str)} is not an integer") from None
+        raise ValidationError(f"{what} {_quoted(bad, str)} is not an integer") from None
+
+
+def _involutive(images: tuple, identity: tuple) -> bool:
+    """Whether ``images`` is not ``identity`` and squares to it, read from index 1."""
+    return images != identity and itemgetter(*images)((0,) + images) == identity
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -160,7 +164,7 @@ class ConfigTable(Record):
     __slots__ = ("name", "n", "points", "_sets", "_through")
 
     def __init__(self, name: str, n: int, points) -> None:
-        if not 1 <= n <= MAX_LINES:
+        if not 1 <= _labels((n,), "line count")[0] <= MAX_LINES:
             raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {n}")
         pts, labels = [], set()
         through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
@@ -256,7 +260,8 @@ def is_lattice_isomorphism(a: ConfigTable, b: ConfigTable, tau: Permutation) -> 
     listed point."""
     if a.n != b.n or tau.degree != a.n:
         raise ValidationError("size mismatch between tables and permutation")
-    return frozenset(tau.apply_set(s) for s in a.point_sets) == b.point_sets
+    image = ((0,) + tau.images).__getitem__     # a's points hold labels in 1..n
+    return frozenset(frozenset(map(image, s)) for s in a.point_sets) == b.point_sets
 
 
 class AutGroup(Record):
@@ -326,6 +331,9 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
             bound *= f
             _refuse_above(bound, n, exact=f == n)
     point_lines = [itemgetter(*(v - 1 for v in s)) for _, s in table.points]
+    # each line's points; itemgetter(p) returns a scalar, so one point is a slice
+    line_points = [itemgetter(*ps) if len(ps) > 1 else itemgetter(slice(ps[0], ps[0] + 1))
+                   if ps else itemgetter(slice(0)) for ps in table._through]
 
     def refine(colours, expected=None):
         """The equitable refinement of ``colours`` (a line's colour counts the
@@ -336,11 +344,10 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         lists and signatures."""
         trace = []
         while True:
-            point_colours = [sorted(get(colours)) for get in point_lines]
+            point_colours = [tuple(sorted(get(colours))) for get in point_lines]
             lists = sorted(point_colours)
             ranks = [bisect_left(lists, pc) for pc in point_colours]
-            sigs = [(c, tuple(sorted(map(ranks.__getitem__, points))))
-                    for c, points in zip(colours, table._through)]
+            sigs = [(c, tuple(sorted(get(ranks)))) for c, get in zip(colours, line_points)]
             step = (lists, sorted(sigs))
             if expected is not None and expected[len(trace)] != step:
                 return None, None
@@ -352,8 +359,10 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
 
     def target(colours):
         """The lines of the target cell: the largest non-singleton cell, the
-        lowest colour among ties; none once the colours are discrete."""
-        size, colour = max((k, -c) for c, k in Counter(colours).items())
+        lowest colour among ties; none once the colours are discrete.  A cell
+        ends where the next colour up, or n, begins."""
+        starts = sorted(set(colours))
+        size, colour = max((b - a, -a) for a, b in zip(starts, starts[1:] + [n]))
         return [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
 
     def child(colours, cell, v):
@@ -428,4 +437,5 @@ def _refuse_above(order: int, n: int, exact: bool) -> None:
 
 def involutions(group: AutGroup) -> list[Permutation]:
     """All order-2 elements, in the group's deterministic element order."""
-    return [g for g in group.elements if g.is_involution]
+    identity = tuple(range(1, group.n + 1))
+    return [g for g in group.elements if _involutive(g.images, identity)]

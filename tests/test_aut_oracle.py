@@ -19,8 +19,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arrsym import combinatorics, corpus, geometry
-from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
+from arrsym.combinatorics import (AutGroup, ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism)
+from arrsym.errors import ValidationError
 
 from conftest import fermat_arrangement, fermat_table
 
@@ -228,3 +229,70 @@ def test_element_orders_match_repeated_products(name):
         k = power_order(g)
         assert g.order() == k
         assert g.is_involution == (k == 2)
+
+
+# The lines of a table on one point, or on none, are read through a slice:
+# itemgetter of one index returns a scalar, and of no index cannot be built.
+@pytest.mark.parametrize("example", [
+    table(1), table(2), table(5), table(4, {1, 2, 3}), table(6, {1, 2, 3}),
+    table(7, {1, 2, 3}, {4, 5, 6}), table(6, {1, 2, 3}, {1, 4, 5}),
+    table(8, {1, 2, 3, 4}, {1, 5, 6}, {2, 5, 7}),
+])
+def test_lines_on_at_most_one_point_match_the_reference(example, monkeypatch):
+    assert_matches_reference(example, monkeypatch)
+
+
+FANO = ({1, 2, 3}, {1, 4, 5}, {1, 6, 7}, {2, 4, 6}, {2, 5, 7}, {3, 4, 7}, {3, 5, 6})
+
+
+def fano_planes(k):
+    """k disjoint Fano configurations, copy c on lines 7c + 1 .. 7c + 7."""
+    return table(7 * k, *({7 * c + v for v in s} for c in range(k) for s in FANO))
+
+
+def test_disjoint_fano_planes_have_the_wreath_product():
+    # Aut is PGL(3,2) wr S_k, of order 168^k k!.  PGL(3,2) has 21
+    # involutions; for k = 2 an involution is (a, b) with a, b of order at
+    # most 2, not both trivial (22^2 - 1), or (a, a^-1) followed by the swap
+    # of the copies (168).  For k = 3, 168^3 3! elements on 21 lines are
+    # above the listing bound.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        one = assert_matches_reference(fano_planes(1), monkeypatch)
+    assert (one.order, len(involutions(one))) == (168, 21)
+    pair = fano_planes(2)
+    two = automorphism_group(pair)
+    assert (two.order, len(involutions(two))) == (168 ** 2 * 2, 22 ** 2 - 1 + 168) == (56448, 651)
+    assert all(is_lattice_isomorphism(pair, pair, g) for g in two.generators)
+    with pytest.raises(ValidationError, match="on 21 lines is too large to list"):
+        automorphism_group(fano_planes(3))
+
+
+@st.composite
+def permutations_and_labels(draw):
+    """A permutation of degree 1 to 12 and a set of its labels."""
+    n = draw(st.integers(1, 12))
+    return Permutation(draw(st.permutations(range(1, n + 1)))), draw(st.sets(st.integers(1, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutations_and_labels())
+@example((Permutation([1]), {1}))
+@example((Permutation([2, 1]), set()))
+def test_apply_set_and_involutions_match_their_definitions(drawn):
+    g, labels = drawn
+    assert g.apply_set(labels) == frozenset(g(i) for i in labels) \
+        == frozenset(g.images[i - 1] for i in labels)
+    assert g.is_involution == (power_order(g) == 2)
+    listed = [Permutation.identity(g.degree), g, g * g, g.inverse()]
+    assert involutions(AutGroup._of(g.degree, tuple(listed), ())) == [
+        h for h in listed if power_order(h) == 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_the_leaf_check_is_the_point_set_check(table, data):
+    # is_lattice_isomorphism maps the points through one getter of the images
+    images = data.draw(st.permutations(range(1, table.n + 1)))
+    for tau in (Permutation(images), *automorphism_group(table).generators):
+        assert is_lattice_isomorphism(table, table, tau) == (
+            frozenset(tau.apply_set(s) for s in table.point_sets) == table.point_sets)

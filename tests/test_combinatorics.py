@@ -192,6 +192,41 @@ def test_integral_labels_are_taken_as_they_are():
     assert table1().points[0] == ("q1", frozenset({1, 2, 3, 10}))
 
 
+@pytest.mark.parametrize("n, bad", [(4.9, "4.9"), (4.0, "4.0"), ("4", "'4'"), (None, "None")])
+def test_line_count_must_be_an_integer(n, bad):
+    # range(n) or the comparison with 1 escaped as a bare TypeError
+    def untouched():
+        raise AssertionError("points read before the line count was checked")
+        yield
+
+    with pytest.raises(ValidationError, match=re.escape(f"line count {bad} is not an integer")):
+        ConfigTable("t", n, untouched())
+
+
+def test_integral_line_counts_are_taken_as_they_are():
+    one = ConfigTable("t", True, [])
+    assert type(one.n) is int and one.n == 1
+    with pytest.raises(ValidationError, match="line count must be in 1..1024, not False"):
+        ConfigTable("t", False, [])
+    # the parser hands over an int: a count it cannot read stays its ParseError
+    assert parse_config_table("arrangement t\nlines 4\npoint P : 1 2 3\n").n == 4
+    for text in ("lines 4.9", "lines x", "lines 0"):
+        with pytest.raises(ParseError):
+            parse_config_table(f"arrangement t\n{text}\n")
+
+
+def test_labels_outside_the_degree_are_refused():
+    # images[i - 1] read -1 as the last image and raised a bare IndexError past n
+    p = Permutation((2, 3, 1))
+    assert [p(1), p(2), p(3)] == [2, 3, 1]
+    assert p.apply_set({1, 3}) == {1, 2} and p.apply_set(set()) == frozenset()
+    for label in (0, -1, -3, 4, 10 ** 9):
+        with pytest.raises(ValidationError, match=re.escape(f"label {label} out of range 1..3")):
+            p(label)
+        with pytest.raises(ValidationError, match=re.escape(f"label {label} out of range 1..3")):
+            p.apply_set({1, label})
+
+
 def test_is_lattice_isomorphism_examples():
     t = table1()
     sigma = parse_cycles("(1 6)(2 5)(3 4)(7 8)", 10)
