@@ -6,8 +6,7 @@ from .combinatorics import (AutGroup, ConfigTable, Permutation,
                             automorphism_group, involutions,
                             is_lattice_isomorphism, parse_config_table,
                             parse_cycles)
-from .fields import (RATIONAL, FieldSpec, QuadExt, format_scalar, parse_scalar,
-                     quad_roots)
+from .fields import RATIONAL, FieldSpec, QuadExt, parse_scalar, quad_roots
 from .geometry import (Arrangement, ProjLine, ProjPoint, intersect, lattice_of,
                        parse_arrangement)
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
@@ -23,11 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AutGroup", "Arrangement", "ConfigTable", "ConstructionPlan", "FieldSpec",
     "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
-    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc",
-    "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
-    "automorphism_group", "derive_constraint", "evaluate_plan",
-    "extract_sigma", "format_scalar", "intersect", "involutions",
-    "is_lattice_isomorphism", "lattice_of", "parse_arrangement",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc", "ReflectionWitness",
+    "RenderOptions", "SWAP", "SWAP_CONJUGATE", "automorphism_group",
+    "derive_constraint", "evaluate_plan", "extract_sigma", "intersect",
+    "involutions", "is_lattice_isomorphism", "lattice_of", "parse_arrangement",
     "parse_config_table", "parse_cycles", "parse_plan", "parse_ratfunc",
     "parse_scalar", "poly_reduce", "quad_roots", "realize_components",
     "render_svg", "root_product", "run_pipeline", "verify_reflection",

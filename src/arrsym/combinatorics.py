@@ -55,8 +55,11 @@ class Permutation(Record):
         return len(self.images)
 
     def __call__(self, i: int) -> int:
-        if 0 < i <= len(self.images):
-            return self.images[i - 1]
+        try:
+            if 0 < i <= len(self.images):
+                return self.images[i - 1]
+        except TypeError:
+            _labels((i,))       # ValidationError naming a label that is not an integer
         raise ValidationError(f"label {i} out of range 1..{len(self.images)}")
 
     def apply_set(self, labels) -> frozenset:
@@ -76,10 +79,6 @@ class Permutation(Record):
 
     def order(self) -> int:
         return lcm(*map(len, self.cycles()))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images, start=1))
 
     @property
     def is_involution(self) -> bool:

@@ -416,7 +416,14 @@ class QuadExt:
         return self._p / self._den + self._q / self._den * sqrt(self._d)
 
     def __str__(self) -> str:
-        return format_scalar(self)
+        """Inverse of parse_scalar (round-trips exactly)."""
+        if self.b == 0:
+            return str(self.a)
+        bpart = f"{self.b}w" if self.b > 0 else f"-{-self.b}w"
+        if self.a == 0:
+            return bpart
+        sign = "+" if self.b > 0 else "-"
+        return f"{self.a}{sign}{abs(self.b)}w"
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.field})"
@@ -544,13 +551,3 @@ def parse_scalar(text: str, field: FieldSpec = RATIONAL) -> QuadExt:
         return QuadExt(a)
     return QuadExt(a, b, field)
 
-
-def format_scalar(x: QuadExt) -> str:
-    """Inverse of parse_scalar (round-trips exactly)."""
-    if x.b == 0:
-        return str(x.a)
-    bpart = f"{x.b}w" if x.b > 0 else f"-{-x.b}w"
-    if x.a == 0:
-        return bpart
-    sign = "+" if x.b > 0 else "-"
-    return f"{x.a}{sign}{abs(x.b)}w"

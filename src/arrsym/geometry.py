@@ -15,8 +15,8 @@ from math import comb, gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
-from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad,
-                     format_scalar, parse_digits, parse_scalar)
+from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad, parse_digits,
+                     parse_scalar)
 from .record import Record
 
 
@@ -113,14 +113,14 @@ class ProjLine(_Triple):
     """Projective line A*x + B*y + C*z = 0, normalized."""
 
     def __repr__(self) -> str:
-        return "ProjLine(%s; %s; %s)" % tuple(format_scalar(c) for c in self.coords)
+        return "ProjLine(%s; %s; %s)" % tuple(map(str, self.coords))
 
 
 class ProjPoint(_Triple):
     """Projective point [X : Y : Z], normalized like a line."""
 
     def __repr__(self) -> str:
-        return "ProjPoint[%s : %s : %s]" % tuple(format_scalar(c) for c in self.coords)
+        return "ProjPoint[%s : %s : %s]" % tuple(map(str, self.coords))
 
 
 def intersect(l1: ProjLine, l2: ProjLine) -> ProjPoint:
@@ -170,7 +170,7 @@ class Arrangement(Record):
     def serialize(self) -> str:
         out = [f"arrangement {self.name}", f"field {self.field.header()}"]
         for idx, ln in enumerate(self.lines, start=1):
-            triple = " ; ".join(format_scalar(c) for c in ln.coords)
+            triple = " ; ".join(map(str, ln.coords))
             out.append(f"line {idx} : {triple}")
         return "\n".join(out) + "\n"
 

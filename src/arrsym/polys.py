@@ -74,18 +74,6 @@ class Poly:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return _poly((), 1)
-
-    @staticmethod
-    def one() -> "Poly":
-        return _poly((1,), 1)
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly((c,))
-
-    @staticmethod
     def variable() -> "Poly":
         return _poly((0, 1), 1)
 
@@ -102,12 +90,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self._c
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._c[-1], self._den)
 
     def __getitem__(self, k: int) -> Fraction:
         if 0 <= k < len(self._c):
@@ -281,7 +263,7 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
-_ZERO, _ONE = Poly.zero(), Poly.one()
+_ZERO, _ONE = _poly((), 1), _poly((1,), 1)
 
 
 def _as_poly(value) -> Poly | None:
@@ -460,10 +442,6 @@ class RatFunc:
     @property
     def den(self) -> Poly:
         return self._den
-
-    @staticmethod
-    def constant(c) -> "RatFunc":
-        return RatFunc(Poly.constant(c))
 
     @staticmethod
     def variable() -> "RatFunc":
@@ -676,7 +654,7 @@ class _ExprParser:
     def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.constant(parse_digits(val, "an integer"))
+            return RatFunc(parse_digits(val, "an integer"))
         if kind == "name":
             if val != self.var:
                 raise ParseError(f"unknown variable {_quoted(val)} "

@@ -44,9 +44,6 @@ class ReflectionWitness(Record):
 
     __slots__ = ("sigma", "map", "verified", "per_line")
 
-    def failures(self) -> list[int]:
-        return [i for i, cert in self.per_line if cert is None]
-
 
 def verify_reflection(aplus: Arrangement, aminus: Arrangement,
                       sigma: Permutation, map_kind: MapKind) -> ReflectionWitness:
@@ -76,7 +73,8 @@ def extract_sigma(a: Arrangement, b: Arrangement,
     """If the mapped union of a's lines equals b's union setwise, return the
     unique permutation with map(L_i) = b's line sigma(i), else None.
 
-    sigma is a lattice isomorphism with no check: the swap is linear and
+    sigma is a permutation and a lattice isomorphism with no check: a's keys
+    are distinct and the map is a bijection; the swap is linear and
     conjugation a field automorphism, so det(map(a_i), map(a_j), map(a_k))
     is +-det or conj(det) of (a_i, a_j, a_k), and concurrency is kept."""
     if a.n != b.n:
@@ -91,7 +89,7 @@ def extract_sigma(a: Arrangement, b: Arrangement,
         if target is None:
             return None
         images.append(target)
-    return Permutation(images)
+    return Permutation._of(tuple(images))
 
 
 class Attempt(Record):
@@ -123,11 +121,6 @@ class PipelineReport(Record):
              "outcome": "verified" if at.verified else "not-verified"}
             for at in self.attempts]
         return data
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         out = [f"case {self.case}: automorphism group order {self.aut_order} "

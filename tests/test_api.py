@@ -16,20 +16,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = [
     "Arrangement", "AutGroup", "ConfigTable", "ConstructionPlan", "FieldSpec",
     "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
-    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc",
-    "ReflectionWitness", "RenderOptions", "SWAP", "SWAP_CONJUGATE",
-    "automorphism_group", "derive_constraint", "evaluate_plan", "extract_sigma",
-    "format_scalar", "intersect", "involutions", "is_lattice_isomorphism",
-    "lattice_of", "parse_arrangement", "parse_config_table", "parse_cycles",
-    "parse_plan", "parse_ratfunc", "parse_scalar", "poly_reduce", "quad_roots",
-    "realize_components", "render_svg", "root_product", "run_pipeline",
-    "verify_reflection",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc", "ReflectionWitness",
+    "RenderOptions", "SWAP", "SWAP_CONJUGATE", "automorphism_group",
+    "derive_constraint", "evaluate_plan", "extract_sigma", "intersect",
+    "involutions", "is_lattice_isomorphism", "lattice_of", "parse_arrangement",
+    "parse_config_table", "parse_cycles", "parse_plan", "parse_ratfunc",
+    "parse_scalar", "poly_reduce", "quad_roots", "realize_components", "render_svg",
+    "root_product", "run_pipeline", "verify_reflection",
 ]
 
 
 def test_public_names_are_pinned():
     assert sorted(arrsym.__all__) == sorted(PUBLIC)
-    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 41
+    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 40
     assert all(hasattr(arrsym, name) for name in arrsym.__all__)
 
 
@@ -40,7 +39,12 @@ def test_removed_helpers_are_gone():
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
                          (geometry, "IntersectionLattice"), (geometry, "_pair_groups"),
-                         (combinatorics, "_pair_order"), (geometry.Arrangement, "_renamed")):
+                         (combinatorics, "_pair_order"), (geometry.Arrangement, "_renamed"),
+                         (fields, "format_scalar"), (polys.Poly, "zero"), (polys.Poly, "one"),
+                         (polys.Poly, "constant"), (polys.RatFunc, "constant"),
+                         (polys.Poly, "leading"), (witness.PipelineReport, "to_json"),
+                         (witness.ReflectionWitness, "failures"),
+                         (combinatorics.Permutation, "is_identity")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

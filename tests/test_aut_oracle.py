@@ -216,8 +216,8 @@ def test_generated_tables_match_the_reference(table):
 
 def power_order(g):
     """The smallest k with g^k the identity, by repeated products."""
-    power, k = g, 1
-    while not power.is_identity:
+    power, k, identity = g, 1, Permutation.identity(g.degree)
+    while power != identity:
         power, k = power * g, k + 1
     return k
 

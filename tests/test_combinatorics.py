@@ -1,5 +1,6 @@
 import re
 import time
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -225,6 +226,14 @@ def test_labels_outside_the_degree_are_refused():
             p(label)
         with pytest.raises(ValidationError, match=re.escape(f"label {label} out of range 1..3")):
             p.apply_set({1, label})
+    # a float indexed the images' tuple and a string met '<': bare TypeErrors
+    assert p(True) == 2
+    for label in (2.0, 2.5, "1", None, Fraction(2)):
+        message = re.escape(f"line label {label!r} is not an integer")
+        with pytest.raises(ValidationError, match=message):
+            p(label)
+        with pytest.raises(ValidationError, match=message):
+            p.apply_set({1, label})
 
 
 def test_is_lattice_isomorphism_examples():
@@ -441,5 +450,5 @@ def test_permutation_laws():
     q = parse_cycles("(3 4)", 5)
     assert (p * q).inverse() == q.inverse() * p.inverse()
     assert p.order() == 3 and q.order() == 2
-    assert (p * p * p).is_identity
+    assert p * p * p == Permutation.identity(5)
     assert q.is_involution and not p.is_involution

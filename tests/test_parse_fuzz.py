@@ -116,7 +116,7 @@ T = RatFunc.variable()
 @pytest.mark.parametrize("count", [1, 1200, 1201, 20000])
 def test_leading_signs_do_not_recurse(count):
     sign = -1 if count % 2 else 1
-    assert parse_ratfunc("-" * count + "1/t") == RatFunc.constant(sign) / T
+    assert parse_ratfunc("-" * count + "1/t") == RatFunc(sign) / T
     assert parse_ratfunc("+-" * count + "t") == sign * T
 
 

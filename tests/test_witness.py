@@ -158,7 +158,6 @@ def test_verify_reflection_positive(name, realized):
     case, _, plus, minus = realized(name)
     witness = verify_reflection(plus, minus, case.sigma, case.map)
     assert witness.verified
-    assert witness.failures() == []
     for _, certificate in witness.per_line:
         assert certificate is not None and not certificate.is_zero
 
@@ -209,7 +208,7 @@ def test_extract_sigma_consistency(name, realized):
     case, _, plus, minus = realized(name)
     sigma = extract_sigma(plus, minus, case.map)
     assert sigma == case.sigma
-    assert not sigma.is_identity
+    assert sigma != Permutation.identity(sigma.degree)
     _, table_plus = lattice_of(plus)
     _, table_minus = lattice_of(minus)
     assert is_lattice_isomorphism(table_plus, table_minus, sigma)
@@ -227,12 +226,14 @@ def test_extract_sigma_none_for_unrelated(realized):
     assert extract_sigma(plus1, plus6, SWAP) is None
 
 
-# extract_sigma runs no lattice check: the map is a collineation, so the
-# sigma it reads off must be a lattice isomorphism.  These tests run the
-# check it dropped, as an oracle.
+# extract_sigma runs no lattice check and builds sigma unvalidated: the map
+# is a bijective collineation, so the images it reads off must form a
+# permutation and a lattice isomorphism.  These tests run the checks it
+# dropped, as an oracle.
 
 def _is_lattice_isomorphism(a, b, sigma):
-    return is_lattice_isomorphism(lattice_of(a)[1], lattice_of(b)[1], sigma)
+    return (Permutation(list(sigma.images)) == sigma
+            and is_lattice_isomorphism(lattice_of(a)[1], lattice_of(b)[1], sigma))
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
@@ -240,7 +241,7 @@ def test_extracted_sigma_is_a_lattice_isomorphism_on_the_corpus(name, realized):
     _, _, plus, minus = realized(name)
     found = 0
     for kind in (SWAP, SWAP_CONJUGATE):
-        for a, b in ((plus, minus), (minus, plus), (plus, plus)):
+        for a, b in ((plus, minus), (minus, plus), (plus, plus), (minus, minus)):
             sigma = extract_sigma(a, b, kind)
             if sigma is not None:
                 found += 1
@@ -461,7 +462,7 @@ def test_pipeline_complex_cases_try_swap_first():
 def test_pipeline_deterministic():
     first = run_pipeline("nazir-yoshinaga")
     second = run_pipeline("nazir-yoshinaga")
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
 
 
 def test_pipeline_report_records():
