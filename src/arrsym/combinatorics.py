@@ -272,20 +272,15 @@ class AutGroup(Record):
     def order(self) -> int:
         return len(self.elements)
 
-    def element_order_profile(self) -> dict[int, int]:
-        return dict(Counter(g.order() for g in self.elements))
-
-    def is_abelian(self) -> bool:
-        return all(g * h == h * g for g, h in combinations(self.elements, 2))
-
     def structure_name(self) -> str:
-        """Convenience label from elementary tests; falls back to 'order N'."""
+        """Convenience label from the element orders, counted once, and
+        whether the generators commute; falls back to 'order N'."""
         n = self.order
         if n == 1:
             return "trivial"
         if n > 48:
             return f"order {n}"
-        profile = tuple(sorted(self.element_order_profile().items()))
+        orders = Counter(g.order() for g in self.elements)
         known = {
             (24, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
             (6, ((1, 1), (2, 3), (3, 2))): "S3",
@@ -293,11 +288,11 @@ class AutGroup(Record):
             (12, ((1, 1), (2, 7), (3, 2), (6, 2))): "S3 x Z2",
             (8, ((1, 1), (2, 5), (4, 2))): "D4",
         }
-        if (n, profile) in known:
-            return known[n, profile]
-        if any(g.order() == n for g in self.elements):
+        if label := known.get((n, tuple(sorted(orders.items())))):
+            return label
+        if n in orders:
             return f"Z{n}"
-        if self.is_abelian():
+        if all(g * h == h * g for g, h in combinations(self.generators, 2)):
             return f"abelian order {n}"
         return f"order {n}"
 

@@ -12,10 +12,10 @@ for sqrt(d) of the active field, e.g. ``1/2+1/2w``.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
 from itertools import chain, count
 from math import gcd, sqrt
+from operator import index
 
 from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
                      _quoted)
@@ -174,11 +174,16 @@ class FieldSpec(Record):
 
     def __init__(self, d: int | None = None) -> None:
         if d is not None:
-            if d in (0, 1):
+            try:
+                n = index(d)
+            except TypeError:
+                raise ValidationError(f"quadratic field d={_quoted(repr(d), str)} "
+                                      "is not an integer") from None
+            if n in (0, 1):
                 raise ValidationError(f"invalid quadratic field d={d}")
-            _, sf = square_free_part(d)
-            if sf != d:
+            if square_free_part(n)[1] != n:
                 raise ValidationError(f"d={d} is not square-free")
+            d = n
         self._fill(d)
 
     @staticmethod
@@ -200,23 +205,6 @@ class FieldSpec(Record):
 
 
 RATIONAL = FieldSpec()
-
-# CPython's hash of a rational p/den (den > 0, any common factor): the
-# numeric-hash rule that hash(Fraction) follows, computed on the integers.
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _rational_hash(p: int, den: int) -> int:
-    try:
-        inverse = pow(den, -1, _HASH_MODULUS)
-    except ValueError:              # den is a multiple of the modulus
-        h = _HASH_INF
-    else:
-        h = hash(hash(abs(p)) * inverse)
-    h = h if p >= 0 else -h
-    return -2 if h == -1 else h
-
 
 def _num_den(value) -> tuple[int, int]:
     if isinstance(value, int):
@@ -399,9 +387,7 @@ class QuadExt:
     def __hash__(self) -> int:
         if self._q:
             return hash((self._p, self._q, self._den, self._d))
-        if self._den == 1:
-            return hash(self._p)
-        return _rational_hash(self._p, self._den)
+        return hash(self.a)
 
     def __bool__(self) -> bool:
         return not self.is_zero

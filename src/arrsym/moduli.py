@@ -265,8 +265,9 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
     """Evaluate the plan exactly at t0, on six-integer triples over Z[sqrt d].
     Requirements are NOT checked.  With t0 = (p + q*sqrt d)/e, each cleared
     list is summed against the powers (p + q*sqrt d)^k * e^(N-k); a zero sum
-    for the common denominator D means a pole.  A meet or join is a key of
-    ``_point_key``; each line is made primitive once, at the end."""
+    for the common denominator D means a pole, named by the first entry whose
+    denominator sums to zero against the same powers.  A meet or join is a
+    key of ``_point_key``; each line is made primitive once, at the end."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0._field
@@ -280,9 +281,10 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
 
     def given(step: GivenLine) -> list[int]:
         values = [sum(map(mul, cs, pw)) for cs in step.cleared for pw in (real, surd)]
-        if not (values[6] or values[7]):    # D(t0) = 0: raise the entry's PoleError
+        if not (values[6] or values[7]):    # D(t0) = 0: name the first entry with a pole
             for entry in step.entries:
-                entry.eval(t0)
+                if not any(sum(map(mul, entry.den._c, pw)) for pw in (real, surd)):
+                    raise PoleError(f"pole of {entry} at {t0}")
         return values[:6]
 
     def meet(u: tuple, v: tuple, what: str) -> tuple:

@@ -18,10 +18,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import (ParseError, PoleError, UnsupportedDegreeError, ValidationError,
-                     _quoted)
-from .fields import (QuadExt, _num_den, _quad, _rational_hash, factor_integer,
-                     parse_digits)
+from .errors import ParseError, UnsupportedDegreeError, ValidationError, _quoted
+from .fields import QuadExt, _num_den, _quad, factor_integer, parse_digits
 
 # Highest degree of a numerator or denominator that an expression may build
 # and that a plan's symbolic meets and joins may reach; above it the parser
@@ -98,12 +96,12 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         other = _as_poly(other)
-        return other is not None and self._c == other._c and self._den == other._den
+        if other is None:
+            return NotImplemented
+        return self._c == other._c and self._den == other._den
 
     def __hash__(self) -> int:
-        if len(self._c) > 1:
-            return hash((self._c, self._den))
-        return _rational_hash(self._c[0] if self._c else 0, self._den)
+        return hash((self._c, self._den)) if len(self._c) > 1 else hash(self[0])
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -453,8 +451,9 @@ class RatFunc:
 
     def __eq__(self, other) -> bool:
         other = _as_ratfunc(other)
-        return (isinstance(other, RatFunc)
-                and self.num == other.num and self.den == other.den)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         if self.den.degree == 0:
@@ -503,6 +502,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         other = _as_ratfunc(other)
+        if other is None:
+            return NotImplemented
         return other / self
 
     def __pow__(self, n: int):
@@ -513,15 +514,6 @@ class RatFunc:
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den, self.num) ** (-n)
         return RatFunc(self.num ** n, self.den ** n)
-
-    def eval(self, x) -> QuadExt:
-        """Exact value at x; raises PoleError at a denominator zero."""
-        if not isinstance(x, QuadExt):
-            x = QuadExt(x)
-        den = self.den.eval(x)
-        if den.is_zero:
-            raise PoleError(f"pole of {self} at {x}")
-        return self.num.eval(x) / den
 
     def format(self, var: str = "t") -> str:
         if self.den.degree == 0:

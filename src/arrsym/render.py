@@ -10,8 +10,8 @@ from __future__ import annotations
 from math import inf
 
 from .errors import RenderError
-from .fields import QuadExt
-from .geometry import Arrangement, ProjLine, lattice_of
+from .fields import QuadExt, _quad
+from .geometry import Arrangement, _primitive, lattice_of
 from .record import Record
 
 _CANVAS = 640.0
@@ -29,41 +29,48 @@ def _chart_transform(arrangement: Arrangement, infinity: int | None):
     (alpha, beta, gamma) meaning alpha*x + beta*y + gamma = 0, and the
     finite multiple points as ((x, y), multiplicity) — all still exact.
     With no line chosen, l is z = 0 itself: gamma is a line's z-coefficient,
-    (alpha, beta) its other two, and a point's z' is its z.
+    (alpha, beta) its other two, and a point's z' is its z.  Everything is
+    computed on keys over Z[sqrt d]; each value is built once, at the end.
     """
     n = arrangement.n
     if infinity is not None and not 1 <= infinity <= n:
         raise RenderError(f"infinity line {infinity} out of range 1..{n}")
     points, table = lattice_of(arrangement)
-    ell = (ProjLine((0, 0, 1)) if infinity is None else arrangement.line(infinity)).coords
-    pivot = next(k for k in range(3) if not ell[k].is_zero)
-    keep = [k for k in range(3) if k != pivot]
+    field = arrangement.field
+    d = field.d or 0
+    ell = (0, 0, 0, 0, 1, 0) if infinity is None else arrangement.line(infinity).key
+    pivot = next(k for k in (0, 2, 4) if ell[k])    # l's pivot s = ell[pivot]: rational, > 0
+    s = ell[pivot]
+    k0, k1 = (k for k in (0, 2, 4) if k != pivot)
 
-    def line_form(line):
-        coords = line.coords
-        gamma = coords[pivot] / ell[pivot]
-        residual = tuple(coords[k] - gamma * ell[k] for k in range(3))
-        return (residual[keep[0]], residual[keep[1]], gamma)
+    def line_form(w):
+        # (line*s - line[p]*l)/(s_line*s) at the kept k, and line[p]/s_line
+        a, b, s_line = w[pivot], w[pivot + 1], w[0] or w[2] or w[4]
+        return tuple(_quad(w[k] * s - a * ell[k] - d * b * ell[k + 1],
+                           w[k + 1] * s - a * ell[k + 1] - b * ell[k], s_line * s, d, field)
+                     for k in (k0, k1)) + (_quad(a, b, s_line, d, field),)
 
-    def point_coords(point):
-        coords = point.coords
-        zp = ell[0] * coords[0] + ell[1] * coords[1] + ell[2] * coords[2]
-        if zp.is_zero:
+    def point_coords(x):
+        # s*X_k/(l.X), made rational by _primitive: its first entry is the denominator
+        za = sum(ell[k] * x[k] + d * ell[k + 1] * x[k + 1] for k in (0, 2, 4))
+        zb = sum(ell[k] * x[k + 1] + ell[k + 1] * x[k] for k in (0, 2, 4))
+        if not (za or zb):
             return None
-        return (coords[keep[0]] / zp, coords[keep[1]] / zp)
+        w = _primitive((za, zb, s * x[k0], s * x[k0 + 1], s * x[k1], s * x[k1 + 1]), d)
+        return _quad(w[2], w[3], w[0], d, field), _quad(w[4], w[5], w[0], d, field)
 
     forms = []
     for idx, line in enumerate(arrangement.lines, start=1):
         if idx == infinity:
             continue
-        alpha, beta, gamma = line_form(line)
+        alpha, beta, gamma = line_form(line.key)
         if alpha.is_zero and beta.is_zero:
             raise RenderError(f"line {idx} coincides with the infinity line")
         forms.append((idx, (alpha, beta, gamma)))
 
     markers = []
     for point, (_, incident) in zip(points, table.points):
-        affine = point_coords(point)
+        affine = point_coords(point.key)
         if affine is not None:
             markers.append((affine, len(incident)))
     return forms, markers

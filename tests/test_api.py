@@ -44,7 +44,9 @@ def test_removed_helpers_are_gone():
                          (polys.Poly, "constant"), (polys.RatFunc, "constant"),
                          (polys.Poly, "leading"), (witness.PipelineReport, "to_json"),
                          (witness.ReflectionWitness, "failures"),
-                         (combinatorics.Permutation, "is_identity")):
+                         (combinatorics.Permutation, "is_identity"), (polys.RatFunc, "eval"),
+                         (combinatorics.AutGroup, "element_order_profile"),
+                         (combinatorics.AutGroup, "is_abelian")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

@@ -296,3 +296,46 @@ def test_the_leaf_check_is_the_point_set_check(table, data):
     for tau in (Permutation(images), *automorphism_group(table).generators):
         assert is_lattice_isomorphism(table, table, tau) == (
             frozenset(tau.apply_set(s) for s in table.point_sets) == table.point_sets)
+
+
+# -- structure labels -----------------------------------------------------------
+
+def reference_label(group):
+    """The label by brute force: every element's order, counted, and whether
+    every pair of elements commutes."""
+    n = len(group.elements)
+    if n == 1:
+        return "trivial"
+    if n > 48:
+        return f"order {n}"
+    profile = tuple(sorted(Counter(g.order() for g in group.elements).items()))
+    known = {(24, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
+             (6, ((1, 1), (2, 3), (3, 2))): "S3",
+             (48, ((1, 1), (2, 13), (3, 8), (4, 6), (6, 8), (8, 12))): "GL(2,F3)",
+             (12, ((1, 1), (2, 7), (3, 2), (6, 2))): "S3 x Z2",
+             (8, ((1, 1), (2, 5), (4, 2))): "D4"}
+    if (n, profile) in known:
+        return known[n, profile]
+    if any(g.order() == n for g in group.elements):
+        return f"Z{n}"
+    if all(g * h == h * g for g, h in combinations(group.elements, 2)):
+        return f"abelian order {n}"
+    return f"order {n}"
+
+
+@pytest.mark.parametrize("n,points,label", [
+    (8, ({2, 4, 5}, {5, 6, 7}, {1, 6, 8}, {2, 3, 6}), "abelian order 4"),
+    (7, ({1, 3, 4}, {2, 3, 7}), "order 16"),
+    (6, ({1, 3, 4}, {4, 5, 6}), "D4"),
+    (8, ({1, 3, 5}, {4, 5, 8}, {1, 2, 8}), "S3 x Z2"),
+])
+def test_structure_name_matches_the_brute_force_label(n, points, label):
+    # the generators commute exactly when the group is abelian
+    group = automorphism_group(ConfigTable("t", n, enumerate(points)))
+    assert group.structure_name() == reference_label(group) == label
+
+
+@pytest.mark.parametrize("name", corpus.list_cases())
+def test_corpus_structure_names_match_the_brute_force_label(name):
+    group = automorphism_group(corpus.get_case(name).config)
+    assert group.structure_name() == reference_label(group)

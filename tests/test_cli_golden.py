@@ -29,6 +29,7 @@ import pytest
 from arrsym import corpus
 from arrsym.cli import main
 from arrsym.combinatorics import automorphism_group, involutions
+from arrsym.fields import QuadExt
 from arrsym.moduli import derive_constraint, realize_components
 from conftest import fermat_arrangement, fermat_table
 
@@ -135,6 +136,26 @@ def test_command_output_is_byte_identical(command, inputs, monkeypatch):
     directory, _ = inputs
     monkeypatch.chdir(directory)
     assert digest(command) == RECORDED["commands"][command], command
+
+
+# Every QuadExt arithmetic operator.  The package computes on integer keys
+# and builds QuadExt values only to read, print or draw them.
+ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse")
+
+
+def test_no_command_does_quadext_arithmetic(inputs, monkeypatch):
+    directory, _ = inputs           # built before the operators are disabled
+    monkeypatch.chdir(directory)
+
+    def refuse(*args):
+        raise AssertionError("QuadExt arithmetic in a command")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(QuadExt, name, refuse)
+    changed = [command for command, recorded in RECORDED["commands"].items()
+               if digest(command) != recorded]
+    assert changed == []
 
 
 if __name__ == "__main__":

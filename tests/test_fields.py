@@ -90,6 +90,27 @@ def test_field_spec_validation():
     assert RATIONAL == FieldSpec() and RATIONAL.is_rational
 
 
+@pytest.mark.parametrize("d,message", [
+    (2.0, "quadratic field d=2.0 is not an integer"),
+    (F(5), "quadratic field d=Fraction(5, 1) is not an integer"),
+    ("5", "quadratic field d='5' is not an integer"),
+    (True, "invalid quadratic field d=True"),
+    (0, "invalid quadratic field d=0"),
+    (1, "invalid quadratic field d=1"),
+    (12, "d=12 is not square-free"),
+], ids=["float", "Fraction", "str", "True", "0", "1", "12"])
+def test_field_spec_refuses_a_non_integer_d(d, message):
+    # a value that is not an integer is named; the integer messages stay
+    with pytest.raises(ValidationError) as info:
+        FieldSpec(d)
+    assert str(info.value) == message
+
+
+def test_field_spec_accepts_integers():
+    assert FieldSpec(None) == RATIONAL and FieldSpec(-3).d == -3
+    assert type(FieldSpec(5).d) is int
+
+
 def test_quad_roots_golden_ratio():
     field, plus, minus = quad_roots(1, -1, -1)
     assert field.d == 5

@@ -98,10 +98,20 @@ def test_evaluate_plan_off_root_is_well_defined():
     assert not is_lattice_isomorphism(table, case.config, Permutation.identity(10))
 
 
-def test_evaluate_plan_pole():
-    case = corpus.get_case("{1}")
-    with pytest.raises(PoleError):
-        evaluate_plan(case.plan, F(0))
+POLE_PLAN = ("plan pole over t\nlines 5\nline 1 : 1 ; 0 ; 0\nline 2 : 1 ; 0 ; -1\n"
+             "line 3 : 0 ; 1 ; 0\nline 4 : 0 ; 1 ; -1\nline 5 : 1/(t^2-t-1) ; 1 ; 0\n")
+
+
+@pytest.mark.parametrize("plan,t0,message", [
+    (lambda: corpus.get_case("{1}").plan, lambda: F(0), "pole of (1)/(t) at 0"),
+    (lambda: parse_plan(POLE_PLAN), lambda: quad_roots(1, -1, -1)[1],
+     "pole of (1)/(t^2 - t - 1) at 1/2+1/2w"),
+], ids=["{1} at 0", "golden root"])
+def test_evaluate_plan_pole(plan, t0, message):
+    # the first entry whose denominator vanishes at t0 names the pole
+    with pytest.raises(PoleError) as info:
+        evaluate_plan(plan(), t0())
+    assert str(info.value) == message
 
 
 def test_evaluate_plan_degenerate_parameter():

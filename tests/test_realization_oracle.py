@@ -4,13 +4,14 @@ they replaced.
 evaluate_plan runs a plan at a root on six-integer triples over Z[sqrt d]
 and normalizes each line once; derive_constraint compares the lattice at
 the root on the integer keys of its pairwise intersections.  The
-references below are the replaced code: every entry evaluated as a
-RatFunc, meets and joins as QuadExt cross products, lines normalized by
-multiplying with the pivot's inverse, and the lattice checked by
-lattice_of plus is_lattice_isomorphism under the identity.  Both sides
-must give the same lines down to their integer triples and fields, or the
-same exception type and message.  The gates count QuadExt operators and
-lattice_of calls, so they are exact, not timings."""
+references below are the replaced code: every entry evaluated as its
+numerator's value over its denominator's, meets and joins as QuadExt cross
+products, lines normalized by multiplying with the pivot's inverse, and the
+lattice checked by lattice_of plus is_lattice_isomorphism under the
+identity.  Both sides must give the same lines down to their integer
+triples and fields, or the same exception type and message.  The gates
+count QuadExt operators and lattice_of calls, so they are exact, not
+timings."""
 
 import sys
 from fractions import Fraction as F
@@ -76,13 +77,22 @@ def _reference_cross(u, v, what, plan, t0):
     return w
 
 
+def reference_value(entry, t0):
+    """The entry's value at t0 as the quotient of its evaluated numerator and
+    denominator, or the PoleError the deleted ``RatFunc.eval`` raised."""
+    den = entry.den.eval(t0)
+    if den.is_zero:
+        raise PoleError(f"pole of {entry} at {t0}")
+    return entry.num.eval(t0) / den
+
+
 def reference_evaluate_plan(plan, t0):
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple(e.eval(t0) for e in step.entries)
+            lines[step.index] = tuple(reference_value(e, t0) for e in step.entries)
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}", plan, t0)
