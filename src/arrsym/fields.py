@@ -320,6 +320,8 @@ class QuadExt:
                      self._den * den, d, field)
 
     def __rsub__(self, other):
+        if self._operand(other) is None:
+            return NotImplemented
         return (-self) + other
 
     def __neg__(self):

@@ -17,8 +17,6 @@ Z[sqrt d], whose lattice is compared on integer keys with no QuadExt arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd, lcm
 from operator import mul
 
 from .combinatorics import MAX_LINES, ConfigTable
@@ -28,8 +26,8 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
-from .polys import (MAX_DEGREE, Poly, RatFunc, _convolve, _poly, parse_ratfunc,
-                    poly_reduce)
+from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
+                    _convolve, _oversized, _poly, parse_ratfunc, poly_reduce)
 from .record import Record
 
 
@@ -197,33 +195,6 @@ def parse_plan(text: str) -> ConstructionPlan:
         raise ParseError(str(exc)) from exc
 
 
-def _add(a: list, b: list, sign: int = 1) -> list:
-    """a + sign*b, trailing zeros dropped; a is a fresh list, changed in place."""
-    a += [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        a[i] += sign * y
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _content_free(lists: list) -> tuple:
-    g = gcd(*(c for cs in lists for c in cs))
-    return tuple(lists) if g == 1 else tuple([c // g for c in cs] for cs in lists)
-
-
-def _cleared(entries) -> tuple:
-    """(P0, P1, P2, D): ascending integer lists with entries[k] == P_k / D, D the
-    product of the distinct (monic, so primitive) denominators; content-free."""
-    fracs = [(e.num, e.den) for e in entries]
-    dens = [d for d in dict.fromkeys(den._c for _, den in fracs) if d != (1,)]
-    scale = lcm(*(num._den for num, _ in fracs))
-    out = [reduce(_convolve, [d for d in dens if d != den._c],
-                  [c * (den._den * scale // num._den) for c in num._c])
-           for num, den in fracs]
-    return _content_free(out + [reduce(_convolve, dens, [scale])])
-
-
 def _run_plan(plan: ConstructionPlan, given, cross):
     """The line and point values by label: ``given(step)`` is a GivenLine's
     value and ``cross(u, v, what)`` the meet or join of two values."""
@@ -243,7 +214,11 @@ def _run_plan(plan: ConstructionPlan, given, cross):
 
 def _cross(u: tuple, v: tuple, what: str) -> tuple:
     """The meet or join of two cleared triples over Q(t).  Raises DegenerateError
-    when they coincide, ValidationError when it has degree above MAX_DEGREE."""
+    when they coincide, ValidationError when it has degree above MAX_DEGREE
+    or, checked before it is computed, when its products are _oversized."""
+    if _oversized(u, v):
+        raise ValidationError(f"the meet or join of {what} has coefficients "
+                              f"above {_MAX_BITS} bits")
     (u0, u1, u2, du), (v0, v1, v2, dv) = u, v
     w = _content_free([_add(_convolve(u1, v2), _convolve(u2, v1), -1),
                        _add(_convolve(u2, v0), _convolve(u0, v2), -1),

@@ -5,7 +5,10 @@ denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den with c_n != 0
 and gcd(c_0, ..., c_n, den) = 1, so arithmetic runs on Python ints and equal
 polynomials are stored alike.  Division is pseudo-division over Z and the gcd
 is the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
-Expressions, and plans over Q(t), are held to degree MAX_DEGREE.
+A RatFunc is the reduced form of a rational function and has no arithmetic:
+expressions, like plans over Q(t) in moduli, compute on content-free integer
+lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
+bits per coefficient, and are reduced once, at the end.
 poly_reduce splits a nonzero polynomial into rational-root linear factors
 and irreducible quadratic factors; anything leaving an irreducible factor
 of degree >= 3 is rejected (nothing in this problem domain needs more).
@@ -13,19 +16,29 @@ of degree >= 3 is rejected (nothing in this problem domain needs more).
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import ParseError, UnsupportedDegreeError, ValidationError, _quoted
-from .fields import QuadExt, _num_den, _quad, factor_integer, parse_digits
+from .fields import (MAX_DIGITS, QuadExt, _num_den, _quad, factor_integer,
+                     parse_digits)
 
 # Highest degree of a numerator or denominator that an expression may build
 # and that a plan's symbolic meets and joins may reach; above it the parser
 # raises ParseError and the plan interpreter ValidationError, so a hostile
 # plan cannot make the polynomial arithmetic run without bound.
 MAX_DEGREE = 64
+# Largest exponent accepted in an expression.  A power's base may not contain
+# a power itself, so every power is computed from text-sized operands.
+MAX_EXPONENT = 64
+# Most bits the largest coefficients of a product's operands may have between
+# them: those of a MAX_DIGITS-digit literal to the MAX_EXPONENT.  Above it the
+# product is refused before it is formed (see _oversized), so a short
+# expression or plan of constants cannot build coefficients without bound.
+_MAX_BITS = MAX_EXPONENT * (10 ** MAX_DIGITS).bit_length()
 
 _new = object.__new__
 
@@ -42,6 +55,28 @@ def _convolve(a, b) -> list:
             for i, x in enumerate(a, j):
                 out[i] += x * y
     return out
+
+
+def _add(a: list, b: list, sign: int = 1) -> list:
+    """a + sign*b, trailing zeros dropped; a is a fresh list, changed in place."""
+    a += [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        a[i] += sign * y
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _content_free(lists: list) -> tuple:
+    g = gcd(*chain(*lists))
+    return tuple(lists) if g == 1 else tuple([c // g for c in cs] for cs in lists)
+
+
+def _oversized(*operands) -> bool:
+    """Whether a product of the operands, each a sequence of integer lists,
+    is refused: their largest coefficients have more than _MAX_BITS bits
+    between them."""
+    return sum([max(map(abs, chain(*lists))).bit_length() for lists in operands]) > _MAX_BITS
 
 
 def _poly(cs, den: int) -> "Poly":
@@ -132,6 +167,8 @@ class Poly:
         return self + (-other)
 
     def __rsub__(self, other):
+        if _as_poly(other) is None:
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -405,7 +442,8 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
 
 
 class RatFunc:
-    """Rational function num/den over Q; gcd(num, den) = 1 and den monic."""
+    """Rational function num/den over Q in its reduced form: gcd(num, den) = 1
+    and den monic.  It has no arithmetic (see _ExprParser and moduli)."""
 
     __slots__ = ("_num", "_den")
 
@@ -441,17 +479,14 @@ class RatFunc:
     def den(self) -> Poly:
         return self._den
 
-    @staticmethod
-    def variable() -> "RatFunc":
-        return RatFunc(Poly.variable())
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfunc(other)
-        if other is None:
+        if isinstance(other, (Poly, int, Fraction)):
+            other = RatFunc(other)
+        elif not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -462,58 +497,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfunc(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
 
     def format(self, var: str = "t") -> str:
         if self.den.degree == 0:
@@ -527,32 +510,40 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _as_ratfunc(value) -> RatFunc | None:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, (Poly, int, Fraction)):
-        return RatFunc(value)
-    return None
+def _cleared(entries) -> tuple:
+    """(P0, ..., D): ascending integer lists with entries[k] == P_k / D, D the
+    product of the distinct (monic, so primitive) denominators; content-free."""
+    fracs = [(e.num, e.den) for e in entries]
+    dens = [d for d in dict.fromkeys(den._c for _, den in fracs) if d != (1,)]
+    scale = lcm(*(num._den for num, _ in fracs))
+    out = [reduce(_convolve, [d for d in dens if d != den._c],
+                  [c * (den._den * scale // num._den) for c in num._c])
+           for num, den in fracs]
+    return _content_free(out + [reduce(_convolve, dens, [scale])])
+
+
+def _reduced(value: tuple) -> tuple:
+    """A (numerator, denominator) pair of lists in lowest terms."""
+    return _cleared((RatFunc(_poly(value[0], 1), _poly(value[1], 1)),))
 
 
 # -- expression parser ---------------------------------------------------------
 
-# Largest exponent accepted in an expression.  A power's base may not contain
-# a power itself, so every power is computed from text-sized operands.
-MAX_EXPONENT = 64
 # Deepest nesting of parentheses accepted in an expression.  Each level is a
 # few frames of the recursive-descent parser, so input stays far inside
 # Python's recursion limit and ends in ParseError, never RecursionError.
 MAX_NESTING = 64
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv}
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 
-def _degrees(f: RatFunc) -> tuple[int, int]:
-    return f.num.degree, f.den.degree
+def _step_degree(op: str, u: tuple, v: tuple) -> int:
+    """The degree the numerator or denominator of u op v may reach."""
+    (a, b), (c, d) = (len(x) - 1 for x in u), (len(x) - 1 for x in v)
+    if op == "/":
+        c, d = d, c
+    return max(a + c if op in "*/" else max(a + d, b + c), b + d)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -565,6 +556,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _ExprParser:
+    """Recursive descent.  A value is a content-free (numerator, denominator)
+    pair of ascending integer lists, the form moduli's plan interpreter runs
+    on; it is reduced to a RatFunc once, at the end."""
+
     def __init__(self, text: str, var: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -580,88 +575,102 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> None:
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in {_quoted(self.text)}")
+    def refuse(self, what: str):
+        raise ParseError(f"{what} in {_quoted(self.text)}")
 
     def parse(self) -> RatFunc:
-        value = self.expr()
+        num, den = self.expr()
         if self.peek()[0] != "end":
-            raise ParseError(f"trailing input in {_quoted(self.text)}")
-        return value
+            self.refuse("trailing input")
+        return RatFunc(_poly(num, 1), _poly(den, 1))
 
-    def expr(self) -> RatFunc:
+    def expr(self) -> tuple:
         return self.chain(self.term, "+-")
 
-    def term(self) -> RatFunc:
+    def term(self) -> tuple:
         return self.chain(self.unary, "*/")
 
-    def chain(self, operand, ops: str) -> RatFunc:
+    def chain(self, operand, ops: str) -> tuple:
         """operand (op operand)* for op in ops, left to right.  A step is
         refused before it is computed when the degree it may reach in its
-        numerator or denominator is above MAX_DEGREE."""
+        numerator or denominator is above MAX_DEGREE with its operands
+        reduced (they are reduced only when it is above with them as they
+        are), or when its product is _oversized."""
         value = operand()
         while self.peek()[0] == "op" and self.peek()[1] in ops:
             op = self.take()[1]
             rhs = operand()
-            (a, b), (c, d) = _degrees(value), _degrees(rhs)
+            if _step_degree(op, value, rhs) > MAX_DEGREE:
+                value, rhs = _reduced(value), _reduced(rhs)
+                if _step_degree(op, value, rhs) > MAX_DEGREE:
+                    self.refuse(f"degree above {MAX_DEGREE}")
+            (a, b), (c, d) = value, rhs
             if op == "/":
+                if not c:
+                    raise ZeroDivisionError
                 c, d = d, c
-            if max(a + c if op in "*/" else max(a + d, b + c), b + d) > MAX_DEGREE:
-                raise ParseError(f"degree above {MAX_DEGREE} in {_quoted(self.text)}")
-            value = _BINARY[op](value, rhs)
+            if _oversized(value, rhs):
+                self.refuse(f"coefficients above {_MAX_BITS} bits")
+            num = (_convolve(a, c) if op in "*/" else
+                   _add(_convolve(a, d), _convolve(c, b), 1 if op == "+" else -1))
+            value = _content_free([num, _convolve(b, d)])
         return value
 
-    def unary(self) -> RatFunc:
+    def unary(self) -> tuple:
         negate = False
         while self.peek() in (("op", "-"), ("op", "+")):
             negate ^= self.take()[1] == "-"
-        value = self.power()
-        return -value if negate else value
+        num, den = self.power()
+        return ([-c for c in num], den) if negate else (num, den)
 
-    def power(self) -> RatFunc:
+    def power(self) -> tuple:
         start = self.pos
         base = self.atom()
-        if self.peek() == ("op", "^"):
-            if ("op", "^") in self.tokens[start:self.pos]:
-                raise ParseError(f"power of a power in {_quoted(self.text)}")
+        if self.peek() != ("op", "^"):
+            return base
+        if ("op", "^") in self.tokens[start:self.pos]:
+            self.refuse("power of a power")
+        self.take()
+        if negative := self.peek() == ("op", "-"):
             self.take()
-            sign = 1
-            if self.peek() == ("op", "-"):
-                self.take()
-                sign = -1
-            kind, val = self.take()
-            if kind != "int":
-                raise ParseError(f"expected integer exponent in {_quoted(self.text)}")
-            exponent = parse_digits(val, "an exponent")
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} above {MAX_EXPONENT} "
-                                 f"in {_quoted(self.text)}")
-            if max(_degrees(base)) * exponent > MAX_DEGREE:
-                raise ParseError(f"degree above {MAX_DEGREE} in {_quoted(self.text)}")
-            return base ** (sign * exponent)
-        return base
+        kind, val = self.take()
+        if kind != "int":
+            self.refuse("expected integer exponent")
+        exponent = parse_digits(val, "an exponent")
+        if exponent > MAX_EXPONENT:
+            self.refuse(f"exponent {exponent} above {MAX_EXPONENT}")
+        if (max(map(len, base)) - 1) * exponent > MAX_DEGREE:
+            base = _reduced(base)
+            if (max(map(len, base)) - 1) * exponent > MAX_DEGREE:
+                self.refuse(f"degree above {MAX_DEGREE}")
+        num, den = base[::-1] if negative and exponent else base
+        if not den:
+            raise ZeroDivisionError
+        if _oversized(*[base] * exponent):
+            self.refuse(f"coefficients above {_MAX_BITS} bits")
+        # a power of a content-free pair is content-free (Gauss's lemma)
+        return tuple(reduce(_convolve, [cs] * exponent, [1]) for cs in (num, den))
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> tuple:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc(parse_digits(val, "an integer"))
+            n = parse_digits(val, "an integer")
+            return ([n] if n else []), [1]
         if kind == "name":
             if val != self.var:
                 raise ParseError(f"unknown variable {_quoted(val)} "
                                  f"(plan is over {_quoted(self.var)})")
-            return RatFunc.variable()
+            return [0, 1], [1]
         if (kind, val) == ("op", "("):
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} "
-                                 f"in {_quoted(self.text)}")
+                self.refuse(f"parentheses nested deeper than {MAX_NESTING}")
             inner = self.expr()
-            self.expect_op(")")
+            if self.take() != ("op", ")"):
+                self.refuse("expected ')'")
             self.depth -= 1
             return inner
-        raise ParseError(f"unexpected token {_quoted(val)} in {_quoted(self.text)}")
+        self.refuse(f"unexpected token {_quoted(val)}")
 
 
 def parse_ratfunc(text: str, var: str = "t") -> RatFunc:

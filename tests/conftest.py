@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,84 @@ def cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
+
+
+# -- the rational-function model ------------------------------------------------
+# A polynomial is a tuple of Fractions in ascending degree with no trailing
+# zeros, and every operation is the schoolbook one over Q (long division,
+# Euclid's gcd made monic).  A rational function is a (num, den) pair of them
+# in the form rcanonical gives, which qadd and qmul keep after every step.
+
+def norm(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def radd(a, b):
+    n = max(len(a), len(b))
+    return norm((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                for k in range(n))
+
+
+def rneg(a):
+    return tuple(-c for c in a)
+
+
+def rmul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return norm(out)
+
+
+def rdivmod(a, b):
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        f = rem[k + len(b) - 1] / b[-1]
+        quo[k] = f
+        for j, y in enumerate(b):
+            rem[k + j] -= f * y
+    return norm(quo), norm(rem)
+
+
+def rmonic(a):
+    return tuple(c / a[-1] for c in a) if a else a
+
+
+def rgcd(a, b):
+    while b:                    # monic remainders keep the Fractions small
+        a, b = b, rmonic(rdivmod(a, b)[1])
+    return rmonic(a)
+
+
+def rcanonical(num, den):
+    """num/den with the common factor divided out and den monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = rgcd(num, den)
+    num, den = rdivmod(num, g)[0], rdivmod(den, g)[0]
+    return tuple(c / den[-1] for c in num), rmonic(den)
+
+
+# Fraction arithmetic is slow, and a plan's meets and joins repeat their
+# products: qadd and qmul keep their recent results.
+@functools.lru_cache(maxsize=1 << 16)
+def qadd(f, g):
+    """The sum of two model rational functions, reduced."""
+    return rcanonical(radd(rmul(f[0], g[1]), rmul(g[0], f[1])), rmul(f[1], g[1]))
+
+
+def qneg(f):
+    return rneg(f[0]), f[1]
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def qmul(f, g):
+    """The product of two model rational functions, reduced."""
+    return rcanonical(rmul(f[0], g[0]), rmul(f[1], g[1]))
 
 
 def meet(l1, l2):
@@ -173,6 +252,13 @@ def chain_plan(n):
         text += [f"point P{k} : meet {k - 1} {a}", f"point Q{k} : meet {k - 2} {b}",
                  f"line {k} : join P{k} Q{k}"]
     return "\n".join(text + ["point Z : meet 1 3", f"require Z on {n}"]) + "\n"
+
+
+def constant_chain_plan(n):
+    """chain_plan(n) with constant lines 5-7: the degree stays 0, and the
+    coefficients grow about 1.6 times in bits for every line."""
+    return (chain_plan(n).replace("1 ; t ; 2", "1 ; 5 ; 2").replace("t ; 1 ; 3", "7 ; 1 ; 3")
+            .replace("2 ; 3 ; t", "2 ; 3 ; 11"))
 
 
 GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from arrsym import corpus, moduli
+from arrsym import corpus, moduli, polys
 from arrsym.combinatorics import Permutation, is_lattice_isomorphism
 from arrsym.errors import (ConstraintError, DegenerateError, ParseError,
                            PoleError, ValidationError)
@@ -11,9 +11,9 @@ from arrsym.fields import QuadExt, quad_roots
 from arrsym.geometry import ProjPoint, lattice_of
 from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
-from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
+from arrsym.polys import MAX_DEGREE, Poly, parse_ratfunc
 
-from conftest import chain_plan, contains
+from conftest import chain_plan, constant_chain_plan, contains
 
 T = Poly.variable()
 
@@ -62,7 +62,7 @@ def test_oversized_plan_refused_before_any_work(monkeypatch):
         raise AssertionError("oversized input reached the work it asks for")
 
     monkeypatch.setattr(moduli, "_validate_plan", untouched)
-    monkeypatch.setattr(RatFunc, "__pow__", untouched)
+    monkeypatch.setattr(polys, "_convolve", untouched)
     with pytest.raises(ParseError, match="more than 1024 lines"):
         parse_plan("plan p over t\nlines 1000000000\n")
     with pytest.raises(ParseError, match="exponent"):
@@ -80,6 +80,19 @@ def test_plan_degree_is_bounded():
     with pytest.raises(ValidationError, match="points P16,Q16 has degree above 64"):
         residual_numerators(plan)
     assert time.perf_counter() - start < 1
+
+
+def test_plan_coefficient_size_is_bounded():
+    [(_, _, num)] = residual_numerators(parse_plan(constant_chain_plan(28)))
+    assert num.degree == 0 and 80_000 < abs(num[0].numerator).bit_length() < 136_128
+
+
+@pytest.mark.parametrize("n", [29, 34, 38])
+def test_plan_coefficient_size_is_refused_before_it_is_computed(n):
+    # the degree stays 0: without the bound 34 lines took 5 s and 38 over 90 s
+    with pytest.raises(ValidationError, match="^the meet or join of points P29,Q29 "
+                                              "has coefficients above 136128 bits$"):
+        residual_numerators(parse_plan(constant_chain_plan(n)))
 
 
 def test_evaluate_plan_at_root_gives_expected_lattice():

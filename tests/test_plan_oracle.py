@@ -1,13 +1,13 @@
-"""The fraction-free plan interpreter against the RatFunc interpreter it
-replaced.
+"""The fraction-free plan interpreter against the interpreter it replaced.
 
 residual_numerators runs meets and joins on integer-polynomial triples over
 a common denominator and reduces once per requirement.  The reference below
-is the replaced interpreter: every entry a reduced RatFunc, every product
-and sum reduced by a polynomial gcd.  Both must give the same numerators in
-the same order, and the same exception type and message on a plan that
-fails.  The gate counts RatFunc constructions: one per numerator returned
-(19 over the nine cases; the reference makes 767)."""
+is the replaced interpreter on the model of tests/conftest.py: every entry a
+reduced rational function, every product and sum reduced by a polynomial
+gcd.  Both must give the same numerators in the same order, and the same
+exception type and message on a plan that fails.  The gates count RatFunc
+constructions: one per numerator returned (19 over the nine cases; the
+replaced interpreter made 767), and one per plan entry parsed."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -22,14 +22,15 @@ from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, par
                            residual_numerators)
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
 
-from conftest import ALL_CASES, chain_plan, cross, plans
+from conftest import ALL_CASES, chain_plan, plans, qadd, qmul, qneg
 
 
 def _reference_cross(u, v, what):
-    w = cross(u, v)
-    if all(e.is_zero for e in w):
+    w = tuple(qadd(qmul(u[i], v[j]), qneg(qmul(u[j], v[i])))
+              for i, j in ((1, 2), (2, 0), (0, 1)))
+    if not any(num for num, _ in w):
         raise DegenerateError(f"{what} coincide identically")
-    if max(max(e.num.degree, e.den.degree) for e in w) > MAX_DEGREE:
+    if max(len(cs) for e in w for cs in e) - 1 > MAX_DEGREE:
         raise ValidationError(f"the meet or join of {what} has degree "
                               f"above {MAX_DEGREE}")
     return w
@@ -39,7 +40,7 @@ def reference_numerators(plan):
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = step.entries
+            lines[step.index] = tuple((e.num.coeffs, e.den.coeffs) for e in step.entries)
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}")
@@ -49,9 +50,10 @@ def reference_numerators(plan):
     out = []
     for req in plan.requires():
         point, line = points[req.point], lines[req.line]
-        expr = line[0] * point[0] + line[1] * point[1] + line[2] * point[2]
-        if not expr.is_zero:
-            out.append((req.point, req.line, expr.num))
+        num, _ = qadd(qadd(qmul(line[0], point[0]), qmul(line[1], point[1])),
+                      qmul(line[2], point[2]))
+        if num:
+            out.append((req.point, req.line, Poly(num)))
     return out
 
 
@@ -135,6 +137,17 @@ def test_one_ratfunc_per_numerator(monkeypatch):
         assert len(built) == count
         total += count
     assert total == 19
+
+
+def test_one_ratfunc_per_plan_entry(monkeypatch):
+    # the expression parser reduces each entry once, at the end (424 were
+    # built when it reduced after every step)
+    texts = [corpus._read_data(f"{corpus._SPECS[name].stem}.plan") for name in ALL_CASES]
+    built = _count_ratfuncs(monkeypatch)
+    plans = [parse_plan(text) for text in texts]
+    entries = [e for plan in plans for step in plan.steps if isinstance(step, GivenLine)
+               for e in step.entries]
+    assert len(built) == len(entries) == 258
 
 
 @pytest.mark.parametrize("name", ALL_CASES)

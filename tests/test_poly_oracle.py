@@ -1,66 +1,24 @@
-"""Poly and RatFunc against a reference model: a polynomial is a tuple of
-Fractions in ascending degree with no trailing zeros, and every operation is
-the schoolbook one over Q (long division, Euclid's gcd made monic).  The
-library stores a reduced integer tuple with one common denominator, divides
-by pseudo-division and takes gcds by a primitive pseudo-remainder sequence;
-every operation must agree with the model."""
+"""Poly, RatFunc and parse_ratfunc against the reference model of
+tests/conftest.py: a polynomial is a tuple of Fractions in ascending degree
+with no trailing zeros, and every operation is the schoolbook one over Q
+(long division, Euclid's gcd made monic).  The library stores a reduced
+integer tuple with one common denominator, divides by pseudo-division and
+takes gcds by a primitive pseudo-remainder sequence; every operation must
+agree with the model."""
 
 from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrsym.errors import ParseError, _quoted
 from arrsym.fields import QuadExt
-from arrsym.polys import Poly, RatFunc
+from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
 
+from conftest import norm, qneg, radd, rcanonical, rdivmod, rgcd, rmonic, rmul, rneg
 from test_scalar_oracle import FIELDS, agrees, scalar
-
-
-def norm(cs):
-    cs = [F(c) for c in cs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def radd(a, b):
-    n = max(len(a), len(b))
-    return norm((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                for k in range(n))
-
-
-def rneg(a):
-    return tuple(-c for c in a)
-
-
-def rmul(a, b):
-    out = [F(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return norm(out)
-
-
-def rdivmod(a, b):
-    rem, quo = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        f = rem[k + len(b) - 1] / b[-1]
-        quo[k] = f
-        for j, y in enumerate(b):
-            rem[k + j] -= f * y
-    return norm(quo), norm(rem)
-
-
-def rmonic(a):
-    return tuple(c / a[-1] for c in a) if a else a
-
-
-def rgcd(a, b):
-    while b:
-        a, b = b, rdivmod(a, b)[1]
-    return rmonic(a)
 
 
 def rprimitive(a):
@@ -74,15 +32,6 @@ def reval(a, x):
     for c in reversed(a):
         acc = acc * x + c
     return acc
-
-
-def rcanonical(num, den):
-    """num/den with the common factor divided out and den monic."""
-    if not num:
-        return (), (F(1),)
-    g = rgcd(num, den)
-    num, den = rdivmod(num, g)[0], rdivmod(den, g)[0]
-    return tuple(c / den[-1] for c in num), rmonic(den)
 
 
 small_rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
@@ -199,23 +148,18 @@ def agrees_ratfunc(f, ref):
     assert f.den[f.den.degree] == 1 and f.num.gcd(f.den).degree <= 0
 
 
-@given(ratfunc(), ratfunc(), st.one_of(small_rationals, st.integers(-9, 9)))
-def test_ratfunc_operations_match_the_model(fs, gs, r):
-    (f, (a, b)), (g, (c, d)) = fs, gs
+@given(ratfunc(), poly(nonzero=True), st.one_of(small_rationals, st.integers(-9, 9)))
+def test_ratfunc_reduces_like_the_model(fs, ss, r):
+    # the one reducer: a common factor and a constant divided out
+    (f, (a, b)), (s, _) = fs, ss
     agrees_ratfunc(f, (a, b))
-    for value, ref in [(f + g, (radd(rmul(a, d), rmul(c, b)), rmul(b, d))),
-                       (f - g, (radd(rmul(a, d), rneg(rmul(c, b))), rmul(b, d))),
-                       (f * g, (rmul(a, c), rmul(b, d))), (-f, (rneg(a), b)),
-                       (f + r, (radd(a, rmul(b, norm((r,)))), b)),
-                       (r * f, (rmul(a, norm((r,))), b))]:
-        agrees_ratfunc(value, rcanonical(*ref))
-    if c:
-        agrees_ratfunc(f / g, rcanonical(rmul(a, d), rmul(b, c)))
-        agrees_ratfunc(g ** -2, rcanonical(rmul(d, d), rmul(c, c)))
+    agrees_ratfunc(RatFunc(f.num * s, f.den * s), (a, b))
+    agrees_ratfunc(RatFunc(r), rcanonical(norm((r,)), (F(1),)))
+    if r:
+        agrees_ratfunc(RatFunc(f.num, f.den * r), rcanonical(a, rmul(b, norm((r,)))))
     else:
         with pytest.raises(ZeroDivisionError):
-            f / g
-    agrees_ratfunc(f ** 2, rcanonical(rmul(a, a), rmul(b, b)))
+            RatFunc(f.num, r)
 
 
 @given(ratfunc(), st.sampled_from(FIELDS).flatmap(
@@ -236,7 +180,7 @@ def test_equal_values_have_equal_hashes(ps, qs, fs):
     assert rebuilt == p and hash(rebuilt) == hash(p)
     assert Poly(rp) == p and hash(Poly(rp)) == hash(p)
     assert RatFunc(p) == p and hash(RatFunc(p)) == hash(p)
-    g = (f * RatFunc(q)) / RatFunc(q)
+    g = RatFunc(f.num * q, f.den * q)
     assert g == f and hash(g) == hash(f)
     if p.degree <= 0:
         c = rp[0] if rp else F(0)
@@ -283,3 +227,134 @@ def test_immutable():
         with pytest.raises(AttributeError):
             setattr(obj, name, Poly((1,)))
     assert p.coeffs == (1, F(1, 2)) and f.den == Poly((F(2, 3), 1))
+
+
+# -- the expression parser ----------------------------------------------------------
+# parse_ratfunc computes on content-free integer lists and reduces once, at the
+# end, and only when a step's degree bound is above MAX_DEGREE.  The model
+# reduces after every step: a step is refused when one of its products of
+# reduced operands has degree above MAX_DEGREE, and a power when its
+# numerator or denominator would.  The results' integer forms, or the
+# ParseError messages, must be equal.
+
+ONE = ((F(1),), (F(1),))
+
+
+class Refused(Exception):
+    """The model's refusal: the parser's message, less " in <text>"."""
+
+
+def model_step(op, f, g):
+    (a, b), (c, d) = f, (g[::-1] if op == "/" else g)
+    products = [rmul(a, c), rmul(b, d)] if op in "*/" else [rmul(a, d), rmul(c, b), rmul(b, d)]
+    if max(map(len, products)) - 1 > MAX_DEGREE:
+        raise Refused(f"degree above {MAX_DEGREE}")
+    if op == "/" and not g[0]:
+        raise ZeroDivisionError
+    if op in "+-":
+        products[:2] = [radd(products[0], rneg(products[1]) if op == "-" else products[1])]
+    return rcanonical(*products)
+
+
+def model_power(f, exponent, negative):
+    if max(len(cs) - 1 for cs in f) * exponent > MAX_DEGREE:
+        raise Refused(f"degree above {MAX_DEGREE}")
+    if not exponent:
+        return ONE
+    if negative:
+        if not f[0]:
+            raise ZeroDivisionError
+        f = f[::-1]
+    num, den = ONE
+    for bit in bin(exponent)[2:]:                       # square and multiply
+        num, den = rmul(num, num), rmul(den, den)
+        if bit == "1":
+            num, den = rmul(num, f[0]), rmul(den, f[1])
+    return rcanonical(num, den)
+
+
+ATOMS = {"t": ((F(0), F(1)), (F(1),)), "(t-t)": ((), (F(1),)), "(t+1)": ((F(1), F(1)), (F(1),)),
+         "0": ((), (F(1),)), "2": ((F(2),), (F(1),)), "7": ((F(7),), (F(1),))}
+EXPONENTS = st.one_of(st.sampled_from([0, 1, 2, 32, 33, 40, 64]), st.integers(0, 64))
+SIGNS = st.sampled_from(["", "-", "+", "--", "+-"])
+ATOM_TEXTS = st.sampled_from(sorted(ATOMS))
+
+
+@st.composite
+def expressions(draw):
+    """A text by the parser's grammar, and a thunk that evaluates it with the
+    model, left to right as the parser does."""
+
+    def chain(depth, ops):                  # "+-" chains terms, "*/" signed powers
+        parts = [chain(depth, "*/") if ops == "+-" else unary(depth)
+                 for _ in range(draw(st.integers(1, 3 - depth)))]
+        signs = [draw(st.sampled_from(ops)) for _ in parts[1:]]
+
+        def run():
+            value = parts[0][1]()
+            for op, (_, operand) in zip(signs, parts[1:]):
+                value = model_step(op, value, operand())
+            return value
+
+        return "".join([parts[0][0]] + [op + t for op, (t, _) in zip(signs, parts[1:])]), run
+
+    def unary(depth):
+        if depth < 2 and draw(st.booleans()):
+            text, base = chain(depth + 1, "+-")
+            text = f"({text})"
+        else:
+            text = draw(ATOM_TEXTS)
+            base = lambda text=text: ATOMS[text]
+        run = base
+        if "^" not in text and draw(st.booleans()):          # no power of a power
+            exponent, minus = draw(EXPONENTS), draw(st.sampled_from(["", "-"]))
+            text += f"^{minus}{exponent}"
+            run = lambda: model_power(base(), exponent, minus == "-")
+        signs = draw(SIGNS)
+        if signs.count("-") % 2:
+            return signs + text, lambda: qneg(run())
+        return signs + text, run
+
+    return chain(0, "+-")
+
+
+def parsed(text):
+    """parse_ratfunc's result as its exact integer form, or its message."""
+    try:
+        f = parse_ratfunc(text)
+    except ParseError as exc:
+        return str(exc)
+    return f.num._c, f.num._den, f.den._c, f.den._den
+
+
+def modelled(expression):
+    text, run = expression
+    try:
+        num, den = run()
+    except Refused as exc:
+        return f"{exc} in {_quoted(text)}"
+    except ZeroDivisionError:
+        return f"division by zero in {_quoted(text)}"
+    return Poly(num)._c, Poly(num)._den, Poly(den)._c, Poly(den)._den
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions())
+def test_parse_ratfunc_matches_the_model(expression):
+    assert parsed(expression[0]) == modelled(expression)
+
+
+T64 = (F(0),) * 64 + (F(1),)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("t^64/t", (T64[1:], (F(1),))),      # unreduced t^64/t: degree 64 over 1
+    ("(t^64/t)*t", (T64, (F(1),))),      # reduced before the product: 63 + 1
+    ("1/t^32 - 1/t^32", ((), (F(1),))),
+    ("0^-0", ONE),
+    ("(t-t)^-1", "division by zero in '(t-t)^-1'")])
+def test_parse_ratfunc_pins(text, expected):
+    if isinstance(expected, str):
+        assert parsed(text) == expected
+    else:
+        assert parse_ratfunc(text) == RatFunc(Poly(expected[0]), Poly(expected[1]))

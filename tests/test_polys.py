@@ -3,8 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from arrsym import polys
 from arrsym.errors import ParseError, UnsupportedDegreeError, ValidationError
-from arrsym.fields import QuadExt, quad_roots
+from arrsym.fields import MAX_DIGITS, QuadExt, quad_roots
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce
 
 T = Poly.variable()
@@ -107,31 +108,29 @@ def value(f, x):
 
 
 def test_ratfunc_eval_identity():
-    assert value(RatFunc.variable(), F(7, 2)) == F(7, 2)
+    assert value(parse_ratfunc("t"), F(7, 2)) == F(7, 2)
 
 
 def test_ratfunc_eval_golden_identity():
     # (1 + t)/t fixes the golden ratio because t^2 = t + 1 there
     _, plus, _ = quad_roots(1, -1, -1)
-    f = (1 + RatFunc.variable()) / RatFunc.variable()
-    assert value(f, plus) == plus
+    assert value(parse_ratfunc("(1 + t)/t"), plus) == plus
 
 
 def test_ratfunc_field_ops():
-    t = RatFunc.variable()
-    f = (t - 1) / (t + 2)
-    g = 1 / t
-    x = F(3)
-    assert value(f + g, x) == value(f, x) + value(g, x)
-    assert value(f * g, x) == value(f, x) * value(g, x)
-    assert (f / f) == RatFunc(1)
+    f, g, x = "(t - 1)/(t + 2)", "1/t", F(3)
+    fx, gx = value(parse_ratfunc(f), x), value(parse_ratfunc(g), x)
+    assert value(parse_ratfunc(f"{f} + {g}"), x) == fx + gx
+    assert value(parse_ratfunc(f"({f}) * {g}"), x) == fx * gx
+    assert parse_ratfunc(f"({f}) / ({f})") == RatFunc(1)
 
 
-@pytest.mark.parametrize("other", [1.5, "t", QuadExt(2)], ids=repr)
-def test_ratfunc_refuses_an_unknown_dividend(other):
-    # a dividend that is no polynomial or rational: TypeError, not recursion
-    with pytest.raises(TypeError, match="unsupported operand"):
-        other / RatFunc.variable()
+@pytest.mark.parametrize("left", [1.5, "a"], ids=repr)
+@pytest.mark.parametrize("right", [Poly((1,)), QuadExt(2)], ids=["Poly", "QuadExt"])
+def test_an_unknown_left_operand_is_refused_by_minus(left, right):
+    # refused before y is negated, so the message names -, not +
+    with pytest.raises(TypeError, match="unsupported operand type\\(s\\) for -:"):
+        left - right
 
 
 @pytest.mark.parametrize("text,at,expected", [
@@ -179,14 +178,25 @@ def test_parse_ratfunc_bounds_degree_before_computing(monkeypatch):
         parse_ratfunc("*".join(["(t+1)^64"] * 40))
     assert time.perf_counter() - start < 1
 
-    def untouched(*args):
-        raise AssertionError("the bound was checked after computing")
+    convolve = polys._convolve
 
-    for name, text in [("__mul__", "t^64*t"), ("__mul__", "t^33*t^32"),
-                       ("__truediv__", "t^-64/t"), ("__add__", "t^-40 + t^-30*t^-30"),
-                       ("__sub__", "t^-40 - t^-30"), ("__pow__", "(t*t-1)^33"),
-                       ("__pow__", "(1/(t*t+1))^-33")]:
-        with monkeypatch.context() as patch:
-            patch.setattr(RatFunc, name, untouched)
-            with pytest.raises(ParseError, match="degree above 64"):
-                parse_ratfunc(text)
+    def bounded(a, b):
+        if len(a) + len(b) - 2 > MAX_DEGREE:
+            raise AssertionError("the bound was checked after computing")
+        return convolve(a, b)
+
+    monkeypatch.setattr(polys, "_convolve", bounded)
+    for text in ["t^64*t", "t^33*t^32", "t^-64/t", "t^-40 + t^-30*t^-30", "t^-40 - t^-30",
+                 "(t*t-1)^33", "(1/(t*t+1))^-33"]:
+        with pytest.raises(ParseError, match="degree above 64"):
+            parse_ratfunc(text)
+
+
+@pytest.mark.parametrize("factors", [10, 20, 40])
+def test_parse_ratfunc_bounds_coefficient_size_before_computing(factors):
+    # the degree stays 0: 40 factors took 3-4 s and built a coefficient of
+    # 5.4 million bits; one 640-digit literal to the 64th is in the bound
+    big = "(" + "9" * MAX_DIGITS + ")^64"
+    assert parse_ratfunc(big) == (10 ** MAX_DIGITS - 1) ** 64
+    with pytest.raises(ParseError, match=r"^coefficients above 136128 bits in '\(999"):
+        parse_ratfunc("*".join([big] * factors))
