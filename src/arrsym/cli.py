@@ -65,12 +65,12 @@ def _cmd_aut(args) -> int:
     table = parse_config_table(_read(args.cfg))
     group = automorphism_group(table)
     invs = involutions(group)
-    payload = {"name": table.name, "order": group.order,
-               "label": group.structure_name(),
+    label = group.structure_name()
+    payload = {"name": table.name, "order": group.order, "label": label,
                "generators": [g.cycle_string() for g in group.generators],
                "involutions": [g.cycle_string() for g in invs]}
     lines = [f"automorphism group of {table.name}: order {group.order} "
-             f"({group.structure_name()})",
+             f"({label})",
              "generators: " + (", ".join(g.cycle_string() for g in group.generators)
                                or "none (trivial)"),
              f"involutions ({len(invs)}): "

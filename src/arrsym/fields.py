@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain, count
-from math import gcd, sqrt
+from math import gcd, lcm, sqrt
 from operator import index
 
 from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
@@ -430,33 +430,26 @@ def _inverse(p: int, q: int, den: int, d: int, field: FieldSpec) -> QuadExt:
 
 def quad_roots(a: int | Fraction, b: int | Fraction,
                c: int | Fraction) -> tuple[FieldSpec, QuadExt, QuadExt]:
-    """Both roots of a*t^2 + b*t + c, exactly.
+    """Both roots of a*t^2 + b*t + c, exactly, computed on integers.
 
-    The discriminant is reduced to a square-free d; the root whose
-    sqrt(d)-coefficient is positive is designated "+".  A perfect-square
-    (or zero) discriminant degrades to the rational field, where the
-    larger root is designated "+".
+    With the denominators cleared and a made positive, the roots are
+    (-b +- s*sqrt(d))/(2a), where b^2 - 4ac = s*s*d with s >= 0 and d
+    square-free.  The root whose sqrt(d)-coefficient is positive is
+    designated "+".  A perfect-square (or zero) discriminant degrades to
+    the rational field, where the larger root is designated "+".
     """
-    a, b, c = (Fraction(*_num_den(v)) for v in (a, b, c))
-    if a == 0:
+    (an, ad), (bn, bd), (cn, cd) = map(_num_den, (a, b, c))
+    if an == 0:
         raise DegenerateError("degenerate quadratic: leading coefficient is zero")
+    den = lcm(ad, bd, cd) if an > 0 else -lcm(ad, bd, cd)
+    a, b, c = an * (den // ad), bn * (den // bd), cn * (den // cd)
     disc = b * b - 4 * a * c
-    center = -b / (2 * a)
-    if disc == 0:
-        r = QuadExt(center)
-        return RATIONAL, r, r
-    s, d = square_free_part(disc.numerator * disc.denominator)
-    if d == 1:
-        half = Fraction(s, disc.denominator) / (2 * a)
-        r1 = QuadExt(center + half)
-        r2 = QuadExt(center - half)
-        if r1.a < r2.a:
-            r1, r2 = r2, r1
-        return RATIONAL, r1, r2
+    s, d = square_free_part(disc) if disc else (0, 1)
+    if d == 1:                          # s >= 0 and a > 0: the larger root first
+        return (RATIONAL, _quad(s - b, 0, 2 * a, 0, RATIONAL),
+                _quad(-s - b, 0, 2 * a, 0, RATIONAL))
     field = FieldSpec._of(d)            # square_free_part proved d square-free, not 0 or 1
-    coeff = abs(Fraction(s, disc.denominator) / (2 * a))
-    plus = QuadExt(center, coeff, field)
-    return field, plus, plus.conjugate()
+    return field, _quad(-b, s, 2 * a, d, field), _quad(-b, -s, 2 * a, d, field)
 
 
 # -- scalar text form --------------------------------------------------------

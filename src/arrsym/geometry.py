@@ -224,6 +224,36 @@ def _multiple_points(arrangement: Arrangement) -> dict[tuple, set[int]]:
     return found
 
 
+def _has_points(arrangement: Arrangement, table: ConfigTable) -> bool:
+    """Whether the line sets of ``_multiple_points(arrangement)`` are the
+    table's point sets, at one meet per point and per double pair.  A point
+    is the meet of its two smallest lines, and its other lines must pass
+    through it.  The keys of the points and of the double pairs, the pairs
+    on no point, must then be distinct: a line through a point that the
+    table does not put there, or a concurrence that it does not list,
+    meets a pair's line at a key already taken."""
+    if table.n != arrangement.n:
+        return False
+    d = arrangement.field.d or 0
+    keys = [ln.key for ln in arrangement.lines]
+    met = []
+    for _, labels in table.points:
+        first, second, *rest = sorted(labels)
+        x0, y0, x1, y1, x2, y2 = point = _point_key(keys[first - 1], keys[second - 1], d)
+        for v in rest:              # the incidence sum over Z[sqrt d], both parts
+            a0, b0, a1, b1, a2, b2 = keys[v - 1]
+            if (a0 * x0 + a1 * x1 + a2 * x2 + d * (b0 * y0 + b1 * y1 + b2 * y2)
+                    or a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1 + a2 * y2 + b2 * x2):
+                return False
+        met.append(point)
+    through = table._through
+    for i, u in enumerate(keys):
+        on_i = set(through[i])
+        met += [_point_key(u, keys[j], d) for j in range(i + 1, len(keys))
+                if on_i.isdisjoint(through[j])]
+    return len(set(met)) == len(met)
+
+
 def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:
     """The multiple points (``_multiple_points``) as ProjPoints, and the
     ConfigTable of their line sets labeled m1, m2, ... in the same order:

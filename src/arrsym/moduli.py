@@ -24,10 +24,9 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
-from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
-                       _primitive)
+from .geometry import _CONJUGATE, Arrangement, ProjLine, _has_points, _point_key, _primitive
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
-                    _convolve, _oversized, _poly, parse_ratfunc, poly_reduce)
+                    _convolve, _divide_out, _oversized, _poly, parse_ratfunc, poly_reduce)
 from .record import Record
 
 
@@ -322,16 +321,18 @@ def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
 def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliConstraint:
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
-    lines at the root, grouped by ``_multiple_points``, meet in the target's
-    points.  The plan is evaluated once per factor, at its first root: the
-    one root of a linear factor, or the "+" root of an irreducible
-    quadratic, whose conjugate root passes or fails alike.
+    lines at the root meet in the target's points and in no other multiple
+    point, checked against the target by ``_has_points`` at one meet per
+    point and per double pair.  The plan is evaluated once per factor, at
+    its first root: the one root of a linear factor, or the "+" root of an
+    irreducible quadratic, whose conjugate root passes or fails alike.
 
-    Factors of individual requirement numerators that are not common to
-    all requirements are reported in `discarded` (a part that does not
-    split into rational roots and quadratics, or is too large to factor,
-    is reported unfactored), as are common factors that fail realization
-    (pole, degeneracy, or lattice mismatch).
+    The candidates are the factors of the numerators' gcd.  Dividing them
+    out of each requirement numerator leaves the factors that are not
+    common to all requirements; they are reported in `discarded` (a part
+    that does not split into rational roots and quadratics, or is too large
+    to factor, is reported unfactored), as are candidates that fail
+    realization (pole, degeneracy, or lattice mismatch).
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
@@ -347,8 +348,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
 
     seen_noncommon = set()
     for num in numerators:
-        while (shared := num.gcd(common)).degree > 0:
-            num = num // shared
+        for f in candidates:                # what is left is coprime to common
+            num = _divide_out(num, f)[0]
         try:
             factors = [f for f, _ in poly_reduce(num)]
         except (UnsupportedDegreeError, ValidationError):
@@ -375,8 +376,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         except (DegenerateError, ValidationError) as exc:
             verdict = f"degenerate: {exc}"
         else:
-            derived = frozenset(map(frozenset, _multiple_points(plus).values()))
-            verdict = None if derived == target.point_sets else "lattice mismatch"
+            verdict = None if _has_points(plus, target) else "lattice mismatch"
         if verdict is not None:
             discarded.append((factor, verdict))
             continue

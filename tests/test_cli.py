@@ -77,6 +77,17 @@ def test_aut(capsys, data_dir):
     assert "order 24" in out and "S4" in out
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_aut_names_the_group_once(capsys, data_dir, monkeypatch, fmt):
+    from arrsym.combinatorics import AutGroup
+    calls = []
+    original = AutGroup.structure_name
+    monkeypatch.setattr(AutGroup, "structure_name",
+                        lambda group: calls.append(group) or original(group))
+    code, out, _ = run(capsys, "aut", *fmt, str(data_dir / "case-7.cfg"))
+    assert code == 0 and "S4" in out and len(calls) == 1
+
+
 def test_lattice(capsys, arr_files):
     plus_path, _ = arr_files
     code, out, _ = run(capsys, "lattice", str(plus_path))

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from arrsym.errors import DegenerateError, FieldMixError, ParseError, ValidationError
 from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, factor_integer, parse_scalar,
@@ -146,6 +148,70 @@ def test_quad_roots_vieta_exact():
     field, plus, minus = quad_roots(F(3, 7), F(-5, 2), F(11, 3))
     assert plus + minus == QuadExt(F(5, 2) / F(3, 7), 0, field)
     assert plus * minus == QuadExt(F(11, 3) / F(3, 7), 0, field)
+
+
+def reference_quad_roots(a, b, c):
+    """quad_roots as it computed on Fractions before it ran on integers."""
+    a, b, c = F(a), F(b), F(c)
+    if a == 0:
+        raise DegenerateError("degenerate quadratic: leading coefficient is zero")
+    disc = b * b - 4 * a * c
+    center = -b / (2 * a)
+    if disc == 0:
+        r = QuadExt(center)
+        return RATIONAL, r, r
+    s, d = square_free_part(disc.numerator * disc.denominator)
+    if d == 1:
+        half = F(s, disc.denominator) / (2 * a)
+        r1 = QuadExt(center + half)
+        r2 = QuadExt(center - half)
+        if r1.a < r2.a:
+            r1, r2 = r2, r1
+        return RATIONAL, r1, r2
+    field = FieldSpec.quadratic(d)
+    coeff = abs(F(s, disc.denominator) / (2 * a))
+    plus = QuadExt(center, coeff, field)
+    return field, plus, plus.conjugate()
+
+
+rationals = st.one_of(st.integers(-30, 30), st.builds(F, st.integers(-30, 30),
+                                                      st.integers(1, 12)))
+
+
+@st.composite
+def quadratics(draw):
+    """(a, b, c): any coefficients, or a*(t - r)*(t - s) with rational
+    roots, the discriminant a square, or a double root, the discriminant zero."""
+    a = draw(rationals)
+    kind = draw(st.sampled_from(["any", "rational roots", "double root"]))
+    if kind == "any":
+        return a, draw(rationals), draw(rationals)
+    r = draw(rationals)
+    s = r if kind == "double root" else draw(rationals)
+    return a, -a * (r + s), a * r * s
+
+
+def stored(roots):
+    field, plus, minus = roots
+    return field, [(x._p, x._q, x._den, x._d, x.field) for x in (plus, minus)]
+
+
+@given(quadratics())
+@example((-2, 3, 5))                    # a < 0, irrational roots
+@example((F(-3, 2), F(1, 2), 1))        # a < 0, a square discriminant
+@example((4, -4, 1))                    # a zero discriminant
+@example((-1, 2, F(-1)))                # a < 0, a zero discriminant
+@example((0, 1, 1))
+@example((F(0), F(1, 2), 3))
+def test_quad_roots_match_the_fraction_reference(abc):
+    try:
+        want = reference_quad_roots(*abc)
+    except DegenerateError as exc:
+        with pytest.raises(DegenerateError) as info:
+            quad_roots(*abc)
+        assert str(info.value) == str(exc)
+        return
+    assert stored(quad_roots(*abc)) == stored(want)
 
 
 def test_galois_conjugate_examples():

@@ -129,6 +129,64 @@ def test_generated_arrangements_match_the_reference(arrangement):
     assert_same_lattice(arrangement)
 
 
+# -- the check against a given table --------------------------------------------
+# derive_constraint checks a realization against its target with
+# geometry._has_points; the reference groups all C(n, 2) meets instead
+
+def near_misses(table):
+    """The table, the table with no points, and every table one edit away:
+    a point dropped, a line added to or removed from a point, two points
+    merged, one line moved between points.  Edits that break the table's
+    own rules (three lines a point, one point a pair) are left out."""
+    sets = [set(s) for _, s in table.points]
+    edits = [sets, []]
+    for k, s in enumerate(sets):
+        rest = sets[:k] + sets[k + 1:]
+        edits.append(rest)
+        edits += [rest + [s | {v}] for v in range(1, table.n + 1) if v not in s]
+        edits += [rest + [s - {v}] for v in s]
+        for m in range(k + 1, len(sets)):
+            others = rest[:m - 1] + rest[m:]
+            edits.append(others + [s | sets[m]])
+            edits += [others + [s - {v}, sets[m] | {v}] for v in s - sets[m]]
+            edits += [others + [s | {v}, sets[m] - {v}] for v in sets[m] - s]
+    for edit in edits:
+        try:
+            yield ConfigTable(table.name, table.n, [(f"p{k}", s) for k, s in enumerate(edit)])
+        except ValidationError:
+            pass
+
+
+def assert_checks_like_the_grouping(arrangement, table):
+    derived = frozenset(map(frozenset, geometry._multiple_points(arrangement).values()))
+    assert geometry._has_points(arrangement, table) == (derived == table.point_sets)
+
+
+@settings(deadline=None)
+@given(arrangements())
+def test_generated_checks_match_the_grouping(arrangement):
+    if not arrangement.n:
+        return
+    _, table = lattice_of(arrangement)
+    assert geometry._has_points(arrangement, table)
+    for miss in near_misses(table):
+        assert_checks_like_the_grouping(arrangement, miss)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_checks_match_the_grouping(name, realized):
+    case, _, plus, minus = realized(name)
+    tables = [corpus.get_case(other).config for other in corpus.list_cases()]
+    for arrangement in (plus, minus):
+        assert geometry._has_points(arrangement, case.config)
+        for table in [t for t in tables if t.n == case.config.n]:
+            assert_checks_like_the_grouping(arrangement, table)
+        for miss in near_misses(case.config):
+            assert_checks_like_the_grouping(arrangement, miss)
+        other_n = [t for t in tables if t.n != case.config.n]
+        assert not any(geometry._has_points(arrangement, t) for t in other_n)
+
+
 # -- work counters --------------------------------------------------------------
 
 @pytest.fixture
@@ -213,17 +271,19 @@ def test_fermat_lattice_meets_every_pair_once(m, meets):
 def test_derive_constraint_meets_once_per_step_and_pair(name, meets, monkeypatch):
     # every corpus case evaluates one factor, at one root, and it reaches
     # the lattice check: one meet per MeetPoint and JoinLine step, then one
-    # per pair of its lines
+    # per point of the target and one per double pair (267 over the nine
+    # cases), with no call of _multiple_points
     case = corpus.get_case(name)
     checks = []
-    original = moduli._multiple_points
-    monkeypatch.setattr(moduli, "_multiple_points",
-                        lambda arrangement: checks.append(arrangement) or original(arrangement))
+    original = moduli._has_points
+    monkeypatch.setattr(moduli, "_has_points",
+                        lambda *args: checks.append(args) or original(*args))
+    monkeypatch.setattr(geometry, "_multiple_points", None)
     meets.clear()
     moduli.derive_constraint(case.plan, case.config)
     steps = sum(isinstance(s, (MeetPoint, JoinLine)) for s in case.plan.steps)
     assert len(checks) == 1
-    assert len(meets) == steps + comb(case.plan.n, 2)
+    assert len(meets) == steps + len(case.config.points) + case.config.double_count()
 
 
 # -- the coverage check ---------------------------------------------------------

@@ -489,11 +489,11 @@ def test_the_method_counter_sees_every_method(method_calls):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_run_case_calls_no_quadext_method(name, method_calls):
-    """Only quad_roots conjugates its "+" root; the plan, the lattice check,
-    the "-" realization and verification all run on integer keys."""
+    """quad_roots builds both roots from integers; the plan, the lattice
+    check, the "-" realization and verification all run on integer keys."""
     case = corpus.get_case(name)
     assert run_case(name, case.config, case.plan).status == case.expected_status
-    assert method_calls == ["conjugate"]
+    assert method_calls == []
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
