@@ -304,11 +304,13 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
     2014): from the deepest level of the first path up, one child per orbit
     of the automorphisms found so far is searched, cut wherever the
     refinement trace departs from the first path's, for a leaf passing
-    ``is_lattice_isomorphism``.  The automorphisms found are a strong
-    generating set for the lines individualized on the first path (Seress,
-    *Permutation Group Algorithms*, 2003): the elements, sorted by images,
-    are the products of one coset representative per level, read off the
-    Schreier tree of its line under the generators found at or below it.
+    ``is_lattice_isomorphism``; a leaf that reaches the check matched the
+    first leaf's point lists, so is an automorphism, and the check is a
+    safety net.  The automorphisms found are a strong generating set for
+    the lines individualized on the first path (Seress, *Permutation Group
+    Algorithms*, 2003): the elements, sorted by images, are the products of
+    one coset representative per level, read off the Schreier tree of its
+    line under the generators found at or below it.
     Their number, the product of the trees' sizes, is checked against
     _MAX_ELEMENT_ENTRIES after each level, before any is built; before the
     first path, so is the lower bound that the classes of interchangeable
@@ -335,19 +337,23 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         departs from ``expected``.  A line's signature is its colour and the
         sorted ranks of its points' colour lists, and its new colour counts
         the lines of smaller signature; the trace keeps each round's sorted
-        lists and signatures."""
+        lists and signatures.  A discrete colouring is a leaf, and its round
+        ends refinement with the sorted lists alone: two leaves' lists are
+        equal exactly when the map matching their colours is an
+        automorphism, which then keeps ranks and signatures too."""
         trace = []
         while True:
             point_colours = [tuple(sorted(get(colours))) for get in point_lines]
-            lists = sorted(point_colours)
-            ranks = [bisect_left(lists, pc) for pc in point_colours]
-            sigs = [(c, tuple(sorted(get(ranks)))) for c, get in zip(colours, line_points)]
-            step = (lists, sorted(sigs))
+            step = lists = sorted(point_colours)
+            leaf = len(set(colours)) == n
+            if not leaf:
+                ranks = [bisect_left(lists, pc) for pc in point_colours]
+                sigs = [(c, tuple(sorted(get(ranks)))) for c, get in zip(colours, line_points)]
+                step = (lists, sorted(sigs))
             if expected is not None and expected[len(trace)] != step:
                 return None, None
             trace.append(step)
-            refined = [bisect_left(step[1], sig) for sig in sigs]
-            if refined == colours:
+            if leaf or (refined := [bisect_left(step[1], sig) for sig in sigs]) == colours:
                 return colours, trace
             colours = refined
 
@@ -356,8 +362,10 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         lowest colour among ties; none once the colours are discrete.  A cell
         ends where the next colour up, or n, begins."""
         starts = sorted(set(colours))
-        size, colour = max((b - a, -a) for a, b in zip(starts, starts[1:] + [n]))
-        return [v for v, c in enumerate(colours) if c == -colour] if size > 1 else []
+        if len(starts) == n:
+            return []
+        _, colour = max((b - a, -a) for a, b in zip(starts, starts[1:] + [n]))
+        return [v for v, c in enumerate(colours) if c == -colour]
 
     def child(colours, cell, v):
         """``colours`` with line v of the target ``cell`` individualized."""

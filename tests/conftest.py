@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume
@@ -232,6 +233,17 @@ def fermat_table(m):
     points += [{xy[a], yz[b], zx[-(a + b) % m]} for a in range(m) for b in range(m)]
     return ConfigTable(f"A({m},{m},3)", 3 + 3 * m,
                        [(f"p{k}", s) for k, s in enumerate(points, 1)])
+
+
+def projective_plane(q):
+    """PG(2,q) for a prime q as a table: its q^2 + q + 1 lines, each a vector
+    whose first nonzero entry is 1, and one point on the q + 1 lines
+    orthogonal mod q to each such vector."""
+    vectors = [(1, a, b) for a in range(q) for b in range(q)]
+    vectors += [(0, 1, b) for b in range(q)] + [(0, 0, 1)]
+    points = [{k for k, u in enumerate(vectors, 1) if sum(map(mul, u, v)) % q == 0}
+              for v in vectors]
+    return ConfigTable(f"PG(2,{q})", len(vectors), [(f"p{k}", s) for k, s in enumerate(points, 1)])
 
 
 def chain_plan(n):

@@ -214,6 +214,58 @@ def test_generated_tables_match_the_reference(table):
         assert_matches_reference(table, monkeypatch)
 
 
+# A table whose leaves agree with the first leaf on every round but the
+# last: its point lists cut them, as the full round did, so the one leaf
+# checked is the generator's.
+def test_the_point_lists_cut_the_leaves_the_full_round_cut(monkeypatch):
+    group = assert_matches_reference(
+        table(10, {1, 3, 4, 7}, {1, 5, 9}, {2, 3, 10}, {2, 6, 7, 8}, {4, 6, 9}, {5, 8, 10}),
+        monkeypatch, leaf_checks=1)
+    assert [str(g) for g in group.generators] == ["(1 8)(2 4)(3 6)(9 10)"]
+    assert group.order == 2
+
+
+# A leaf is checked only after its point lists equal the first leaf's, and
+# then the map matching their colours is an automorphism: every check
+# passes and gives a generator.  So the lists may stand in for the round
+# that confirmed a discrete colouring, and the check stays as a safety net.
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_every_leaf_check_passes(table):
+    passed, check = [], combinatorics.is_lattice_isomorphism
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combinatorics, "is_lattice_isomorphism",
+                      lambda a, b, tau: passed.append(check(a, b, tau)) or passed[-1])
+        group = automorphism_group(table)
+    assert passed == [True] * len(group.generators)
+
+
+# bisect_left calls of one search, exact: one per point and one per line in
+# each round that refines, none in the round that ends at a leaf
+CORPUS_BISECT_CALLS = {"{1}": 100, "{6}": 132, "{7}": 308, "maclane": 208,
+                       "nazir-yoshinaga": 190, "11.B.3.b.2.iii": 126, "11.B.3.b.2.iv": 126,
+                       "11.B.2.iv": 168, "falk-sturmfels": 144}
+COMBINATORIAL_BISECT_CALLS = {2: 208, 3: 576}         # A(m,m,3) tables
+
+
+def bisect_calls(table, monkeypatch):
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(combinatorics, "bisect_left",
+                      lambda *args: calls.append(None) or bisect_left(*args))
+        automorphism_group(table)
+    return len(calls)
+
+
+def test_the_search_makes_the_pinned_number_of_bisections(monkeypatch):
+    corpus_calls = {name: bisect_calls(corpus.get_case(name).config, monkeypatch)
+                    for name in corpus.list_cases()}
+    assert corpus_calls == CORPUS_BISECT_CALLS
+    assert sum(corpus_calls.values()) == 1502
+    assert {m: bisect_calls(fermat_table(m), monkeypatch)
+            for m in COMBINATORIAL_BISECT_CALLS} == COMBINATORIAL_BISECT_CALLS
+
+
 def power_order(g):
     """The smallest k with g^k the identity, by repeated products."""
     power, k, identity = g, 1, Permutation.identity(g.degree)

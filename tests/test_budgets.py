@@ -1,9 +1,11 @@
 """Budgets as tests: hostile inputs, run by the command line in a child
 process under one limit on CPU time and one on address space, must end in
-their error.  The limits are the same for every row: 5 s of CPU, more than
-twenty times what any row takes, and 128 MiB of address space, more than
-five times what any row needs (each ends in its error under 24 MiB).  A
-regression then fails its row instead of hanging the suite."""
+their error.  The limits are the same for every row: 5 s of CPU and 128 MiB
+of address space.  Each ``derive`` row and ``aut`` of PG(2,13) take about
+0.1 s of CPU and end in their error under 24 MiB, ``aut`` of PG(2,31), the
+largest, about 0.5 s and under 52 MiB: the limits are at least ten times
+the time and twice the memory any row needs.  A regression then fails its
+row instead of hanging the suite."""
 
 import os
 import re
@@ -16,7 +18,7 @@ import pytest
 
 import arrsym
 
-from conftest import constant_chain_plan
+from conftest import constant_chain_plan, projective_plane
 
 CPU_SECONDS, MEMORY = 5, 128 << 20
 BIG = "(" + "9" * 640 + ")^64"        # the largest literal to the largest power
@@ -33,27 +35,42 @@ def product_plan(factors):
             + " ; 0 ; 0\n")
 
 
-# (plan text, line count of the free table, exit code, stderr pattern)
+def derive(plan, n, pattern):
+    """A row deriving ``plan`` against the free table on n lines."""
+    return (("derive", "p.plan", "free.cfg"),
+            {"p.plan": plan, "free.cfg": f"arrangement free\nlines {n}\n"}, 2, pattern)
+
+
+def aut(table, pattern):
+    """A row listing the automorphism group of ``table``."""
+    return ("aut", "t.cfg"), {"t.cfg": table.serialize()}, 2, pattern
+
+
+# (command line, {file name: text}, exit code, stderr pattern)
 ROWS = {
-    **{f"{k} factors of BIG": (product_plan(k), 4, 2,
-                               r"error: line 3: coefficients above 136128 bits in '\(9+'\.\.\.\n")
+    **{f"{k} factors of BIG": derive(
+        product_plan(k), 4, r"error: line 3: coefficients above 136128 bits in '\(9+'\.\.\.\n")
        for k in (10, 20, 40)},
-    **{f"constant chain of {n} lines": (
-        constant_chain_plan(n), n, 2,
+    **{f"constant chain of {n} lines": derive(
+        constant_chain_plan(n), n,
         r"error: the meet or join of points P29,Q29 has coefficients above 136128 bits\n")
        for n in (30, 34, 38)},
+    **{f"aut of PG(2,{q})": aut(projective_plane(q), (
+        f"error: automorphism group of order at least {order} on {n} lines is too large "
+        r"to list \(over 4194304 entries\)\n"))
+       for q, order, n in ((13, 24336, 183), (31, 864900, 993))},
 }
 
 
 @pytest.mark.parametrize("row", ROWS)
-def test_derive_ends_within_the_limits(tmp_path, row):
-    plan, n, code, pattern = ROWS[row]
-    (tmp_path / "p.plan").write_text(plan)
-    (tmp_path / "free.cfg").write_text(f"arrangement free\nlines {n}\n")
+def test_commands_end_within_the_limits(tmp_path, row):
+    argv, files, code, pattern = ROWS[row]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     src = str(Path(arrsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "arrsym", "derive", "p.plan", "free.cfg"],
+    done = subprocess.run([sys.executable, "-m", "arrsym", *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=60, preexec_fn=_limited)
     assert (done.returncode, done.stdout) == (code, "")

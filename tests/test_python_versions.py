@@ -1,9 +1,11 @@
 """The command line prints the same bytes under every supported Python.
 
 ``pyproject.toml`` claims ``>=3.10`` while the suite runs under one
-interpreter.  This test runs ``arrsym pipeline all``, as text and with
-``--json``, under each other 3.10+ interpreter it finds: ``python3.N`` on
-``PATH``, or beside this interpreter's installation (``<prefix>/../*/bin``).
+interpreter.  This test runs ``arrsym pipeline all``, and ``arrsym aut`` on
+the ``{7}`` and MacLane tables, which prints the search's generators, as
+text and with ``--json``, under each other 3.10+ interpreter it finds:
+``python3.N`` on ``PATH``, or beside this interpreter's installation
+(``<prefix>/../*/bin``).
 A candidate counts only if it starts and reports version 3.N; a version
 manager's shim for a version it has not selected does not.  Exit code and
 stdout must equal this interpreter's, byte for byte.  Without another
@@ -19,7 +21,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-COMMANDS = (("pipeline", "all"), ("pipeline", "all", "--json"))
+DATA = SRC / "arrsym" / "corpus" / "data"
+RUNS = (("pipeline", "all"), ("aut", str(DATA / "case-7.cfg")), ("aut", str(DATA / "maclane.cfg")))
+COMMANDS = tuple(run + flag for run in RUNS for flag in ((), ("--json",)))
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 
 
@@ -59,6 +63,6 @@ def test_pipeline_output_is_the_same_under_every_other_python():
     if not others:
         pytest.skip("no other Python 3.10+ interpreter found")
     expected = outputs(sys.executable)
-    assert [code for code, _ in expected] == [0, 0]
+    assert [code for code, _ in expected] == [0] * len(COMMANDS)
     assert {version: outputs(executable) == expected
             for version, executable in others.items()} == dict.fromkeys(others, True)
