@@ -1,10 +1,11 @@
 """Univariate polynomials and rational functions over Q.
 
-A polynomial is one reduced integer tuple plus one positive common
-denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den with c_n != 0
-and gcd(c_0, ..., c_n, den) = 1, so arithmetic runs on Python ints and equal
-polynomials are stored alike.  Division is pseudo-division over Z and the gcd
-is the primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
+A Poly is the value poly_reduce factors: one reduced integer tuple plus one
+positive common denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den
+with c_n != 0 and gcd(c_0, ..., c_n, den) = 1, so equal polynomials are
+stored alike.  It has division, gcd and evaluation, all on Python ints, and
+no ring operators.  Division is pseudo-division over Z and the gcd is the
+primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
 A RatFunc is the reduced form of a rational function and has no arithmetic:
 expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
@@ -104,12 +105,6 @@ class Poly:
         den = lcm(*(d for _, d in pairs))
         return _poly([n * (den // d) for n, d in pairs], den)
 
-    # -- constructors ---------------------------------------------------------
-
-    @staticmethod
-    def variable() -> "Poly":
-        return _poly((0, 1), 1)
-
     # -- basics ---------------------------------------------------------------
 
     @property
@@ -141,51 +136,7 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        a = [c * other._den for c in self._c]
-        b = [c * self._den for c in other._c]
-        if len(a) < len(b):
-            a, b = b, a
-        for k, c in enumerate(b):
-            a[k] += c
-        return _poly(a, self._den * other._den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly([-c for c in self._c], self._den)
-
-    def __sub__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if _as_poly(other) is None:
-            return NotImplemented
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return _poly(_convolve(self._c, other._c), self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        result = _ONE
-        for _ in range(n):
-            result = result * self
-        return result
+    # -- division -------------------------------------------------------------
 
     def __divmod__(self, other):
         other = _as_poly(other)
@@ -416,7 +367,7 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
 
     zeros = next(k for k, c in enumerate(rem._c) if c)
     if zeros:
-        factors.append((Poly.variable(), zeros))
+        factors.append((_poly((0, 1), 1), zeros))
         rem = _poly(rem._c[zeros:], 1)
 
     if rem.degree < 1:

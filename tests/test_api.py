@@ -35,7 +35,8 @@ def test_public_names_are_pinned():
 def test_removed_helpers_are_gone():
     # each duplicated another name, was called only by the tests, kept the
     # order of a replaced search, built a record a second way (Record._of) or
-    # was a second rational-function arithmetic (the parser runs on integer lists)
+    # was a second polynomial or rational-function arithmetic (the parser and
+    # poly_reduce run on integer lists)
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
@@ -51,7 +52,11 @@ def test_removed_helpers_are_gone():
                          (polys, "operator"), (polys.RatFunc, "variable"),
                          *((polys.RatFunc, name) for name in (
                              "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                             "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__"))):
+                             "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__")),
+                         (polys.Poly, "variable"),
+                         *((polys.Poly, name) for name in (
+                             "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                             "__rmul__", "__pow__"))):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

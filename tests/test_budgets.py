@@ -1,11 +1,12 @@
 """Budgets as tests: hostile inputs, run by the command line in a child
 process under one limit on CPU time and one on address space, must end in
 their error.  The limits are the same for every row: 5 s of CPU and 128 MiB
-of address space.  Each ``derive`` row and ``aut`` of PG(2,13) take about
-0.1 s of CPU and end in their error under 24 MiB, ``aut`` of PG(2,31), the
-largest, about 0.5 s and under 52 MiB: the limits are at least ten times
-the time and twice the memory any row needs.  A regression then fails its
-row instead of hanging the suite."""
+of address space.  Each ``derive`` row and every other ``aut`` row (PG(2,13),
+the free table and the pencil on 1,024 lines) take about 0.1 s of CPU and
+end in their error under 24 MiB, ``aut`` of PG(2,31), the largest, about
+0.5 s and under 52 MiB: the limits are at least ten times the time and
+twice the memory any row needs.  A regression then fails its row instead of
+hanging the suite."""
 
 import os
 import re
@@ -18,7 +19,7 @@ import pytest
 
 import arrsym
 
-from conftest import constant_chain_plan, projective_plane
+from conftest import chain_plan, constant_chain_plan, projective_plane
 
 CPU_SECONDS, MEMORY = 5, 128 << 20
 BIG = "(" + "9" * 640 + ")^64"        # the largest literal to the largest power
@@ -42,8 +43,13 @@ def derive(plan, n, pattern):
 
 
 def aut(table, pattern):
-    """A row listing the automorphism group of ``table``."""
-    return ("aut", "t.cfg"), {"t.cfg": table.serialize()}, 2, pattern
+    """A row listing the automorphism group of ``table``, given as its text."""
+    return ("aut", "t.cfg"), {"t.cfg": table}, 2, pattern
+
+
+TOO_LARGE = (r"error: automorphism group of order at least {} on {} lines is too large "
+             r"to list \(over 4194304 entries\)\n")
+DEEP = "(" * 65 + "t" + ")" * 65         # one level above MAX_NESTING
 
 
 # (command line, {file name: text}, exit code, stderr pattern)
@@ -55,10 +61,17 @@ ROWS = {
         constant_chain_plan(n), n,
         r"error: the meet or join of points P29,Q29 has coefficients above 136128 bits\n")
        for n in (30, 34, 38)},
-    **{f"aut of PG(2,{q})": aut(projective_plane(q), (
-        f"error: automorphism group of order at least {order} on {n} lines is too large "
-        r"to list \(over 4194304 entries\)\n"))
+    "chain of 21 lines": derive(
+        chain_plan(21), 21, r"error: the meet or join of points P16,Q16 has degree above 64\n"),
+    "65 nested parentheses": derive(
+        f"plan deep over t\nlines 4\nline 1 : {DEEP} ; 0 ; 0\n", 4,
+        r"error: line 3: parentheses nested deeper than 64 in '\(+'\.\.\.\n"),
+    **{f"aut of PG(2,{q})": aut(projective_plane(q).serialize(), TOO_LARGE.format(order, n))
        for q, order, n in ((13, 24336, 183), (31, 864900, 993))},
+    **{f"aut of the {name} on 1024 lines": aut(
+        f"arrangement {name}\nlines 1024\n{points}", TOO_LARGE.format(5040, 1024))
+       for name, points in (("free", ""),
+                            ("pencil", "point p : " + " ".join(map(str, range(1, 1025))) + "\n"))},
 }
 
 

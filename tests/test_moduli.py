@@ -13,9 +13,7 @@ from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
 from arrsym.polys import MAX_DEGREE, Poly, parse_ratfunc
 
-from conftest import chain_plan, constant_chain_plan, contains
-
-T = Poly.variable()
+from conftest import chain_plan, constant_chain_plan, contains, rmul
 
 
 def test_parse_shipped_plan():
@@ -179,15 +177,15 @@ def test_join_of_coincident_points_degenerates():
 
 
 EXPECTED = {
-    "{1}": (T * T - T - 1, 5, F(-1)),
-    "{6}": (T * T + T - 1, 5, F(-1)),
-    "{7}": (T * T - T - 1, 5, F(-1)),
-    "maclane": (T * T - T + 1, -3, F(1)),
-    "nazir-yoshinaga": (2 * T * T - 2 * T + 1, -1, F(1, 2)),
-    "11.B.3.b.2.iii": (T * T - T + 1, -3, F(1)),
-    "11.B.3.b.2.iv": (T * T + T + 1, -3, F(1)),
-    "11.B.2.iv": (T * T - T + 1, -3, F(1)),
-    "falk-sturmfels": (T * T - T - 1, 5, F(-1)),
+    "{1}": (Poly((-1, -1, 1)), 5, F(-1)),
+    "{6}": (Poly((-1, 1, 1)), 5, F(-1)),
+    "{7}": (Poly((-1, -1, 1)), 5, F(-1)),
+    "maclane": (Poly((1, -1, 1)), -3, F(1)),
+    "nazir-yoshinaga": (Poly((1, -2, 2)), -1, F(1, 2)),
+    "11.B.3.b.2.iii": (Poly((1, -1, 1)), -3, F(1)),
+    "11.B.3.b.2.iv": (Poly((1, 1, 1)), -3, F(1)),
+    "11.B.2.iv": (Poly((1, -1, 1)), -3, F(1)),
+    "falk-sturmfels": (Poly((-1, -1, 1)), 5, F(-1)),
 }
 
 
@@ -237,11 +235,12 @@ require Q on 6
 def discarded_cofactor(cofactor):
     plan = parse_plan(COFACTOR_PLAN.replace("COFACTOR", cofactor))
     numerators = [num for _, _, num in residual_numerators(plan)]
-    assert numerators[1] == numerators[0] * parse_ratfunc(cofactor, "t").num
+    factor = parse_ratfunc(cofactor, "t").num
+    assert numerators[1] == Poly(rmul(numerators[0].coeffs, factor.coeffs))
     _, plus, _ = quad_roots(1, -1, -1)
     target = lattice_of(evaluate_plan(plan, plus))[1]
     constraint = derive_constraint(plan, target)
-    assert constraint.poly == T * T - T - 1
+    assert constraint.poly == Poly((-1, -1, 1))
     return [(f.format("t"), reason) for f, reason in constraint.discarded]
 
 
@@ -347,11 +346,11 @@ def test_derive_size_mismatch():
 
 
 def test_root_product_examples():
-    assert root_product(T * T - T - 1) == F(-1)
-    assert root_product(T * T - T + 1) == F(1)
-    assert root_product(2 * T * T - 2 * T + 1) == F(1, 2)
+    assert root_product(Poly((-1, -1, 1))) == F(-1)
+    assert root_product(Poly((1, -1, 1))) == F(1)
+    assert root_product(Poly((1, -2, 2))) == F(1, 2)
     with pytest.raises(ValidationError):
-        root_product(T + 1)
+        root_product(Poly((1, 1)))
 
 
 def test_constraint_fields_give_a_root_product_only_for_a_quadratic(realized):
@@ -360,7 +359,7 @@ def test_constraint_fields_give_a_root_product_only_for_a_quadratic(realized):
         "constraint": "2t^2 - 2t + 1", "field_d": -1,
         "roots": [str(r) for r in constraint.roots], "root_product": "1/2",
         "discarded": [[f.format("t"), reason] for f, reason in constraint.discarded]}
-    linear = moduli.ModuliConstraint(poly=T + 1, var="t", field=constraint.field,
+    linear = moduli.ModuliConstraint(poly=Poly((1, 1)), var="t", field=constraint.field,
                                      roots=(QuadExt(-1), QuadExt(-1)), discarded=(),
                                      realizations=())
     assert linear.to_dict()["root_product"] is None

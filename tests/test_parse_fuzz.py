@@ -110,14 +110,14 @@ def test_field_radicands_end_in_bounded_time(sign, radicand):
 
 # -- deep nesting ---------------------------------------------------------------
 
-T = Poly.variable()
+T = Poly((0, 1))
 
 
 @pytest.mark.parametrize("count", [1, 1200, 1201, 20000])
 def test_leading_signs_do_not_recurse(count):
     sign = -1 if count % 2 else 1
     assert parse_ratfunc("-" * count + "1/t") == RatFunc(sign, T)
-    assert parse_ratfunc("+-" * count + "t") == RatFunc(sign * T)
+    assert parse_ratfunc("+-" * count + "t") == RatFunc(Poly((0, sign)))
 
 
 @pytest.mark.parametrize("text", ["(" * 1200 + "t" + ")" * 1200,
@@ -145,7 +145,7 @@ def test_nested_prefixes_parse_or_fail_cleanly(prefix):
         assert depth > MAX_NESTING
         return
     assert depth <= MAX_NESTING
-    assert value == (-1) ** text.count("-") * T
+    assert value == Poly((0, (-1) ** text.count("-")))
 
 
 @pytest.mark.parametrize("entry, code", [("-" * 1200 + "1/t", 0),
