@@ -11,7 +11,7 @@ nonzero entry as QuadExt scalars, is built from the key for output only.
 from __future__ import annotations
 
 import re
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
@@ -197,30 +197,43 @@ def _point_key(u: tuple, v: tuple, d: int) -> tuple[int, ...]:
         raise DegenerateError("intersect of identical lines") from None
 
 
-def _multiple_points(arrangement: Arrangement) -> dict[tuple, set[int]]:
-    """The points on three or more lines: key -> line labels, in
-    lexicographic order of the sorted labels.  Each line's meets with the
-    later lines are grouped by ``_point_key``, so a point is found whole at
-    its smallest line; a double point is never kept.  ValidationError unless
-    the pairs that meet at each found key are the pairs of its lines;
-    DegenerateError if two lines coincide."""
+def _on(point: tuple, keys: list, labels: list[int], d: int) -> bool:
+    """Whether each line v in ``labels`` (key keys[v - 1]) passes through key ``point``."""
+    x0, y0, x1, y1, x2, y2 = point
+    for v in labels:
+        a0, b0, a1, b1, a2, b2 = keys[v - 1]
+        if (a0 * x0 + a1 * x1 + a2 * x2 + d * (b0 * y0 + b1 * y1 + b2 * y2)  # over Z[sqrt d]
+                or a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1 + a2 * y2 + b2 * x2):
+            return False
+    return True
+
+
+def _multiple_points(arrangement: Arrangement) -> dict[tuple, list[int]]:
+    """The points on three or more lines: key -> ascending line labels, in
+    lexicographic order.  Each line's meets with the later lines not on a
+    point found through it are grouped by ``_point_key``, so a point is
+    found whole at its smallest line; a double point is never kept.
+    ValidationError if a meet is a found key or a grouped line past the
+    first two misses its key (``_on``); DegenerateError if lines coincide."""
     d = arrangement.field.d or 0
     keys = [ln.key for ln in arrangement.lines]
-    found: dict[tuple, set[int]] = {}
-    pairs: dict[tuple, int] = {}            # found key -> pairs met there
-    inside = True                           # each of them joins two of its lines
+    if len(set(keys)) < len(keys):
+        raise DegenerateError("intersect of identical lines")
+    found: dict[tuple, list[int]] = {}
+    on: list[list[list[int]]] = [[] for _ in keys]     # the found points through each line
     for i, u in enumerate(keys, start=1):
+        skip = set().union(*on[i - 1])
         groups: dict[tuple, list[int]] = {}
-        for j in range(i, len(keys)):
-            groups.setdefault(_point_key(u, keys[j], d), []).append(j + 1)
+        for j, w in enumerate(keys[i:], i + 1):
+            if j not in skip:
+                groups.setdefault(_point_key(u, w, d), []).append(j)
         for key, later in groups.items():
-            if key in found:
-                inside = inside and found[key].issuperset((i, *later))
-                pairs[key] += len(later)
-            elif len(later) >= 2:
-                found[key], pairs[key] = {i, *later}, len(later)
-    if not inside or any(pairs[key] != comb(len(s), 2) for key, s in found.items()):
-        raise ValidationError("lattice does not cover every line pair exactly once")
+            if key in found or len(later) >= 2 and not _on(key, keys, later[1:], d):
+                raise ValidationError("lattice does not cover every line pair exactly once")
+            if len(later) >= 2:
+                found[key] = labels = [i, *later]
+                for v in later:
+                    on[v - 1].append(labels)
     return found
 
 
@@ -239,13 +252,9 @@ def _has_points(arrangement: Arrangement, table: ConfigTable) -> bool:
     met = []
     for _, labels in table.points:
         first, second, *rest = sorted(labels)
-        x0, y0, x1, y1, x2, y2 = point = _point_key(keys[first - 1], keys[second - 1], d)
-        for v in rest:              # the incidence sum over Z[sqrt d], both parts
-            a0, b0, a1, b1, a2, b2 = keys[v - 1]
-            if (a0 * x0 + a1 * x1 + a2 * x2 + d * (b0 * y0 + b1 * y1 + b2 * y2)
-                    or a0 * y0 + b0 * x0 + a1 * y1 + b1 * x1 + a2 * y2 + b2 * x2):
-                return False
-        met.append(point)
+        met.append(point := _point_key(keys[first - 1], keys[second - 1], d))
+        if not _on(point, keys, rest, d):
+            return False
     through = table._through
     for i, u in enumerate(keys):
         on_i = set(through[i])
@@ -255,24 +264,23 @@ def _has_points(arrangement: Arrangement, table: ConfigTable) -> bool:
 
 
 def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:
-    """The multiple points (``_multiple_points``) as ProjPoints, and the
-    ConfigTable of their line sets labeled m1, m2, ... in the same order:
-    points[k] is table.points[k], in the field ``intersect`` gives its first
-    pair, its two smallest labels.  No double point is built.  Raises
-    DegenerateError when two lines coincide.  The line count is checked
-    first, before the quadratic grouping."""
+    """The multiple points (``_multiple_points``, which meets no pair on a
+    point found earlier) as ProjPoints, and the ConfigTable of their line
+    sets m1, m2, ... in the same order: points[k] is table.points[k], in the
+    field ``intersect`` gives its two smallest lines.  No double point is
+    built.  The line count is checked first; coincident lines raise DegenerateError."""
     if not 1 <= arrangement.n <= MAX_LINES:
         raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {arrangement.n}")
     found = _multiple_points(arrangement)
     points, rows = [], []
     through: list[list[int]] = [[] for _ in range(arrangement.n)]   # as ConfigTable fills it
     for k, (key, labels) in enumerate(found.items()):
-        first, second = (arrangement.line(v).field for v in sorted(labels)[:2])
+        first, second = arrangement.line(labels[0]).field, arrangement.line(labels[1]).field
         points.append(ProjPoint._keyed(key, second if first.is_rational else first))
         rows.append((f"m{k + 1}", frozenset(labels)))
         for v in labels:
             through[v - 1].append(k)
-    # checked already: >= 3 lines a point, labels in 1..n, one meet a pair; m1.. are unique
+    # checked already: >= 3 lines a point, labels in 1..n, one point a pair; m1.. are unique
     table = ConfigTable._of(arrangement.name, arrangement.n, tuple(rows),
                             frozenset(s for _, s in rows), through)
     return tuple(points), table

@@ -236,7 +236,8 @@ class Poly:
         for k in range(self.degree, -1, -1):
             c = self[k]
             if c:
-                mag = "" if abs(c) == 1 and k else f"{abs(c)}"
+                times = "*" if k and c.denominator > 1 else ""     # 1/2t reads as 1/(2*t)
+                mag = "" if abs(c) == 1 and k else f"{abs(c)}{times}"
                 power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
                 terms.append(("-" if c < 0 else "+") + f" {mag}{power}")
         text = " ".join(terms) or "+ 0"
@@ -604,9 +605,12 @@ class _ExprParser:
 
     def atom(self) -> tuple:
         kind, val = self.take()
-        if kind == "int":
+        if kind == "int":               # 2t^3 is 2*t^3, as Poly.format writes it
             n = parse_digits(val, "an integer")
-            return ([n] if n else []), [1]
+            if self.tokens[self.pos] != ("name", self.var):
+                return ([n] if n else []), [1]
+            num, den = self.power()
+            return ([n * c for c in num] if n else []), den
         if kind == "name":
             if val != self.var:
                 raise ParseError(f"unknown variable {_quoted(val)} "

@@ -1,12 +1,15 @@
 """Budgets as tests: hostile inputs, run by the command line in a child
 process under one limit on CPU time and one on address space, must end in
-their error.  The limits are the same for every row: 5 s of CPU and 128 MiB
-of address space.  Each ``derive`` row and every other ``aut`` row (PG(2,13),
-the free table and the pencil on 1,024 lines) take about 0.1 s of CPU and
-end in their error under 24 MiB, ``aut`` of PG(2,31), the largest, about
-0.5 s and under 52 MiB: the limits are at least ten times the time and
-twice the memory any row needs.  A regression then fails its row instead of
-hanging the suite."""
+their error, or, for a command that succeeds, print their first line.  The
+limits are the same for every row: 5 s of CPU and 128 MiB of address space.
+Each ``derive`` row and every other ``aut`` row (PG(2,13), the free table
+and the pencil on 1,024 lines) take about 0.1 s of CPU and end in their
+error under 24 MiB, ``aut`` of PG(2,31), the largest, about 0.5 s and under
+52 MiB.  ``lattice`` and ``render`` of 1,024 lines over Q(sqrt 5) with no
+three concurrent take about 0.8 s and 17 MiB, and of the pencil on 1,024
+lines about 0.13 s and 17 MiB.  The limits are at least six times the time
+and twice the memory any row needs, so a regression fails its row instead
+of hanging the suite."""
 
 import os
 import re
@@ -36,15 +39,31 @@ def product_plan(factors):
             + " ; 0 ; 0\n")
 
 
+NOTHING = r"\Z"           # the stdout of a command that ends in its error
+
+
 def derive(plan, n, pattern):
     """A row deriving ``plan`` against the free table on n lines."""
     return (("derive", "p.plan", "free.cfg"),
-            {"p.plan": plan, "free.cfg": f"arrangement free\nlines {n}\n"}, 2, pattern)
+            {"p.plan": plan, "free.cfg": f"arrangement free\nlines {n}\n"}, 2, NOTHING, pattern)
 
 
 def aut(table, pattern):
     """A row listing the automorphism group of ``table``, given as its text."""
-    return ("aut", "t.cfg"), {"t.cfg": table}, 2, pattern
+    return ("aut", "t.cfg"), {"t.cfg": table}, 2, NOTHING, pattern
+
+
+def drawn(command, text, first_line):
+    """A row running ``lattice`` or ``render`` on the arrangement ``text``,
+    which succeeds and prints ``first_line`` first."""
+    out = ("-o", "a.svg") if command == "render" else ()
+    return (command, "a.arr", *out), {"a.arr": text}, 0, re.escape(first_line + "\n"), ""
+
+
+DOUBLES = "arrangement doubles\nfield sqrt 5\n" + "".join(   # no three concurrent
+    f"line {k} : 1 ; {k} ; {k * k}+1w\n" for k in range(1, 1025))
+PENCIL = "arrangement pencil\nfield rational\n" + "".join(
+    f"line {k} : 1 ; {k} ; 0\n" for k in range(1, 1025))
 
 
 TOO_LARGE = (r"error: automorphism group of order at least {} on {} lines is too large "
@@ -52,7 +71,8 @@ TOO_LARGE = (r"error: automorphism group of order at least {} on {} lines is too
 DEEP = "(" * 65 + "t" + ")" * 65         # one level above MAX_NESTING
 
 
-# (command line, {file name: text}, exit code, stderr pattern)
+# (command line, {file name: text}, exit code, stdout pattern matched at its
+# start, stderr pattern matched whole)
 ROWS = {
     **{f"{k} factors of BIG": derive(
         product_plan(k), 4, r"error: line 3: coefficients above 136128 bits in '\(9+'\.\.\.\n")
@@ -72,12 +92,20 @@ ROWS = {
         f"arrangement {name}\nlines 1024\n{points}", TOO_LARGE.format(5040, 1024))
        for name, points in (("free", ""),
                             ("pencil", "point p : " + " ".join(map(str, range(1, 1025))) + "\n"))},
+    "lattice of 1024 lines over Q(sqrt 5)": drawn(
+        "lattice", DOUBLES, "lattice of doubles: 523776 of multiplicity 2"),
+    "render of 1024 lines over Q(sqrt 5)": drawn(
+        "render", DOUBLES, "wrote a.svg (0 segment(s), 0 marker(s))"),
+    "lattice of the pencil on 1024 lines": drawn(
+        "lattice", PENCIL, "lattice of pencil: 1 of multiplicity 1024"),
+    "render of the pencil on 1024 lines": drawn(
+        "render", PENCIL, "wrote a.svg (1024 segment(s), 1 marker(s))"),
 }
 
 
 @pytest.mark.parametrize("row", ROWS)
 def test_commands_end_within_the_limits(tmp_path, row):
-    argv, files, code, pattern = ROWS[row]
+    argv, files, code, out, err = ROWS[row]
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     src = str(Path(arrsym.__file__).resolve().parents[1])
@@ -86,5 +114,6 @@ def test_commands_end_within_the_limits(tmp_path, row):
     done = subprocess.run([sys.executable, "-m", "arrsym", *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=60, preexec_fn=_limited)
-    assert (done.returncode, done.stdout) == (code, "")
-    assert re.fullmatch(pattern, done.stderr), done.stderr
+    assert done.returncode == code, done.stderr
+    assert re.match(out, done.stdout), done.stdout[:200]
+    assert re.fullmatch(err, done.stderr), done.stderr

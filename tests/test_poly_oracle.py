@@ -344,3 +344,42 @@ def test_parse_ratfunc_pins(text, expected):
         assert parsed(text) == expected
     else:
         assert parse_ratfunc(text) == RatFunc(Poly(expected[0]), Poly(expected[1]))
+
+
+# -- format ---------------------------------------------------------------------
+# a non-integer coefficient of a power of the variable is written with "*",
+# so that every formatted value parses back to itself
+
+@given(poly(), st.one_of(st.none(), poly(nonzero=True)), st.sampled_from(["t", "s", "x"]))
+def test_format_parses_back(ps, qs, var):
+    f = RatFunc(ps[0]) if qs is None else RatFunc(ps[0], qs[0])
+    assert parse_ratfunc(f.format(var), var) == f
+
+
+@pytest.mark.parametrize("f, text", [
+    (Poly((1, F(1, 2), F(-3, 4))), "-3/4*t^2 + 1/2*t + 1"),
+    (parse_ratfunc("t/(2*t+1)"), "(1/2*t)/(t + 1/2)"),
+    (Poly((F(3, 2), 2, -1)), "-t^2 + 2t + 3/2"),
+    (Poly((F(-1, 3),)), "-1/3")])
+def test_format_pins(f, text):
+    assert f.format() == text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2t", Poly((0, 2))),
+    ("-t^2 + 2t + 3/2", Poly((F(3, 2), 2, -1))),
+    ("2t^-2", RatFunc(Poly((2,)), Poly((0, 0, 1)))),       # 2*(t^-2), not (2t)^-2
+    ("1/2t", RatFunc(Poly((F(1, 2),)), Poly((0, 1)))),     # 1/(2*t)
+    ("0t^3", Poly(()))])
+def test_an_integer_before_the_variable_is_its_coefficient(text, value):
+    assert parse_ratfunc(text) == value
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2x", "trailing input in '2x'"),
+    ("2t^2^3", "power of a power in '2t^2^3'"),
+    ("3(t)", "trailing input in '3(t)'")])
+def test_only_the_variable_follows_an_integer(text, message):
+    with pytest.raises(ParseError) as refused:
+        parse_ratfunc(text)
+    assert str(refused.value) == message
