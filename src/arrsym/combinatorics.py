@@ -149,9 +149,9 @@ def parse_cycles(text: str, n: int) -> Permutation:
             raise ParseError(f"repeated label inside a cycle in {_quoted(text)}")
         for v in vals:
             if not 1 <= v <= n:
-                raise ParseError(f"label {v} out of range 1..{n}")
+                raise ParseError(f"label {_quoted(str(v), str)} out of range 1..{n}")
             if images[v - 1] != v:
-                raise ParseError(f"label {v} appears in two cycles")
+                raise ParseError(f"label {_quoted(str(v), str)} appears in two cycles")
         for a, b in zip(vals, vals[1:] + vals[:1]):
             images[a - 1] = b
     return Permutation(images)
@@ -164,18 +164,20 @@ class ConfigTable(Record):
 
     def __init__(self, name: str, n: int, points) -> None:
         if not 1 <= _labels((n,), "line count")[0] <= MAX_LINES:
-            raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {n}")
+            raise ValidationError(f"line count must be in 1..{MAX_LINES}, "
+                                  f"not {_quoted(str(n), str)}")
         pts, labels = [], set()
         through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
         for label, lines in points:
             label, lines = str(label), frozenset(_labels(lines))
             if len(lines) < 3:
-                raise ValidationError(f"point {label} has fewer than 3 lines")
+                raise ValidationError(f"point {_quoted(label, str)} has fewer than 3 lines")
             for v in lines:
                 if not 1 <= v <= n:
-                    raise ValidationError(f"point {label}: label {v} out of 1..{n}")
+                    raise ValidationError(f"point {_quoted(label, str)}: "
+                                          f"label {_quoted(str(v), str)} out of 1..{n}")
             if label in labels:
-                raise ValidationError(f"duplicate point label {label}")
+                raise ValidationError(f"duplicate point label {_quoted(label, str)}")
             labels.add(label)
             met, k = [], len(pts)       # met: the earlier points on these lines, once per line
             for v in lines:
@@ -186,7 +188,8 @@ class ConfigTable(Record):
                 (a, b, *_), p = min((sorted(pts[p][1] & lines), p)
                                     for p, shared in Counter(met).items() if shared > 1)
                 raise ValidationError(f"lines {a},{b} lie on two points "
-                                      f"({pts[p][0]} and {label}): two lines meet once")
+                                      f"({_quoted(pts[p][0], str)} and {_quoted(label, str)}):"
+                                      " two lines meet once")
             pts.append((label, lines))
         self._fill(str(name), int(n), tuple(pts), frozenset(s for _, s in pts), through)
 
@@ -239,7 +242,8 @@ def parse_config_table(text: str) -> ConfigTable:
             if not rest:
                 raise ParseError(f"line {lineno}: point needs integer line labels")
             if len(set(rest)) != len(rest):
-                raise ParseError(f"line {lineno}: repeated line label in point {label}")
+                raise ParseError(f"line {lineno}: repeated line label in point "
+                                 f"{_quoted(label, str)}")
             points.append((label, [parse_digits(v, f"line {lineno}: a line label")
                                    for v in rest]))
         else:

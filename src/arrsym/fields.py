@@ -180,9 +180,9 @@ class FieldSpec(Record):
                 raise ValidationError(f"quadratic field d={_quoted(repr(d), str)} "
                                       "is not an integer") from None
             if n in (0, 1):
-                raise ValidationError(f"invalid quadratic field d={d}")
+                raise ValidationError(f"invalid quadratic field d={_quoted(str(d), str)}")
             if square_free_part(n)[1] != n:
-                raise ValidationError(f"d={d} is not square-free")
+                raise ValidationError(f"d={_quoted(str(d), str)} is not square-free")
             d = n
         self._fill(d)
 

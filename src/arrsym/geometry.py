@@ -237,32 +237,6 @@ def _multiple_points(arrangement: Arrangement) -> dict[tuple, list[int]]:
     return found
 
 
-def _has_points(arrangement: Arrangement, table: ConfigTable) -> bool:
-    """Whether the line sets of ``_multiple_points(arrangement)`` are the
-    table's point sets, at one meet per point and per double pair.  A point
-    is the meet of its two smallest lines, and its other lines must pass
-    through it.  The keys of the points and of the double pairs, the pairs
-    on no point, must then be distinct: a line through a point that the
-    table does not put there, or a concurrence that it does not list,
-    meets a pair's line at a key already taken."""
-    if table.n != arrangement.n:
-        return False
-    d = arrangement.field.d or 0
-    keys = [ln.key for ln in arrangement.lines]
-    met = []
-    for _, labels in table.points:
-        first, second, *rest = sorted(labels)
-        met.append(point := _point_key(keys[first - 1], keys[second - 1], d))
-        if not _on(point, keys, rest, d):
-            return False
-    through = table._through
-    for i, u in enumerate(keys):
-        on_i = set(through[i])
-        met += [_point_key(u, keys[j], d) for j in range(i + 1, len(keys))
-                if on_i.isdisjoint(through[j])]
-    return len(set(met)) == len(met)
-
-
 def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:
     """The multiple points (``_multiple_points``, which meets no pair on a
     point found earlier) as ProjPoints, and the ConfigTable of their line
@@ -354,7 +328,7 @@ def parse_arrangement(text: str) -> Arrangement:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected three ';'-separated scalars")
             if idx in entries:
-                raise ParseError(f"line {lineno}: duplicate line index {idx}")
+                raise ParseError(f"line {lineno}: duplicate line index {_quoted(str(idx), str)}")
             entries[idx] = tuple(parse_scalar(p, field) for p in parts)
         else:
             raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")

@@ -24,7 +24,8 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _quoted)
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
-from .geometry import _CONJUGATE, Arrangement, ProjLine, _has_points, _point_key, _primitive
+from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
+                       _primitive)
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
                     _convolve, _divide_out, _oversized, _poly, parse_ratfunc, poly_reduce)
 from .record import Record
@@ -84,9 +85,10 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
     for step in steps:
         if isinstance(step, (GivenLine, JoinLine)):
             if not 1 <= step.index <= n:
-                raise ValidationError(f"line {step.index} out of range 1..{n}")
+                raise ValidationError(
+                    f"line {_quoted(str(step.index), str)} out of range 1..{n}")
             if step.index in defined_lines:
-                raise ValidationError(f"line {step.index} defined twice")
+                raise ValidationError(f"line {_quoted(str(step.index), str)} defined twice")
             if isinstance(step, JoinLine):
                 if step.p == step.q:
                     raise ValidationError(f"line {step.index}: join of a point with itself")
@@ -106,7 +108,7 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
             for ref in (step.i, step.j):
                 if ref not in defined_lines:
                     raise ValidationError(
-                        f"point {point}: line {ref} used before definition")
+                        f"point {point}: line {_quoted(str(ref), str)} used before definition")
             defined_points.add(step.name)
         elif isinstance(step, Require):
             if step.point not in defined_points:
@@ -114,12 +116,12 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                                       "used before definition")
             if step.line not in defined_lines:
                 raise ValidationError(
-                    f"require: line {step.line} used before definition")
+                    f"require: line {_quoted(str(step.line), str)} used before definition")
         else:
             raise ValidationError(f"unknown plan step {step!r}")
     if defined_lines != set(range(1, n + 1)):
         missing = sorted(set(range(1, n + 1)) - defined_lines)
-        raise ValidationError(f"lines not defined: {missing}")
+        raise ValidationError(f"lines not defined: {_quoted(str(missing), str)}")
     plan = ConstructionPlan(name=name, var=var, n=n, steps=tuple(steps))
     plan.grid_labels()
     return plan
@@ -322,10 +324,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root meet in the target's points and in no other multiple
-    point, checked against the target by ``_has_points`` at one meet per
-    point and per double pair.  The plan is evaluated once per factor, at
-    its first root: the one root of a linear factor, or the "+" root of an
-    irreducible quadratic, whose conjugate root passes or fails alike.
+    point, as ``_multiple_points`` finds them.  The plan is evaluated once
+    per factor, at its first root: the one root of a linear factor, or the
+    "+" root of an irreducible quadratic, whose conjugate root passes or
+    fails alike.
 
     The candidates are the factors of the numerators' gcd.  Dividing them
     out of each requirement numerator leaves the factors that are not
@@ -375,8 +377,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             verdict = f"pole at root of {factor.format(plan.var)}"
         except (DegenerateError, ValidationError) as exc:
             verdict = f"degenerate: {exc}"
-        else:
-            verdict = None if _has_points(plus, target) else "lattice mismatch"
+        else:       # two points share at most one line, so their line sets are distinct
+            sets = set(map(frozenset, _multiple_points(plus).values()))
+            verdict = None if sets == target.point_sets else "lattice mismatch"
         if verdict is not None:
             discarded.append((factor, verdict))
             continue

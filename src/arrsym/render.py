@@ -111,6 +111,16 @@ def _floats(values) -> tuple[float, ...]:
         raise RenderError(f"coordinate beyond float range ({exc})") from exc
 
 
+def _intercepts(float_forms):
+    """Where each line alpha*x + beta*y + gamma = 0 meets the axes:
+    (0, -gamma/beta) when beta != 0, (-gamma/alpha, 0) when alpha != 0."""
+    for _, (alpha, beta, gamma) in float_forms:
+        if beta:
+            yield 0.0, -gamma / beta
+        if alpha:
+            yield -gamma / alpha, 0.0
+
+
 def render_primitives(arrangement: Arrangement, options: RenderOptions):
     """Float geometry behind the SVG: ((label, segment) list, (point, mult)
     list, viewport box), in world coordinates."""
@@ -128,16 +138,18 @@ def render_primitives(arrangement: Arrangement, options: RenderOptions):
         xmin, ymin, xmax, ymax = _floats(options.viewport)
         if not (xmax > xmin and ymax > ymin):
             raise RenderError("degenerate viewport")
-    elif float_markers:
-        xs = [p[0] for p, _ in float_markers]
-        ys = [p[1] for p, _ in float_markers]
+    else:
+        # the markers; with none, every line meets the box at an intercept;
+        # with no line, the padding alone: [-1, 1]^2
+        spots = ([p for p, _ in float_markers] or list(_intercepts(float_forms))
+                 or [(0.0, 0.0)])
+        xs = [p[0] for p in spots]
+        ys = [p[1] for p in spots]
         xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
         pad_x = 0.2 * (xmax - xmin) or 1.0
         pad_y = 0.2 * (ymax - ymin) or 1.0
         xmin, xmax = xmin - pad_x, xmax + pad_x
         ymin, ymax = ymin - pad_y, ymax + pad_y
-    else:
-        xmin, ymin, xmax, ymax = -1.0, -1.0, 1.0, 1.0
     width, height = xmax - xmin, ymax - ymin
     if not (0 < width < inf and 0 < height < inf and _CANVAS / max(width, height) < inf):
         raise RenderError(f"viewport {width:g} by {height:g} cannot be drawn")

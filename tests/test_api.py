@@ -56,7 +56,8 @@ def test_removed_helpers_are_gone():
                          (polys.Poly, "variable"),
                          *((polys.Poly, name) for name in (
                              "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                             "__rmul__", "__pow__"))):
+                             "__rmul__", "__pow__")),
+                         (geometry, "_has_points")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

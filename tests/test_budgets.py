@@ -7,9 +7,12 @@ and the pencil on 1,024 lines) take about 0.1 s of CPU and end in their
 error under 24 MiB, ``aut`` of PG(2,31), the largest, about 0.5 s and under
 52 MiB.  ``lattice`` and ``render`` of 1,024 lines over Q(sqrt 5) with no
 three concurrent take about 0.8 s and 17 MiB, and of the pencil on 1,024
-lines about 0.13 s and 17 MiB.  The limits are at least six times the time
-and twice the memory any row needs, so a regression fails its row instead
-of hanging the suite."""
+lines about 0.13 s and 17 MiB.  The three 640-digit integers (a radicand of
+sevens that spends the factoring budget, a radicand that is not
+square-free and a line count) end in their error in at most 0.17 s and
+under 16 MiB.  The limits are at least six times the time and twice the
+memory any row needs, so a regression fails its row instead of hanging the
+suite."""
 
 import os
 import re
@@ -48,9 +51,15 @@ def derive(plan, n, pattern):
             {"p.plan": plan, "free.cfg": f"arrangement free\nlines {n}\n"}, 2, NOTHING, pattern)
 
 
+def refused(command, name, text, pattern):
+    """A row running ``command`` on the file ``name``, given as its text,
+    which ends in the error ``pattern``."""
+    return (command, name), {name: text}, 2, NOTHING, pattern
+
+
 def aut(table, pattern):
     """A row listing the automorphism group of ``table``, given as its text."""
-    return ("aut", "t.cfg"), {"t.cfg": table}, 2, NOTHING, pattern
+    return refused("aut", "t.cfg", table, pattern)
 
 
 def drawn(command, text, first_line):
@@ -62,6 +71,7 @@ def drawn(command, text, first_line):
 
 DOUBLES = "arrangement doubles\nfield sqrt 5\n" + "".join(   # no three concurrent
     f"line {k} : 1 ; {k} ; {k * k}+1w\n" for k in range(1, 1025))
+RADICAND = "arrangement big\nfield sqrt {}\nline 1 : 1 ; 0 ; 0\n"
 PENCIL = "arrangement pencil\nfield rational\n" + "".join(
     f"line {k} : 1 ; {k} ; 0\n" for k in range(1, 1025))
 
@@ -95,11 +105,20 @@ ROWS = {
     "lattice of 1024 lines over Q(sqrt 5)": drawn(
         "lattice", DOUBLES, "lattice of doubles: 523776 of multiplicity 2"),
     "render of 1024 lines over Q(sqrt 5)": drawn(
-        "render", DOUBLES, "wrote a.svg (0 segment(s), 0 marker(s))"),
+        "render", DOUBLES, "wrote a.svg (1024 segment(s), 0 marker(s))"),
     "lattice of the pencil on 1024 lines": drawn(
         "lattice", PENCIL, "lattice of pencil: 1 of multiplicity 1024"),
     "render of the pencil on 1024 lines": drawn(
         "render", PENCIL, "wrote a.svg (1024 segment(s), 1 marker(s))"),
+    "lattice of a radicand of 640 sevens": refused(
+        "lattice", "a.arr", RADICAND.format("7" * 640),
+        r"error: line 2: bad field \(cannot factor a 589-digit number within the step budget\)\n"),
+    "lattice of a radicand of 1 and 639 zeros": refused(
+        "lattice", "a.arr", RADICAND.format("1" + "0" * 639),
+        r"error: line 2: bad field \(d=10{59}\.\.\. is not square-free\)\n"),
+    "parse of a 640-digit line count": refused(
+        "parse", "t.cfg", "arrangement big\nlines " + "9" * 640 + "\n",
+        r"error: line count must be in 1\.\.1024, not 9{60}\.\.\.\n"),
 }
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from arrsym import corpus, geometry, moduli
 from arrsym.combinatorics import ConfigTable
-from arrsym.errors import DegenerateError, ValidationError
+from arrsym.errors import ConstraintError, DegenerateError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjLine, lattice_of
 from arrsym.moduli import JoinLine, MeetPoint
@@ -131,8 +131,8 @@ def test_generated_arrangements_match_the_reference(arrangement):
 
 
 # -- the check against a given table --------------------------------------------
-# derive_constraint checks a realization against its target with
-# geometry._has_points; the reference groups all C(n, 2) meets instead
+# derive_constraint keeps a root only when the multiple points of the plan
+# realized there are exactly the target's: a table one edit away is refused
 
 def near_misses(table):
     """The table, the table with no points, and every table one edit away:
@@ -158,34 +158,14 @@ def near_misses(table):
             pass
 
 
-def assert_checks_like_the_grouping(arrangement, table):
-    derived = frozenset(map(frozenset, geometry._multiple_points(arrangement).values()))
-    assert geometry._has_points(arrangement, table) == (derived == table.point_sets)
-
-
-@settings(deadline=None)
-@given(arrangements())
-def test_generated_checks_match_the_grouping(arrangement):
-    if not arrangement.n:
-        return
-    _, table = lattice_of(arrangement)
-    assert geometry._has_points(arrangement, table)
-    for miss in near_misses(table):
-        assert_checks_like_the_grouping(arrangement, miss)
-
-
 @pytest.mark.parametrize("name", ALL_CASES)
-def test_corpus_checks_match_the_grouping(name, realized):
-    case, _, plus, minus = realized(name)
-    tables = [corpus.get_case(other).config for other in corpus.list_cases()]
-    for arrangement in (plus, minus):
-        assert geometry._has_points(arrangement, case.config)
-        for table in [t for t in tables if t.n == case.config.n]:
-            assert_checks_like_the_grouping(arrangement, table)
-        for miss in near_misses(case.config):
-            assert_checks_like_the_grouping(arrangement, miss)
-        other_n = [t for t in tables if t.n != case.config.n]
-        assert not any(geometry._has_points(arrangement, t) for t in other_n)
+def test_derive_constraint_refuses_the_near_misses(name):
+    case = corpus.get_case(name)
+    misses = [t for t in near_misses(case.config) if t.point_sets != case.config.point_sets]
+    assert misses
+    for miss in misses:
+        with pytest.raises(ConstraintError, match="lattice mismatch"):
+            moduli.derive_constraint(case.plan, miss)
 
 
 # -- work counters --------------------------------------------------------------
@@ -292,21 +272,21 @@ def test_a_pencil_meets_its_first_line_only(meets):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_derive_constraint_meets_once_per_step_and_pair(name, meets, monkeypatch):
-    # every corpus case evaluates one factor, at one root, and it reaches
-    # the lattice check: one meet per MeetPoint and JoinLine step, then one
-    # per point of the target and one per double pair (267 over the nine
-    # cases), with no call of _multiple_points
+    # every corpus case evaluates one factor, at one root, and reads the
+    # lattice there with one _multiple_points call: one meet per MeetPoint
+    # and JoinLine step, then r - 1 per target point on r lines and one per
+    # double pair (364 over the nine cases)
     case = corpus.get_case(name)
-    checks = []
-    original = moduli._has_points
-    monkeypatch.setattr(moduli, "_has_points",
-                        lambda *args: checks.append(args) or original(*args))
-    monkeypatch.setattr(geometry, "_multiple_points", None)
+    calls = []
+    original = moduli._multiple_points
+    monkeypatch.setattr(moduli, "_multiple_points",
+                        lambda *args: calls.append(args) or original(*args))
     meets.clear()
     moduli.derive_constraint(case.plan, case.config)
     steps = sum(isinstance(s, (MeetPoint, JoinLine)) for s in case.plan.steps)
-    assert len(checks) == 1
-    assert len(meets) == steps + len(case.config.points) + case.config.double_count()
+    assert len(calls) == 1
+    assert len(meets) == (steps + sum(len(s) - 1 for _, s in case.config.points)
+                          + case.config.double_count())
 
 
 # -- the checks that replace counting the pairs ---------------------------------

@@ -206,6 +206,14 @@ def test_long_expressions_are_quoted_in_part(text):
 
 PLAN_HEAD = ("plan p over t\nlines 4\nline 1 : 1 ; 0 ; 0\nline 2 : 1 ; 0 ; -1\n"
              "line 3 : 0 ; 1 ; 0\nline 4 : 0 ; 1 ; -1\n")
+CFG_HEAD = "arrangement a\nlines 5\n"
+
+
+def zeros(j):
+    """A digits-only junk as long as ``j``, within parse_digits' limit."""
+    return "0" * min(len(j), 600)
+
+
 # Each parser fed its junk ``j``: a text that quotes j whole or in part.
 QUOTING_PARSERS = {
     "cycles": lambda j: parse_cycles("(1 2)" + j, 10),
@@ -225,6 +233,28 @@ QUOTING_PARSERS = {
     "meet before its line": lambda j: parse_plan(PLAN_HEAD + f"point P{j} : meet 1 9\n"),
     "join before its point": lambda j: parse_plan(
         PLAN_HEAD.replace("lines 4", "lines 5") + f"point P : meet 1 3\nline 5 : join P Q{j}\n"),
+    "plan line out of range": lambda j: parse_plan(PLAN_HEAD + f"line 9{zeros(j)} : 1 ; 1 ; 1\n"),
+    "meet before a long line": lambda j: parse_plan(PLAN_HEAD + f"point P : meet 1 9{zeros(j)}\n"),
+    "require a long line": lambda j: parse_plan(
+        PLAN_HEAD + f"point P : meet 1 3\nrequire P on 9{zeros(j)}\n"),
+    "lines not defined": lambda j: parse_plan(
+        PLAN_HEAD.replace("lines 4", f"lines {min(4 + len(j), 1024)}")),
+    "line count": lambda j: parse_config_table(f"arrangement a\nlines 5{zeros(j)}0\n"),
+    "point of two lines": lambda j: parse_config_table(CFG_HEAD + f"point p{j} : 1 2\n"),
+    "point label out of range": lambda j: parse_config_table(CFG_HEAD + f"point p{j} : 1 2 9\n"),
+    "point line out of range": lambda j: parse_config_table(
+        CFG_HEAD + f"point p : 1 2 9{zeros(j)}\n"),
+    "point label twice": lambda j: parse_config_table(
+        CFG_HEAD + f"point p{j} : 1 2 3\npoint p{j} : 1 4 5\n"),
+    "pair on two points": lambda j: parse_config_table(
+        CFG_HEAD + f"point p{j} : 1 2 3\npoint q{j} : 1 2 4\n"),
+    "line twice in a point": lambda j: parse_config_table(CFG_HEAD + f"point p{j} : 1 1 2\n"),
+    "cycle label out of range": lambda j: parse_cycles(f"(1 9{zeros(j)})", 10),
+    "square radicand": lambda j: parse_arrangement(
+        f"arrangement a\nfield sqrt 4{zeros(j)}\nline 1 : 1 ; 0 ; 0\n"),
+    "arr line twice": lambda j: parse_arrangement(
+        f"arrangement a\nfield rational\nline 1{zeros(j)} : 1 ; 0 ; 0\n"
+        f"line 1{zeros(j)} : 0 ; 1 ; 0\n"),
 }
 SHORT_MESSAGES = {
     "cycles": "malformed cycle notation '(1 2)qz'",
@@ -242,6 +272,20 @@ SHORT_MESSAGES = {
     "meet of a line itself": "point Pqz: meet of a line with itself",
     "meet before its line": "point Pqz: line 9 used before definition",
     "join before its point": "line 5: point Qqz used before definition",
+    "plan line out of range": "line 900 out of range 1..4",
+    "meet before a long line": "point P: line 900 used before definition",
+    "require a long line": "require: line 900 used before definition",
+    "lines not defined": "lines not defined: [5, 6]",
+    "line count": "line count must be in 1..1024, not 5000",
+    "point of two lines": "point pqz has fewer than 3 lines",
+    "point label out of range": "point pqz: label 9 out of 1..5",
+    "point line out of range": "point p: label 900 out of 1..5",
+    "point label twice": "duplicate point label pqz",
+    "pair on two points": "lines 1,2 lie on two points (pqz and qqz): two lines meet once",
+    "line twice in a point": "line 3: repeated line label in point pqz",
+    "cycle label out of range": "label 900 out of range 1..10",
+    "square radicand": "line 2: bad field (d=400 is not square-free)",
+    "arr line twice": "line 4: duplicate line index 100",
 }
 
 

@@ -63,6 +63,20 @@ def test_single_line_with_viewport():
     assert not markers_of(svg)
 
 
+def test_every_line_is_drawn_with_no_multiple_point():
+    # tangents of a parabola, no three concurrent, and a horizontal and a
+    # vertical line through none of their meets: with no marker the box is
+    # built from the axis intercepts, and each line gets one segment
+    arrangement = Arrangement("tangents", RATIONAL, [
+        *(ProjLine((1, k, k * k + 7)) for k in range(1, 8)),
+        ProjLine((0, 2, -1)), ProjLine((1, 0, 100))])
+    assert lattice_of(arrangement)[1].points == ()
+    segments, markers, _ = render_primitives(arrangement, RenderOptions())
+    assert [idx for idx, *_ in segments] == list(range(1, 10)) and markers == []
+    one = Arrangement("one", RATIONAL, [ProjLine((1, 0, 0))])
+    assert render_primitives(one, RenderOptions(infinity=1)) == ([], [], (-1, -1, 1, 1))
+
+
 def test_no_real_section_for_imaginary_field(realized):
     _, _, plus, _ = realized("maclane")
     with pytest.raises(RenderError):
