@@ -36,7 +36,7 @@ class Permutation(Record):
         imgs = _labels(images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
-            raise ValidationError(f"not a permutation of 1..{n}: {imgs}")
+            raise ValidationError(f"not a permutation of 1..{n}: {_quoted(str(imgs), str)}")
         object.__setattr__(self, "images", imgs)
 
     @staticmethod
@@ -60,7 +60,7 @@ class Permutation(Record):
                 return self.images[i - 1]
         except TypeError:
             _labels((i,))       # ValidationError naming a label that is not an integer
-        raise ValidationError(f"label {i} out of range 1..{len(self.images)}")
+        raise ValidationError(f"label {_quoted(str(i), str)} out of range 1..{len(self.images)}")
 
     def apply_set(self, labels) -> frozenset:
         return frozenset(map(self, labels))
@@ -78,7 +78,16 @@ class Permutation(Record):
         return Permutation._of(tuple(i for _, i in sorted(zip(self.images, count(1)))))
 
     def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
+        """The lcm of the cycle lengths, walked without building the cycles."""
+        images, seen, lengths = self.images, set(), {1}
+        for start in range(1, len(images) + 1):
+            if start not in seen:
+                j, length = images[start - 1], 1
+                while j != start:
+                    seen.add(j)
+                    j, length = images[j - 1], length + 1
+                lengths.add(length)
+        return lcm(*lengths)
 
     @property
     def is_involution(self) -> bool:

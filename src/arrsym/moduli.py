@@ -41,9 +41,15 @@ class GivenLine(Record, compared=2):
 class MeetPoint(Record):
     __slots__ = ("name", "i", "j")                   # point name, line labels i, j
 
+    def _what(self) -> str:                         # what an error names it by
+        return f"lines {self.i},{self.j}"
+
 
 class JoinLine(Record):
     __slots__ = ("index", "p", "q")                  # line label, point names p, q
+
+    def _what(self) -> str:
+        return f"points {_quoted(self.p, str)},{_quoted(self.q, str)}"
 
 
 class Require(Record):
@@ -198,27 +204,25 @@ def parse_plan(text: str) -> ConstructionPlan:
 
 def _run_plan(plan: ConstructionPlan, given, cross):
     """The line and point values by label: ``given(step)`` is a GivenLine's
-    value and ``cross(u, v, what)`` the meet or join of two values."""
+    value and ``cross(u, v, step)`` the meet or join of a MeetPoint or JoinLine."""
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
             lines[step.index] = given(step)
         elif isinstance(step, MeetPoint):
-            points[step.name] = cross(lines[step.i], lines[step.j],
-                                      f"lines {step.i},{step.j}")
+            points[step.name] = cross(lines[step.i], lines[step.j], step)
         elif isinstance(step, JoinLine):
-            what = f"points {_quoted(step.p, str)},{_quoted(step.q, str)}"
-            lines[step.index] = cross(points[step.p], points[step.q], what)
+            lines[step.index] = cross(points[step.p], points[step.q], step)
     return lines, points
 
 
-def _cross(u: tuple, v: tuple, what: str) -> tuple:
+def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
     """The meet or join of two cleared triples over Q(t).  Raises DegenerateError
     when they coincide, ValidationError when it has degree above MAX_DEGREE
     or, checked before it is computed, when its products are _oversized."""
     if _oversized(u, v):
-        raise ValidationError(f"the meet or join of {what} has coefficients "
+        raise ValidationError(f"the meet or join of {step._what()} has coefficients "
                               f"above {_MAX_BITS} bits")
     (u0, u1, u2, du), (v0, v1, v2, dv) = u, v
     w = _content_free([_add(_convolve(u1, v2), _convolve(u2, v1), -1),
@@ -226,12 +230,12 @@ def _cross(u: tuple, v: tuple, what: str) -> tuple:
                        _add(_convolve(u0, v1), _convolve(u1, v0), -1),
                        _convolve(du, dv)])
     if not any(w[:3]):
-        raise DegenerateError(f"{what} coincide identically")
+        raise DegenerateError(f"{step._what()} coincide identically")
     if max(map(len, w)) > MAX_DEGREE + 1:
         # reduction only lowers degrees: reduce to apply the exact test
         entries = tuple(RatFunc(_poly(p, 1), _poly(w[3], 1)) for p in w[:3])
         if max(max(e.num.degree, e.den.degree) for e in entries) > MAX_DEGREE:
-            raise ValidationError(f"the meet or join of {what} has degree "
+            raise ValidationError(f"the meet or join of {step._what()} has degree "
                                   f"above {MAX_DEGREE}")
         w = _cleared(entries)
     return w
@@ -263,11 +267,11 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
                     raise PoleError(f"pole of {entry} at {t0}")
         return values[:6]
 
-    def meet(u: tuple, v: tuple, what: str) -> tuple:
+    def meet(u: tuple, v: tuple, step: MeetPoint) -> tuple:
         try:
             return _point_key(u, v, d)
         except DegenerateError:
-            raise DegenerateError(f"{what} coincide at {plan.var}={t0}") from None
+            raise DegenerateError(f"{step._what()} coincide at {plan.var}={t0}") from None
 
     lines, _ = _run_plan(plan, given, meet)
     return Arrangement(plan.name, field, [

@@ -5,7 +5,8 @@ positive common denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den
 with c_n != 0 and gcd(c_0, ..., c_n, den) = 1, so equal polynomials are
 stored alike.  It has division, gcd and evaluation, all on Python ints, and
 no ring operators.  Division is pseudo-division over Z and the gcd is the
-primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1).
+primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), both on
+one integer-list kernel, _pseudo_divide.
 A RatFunc is the reduced form of a rational function and has no arithmetic:
 expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
@@ -21,7 +22,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import ParseError, UnsupportedDegreeError, ValidationError, _quoted
 from .fields import (MAX_DIGITS, QuadExt, _num_den, _quad, factor_integer,
@@ -92,6 +93,38 @@ def _poly(cs, den: int) -> "Poly":
     return x
 
 
+def _primitive(cs) -> tuple:
+    """The integer coefficients cs, trailing zeros dropped, divided by their
+    content and signed so that the leading one is positive; () for zero."""
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    g = gcd(*cs) if cs and cs[-1] > 0 else -gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
+def _pseudo_divide(a, b) -> tuple[list, list, int]:
+    """(q, r, s) with s*a = q*b + r, s > 0 and len(r) < len(b), for ascending
+    integer lists a and b, b[-1] != 0.  A step scales by only the part of b's
+    leading coefficient that does not divide the remainder's: s = 1 if it is +-1."""
+    n, lead = len(b) - 1, b[-1]
+    sign = 1 if lead > 0 else -1
+    rem, quo, scale = list(a), [0] * max(len(a) - n, 0), 1
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k]
+        if not c:
+            continue
+        g = gcd(c, lead)
+        mult = sign * lead // g
+        if mult != 1:
+            rem = [x * mult for x in rem]
+            quo = [x * mult for x in quo]
+            scale *= mult
+        quo[k - n] = f = sign * (c // g)
+        for j, y in enumerate(b):
+            rem[k - n + j] -= f * y
+    return quo, rem[:n], scale
+
+
 class Poly:
     """Polynomial over Q in t, coefficients ascending; () is the zero
     polynomial.  Stored as (c_0, ..., c_n)/den in lowest terms (see the
@@ -142,31 +175,12 @@ class Poly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        b = other._c
-        if not b:
+        if not other._c:
             raise ZeroDivisionError("polynomial division by zero")
-        # Pseudo-division over Z: s*a = q*b + r for self = a/da, other = b/db,
-        # so self = (q*db/(s*da)) * other + r/(s*da).  A step scales by only
-        # the part of b's leading coefficient that does not divide the
-        # remainder's, so s = 1 whenever that coefficient is 1.
-        n, lead = len(b) - 1, b[-1]
-        sign = 1 if lead > 0 else -1
-        rem, quo, scale = list(self._c), [0] * max(len(self._c) - n, 0), 1
-        for k in range(len(rem) - 1, n - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            g = gcd(c, lead)
-            mult = sign * lead // g
-            if mult != 1:
-                rem = [x * mult for x in rem]
-                quo = [x * mult for x in quo]
-                scale *= mult
-            quo[k - n] = f = sign * (c // g)
-            for j, y in enumerate(b):
-                rem[k - n + j] -= f * y
+        # s*a = q*b + r for self = a/da, other = b/db: self = (q*db/(s*da))*other + r/(s*da)
+        quo, rem, scale = _pseudo_divide(self._c, other._c)
         den = scale * self._den
-        return _poly([c * other._den for c in quo], den), _poly(rem[:n], den)
+        return _poly([c * other._den for c in quo], den), _poly(rem, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -206,28 +220,22 @@ class Poly:
         lead = self._c[-1]
         return _poly(self._c if lead > 0 else [-c for c in self._c], abs(lead))
 
-    def _primitive_part(self) -> "Poly":
-        if not self._c:
-            return self
-        g = gcd(*self._c) * (1 if self._c[-1] > 0 else -1)
-        return _poly([c // g for c in self._c], 1)
-
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """Write self = content * P with P integer-coefficient, coprime,
         positive leading coefficient; returns (content, P)."""
         if not self._c:
             return Fraction(0), self
-        prim = self._primitive_part()
-        return Fraction(self._c[-1], self._den * prim._c[-1]), prim
+        prim = _primitive(self._c)
+        return Fraction(self._c[-1], self._den * prim[-1]), _poly(prim, 1)
 
     def gcd(self, other: "Poly") -> "Poly":
         """Monic greatest common divisor: the primitive pseudo-remainder
         sequence over Z, which replaces each remainder by its primitive
-        part."""
-        a, b = self._primitive_part(), other._primitive_part()
+        part, run on the integer tuples."""
+        a, b = _primitive(self._c), _primitive(other._c)
         while b:
-            a, b = b, (a % b)._primitive_part()
-        return a.monic()
+            a, b = b, _primitive(_pseudo_divide(a, b)[1])
+        return _poly(a, a[-1] if a else 1)
 
     # -- display --------------------------------------------------------------
 
@@ -261,9 +269,9 @@ def _as_poly(value) -> Poly | None:
     return None
 
 
-# Most combinations of divisors the rational-root and quadratic-factor
-# searches may try for one polynomial (the product of the divisor counts of
-# the integers they enumerate); more raises ValidationError.
+# Most combinations of divisors the searches for rational roots and quadratic
+# factors, from degree 3, may try for one polynomial (the product of the
+# divisor counts of the integers they enumerate); more raises ValidationError.
 MAX_FACTOR_CANDIDATES = 1 << 14
 
 
@@ -289,9 +297,18 @@ def _divisors(*values: int) -> list[list[int]]:
 
 
 def _rational_roots(prim: Poly) -> list[Fraction]:
-    """All rational roots of a primitive integer polynomial, ascending."""
+    """All rational roots of a primitive integer polynomial, ascending: in
+    closed form below degree 3, by a search of divisors from degree 3."""
     if prim.degree < 1 or prim._c[0] == 0:
         raise ValueError("expects a nonzero constant term")
+    if prim.degree == 1:
+        return [Fraction(-prim._c[0], prim._c[1])]
+    if prim.degree == 2:
+        c, b, a = prim._c
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        roots = {Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)}
+        return sorted(roots) if s * s == disc else []
     roots = set()
     leads, consts = _divisors(prim._c[-1], prim._c[0])
     for q in leads:
@@ -346,7 +363,7 @@ def _find_quadratic_factor(prim: Poly) -> Poly | None:
 def _divide_out(p: Poly, factor: Poly) -> tuple[Poly, int]:
     """(p / factor^m, m) for the largest m with factor^m dividing p."""
     mult = 0
-    while not (split := divmod(p, factor))[1]:
+    while factor.degree <= p.degree and not (split := divmod(p, factor))[1]:
         p = split[0]
         mult += 1
     return p, mult
@@ -357,13 +374,13 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
     irreducible quadratics, each primitive with positive leading coefficient.
 
     Raises UnsupportedDegreeError if an irreducible factor of degree >= 3
-    remains, and ValidationError if the search for factors would exceed its
-    bounds (see _divisors).  The product of the factors times p's content
-    recovers p.
+    remains, and ValidationError if the search for factors, which runs from
+    degree 3, would exceed its bounds (see _divisors).  The product of the
+    factors times p's content recovers p.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    rem = p._primitive_part()
+    rem = _poly(_primitive(p._c), 1)
     factors: list[tuple[Poly, int]] = []
 
     zeros = next(k for k, c in enumerate(rem._c) if c)
@@ -379,8 +396,7 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
         rem, mult = _divide_out(rem, lin)
         factors.append((lin, mult))
 
-    while rem.degree > 0:
-        _, rem = rem.primitive()
+    while rem.degree > 0:     # an exact quotient of primitive polynomials is primitive
         quad = _find_quadratic_factor(rem)
         if quad is None:
             raise UnsupportedDegreeError(

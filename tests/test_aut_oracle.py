@@ -276,7 +276,7 @@ def power_order(g):
 
 @pytest.mark.parametrize("name", ["{7}", "maclane", "falk-sturmfels"])
 def test_element_orders_match_repeated_products(name):
-    # order() is read off cycles(), so cycles() cannot be its reference
+    # order() walks the cycle lengths, so no cycle walk can be its reference
     for g in automorphism_group(corpus.get_case(name).config).elements:
         k = power_order(g)
         assert g.order() == k

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrsym.cli import main
-from arrsym.combinatorics import parse_config_table, parse_cycles
-from arrsym.errors import QUOTE_CHARS, ParseError
+from arrsym.combinatorics import Permutation, parse_config_table, parse_cycles
+from arrsym.errors import QUOTE_CHARS, ParseError, ValidationError
 from arrsym.fields import parse_digits, parse_scalar
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
@@ -303,4 +303,32 @@ def test_short_inputs_are_quoted_whole(kind):
 @pytest.mark.parametrize("kind", sorted(QUOTING_PARSERS))
 def test_long_inputs_are_quoted_in_part(kind):
     message = _message(QUOTING_PARSERS[kind], "qz" * 1500)
+    assert "..." in message and len(message) < 200
+
+
+# Library calls fed the same junk: their ValidationError quotes it too.
+QUOTING_CALLS = {
+    "not a permutation": lambda j: Permutation([1] * len(j)),
+    "permutation label out of range": lambda j: Permutation([1, 2])(int("9" + zeros(j))),
+}
+SHORT_CALL_MESSAGES = {
+    "not a permutation": "not a permutation of 1..2: (1, 1)",
+    "permutation label out of range": "label 900 out of range 1..2",
+}
+
+
+def _call_message(call, junk):
+    with pytest.raises(ValidationError) as info:
+        call(junk)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTING_CALLS))
+def test_short_call_inputs_are_quoted_whole(kind):
+    assert _call_message(QUOTING_CALLS[kind], "qz") == SHORT_CALL_MESSAGES[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(QUOTING_CALLS))
+def test_long_call_inputs_are_quoted_in_part(kind):
+    message = _call_message(QUOTING_CALLS[kind], "qz" * 1500)
     assert "..." in message and len(message) < 200

@@ -1,7 +1,10 @@
 import time
 from fractions import Fraction as F
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arrsym import polys
 from arrsym.errors import ParseError, UnsupportedDegreeError, ValidationError
@@ -58,16 +61,53 @@ def test_poly_reduce_unsupported_degree():
         poly_reduce(Poly((1, 0, 0, 0, 0, 1)))
 
 
+# two 16-digit primes: trial division would take ~10^15 steps to split N
+N = (10 ** 15 + 37) * (10 ** 15 + 91)
+
+
 def test_poly_reduce_bounds_its_divisor_search():
     # a large prime constant term factors at once: (t - p)(t + 1)
     p = 10 ** 18 + 3
     assert dict(poly_reduce(Poly(rmul((-p, 1), (1, 1))))) == {Poly((-p, 1)): 1, Poly((1, 1)): 1}
-    # two 16-digit prime factors: trial division would take ~10^15 steps
+    # the search runs from degree 3: (t^2 + 1)(t - N) needs N factored
     with pytest.raises(ValidationError):
-        poly_reduce(Poly((-(10 ** 15 + 37) * (10 ** 15 + 91), 1)))
+        poly_reduce(Poly(rmul((1, 0, 1), (-N, 1))))
     # 720720 has 240 divisors: 240 * 240 candidate pairs are too many
     with pytest.raises(ValidationError):
-        poly_reduce(Poly((720720, 1, 720720)))
+        poly_reduce(Poly((720720, 1, 0, 720720)))
+
+
+@pytest.mark.parametrize("coeffs", [(-N, 1), (720720, 1, 720720)])
+def test_poly_reduce_splits_linears_and_quadratics_without_a_search(coeffs, monkeypatch):
+    def refuse(*values):
+        raise AssertionError("searched divisors below degree 3")
+    monkeypatch.setattr(polys, "_divisors", refuse)
+    assert poly_reduce(Poly(coeffs)) == [(Poly(coeffs), 1)]
+
+
+def _rationals():
+    return st.fractions(max_denominator=10 ** 6).filter(lambda x: abs(x) < 10 ** 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_rationals(), y=_rationals(), content=_rationals().filter(bool))
+def test_poly_reduce_splits_a_product_of_two_linears(x, y, content):
+    # (q*t - p)(s*t - r) for x = p/q, y = r/s in lowest terms, q, s > 0
+    lin = {x: (-x.numerator, x.denominator), y: (-y.numerator, y.denominator)}
+    got = poly_reduce(Poly(rmul((content,), rmul(lin[x], lin[y]))))
+    assert dict(got) == {Poly(lin[root]): [x, y].count(root) for root in lin}
+    assert len(got) == len(lin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(1, 10 ** 9), b=st.integers(-10 ** 9, 10 ** 9),
+       c=st.integers(-10 ** 9, 10 ** 9).filter(bool))
+def test_poly_reduce_keeps_a_quadratic_with_no_square_discriminant(a, b, c):
+    disc = b * b - 4 * a * c
+    assume(disc < 0 or isqrt(disc) ** 2 != disc)
+    g = gcd(a, b, c)
+    prim = Poly((c // g, b // g, a // g))
+    assert poly_reduce(Poly((c, b, a))) == [(prim, 1)]
 
 
 def test_poly_reduce_quartic_splits_into_quadratics():

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from itertools import combinations, permutations, product
 from math import factorial
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrsym import corpus, geometry, moduli, witness
+from arrsym import corpus, fields, geometry, moduli, polys, witness
 from arrsym.combinatorics import (ConfigTable, Permutation, automorphism_group,
                                   involutions, is_lattice_isomorphism,
                                   parse_cycles)
@@ -431,6 +432,52 @@ def test_run_case_checks_the_lines_of_each_realization_once(name, monkeypatch):
     report = run_case(case.name, case.config, case.plan)
     assert calls == [case.plan.name, case.plan.name]
     assert report.status == case.expected_status
+
+
+class _Label(int):
+    """A line label that counts how often it is written out as text."""
+    written = 0
+
+    def __format__(self, spec):
+        _Label.written += 1
+        return int.__format__(self, spec)
+
+    def __str__(self):
+        _Label.written += 1
+        return int.__repr__(self)
+
+
+def test_corpus_pass_work_counts(monkeypatch):
+    """Exact work counts over one run_case per corpus case, no wall clock:
+    roots of linears and quadratics are read in closed form (no divisor
+    search), the one factor_integer per case is quad_roots' discriminant,
+    the gcd divides on integer lists, group orders build no cycles, and no
+    text naming a meet or join is built when none fails."""
+    calls = Counter()
+
+    def count(owner, name, *others):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+        for target in (owner, *others):
+            monkeypatch.setattr(target, name, counting)
+
+    count(polys, "_divisors")
+    count(fields, "factor_integer", polys)
+    count(polys.Poly, "__divmod__")
+    count(Permutation, "cycles")
+    count(moduli, "_quoted")
+    monkeypatch.setattr(_Label, "written", 0)
+    for name in corpus.list_cases():
+        case = corpus.get_case(name)
+        steps = tuple(moduli.MeetPoint._of(s.name, _Label(s.i), _Label(s.j))
+                      if isinstance(s, moduli.MeetPoint) else s for s in case.plan.steps)
+        plan = moduli.ConstructionPlan._of(case.plan.name, case.plan.var, case.plan.n, steps)
+        assert run_case(name, case.config, plan).status == case.expected_status
+    assert calls == {"factor_integer": 9, "__divmod__": 43}
+    assert _Label.written == 0
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
