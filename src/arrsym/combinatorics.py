@@ -17,7 +17,7 @@ from itertools import combinations, count
 from math import comb, lcm
 from operator import index, itemgetter
 
-from .errors import ParseError, ValidationError, _quoted
+from .errors import QUOTE_CHARS, ParseError, ValidationError, _digits, _quoted
 from .fields import _directives, parse_digits
 from .record import Record
 
@@ -36,7 +36,8 @@ class Permutation(Record):
         imgs = _labels(images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
-            raise ValidationError(f"not a permutation of 1..{n}: {_quoted(str(imgs), str)}")
+            shown = ", ".join(_digits(v)[0] for v in imgs[:QUOTE_CHARS]) + "," * (n == 1)
+            raise ValidationError(f"not a permutation of 1..{n}: {_quoted(f'({shown})', str)}")
         object.__setattr__(self, "images", imgs)
 
     @staticmethod
@@ -56,14 +57,11 @@ class Permutation(Record):
 
     def __call__(self, i: int) -> int:
         try:
-            if 0 < i <= len(self.images):
+            if 0 < index(i) <= len(self.images):
                 return self.images[i - 1]
         except TypeError:
             _labels((i,))       # ValidationError naming a label that is not an integer
-        raise ValidationError(f"label {_quoted(str(i), str)} out of range 1..{len(self.images)}")
-
-    def apply_set(self, labels) -> frozenset:
-        return frozenset(map(self, labels))
+        raise ValidationError(f"label {_digits(i)[0]} out of range 1..{self.degree}")
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (p * q)(i) = p(q(i))."""
@@ -158,9 +156,9 @@ def parse_cycles(text: str, n: int) -> Permutation:
             raise ParseError(f"repeated label inside a cycle in {_quoted(text)}")
         for v in vals:
             if not 1 <= v <= n:
-                raise ParseError(f"label {_quoted(str(v), str)} out of range 1..{n}")
+                raise ParseError(f"label {_digits(v)[0]} out of range 1..{n}")
             if images[v - 1] != v:
-                raise ParseError(f"label {_quoted(str(v), str)} appears in two cycles")
+                raise ParseError(f"label {_digits(v)[0]} appears in two cycles")
         for a, b in zip(vals, vals[1:] + vals[:1]):
             images[a - 1] = b
     return Permutation(images)
@@ -173,8 +171,7 @@ class ConfigTable(Record):
 
     def __init__(self, name: str, n: int, points) -> None:
         if not 1 <= _labels((n,), "line count")[0] <= MAX_LINES:
-            raise ValidationError(f"line count must be in 1..{MAX_LINES}, "
-                                  f"not {_quoted(str(n), str)}")
+            raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {_digits(n)[0]}")
         pts, labels = [], set()
         through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
         for label, lines in points:
@@ -184,7 +181,7 @@ class ConfigTable(Record):
             for v in lines:
                 if not 1 <= v <= n:
                     raise ValidationError(f"point {_quoted(label, str)}: "
-                                          f"label {_quoted(str(v), str)} out of 1..{n}")
+                                          f"label {_digits(v)[0]} out of 1..{n}")
             if label in labels:
                 raise ValidationError(f"duplicate point label {_quoted(label, str)}")
             labels.add(label)

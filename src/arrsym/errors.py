@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from math import log10
+
 # A ParseError quotes at most this many characters of its input.
 QUOTE_CHARS = 60
 
@@ -9,6 +11,14 @@ def _quoted(text: str, form=repr) -> str:
     if len(text) <= QUOTE_CHARS:
         return form(text)
     return form(text[:QUOTE_CHARS]) + "..."
+
+
+def _digits(n: int) -> tuple[str, int]:
+    """_quoted(str(n), str) and the digit count of the integer n, which may be
+    past the 4,300 digits str() writes: none past the first QUOTE_CHARS + 3 is."""
+    cut = max(int(log10(abs(n) or 1)) - QUOTE_CHARS - 1, 0)    # leaves QUOTE_CHARS + 1 or more
+    head = str(abs(n) // 10 ** cut)
+    return _quoted(str(n) if not cut else "-" * (n < 0) + head, str), cut + len(head)
 
 
 class ArrsymError(Exception):

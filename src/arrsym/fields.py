@@ -18,7 +18,7 @@ from math import gcd, lcm, sqrt
 from operator import index
 
 from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
-                     _quoted)
+                     _digits, _quoted)
 from .record import Record
 
 
@@ -44,7 +44,7 @@ def _charge(budget: list[int], steps: int, m: int) -> None:
     budget[0] -= steps
     if budget[0] < 0:
         raise ValidationError(
-            f"cannot factor a {len(str(m))}-digit number within the step budget")
+            f"cannot factor a {_digits(m)[1]}-digit number within the step budget")
 
 
 def _is_prime(n: int, budget: list[int]) -> bool:
@@ -142,7 +142,7 @@ def factor_integer(n: int) -> dict[int, int]:
             continue
         if _is_prime(m, budget):
             if m >= _MR_PROVEN:
-                raise ValidationError(f"cannot prove a {len(str(m))}-digit factor prime")
+                raise ValidationError(f"cannot prove a {_digits(m)[1]}-digit factor prime")
             factors[m] = factors.get(m, 0) + k
         elif power := _perfect_power(m):
             pending.append((power[0], power[1] * k))
@@ -180,9 +180,9 @@ class FieldSpec(Record):
                 raise ValidationError(f"quadratic field d={_quoted(repr(d), str)} "
                                       "is not an integer") from None
             if n in (0, 1):
-                raise ValidationError(f"invalid quadratic field d={_quoted(str(d), str)}")
+                raise ValidationError(f"invalid quadratic field d={_digits(d)[0]}")
             if square_free_part(n)[1] != n:
-                raise ValidationError(f"d={_quoted(str(d), str)} is not square-free")
+                raise ValidationError(f"d={_digits(n)[0]} is not square-free")
             d = n
         self._fill(d)
 

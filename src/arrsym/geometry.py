@@ -14,7 +14,7 @@ import re
 from math import gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
-from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _quoted
+from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _digits, _quoted
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad, parse_digits,
                      parse_scalar)
 from .record import Record
@@ -328,7 +328,7 @@ def parse_arrangement(text: str) -> Arrangement:
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected three ';'-separated scalars")
             if idx in entries:
-                raise ParseError(f"line {lineno}: duplicate line index {_quoted(str(idx), str)}")
+                raise ParseError(f"line {lineno}: duplicate line index {_digits(idx)[0]}")
             entries[idx] = tuple(parse_scalar(p, field) for p in parts)
         else:
             raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")

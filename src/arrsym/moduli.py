@@ -21,13 +21,13 @@ from operator import mul
 
 from .combinatorics import MAX_LINES, ConfigTable
 from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
-                     UnsupportedDegreeError, ValidationError, _quoted)
+                     UnsupportedDegreeError, ValidationError, _digits, _quoted)
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
-                    _convolve, _divide_out, _oversized, _poly, parse_ratfunc, poly_reduce)
+                    _convolve, _divide_out, _lowest, _oversized, _poly, parse_ratfunc, poly_reduce)
 from .record import Record
 
 
@@ -91,10 +91,9 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
     for step in steps:
         if isinstance(step, (GivenLine, JoinLine)):
             if not 1 <= step.index <= n:
-                raise ValidationError(
-                    f"line {_quoted(str(step.index), str)} out of range 1..{n}")
+                raise ValidationError(f"line {_digits(step.index)[0]} out of range 1..{n}")
             if step.index in defined_lines:
-                raise ValidationError(f"line {_quoted(str(step.index), str)} defined twice")
+                raise ValidationError(f"line {_digits(step.index)[0]} defined twice")
             if isinstance(step, JoinLine):
                 if step.p == step.q:
                     raise ValidationError(f"line {step.index}: join of a point with itself")
@@ -114,7 +113,7 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
             for ref in (step.i, step.j):
                 if ref not in defined_lines:
                     raise ValidationError(
-                        f"point {point}: line {_quoted(str(ref), str)} used before definition")
+                        f"point {point}: line {_digits(ref)[0]} used before definition")
             defined_points.add(step.name)
         elif isinstance(step, Require):
             if step.point not in defined_points:
@@ -122,7 +121,7 @@ def _validate_plan(name: str, var: str, n: int, steps: list) -> ConstructionPlan
                                       "used before definition")
             if step.line not in defined_lines:
                 raise ValidationError(
-                    f"require: line {_quoted(str(step.line), str)} used before definition")
+                    f"require: line {_digits(step.line)[0]} used before definition")
         else:
             raise ValidationError(f"unknown plan step {step!r}")
     if defined_lines != set(range(1, n + 1)):
@@ -233,11 +232,11 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
         raise DegenerateError(f"{step._what()} coincide identically")
     if max(map(len, w)) > MAX_DEGREE + 1:
         # reduction only lowers degrees: reduce to apply the exact test
-        entries = tuple(RatFunc(_poly(p, 1), _poly(w[3], 1)) for p in w[:3])
-        if max(max(e.num.degree, e.den.degree) for e in entries) > MAX_DEGREE:
+        entries = [_lowest(p, w[3]) for p in w[:3]]
+        if max(len(cs) for e in entries for cs in e) > MAX_DEGREE + 1:
             raise ValidationError(f"the meet or join of {step._what()} has degree "
                                   f"above {MAX_DEGREE}")
-        w = _cleared(entries)
+        w = _cleared([RatFunc._of(*e) for e in entries])
     return w
 
 
@@ -286,8 +285,8 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
         (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
         incidence = _add(_add(_convolve(l0, p0), _convolve(l1, p1)), _convolve(l2, p2))
         if incidence:
-            reduced = RatFunc(_poly(incidence, 1), _poly(_convolve(dl, dp), 1))
-            out.append((req.point, req.line, reduced.num))
+            num, den = _lowest(incidence, _convolve(dl, dp))
+            out.append((req.point, req.line, _poly(num, den[-1])))
     return out
 
 

@@ -3,14 +3,14 @@
 A Poly is the value poly_reduce factors: one reduced integer tuple plus one
 positive common denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den
 with c_n != 0 and gcd(c_0, ..., c_n, den) = 1, so equal polynomials are
-stored alike.  It has division, gcd and evaluation, all on Python ints, and
+stored alike.  It has divmod, gcd and evaluation, all on Python ints, and
 no ring operators.  Division is pseudo-division over Z and the gcd is the
 primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), both on
 one integer-list kernel, _pseudo_divide.
 A RatFunc is the reduced form of a rational function and has no arithmetic:
 expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
-bits per coefficient, and are reduced once, at the end.
+bits per coefficient, and are reduced once, at the end, by _lowest.
 poly_reduce splits a nonzero polynomial into rational-root linear factors
 and irreducible quadratic factors; anything leaving an irreducible factor
 of degree >= 3 is rejected (nothing in this problem domain needs more).
@@ -125,6 +125,28 @@ def _pseudo_divide(a, b) -> tuple[list, list, int]:
     return quo, rem[:n], scale
 
 
+def _gcd(a, b) -> tuple:
+    """The primitive gcd of two integer lists, leading coefficient positive,
+    () for two zeros: the pseudo-remainder sequence made primitive each step."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_divide(a, b)[1])
+    return a
+
+
+def _lowest(num, den) -> tuple:
+    """num/den in lowest terms, for ascending integer lists with no trailing
+    zeros and den nonzero: their gcd divided out, content-free, den's leading
+    coefficient positive; ((), (1,)) for zero."""
+    if not num:
+        return (), (1,)
+    g = _gcd(num, den) if len(num) > 1 and len(den) > 1 else ()   # a constant shares no factor
+    if len(g) > 1:      # g is primitive, so both quotients are integral (Gauss): no scaling
+        num, den = _pseudo_divide(num, g)[0], _pseudo_divide(den, g)[0]
+    both = _primitive([*num, *den])     # den's leading coefficient leads
+    return both[:len(num)], both[len(num):]
+
+
 class Poly:
     """Polynomial over Q in t, coefficients ascending; () is the zero
     polynomial.  Stored as (c_0, ..., c_n)/den in lowest terms (see the
@@ -182,14 +204,8 @@ class Poly:
         den = scale * self._den
         return _poly([c * other._den for c in quo], den), _poly(rem, den)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
+        return not divmod(other, self)[1]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -214,12 +230,6 @@ class Poly:
 
     # -- normal forms ---------------------------------------------------------
 
-    def monic(self) -> "Poly":
-        if not self._c:
-            return self
-        lead = self._c[-1]
-        return _poly(self._c if lead > 0 else [-c for c in self._c], abs(lead))
-
     def primitive(self) -> tuple[Fraction, "Poly"]:
         """Write self = content * P with P integer-coefficient, coprime,
         positive leading coefficient; returns (content, P)."""
@@ -229,12 +239,8 @@ class Poly:
         return Fraction(self._c[-1], self._den * prim[-1]), _poly(prim, 1)
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor: the primitive pseudo-remainder
-        sequence over Z, which replaces each remainder by its primitive
-        part, run on the integer tuples."""
-        a, b = _primitive(self._c), _primitive(other._c)
-        while b:
-            a, b = b, _primitive(_pseudo_divide(a, b)[1])
+        """Monic greatest common divisor (see _gcd)."""
+        a = _gcd(self._c, other._c)
         return _poly(a, a[-1] if a else 1)
 
     # -- display --------------------------------------------------------------
@@ -256,9 +262,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs})"
-
-
-_ZERO, _ONE = _poly((), 1), _poly((1,), 1)
 
 
 def _as_poly(value) -> Poly | None:
@@ -415,29 +418,22 @@ class RatFunc:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num, den=_ONE) -> None:
-        num = _as_poly(num)
-        den = _as_poly(den)
+    def __init__(self, num, den=1) -> None:
+        num, den = _as_poly(num), _as_poly(den)
         if num is None or den is None:
             raise TypeError("RatFunc expects polynomial or rational arguments")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            num, den = _ZERO, _ONE
-        else:
-            # a constant on either side has no common factor with the other
-            if num.degree > 0 and den.degree > 0:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-            lead, lead_den = den._c[-1], den._den
-            if lead != lead_den:                # den is not monic
-                sign = 1 if lead > 0 else -1
-                num = _poly([c * sign * lead_den for c in num._c],
-                            num._den * sign * lead)
-                den = den.monic()
-        self._num = num
-        self._den = den
+        # (a/da)/(b/db) = (a*db)/(b*da)
+        num, den = _lowest([c * den._den for c in num._c], [c * num._den for c in den._c])
+        self._num, self._den = _poly(num, den[-1]), _poly(den, den[-1])
+
+    @classmethod
+    def _of(cls, num, den) -> "RatFunc":
+        """Trusted constructor: num/den for a pair of lists _lowest returns."""
+        x = _new(cls)
+        x._num, x._den = _poly(num, den[-1]), _poly(den, den[-1])
+        return x
 
     @property
     def num(self) -> Poly:
@@ -488,11 +484,6 @@ def _cleared(entries) -> tuple:
                   [c * (den._den * scale // num._den) for c in num._c])
            for num, den in fracs]
     return _content_free(out + [reduce(_convolve, dens, [scale])])
-
-
-def _reduced(value: tuple) -> tuple:
-    """A (numerator, denominator) pair of lists in lowest terms."""
-    return _cleared((RatFunc(_poly(value[0], 1), _poly(value[1], 1)),))
 
 
 # -- expression parser ---------------------------------------------------------
@@ -550,7 +541,7 @@ class _ExprParser:
         num, den = self.expr()
         if self.peek()[0] != "end":
             self.refuse("trailing input")
-        return RatFunc(_poly(num, 1), _poly(den, 1))
+        return RatFunc._of(*_lowest(num, den))
 
     def expr(self) -> tuple:
         return self.chain(self.term, "+-")
@@ -569,7 +560,7 @@ class _ExprParser:
             op = self.take()[1]
             rhs = operand()
             if _step_degree(op, value, rhs) > MAX_DEGREE:
-                value, rhs = _reduced(value), _reduced(rhs)
+                value, rhs = _lowest(*value), _lowest(*rhs)
                 if _step_degree(op, value, rhs) > MAX_DEGREE:
                     self.refuse(f"degree above {MAX_DEGREE}")
             (a, b), (c, d) = value, rhs
@@ -608,7 +599,7 @@ class _ExprParser:
         if exponent > MAX_EXPONENT:
             self.refuse(f"exponent {exponent} above {MAX_EXPONENT}")
         if (max(map(len, base)) - 1) * exponent > MAX_DEGREE:
-            base = _reduced(base)
+            base = _lowest(*base)
             if (max(map(len, base)) - 1) * exponent > MAX_DEGREE:
                 self.refuse(f"degree above {MAX_DEGREE}")
         num, den = base[::-1] if negative and exponent else base

@@ -1,16 +1,18 @@
 """Budgets as tests: hostile inputs, run by the command line in a child
 process under one limit on CPU time and one on address space, must end in
-their error, or, for a command that succeeds, print their first line.  The
-limits are the same for every row: 5 s of CPU and 128 MiB of address space.
-Each ``derive`` row and every other ``aut`` row (PG(2,13), the free table
-and the pencil on 1,024 lines) take about 0.1 s of CPU and end in their
-error under 24 MiB, ``aut`` of PG(2,31), the largest, about 0.5 s and under
-52 MiB.  ``lattice`` and ``render`` of 1,024 lines over Q(sqrt 5) with no
-three concurrent take about 0.8 s and 17 MiB, and of the pencil on 1,024
-lines about 0.13 s and 17 MiB.  The three 640-digit integers (a radicand of
-sevens that spends the factoring budget, a radicand that is not
+their error, or, for a command that succeeds, print their first line.  Every
+row has 5 s of CPU and 128 MiB of address space, except the rows in
+MEMORY_OF, which have 64 MiB.  Each ``derive`` row and every other ``aut``
+row (PG(2,13), the free tables on 10 to 1,024 lines and the pencil on 1,024
+lines) take about 0.1 s of CPU and end in their error under 24 MiB, ``aut``
+of PG(2,31), the largest, about 0.5 s and under 52 MiB.  ``lattice`` and
+``render`` of 1,024 lines over Q(sqrt 5) with no three concurrent take about
+0.8 s and 17 MiB, and of the pencil on 1,024 lines about 0.13 s and 17 MiB.
+``parse`` of one point on 1,024 lines and ``render`` with a viewport of
+1e999999999 take about 0.05 s and 17 MiB.  The three 640-digit integers (a
+radicand of sevens that spends the factoring budget, a radicand that is not
 square-free and a line count) end in their error in at most 0.17 s and
-under 16 MiB.  The limits are at least six times the time and twice the
+under 17 MiB.  The limits are at least six times the time and twice the
 memory any row needs, so a regression fails its row instead of hanging the
 suite."""
 
@@ -31,9 +33,12 @@ CPU_SECONDS, MEMORY = 5, 128 << 20
 BIG = "(" + "9" * 640 + ")^64"        # the largest literal to the largest power
 
 
-def _limited():
-    resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+def _limited(memory):
+    """Set the limits in the child process, before it runs the command."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (CPU_SECONDS, CPU_SECONDS))
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+    return limit
 
 
 def product_plan(factors):
@@ -69,14 +74,22 @@ def drawn(command, text, first_line):
     return (command, "a.arr", *out), {"a.arr": text}, 0, re.escape(first_line + "\n"), ""
 
 
+def free(n, points=""):
+    """The table on n lines whose only multiple point, if any, is ``points``."""
+    return f"arrangement free\nlines {n}\n{points}"
+
+
 DOUBLES = "arrangement doubles\nfield sqrt 5\n" + "".join(   # no three concurrent
     f"line {k} : 1 ; {k} ; {k * k}+1w\n" for k in range(1, 1025))
 RADICAND = "arrangement big\nfield sqrt {}\nline 1 : 1 ; 0 ; 0\n"
 PENCIL = "arrangement pencil\nfield rational\n" + "".join(
     f"line {k} : 1 ; {k} ; 0\n" for k in range(1, 1025))
+ON_EVERY_LINE = "point p : " + " ".join(map(str, range(1, 1025))) + "\n"
+TRIANGLE = "arrangement triangle\nfield rational\nline 1 : 1 ; 0 ; 0\nline 2 : 0 ; 1 ; 0\n" \
+    "line 3 : 0 ; 0 ; 1\n"
 
 
-TOO_LARGE = (r"error: automorphism group of order at least {} on {} lines is too large "
+TOO_LARGE = (r"error: automorphism group of order {} on {} lines is too large "
              r"to list \(over 4194304 entries\)\n")
 DEEP = "(" * 65 + "t" + ")" * 65         # one level above MAX_NESTING
 
@@ -96,12 +109,17 @@ ROWS = {
     "65 nested parentheses": derive(
         f"plan deep over t\nlines 4\nline 1 : {DEEP} ; 0 ; 0\n", 4,
         r"error: line 3: parentheses nested deeper than 64 in '\(+'\.\.\.\n"),
-    **{f"aut of PG(2,{q})": aut(projective_plane(q).serialize(), TOO_LARGE.format(order, n))
+    **{f"aut of PG(2,{q})": aut(projective_plane(q).serialize(),
+                                TOO_LARGE.format(f"at least {order}", n))
        for q, order, n in ((13, 24336, 183), (31, 864900, 993))},
-    **{f"aut of the {name} on 1024 lines": aut(
-        f"arrangement {name}\nlines 1024\n{points}", TOO_LARGE.format(5040, 1024))
-       for name, points in (("free", ""),
-                            ("pencil", "point p : " + " ".join(map(str, range(1, 1025))) + "\n"))},
+    # with no multiple point, or one on every line, every permutation is an
+    # automorphism: listing S_11 raised MemoryError, and the first path of
+    # 1,024 lines filled 4.6 GiB, then 196 MiB
+    **{f"aut of the free table on {n} lines": aut(free(n), TOO_LARGE.format(order, n))
+       for n, order in ((10, "3628800"), (11, "at least 3628800"),
+                        (200, "at least 40320"), (1024, "at least 5040"))},
+    "aut of the pencil on 1024 lines": aut(
+        free(1024, ON_EVERY_LINE), TOO_LARGE.format("at least 5040", 1024)),
     "lattice of 1024 lines over Q(sqrt 5)": drawn(
         "lattice", DOUBLES, "lattice of doubles: 523776 of multiplicity 2"),
     "render of 1024 lines over Q(sqrt 5)": drawn(
@@ -119,7 +137,23 @@ ROWS = {
     "parse of a 640-digit line count": refused(
         "parse", "t.cfg", "arrangement big\nlines " + "9" * 640 + "\n",
         r"error: line count must be in 1\.\.1024, not 9{60}\.\.\.\n"),
+    # the table's check that two lines meet once kept one entry per pair of a
+    # point, C(1024, 2) of them: MemoryError under 64 MiB
+    "parse of one point on 1024 lines": (
+        ("parse", "one.cfg"), {"one.cfg": "arrangement one\nlines 1024\n" + ON_EVERY_LINE}, 0,
+        re.escape("arrangement one: 1024 lines, 1 point(s) of multiplicity 1024, 0 double(s)\n"),
+        ""),
+    # Fraction("1e999999999") would build a number of about 415 MB
+    "render with a viewport of 1e999999999": (
+        ("render", "a.arr", "--viewport=0,0,1e999999999,1", "-o", "a.svg"),
+        {"a.arr": TRIANGLE}, 2, NOTHING,
+        re.escape("error: bad viewport '0,0,1e999999999,1': exponent above 999\n")),
 }
+# These rows need under 24 MiB and keep the 64 MiB they were first checked
+# under; the others have MEMORY.
+MEMORY_OF = dict.fromkeys(("aut of the free table on 1024 lines", "aut of the pencil on 1024 lines",
+                           "lattice of the pencil on 1024 lines",
+                           "parse of one point on 1024 lines"), 64 << 20)
 
 
 @pytest.mark.parametrize("row", ROWS)
@@ -130,9 +164,12 @@ def test_commands_end_within_the_limits(tmp_path, row):
     src = str(Path(arrsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    assert set(MEMORY_OF) <= set(ROWS)
+    memory = MEMORY_OF.get(row, MEMORY)
+    assert memory <= MEMORY
     done = subprocess.run([sys.executable, "-m", "arrsym", *argv],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
-                          timeout=60, preexec_fn=_limited)
+                          timeout=60, preexec_fn=_limited(memory))
     assert done.returncode == code, done.stderr
     assert re.match(out, done.stdout), done.stdout[:200]
     assert re.fullmatch(err, done.stderr), done.stderr

@@ -195,7 +195,7 @@ def test_relabel_equivariance(realized):
     sigma = parse_cycles("(1 4 2)(3 7)", 10)
     _, before = lattice_of(plus)
     _, after = lattice_of(relabel(plus, sigma))
-    mapped = frozenset(sigma.apply_set(s) for s in before.point_sets)
+    mapped = frozenset(frozenset(map(sigma, s)) for s in before.point_sets)
     assert mapped == after.point_sets
 
 

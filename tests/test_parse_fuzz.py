@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrsym.cli import main
-from arrsym.combinatorics import Permutation, parse_config_table, parse_cycles
+from arrsym.combinatorics import ConfigTable, Permutation, parse_config_table, parse_cycles
 from arrsym.errors import QUOTE_CHARS, ParseError, ValidationError
-from arrsym.fields import parse_digits, parse_scalar
+from arrsym.fields import FieldSpec, factor_integer, parse_digits, parse_scalar
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
 from arrsym.polys import MAX_NESTING, Poly, RatFunc, parse_ratfunc
@@ -332,3 +332,24 @@ def test_short_call_inputs_are_quoted_whole(kind):
 def test_long_call_inputs_are_quoted_in_part(kind):
     message = _call_message(QUOTING_CALLS[kind], "qz" * 1500)
     assert "..." in message and len(message) < 200
+
+
+# Integers past the 4,300 digits Python's str() writes: a message quotes an
+# integer's first digits, or gives its digit count, without writing it out.
+HUGE = 10 ** 5000
+HUGE_CALLS = {
+    "permutation label": lambda: Permutation([1, 2])(HUGE),
+    "permutation image": lambda: Permutation([HUGE, 1]),
+    "radicand not square-free": lambda: FieldSpec(HUGE),
+    "radicand beyond the factoring budget": lambda: FieldSpec(HUGE + 3),
+    "factor_integer beyond its budget": lambda: factor_integer(HUGE + 3),
+    "table line count": lambda: ConfigTable("x", HUGE, []),
+    "table point label": lambda: ConfigTable("x", 3, [("p", [1, 2, HUGE])]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_CALLS))
+def test_huge_integers_end_in_a_short_validation_error(kind):
+    with pytest.raises(ValidationError) as info:
+        HUGE_CALLS[kind]()
+    assert len(str(info.value)) <= 110

@@ -5,9 +5,10 @@ a common denominator and reduces once per requirement.  The reference below
 is the replaced interpreter on the model of tests/conftest.py: every entry a
 reduced rational function, every product and sum reduced by a polynomial
 gcd.  Both must give the same numerators in the same order, and the same
-exception type and message on a plan that fails.  The gates count RatFunc
-constructions: one per numerator returned (19 over the nine cases; the
-replaced interpreter made 767), and one per plan entry parsed."""
+exception type and message on a plan that fails.  The gates count calls of
+the lowest-terms kernel polys._lowest: one per numerator returned (19 over
+the nine cases; the replaced interpreter built 767 RatFuncs), and one per
+plan entry parsed."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrsym import corpus
+from arrsym import corpus, moduli, polys
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, parse_plan,
                            residual_numerators)
@@ -84,17 +85,20 @@ def test_chain_plans_match_the_reference(n):
                           "the meet or join of points P16,Q16 has degree above 64")
 
 
-def _count_ratfuncs(monkeypatch):
-    """A list that grows by one for every RatFunc built from now on."""
-    built = []
-    original = RatFunc.__init__
+def _count_reductions(monkeypatch):
+    """A list that grows by one for every call of the lowest-terms kernel
+    polys._lowest from now on: RatFunc's constructor and every reduction of
+    the parser and the plan interpreter."""
+    calls = []
+    original = polys._lowest
 
-    def counting(self, *args):
-        built.append(args)
-        original(self, *args)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(RatFunc, "__init__", counting)
-    return built
+    for module in (polys, moduli):
+        monkeypatch.setattr(module, "_lowest", counting)
+    return calls
 
 
 REDUCED_BELOW_THE_BOUND = """\
@@ -119,35 +123,36 @@ require R on 7
 
 def test_degree_above_the_bound_that_reduces_below_it(monkeypatch):
     # meet 5 6 has degree 80 over its product denominator, 40 once reduced:
-    # the interpreter reduces it, passes the bound and goes on
+    # the interpreter reduces its three entries, passes the bound and goes
+    # on to one reduction per numerator
     plan = parse_plan(REDUCED_BELOW_THE_BOUND)
-    built = _count_ratfuncs(monkeypatch)
+    calls = _count_reductions(monkeypatch)
     numerators = residual_numerators(plan)
-    assert len(built) > len(numerators) == 3
+    assert (len(calls), len(numerators)) == (6, 3)
     assert assert_same(plan)
 
 
 def test_one_ratfunc_per_numerator(monkeypatch):
     plans = [corpus.get_case(name).plan for name in ALL_CASES]
-    built = _count_ratfuncs(monkeypatch)
+    calls = _count_reductions(monkeypatch)
     total = 0
     for plan in plans:
-        built.clear()
+        calls.clear()
         count = len(residual_numerators(plan))
-        assert len(built) == count
+        assert len(calls) == count
         total += count
     assert total == 19
 
 
 def test_one_ratfunc_per_plan_entry(monkeypatch):
-    # the expression parser reduces each entry once, at the end (424 were
-    # built when it reduced after every step)
+    # the expression parser reduces each entry once, at the end (424 RatFuncs
+    # were built when it reduced after every step)
     texts = [corpus._read_data(f"{corpus._SPECS[name].stem}.plan") for name in ALL_CASES]
-    built = _count_ratfuncs(monkeypatch)
+    calls = _count_reductions(monkeypatch)
     plans = [parse_plan(text) for text in texts]
     entries = [e for plan in plans for step in plan.steps if isinstance(step, GivenLine)
                for e in step.entries]
-    assert len(built) == len(entries) == 258
+    assert len(calls) == len(entries) == 258
 
 
 @pytest.mark.parametrize("name", ALL_CASES)

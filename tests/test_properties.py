@@ -164,7 +164,7 @@ def test_relabel_action_and_equivariance(arrangement, data):
     assert relabel(relabel(arrangement, sigma), sigma.inverse()) == arrangement
     _, before = lattice_of(arrangement)
     _, after = lattice_of(relabel(arrangement, sigma))
-    assert frozenset(sigma.apply_set(s) for s in before.point_sets) \
+    assert frozenset(frozenset(map(sigma, s)) for s in before.point_sets) \
         == after.point_sets
 
 

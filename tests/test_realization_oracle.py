@@ -121,7 +121,7 @@ def reference_derive_constraint(plan, target):
     seen_noncommon = set()
     for num in numerators:
         while (shared := num.gcd(common)).degree > 0:
-            num = num // shared
+            num = divmod(num, shared)[0]
         if num.degree < 1:
             continue
         try:

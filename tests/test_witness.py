@@ -451,8 +451,9 @@ def test_corpus_pass_work_counts(monkeypatch):
     """Exact work counts over one run_case per corpus case, no wall clock:
     roots of linears and quadratics are read in closed form (no divisor
     search), the one factor_integer per case is quad_roots' discriminant,
-    the gcd divides on integer lists, group orders build no cycles, and no
-    text naming a meet or join is built when none fails."""
+    the gcd and the reduction of a fraction divide on integer lists (the
+    reduction divided Polys, 43 divmods in all), group orders build no
+    cycles, and no text naming a meet or join is built when none fails."""
     calls = Counter()
 
     def count(owner, name, *others):
@@ -476,7 +477,7 @@ def test_corpus_pass_work_counts(monkeypatch):
                       if isinstance(s, moduli.MeetPoint) else s for s in case.plan.steps)
         plan = moduli.ConstructionPlan._of(case.plan.name, case.plan.var, case.plan.n, steps)
         assert run_case(name, case.config, plan).status == case.expected_status
-    assert calls == {"factor_integer": 9, "__divmod__": 43}
+    assert calls == {"factor_integer": 9, "__divmod__": 35}
     assert _Label.written == 0
 
 
