@@ -131,6 +131,22 @@ def _labels(values, what: str = "line label") -> tuple[int, ...]:
         raise ValidationError(f"{what} {_quoted(bad, str)} is not an integer") from None
 
 
+def _line_count(n) -> int:
+    """n as an int in 1..MAX_LINES, else ValidationError: checked before n sizes anything."""
+    (count,) = _labels((n,), "line count")
+    if not 1 <= count <= MAX_LINES:
+        raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {_digits(n)[0]}")
+    return count
+
+
+def _text(value, what: str) -> str:
+    """str(value), or ValidationError for an integer past the digits str() writes."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValidationError(f"{what} of {_digits(value)[1]} digits is too long") from None
+
+
 def _involutive(images: tuple, identity: tuple) -> bool:
     """Whether ``images`` is not ``identity`` and squares to it, read from index 1."""
     return images != identity and itemgetter(*images)((0,) + images) == identity
@@ -141,6 +157,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 def parse_cycles(text: str, n: int) -> Permutation:
     """Parse cycle notation such as ``(1 6)(2 5)(3 4)(7 8)``; ``id`` allowed."""
+    n = _line_count(n)
     s = text.strip()
     if s in ("id", "()", ""):
         return Permutation.identity(n)
@@ -170,12 +187,11 @@ class ConfigTable(Record):
     __slots__ = ("name", "n", "points", "_sets", "_through")
 
     def __init__(self, name: str, n: int, points) -> None:
-        if not 1 <= _labels((n,), "line count")[0] <= MAX_LINES:
-            raise ValidationError(f"line count must be in 1..{MAX_LINES}, not {_digits(n)[0]}")
+        n = _line_count(n)
         pts, labels = [], set()
         through: list[list[int]] = [[] for _ in range(n)]   # each line's points, by index
         for label, lines in points:
-            label, lines = str(label), frozenset(_labels(lines))
+            label, lines = _text(label, "point label"), frozenset(_labels(lines))
             if len(lines) < 3:
                 raise ValidationError(f"point {_quoted(label, str)} has fewer than 3 lines")
             for v in lines:
@@ -197,7 +213,7 @@ class ConfigTable(Record):
                                       f"({_quoted(pts[p][0], str)} and {_quoted(label, str)}):"
                                       " two lines meet once")
             pts.append((label, lines))
-        self._fill(str(name), int(n), tuple(pts), frozenset(s for _, s in pts), through)
+        self._fill(_text(name, "table name"), n, tuple(pts), frozenset(s for _, s in pts), through)
 
     @property
     def point_sets(self) -> frozenset:

@@ -17,6 +17,7 @@ Z[sqrt d], whose lattice is compared on integer keys with no QuadExt arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 from .combinatorics import MAX_LINES, ConfigTable
@@ -27,7 +28,9 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
-                    _convolve, _divide_out, _lowest, _oversized, _poly, parse_ratfunc, poly_reduce)
+                    _convolve, _divide_out, _gcd, _lowest, _oversized, _poly, parse_ratfunc,
+                    poly_reduce)
+from .polys import _primitive as _primitive_poly
 from .record import Record
 
 
@@ -341,24 +344,24 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
-    numerators = [num for _, _, num in residual_numerators(plan)]
+    prims = [_primitive_poly(num._c) for _, _, num in residual_numerators(plan)]
     discarded: list[tuple[Poly, str]] = []
-    if not numerators:
+    if not prims:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
 
-    common = numerators[0]
-    for num in numerators[1:]:
-        common = common.gcd(num)
-    candidates = [f for f, _ in poly_reduce(common)]    # [] for a constant
+    candidates = [f for f, _ in poly_reduce(_poly(reduce(_gcd, prims), 1))]  # [] for a constant
 
     seen_noncommon = set()
-    for num in numerators:
-        for f in candidates:                # what is left is coprime to common
-            num = _divide_out(num, f)[0]
+    for num in prims:
+        for f in candidates:                # what is left is coprime to the gcd
+            num = _divide_out(num, f._c)[0]
+        if len(num) < 2:                    # a constant: no factor to report
+            continue
+        rest = _poly(num, 1)                # primitive: an exact quotient of primitives
         try:
-            factors = [f for f, _ in poly_reduce(num)]
+            factors = [f for f, _ in poly_reduce(rest)]
         except (UnsupportedDegreeError, ValidationError):
-            factors = [num.primitive()[1]]
+            factors = [rest]
         for factor in factors:
             if factor in seen_noncommon:
                 continue
@@ -402,7 +405,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         raise ConstraintError(f"more than one admissible factor: {polys}")
 
     factor, field, roots, realizations = admissible[0]
-    return ModuliConstraint._of(factor.primitive()[1], plan.var, field,
+    return ModuliConstraint._of(factor, plan.var, field,
                                 (roots[0], roots[-1]), tuple(discarded), realizations)
 
 

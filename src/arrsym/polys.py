@@ -1,12 +1,12 @@
 """Univariate polynomials and rational functions over Q.
 
-A Poly is the value poly_reduce factors: one reduced integer tuple plus one
+A Poly is an input and output type: one reduced integer tuple plus one
 positive common denominator, (c_0, ..., c_n)/den for (c_0 + ... + c_n*t^n)/den
 with c_n != 0 and gcd(c_0, ..., c_n, den) = 1, so equal polynomials are
-stored alike.  It has divmod, gcd and evaluation, all on Python ints, and
-no ring operators.  Division is pseudo-division over Z and the gcd is the
-primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1), both on
-one integer-list kernel, _pseudo_divide.
+stored alike.  It has evaluation and a divisibility test, and no arithmetic.
+All polynomial arithmetic runs on one integer-list kernel: pseudo-division
+over Z (_pseudo_divide), the primitive pseudo-remainder sequence for the
+gcd (_gcd; Knuth, TAOCP vol. 2, 4.6.1), and Horner's rule (_horner).
 A RatFunc is the reduced form of a rational function and has no arithmetic:
 expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
@@ -134,6 +134,18 @@ def _gcd(a, b) -> tuple:
     return a
 
 
+def _horner(cs, p, e, q=0, d=0) -> tuple[int, int]:
+    """(hp, hq) with hp + hq*sqrt(d) = e^n * cs((p + q*sqrt(d))/e), n = len(cs) - 1:
+    Horner's rule on the integers in the homogeneous form
+    sum(cs[k] * (p + q*sqrt(d))^k * e^(n-k))."""
+    hp = hq = 0
+    scale = 1
+    for c in reversed(cs):
+        hp, hq = hp * p + d * hq * q + c * scale, hp * q + hq * p
+        scale *= e
+    return hp, hq
+
+
 def _lowest(num, den) -> tuple:
     """num/den in lowest terms, for ascending integer lists with no trailing
     zeros and den nonzero: their gcd divided out, content-free, den's leading
@@ -191,57 +203,23 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    # -- division -------------------------------------------------------------
-
-    def __divmod__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not other._c:
-            raise ZeroDivisionError("polynomial division by zero")
-        # s*a = q*b + r for self = a/da, other = b/db: self = (q*db/(s*da))*other + r/(s*da)
-        quo, rem, scale = _pseudo_divide(self._c, other._c)
-        den = scale * self._den
-        return _poly([c * other._den for c in quo], den), _poly(rem, den)
-
     def divides(self, other: "Poly") -> bool:
-        return not divmod(other, self)[1]
-
-    # -- evaluation -----------------------------------------------------------
+        if not self._c:
+            raise ZeroDivisionError("polynomial division by zero")
+        return not any(_pseudo_divide(other._c, self._c)[1])
 
     def eval(self, x):
         """Value at a QuadExt (a QuadExt of its field) or at an int or
-        Fraction (a Fraction).  With x = (p + q*sqrt(d))/e, q = d = 0 for a
-        rational x, Horner's rule runs on the integers in the homogeneous
-        form sum(c_k * (p + q*sqrt(d))^k * e^(n-k)), divided once by
-        den*e^n."""
+        Fraction (a Fraction), by _horner at x = (p + q*sqrt(d))/e, q = d = 0
+        for a rational x, divided once by den*e^n."""
         quad = type(x) is QuadExt
         if quad:
             p, q, e, d = x._p, x._q, x._den, x._d
         else:
             (p, e), q, d = _num_den(x), 0, 0
-        hp = hq = 0
-        scale = 1
-        for c in reversed(self._c):
-            hp, hq = hp * p + d * hq * q + c * scale, hp * q + hq * p
-            scale *= e
+        hp, hq = _horner(self._c, p, e, q, d)
         den = self._den * e ** max(self.degree, 0)
         return _quad(hp, hq, den, d, x._field) if quad else Fraction(hp, den)
-
-    # -- normal forms ---------------------------------------------------------
-
-    def primitive(self) -> tuple[Fraction, "Poly"]:
-        """Write self = content * P with P integer-coefficient, coprime,
-        positive leading coefficient; returns (content, P)."""
-        if not self._c:
-            return Fraction(0), self
-        prim = _primitive(self._c)
-        return Fraction(self._c[-1], self._den * prim[-1]), _poly(prim, 1)
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor (see _gcd)."""
-        a = _gcd(self._c, other._c)
-        return _poly(a, a[-1] if a else 1)
 
     # -- display --------------------------------------------------------------
 
@@ -299,48 +277,41 @@ def _divisors(*values: int) -> list[list[int]]:
     return out
 
 
-def _rational_roots(prim: Poly) -> list[Fraction]:
-    """All rational roots of a primitive integer polynomial, ascending: in
-    closed form below degree 3, by a search of divisors from degree 3."""
-    if prim.degree < 1 or prim._c[0] == 0:
+def _rational_roots(prim: tuple) -> list[Fraction]:
+    """All rational roots of a primitive integer tuple, ascending: in closed
+    form below degree 3, by a search of divisors p/q from degree 3, each
+    tried by _horner on the integers."""
+    if len(prim) < 2 or prim[0] == 0:
         raise ValueError("expects a nonzero constant term")
-    if prim.degree == 1:
-        return [Fraction(-prim._c[0], prim._c[1])]
-    if prim.degree == 2:
-        c, b, a = prim._c
+    if len(prim) == 2:
+        return [Fraction(-prim[0], prim[1])]
+    if len(prim) == 3:
+        c, b, a = prim
         disc = b * b - 4 * a * c
         s = isqrt(max(disc, 0))
         roots = {Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)}
         return sorted(roots) if s * s == disc else []
-    roots = set()
-    leads, consts = _divisors(prim._c[-1], prim._c[0])
-    for q in leads:
-        for p in consts:
-            if gcd(p, q) != 1:
-                continue
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if prim.eval(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    leads, consts = _divisors(prim[-1], prim[0])
+    return sorted(Fraction(p, q) for q in leads for p_abs in consts if gcd(p_abs, q) == 1
+                  for p in (p_abs, -p_abs) if not _horner(prim, p, q)[0])
 
 
-def _find_quadratic_factor(prim: Poly) -> Poly | None:
-    """An integer quadratic factor of a primitive integer polynomial with
-    no rational roots, or None.
+def _find_quadratic_factor(prim: tuple) -> tuple | None:
+    """An integer quadratic factor (w, v, u) of a primitive integer tuple
+    with no rational roots, or None.
 
     A factor u*x^2 + v*x + w must have u | lead, w | const, value at 1
     dividing prim(1), and value at -1 dividing prim(-1) (both nonzero
     since prim has no rational roots); Cauchy's root bound rho/rho_den =
     1 + max|c_i|/|lead| caps |v| <= 2*u*rho/rho_den and |w| <= u*(rho/rho_den)^2.
     """
-    if prim.degree == 2:
+    if len(prim) == 3:
         return prim
-    cs = prim._c
-    at_one = sum(cs)
-    at_minus_one = sum(cs[0::2]) - sum(cs[1::2])
-    rho_den = abs(cs[-1])
-    rho = rho_den + max(abs(c) for c in cs)
-    leads, consts, one_divisors = _divisors(cs[-1], cs[0], at_one)
+    at_one = sum(prim)
+    at_minus_one = sum(prim[0::2]) - sum(prim[1::2])
+    rho_den = abs(prim[-1])
+    rho = rho_den + max(abs(c) for c in prim)
+    leads, consts, one_divisors = _divisors(prim[-1], prim[0], at_one)
     for u in leads:
         vmax = 2 * u * rho
         wmax = u * rho * rho
@@ -357,18 +328,18 @@ def _find_quadratic_factor(prim: Poly) -> Poly | None:
                             continue
                         if gcd(u, v, w) != 1:
                             continue
-                        cand = _poly((w, v, u), 1)
-                        if cand.divides(prim):
-                            return cand
+                        if not any(_pseudo_divide(prim, (w, v, u))[1]):
+                            return w, v, u
     return None
 
 
-def _divide_out(p: Poly, factor: Poly) -> tuple[Poly, int]:
-    """(p / factor^m, m) for the largest m with factor^m dividing p."""
+def _divide_out(p: tuple, factor: tuple) -> tuple[tuple, int]:
+    """(p / factor^m, m) for the largest m with factor^m dividing p, for
+    integer tuples with factor primitive: an exact quotient by a primitive
+    divisor is integral (Gauss's lemma), so _pseudo_divide never scales it."""
     mult = 0
-    while factor.degree <= p.degree and not (split := divmod(p, factor))[1]:
-        p = split[0]
-        mult += 1
+    while len(factor) <= len(p) and not any((split := _pseudo_divide(p, factor))[1]):
+        p, mult = tuple(split[0]), mult + 1
     return p, mult
 
 
@@ -383,33 +354,29 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    rem = _poly(_primitive(p._c), 1)
-    factors: list[tuple[Poly, int]] = []
+    rem = _primitive(p._c)
+    factors: list[tuple[tuple, int]] = []
 
-    zeros = next(k for k, c in enumerate(rem._c) if c)
+    zeros = next(k for k, c in enumerate(rem) if c)
     if zeros:
-        factors.append((_poly((0, 1), 1), zeros))
-        rem = _poly(rem._c[zeros:], 1)
+        factors.append(((0, 1), zeros))
+        rem = rem[zeros:]
 
-    if rem.degree < 1:
-        return factors
-
-    for root in _rational_roots(rem):
-        lin = _poly((-root.numerator, root.denominator), 1)
+    for root in _rational_roots(rem) if len(rem) > 1 else ():
+        lin = (-root.numerator, root.denominator)
         rem, mult = _divide_out(rem, lin)
         factors.append((lin, mult))
 
-    while rem.degree > 0:     # an exact quotient of primitive polynomials is primitive
+    while len(rem) > 1:     # an exact quotient of primitive polynomials is primitive
         quad = _find_quadratic_factor(rem)
         if quad is None:
             raise UnsupportedDegreeError(
-                f"irreducible factor of degree {rem.degree} (only rational roots "
+                f"irreducible factor of degree {len(rem) - 1} (only rational roots "
                 "and quadratics are supported)")
         rem, mult = _divide_out(rem, quad)
         factors.append((quad, mult))
 
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0]._c))
-    return factors
+    return [(_poly(f, 1), m) for f, m in sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))]
 
 
 class RatFunc:

@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -109,6 +110,14 @@ def rgcd(a, b):
     while b:                    # monic remainders keep the Fractions small
         a, b = b, rmonic(rdivmod(a, b)[1])
     return rmonic(a)
+
+
+def rprimitive(a):
+    """(content, primitive part) of a nonzero polynomial: the part has
+    coprime integer coefficients and a positive leading one."""
+    den = lcm(*(c.denominator for c in a))
+    content = Fraction(gcd(*(int(c * den) for c in a)), den) * (1 if a[-1] > 0 else -1)
+    return content, tuple(c / content for c in a)
 
 
 def rcanonical(num, den):

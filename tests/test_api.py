@@ -35,9 +35,9 @@ def test_public_names_are_pinned():
 def test_removed_helpers_are_gone():
     # each duplicated another name, was called only by the tests, kept the
     # order of a replaced search, built a record a second way (Record._of),
-    # was a second polynomial or rational-function arithmetic (the parser and
-    # poly_reduce run on integer lists) or a second reduction to lowest terms
-    # (polys._lowest is the one)
+    # was a second polynomial or rational-function arithmetic (the parser,
+    # poly_reduce and derive_constraint run on integer lists) or a second
+    # reduction to lowest terms (polys._lowest is the one)
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
@@ -59,7 +59,8 @@ def test_removed_helpers_are_gone():
                              "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
                              "__rmul__", "__pow__")),
                          (geometry, "_has_points"),
-                         *((polys.Poly, name) for name in ("monic", "__floordiv__", "__mod__")),
+                         *((polys.Poly, name) for name in ("monic", "__floordiv__", "__mod__",
+                                                           "__divmod__", "gcd", "primitive")),
                          (combinatorics.Permutation, "apply_set"), (polys, "_reduced")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 

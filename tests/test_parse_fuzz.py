@@ -345,6 +345,10 @@ HUGE_CALLS = {
     "factor_integer beyond its budget": lambda: factor_integer(HUGE + 3),
     "table line count": lambda: ConfigTable("x", HUGE, []),
     "table point label": lambda: ConfigTable("x", 3, [("p", [1, 2, HUGE])]),
+    "table point named by a huge integer": lambda: ConfigTable("x", 3, [(HUGE, [1, 2, 3])]),
+    "table named by a huge integer": lambda: ConfigTable(HUGE, 3, []),
+    # refused before a list of n images is built (building it raised OverflowError)
+    "cycle notation over 2^63 lines": lambda: parse_cycles("(1 2)", 2 ** 63),
 }
 
 

@@ -7,7 +7,7 @@ takes gcds by a primitive pseudo-remainder sequence; every operation must
 agree with the model."""
 
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,16 +15,12 @@ from hypothesis import strategies as st
 
 from arrsym.errors import ParseError, _quoted
 from arrsym.fields import QuadExt
-from arrsym.polys import MAX_DEGREE, Poly, RatFunc, _lowest, parse_ratfunc
+from arrsym.polys import (MAX_DEGREE, Poly, RatFunc, _divide_out, _gcd, _lowest, _primitive,
+                          _pseudo_divide, _rational_roots, parse_ratfunc)
 
-from conftest import norm, qneg, radd, rcanonical, rdivmod, rgcd, rmonic, rmul, rneg
+from conftest import (norm, qneg, radd, rcanonical, rdivmod, rgcd, rmonic, rmul, rneg,
+                      rprimitive)
 from test_scalar_oracle import FIELDS, agrees, scalar
-
-
-def rprimitive(a):
-    den = lcm(*(c.denominator for c in a))
-    content = F(gcd(*(int(c * den) for c in a)), den) * (1 if a[-1] > 0 else -1)
-    return content, tuple(c / content for c in a)
 
 
 def reval(a, x):
@@ -53,15 +49,18 @@ def agrees_poly(p, ref):
 
 
 @given(poly(), poly(nonzero=True))
-def test_division_matches_the_model(ps, qs):
+def test_pseudo_division_matches_the_model(ps, qs):
+    # s*a = q*b + r on the integer numerators, s > 0 and 1 when b is monic or
+    # a primitive b divides a (Gauss's lemma): the model's quotient of s*a
     (p, rp), (q, rq) = ps, qs
-    quo, rem = divmod(p, q)
-    rquo, rrem = rdivmod(rp, rq)
-    agrees_poly(quo, rquo)
-    agrees_poly(rem, rrem)
-    assert q.divides(Poly(rmul(rp, rq))) and q.divides(p) == (not rrem)
+    quo, rem, scale = _pseudo_divide(p._c, q._c)
+    assert (norm(quo), norm(rem)) == rdivmod(norm(c * scale for c in p._c), norm(q._c))
+    assert scale > 0 and len(rem) < len(q._c)
+    if abs(q._c[-1]) == 1 or (q._c == _primitive(q._c) and not rdivmod(rp, rq)[1]):
+        assert scale == 1
+    assert q.divides(Poly(rmul(rp, rq))) and q.divides(p) == (not rdivmod(rp, rq)[1])
     with pytest.raises(ZeroDivisionError):
-        divmod(p, Poly())
+        Poly().divides(p)
 
 
 @given(poly(), poly(), poly(nonzero=True))
@@ -69,18 +68,50 @@ def test_normal_forms_and_gcd_match_the_model(ps, qs, ss):
     (p, rp), (q, rq), (s, rs) = ps, qs, ss
     if rp:        # the spelling README gives for the removed p.monic()
         agrees_poly(Poly(tuple(c / p[p.degree] for c in p.coeffs)), rmonic(rp))
-    agrees_poly(p.gcd(q), rgcd(rp, rq))
+
+    def primitive_gcd(a, b):
+        g = _gcd(a, b)
+        assert (gcd(*g) == 1 and g[-1] > 0) if g else not (any(a) or any(b))
+        return rmonic(norm(g))
+
+    assert primitive_gcd(p._c, q._c) == rgcd(rp, rq)
     # a shared factor survives the pseudo-remainder sequence
     a, b = rmul(rp, rs), rmul(rq, rs)
-    agrees_poly(Poly(a).gcd(Poly(b)), rgcd(a, b))
+    assert primitive_gcd(Poly(a)._c, Poly(b)._c) == rgcd(a, b)
     if rp:
-        content, prim = p.primitive()
-        rcontent, rprim = rprimitive(rp)
-        assert content == rcontent
-        agrees_poly(prim, rprim)
-        assert all(c.denominator == 1 for c in prim.coeffs) and prim[prim.degree] > 0
+        prim = _primitive(p._c)
+        assert type(prim) is tuple and all(type(c) is int for c in prim)
+        assert norm(prim) == rprimitive(rp)[1] and _primitive(prim + (0,)) == prim
     else:
-        assert p.primitive() == (0, p)
+        assert _primitive(p._c) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 4)),
+                min_size=1, max_size=4),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=4), st.integers(-3, 3).filter(bool))
+def test_rational_roots_and_divide_out_match_the_model(roots, cofactor, k):
+    # p = k * cofactor * (s*t - r) for each (r, s), of degree 3 or more, where
+    # the roots are searched over divisors: every root found zeros p, and
+    # dividing each out leaves a part with none, whose product with the
+    # factors and the content is p
+    p = norm((k * c for c in cofactor))
+    for r, s in roots:
+        p = rmul(p, (F(-r), F(s)))
+    assume(len(p) > 3 and p[0])
+    prim = _primitive([int(c) for c in p])
+    found = _rational_roots(prim)
+    assert found == sorted(set(found)) and {F(r, s) for r, s in roots} <= set(found)
+    rest, product = prim, (F(1),)
+    for x in found:
+        assert reval(p, x) == 0
+        lin = (-x.numerator, x.denominator)
+        rest, mult = _divide_out(rest, lin)
+        assert mult > 0 and type(rest) is tuple
+        for _ in range(mult):
+            product = rmul(product, lin)
+    assert len(rest) < 2 or not _rational_roots(rest)
+    assert rmul(rmul(product, rest), (rprimitive(p)[0],)) == p
 
 
 @given(poly(), small_rationals)
@@ -129,7 +160,7 @@ def agrees_ratfunc(f, ref):
     and den monic."""
     agrees_poly(f.num, ref[0])
     agrees_poly(f.den, ref[1])
-    assert f.den[f.den.degree] == 1 and f.num.gcd(f.den).degree <= 0
+    assert f.den[f.den.degree] == 1 and rgcd(f.num.coeffs, f.den.coeffs) == (1,)
 
 
 @given(ratfunc(), poly(nonzero=True), st.one_of(small_rationals, st.integers(-9, 9)))
@@ -182,7 +213,7 @@ def test_ratfunc_eval_matches_the_model(fs, args):
 @given(poly(), poly(nonzero=True), ratfunc())
 def test_equal_values_have_equal_hashes(ps, qs, fs):
     (p, rp), (q, rq), (f, (a, b)) = ps, qs, fs
-    rebuilt = divmod(Poly(rmul(rp, rq)), q)[0]
+    rebuilt = RatFunc(Poly(rmul(rp, rq)), q).num        # the kernel divides q out
     assert rebuilt == p and hash(rebuilt) == hash(p)
     assert Poly(rp) == p and hash(Poly(rp)) == hash(p)
     assert RatFunc(p) == p and hash(RatFunc(p)) == hash(p)

@@ -31,10 +31,10 @@ from arrsym.geometry import (Arrangement, ProjLine, ProjPoint, _point_key, _prim
 from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint,
                            derive_constraint, evaluate_plan, parse_plan,
                            residual_numerators)
-from arrsym.polys import poly_reduce
+from arrsym.polys import Poly, poly_reduce
 from arrsym.witness import run_case
 
-from conftest import ALL_CASES, chain_plan, cross, plans
+from conftest import ALL_CASES, chain_plan, cross, plans, rdivmod, rgcd, rprimitive
 
 SMALL_T = (0, 1, 2, 3, 7)
 
@@ -114,20 +114,21 @@ def reference_derive_constraint(plan, target):
     discarded = []
     if not numerators:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
-    common = numerators[0]
+    common = numerators[0].coeffs
     for num in numerators[1:]:
-        common = common.gcd(num)
-    candidates = [f for f, _ in poly_reduce(common)] if common.degree > 0 else []
+        common = rgcd(common, num.coeffs)
+    candidates = [f for f, _ in poly_reduce(Poly(common))] if len(common) > 1 else []
     seen_noncommon = set()
     for num in numerators:
-        while (shared := num.gcd(common)).degree > 0:
-            num = divmod(num, shared)[0]
-        if num.degree < 1:
+        num = num.coeffs
+        while len(shared := rgcd(num, common)) > 1:
+            num = rdivmod(num, shared)[0]
+        if len(num) < 2:
             continue
         try:
-            factors = [f for f, _ in poly_reduce(num)]
+            factors = [f for f, _ in poly_reduce(Poly(num))]
         except (UnsupportedDegreeError, ValidationError):
-            factors = [num.primitive()[1]]
+            factors = [Poly(rprimitive(num)[1])]
         for factor in factors:
             if factor not in seen_noncommon:
                 seen_noncommon.add(factor)
@@ -166,7 +167,7 @@ def reference_derive_constraint(plan, target):
         polys = ", ".join(f.format(plan.var) for f, *_ in admissible)
         raise ConstraintError(f"more than one admissible factor: {polys}")
     factor, field, roots, realizations = admissible[0]
-    return ModuliConstraint(poly=factor.primitive()[1], var=plan.var, field=field,
+    return ModuliConstraint(poly=Poly(rprimitive(factor.coeffs)[1]), var=plan.var, field=field,
                             roots=(roots[0], roots[-1]), discarded=tuple(discarded),
                             realizations=(realizations[0], realizations[-1]))
 

@@ -451,25 +451,37 @@ def test_corpus_pass_work_counts(monkeypatch):
     """Exact work counts over one run_case per corpus case, no wall clock:
     roots of linears and quadratics are read in closed form (no divisor
     search), the one factor_integer per case is quad_roots' discriminant,
-    the gcd and the reduction of a fraction divide on integer lists (the
-    reduction divided Polys, 43 divmods in all), group orders build no
+    derive_constraint divides on integer tuples and builds a Poly only for
+    a numerator, an input of poly_reduce and a factor it returns (it built
+    139 Polys and called Poly.__divmod__ 35 times), group orders build no
     cycles, and no text naming a meet or join is built when none fails."""
     calls = Counter()
+    deriving = []           # non-empty while derive_constraint runs
 
-    def count(owner, name, *others):
+    def count(owner, name, *others, inside=False):
         original = getattr(owner, name)
 
         def counting(*args):
-            calls[name] += 1
+            if deriving or not inside:
+                calls[name] += 1
             return original(*args)
         for target in (owner, *others):
             monkeypatch.setattr(target, name, counting)
 
+    def derive(*args):
+        deriving.append(True)
+        try:
+            return moduli.derive_constraint(*args)
+        finally:
+            deriving.pop()
+
     count(polys, "_divisors")
     count(fields, "factor_integer", polys)
-    count(polys.Poly, "__divmod__")
+    count(polys, "_poly", moduli, inside=True)
+    count(polys, "_pseudo_divide", inside=True)
     count(Permutation, "cycles")
     count(moduli, "_quoted")
+    monkeypatch.setattr(witness, "derive_constraint", derive)
     monkeypatch.setattr(_Label, "written", 0)
     for name in corpus.list_cases():
         case = corpus.get_case(name)
@@ -477,7 +489,7 @@ def test_corpus_pass_work_counts(monkeypatch):
                       if isinstance(s, moduli.MeetPoint) else s for s in case.plan.steps)
         plan = moduli.ConstructionPlan._of(case.plan.name, case.plan.var, case.plan.n, steps)
         assert run_case(name, case.config, plan).status == case.expected_status
-    assert calls == {"factor_integer": 9, "__divmod__": 35}
+    assert calls == {"factor_integer": 9, "_poly": 44, "_pseudo_divide": 87}
     assert _Label.written == 0
 
 
