@@ -446,6 +446,7 @@ def automorphism_group(table: ConfigTable) -> AutGroup:
         trees.append(tree)
         order *= len(tree)          # one element per choice of representatives
         _refuse_above(order, n, exact=not depth)
+    del search                      # it calls itself through its cell: a cycle gc would free
     # top level first: p * u for each coset representative u; (p * u)(i) = p(u(i))
     elements = [tuple(range(1, n + 1))]
     for tree in reversed(trees):

@@ -311,19 +311,6 @@ class QuadExt:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        operand = self._operand(other)
-        if operand is None:
-            return NotImplemented
-        p, q, den, d, field = operand
-        return _quad(self._p * den - p * self._den, self._q * den - q * self._den,
-                     self._den * den, d, field)
-
-    def __rsub__(self, other):
-        if self._operand(other) is None:
-            return NotImplemented
-        return (-self) + other
-
     def __neg__(self):
         return _quad(-self._p, -self._q, self._den, self._d, self._field)
 

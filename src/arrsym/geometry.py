@@ -102,12 +102,6 @@ class _Triple(Record):
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.key))
 
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, k: int) -> QuadExt:
-        return self.coords[k]
-
 
 class ProjLine(_Triple):
     """Projective line A*x + B*y + C*z = 0, normalized."""

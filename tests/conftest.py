@@ -1,12 +1,15 @@
 import functools
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+import arrsym
 from arrsym import corpus
 from arrsym.combinatorics import ConfigTable
 from arrsym.errors import DegenerateError
@@ -31,6 +34,71 @@ def realized():
     return get
 
 
+# -- QuadExt arithmetic: only its own tests compute with it ---------------------
+# Every computation in src/ runs on integer keys and every reference in the
+# tests on Ref, so a QuadExt operator is called only by the operators' own
+# tests, in test_scalar_oracle.py.  The operators stay wrapped for the whole
+# session: a call from any other test, from its fixtures or at collection is
+# recorded with the test and the first calling line outside the package, and
+# test_scalar_oracle.py::test_no_other_test_computes_with_quadext, which
+# runs last, fails naming them.
+
+OPERATORS = ("__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
+             "__rtruediv__", "__neg__", "__pow__", "inverse")
+OPERATOR_TESTS = "test_scalar_oracle.py"
+GUARD = "test_no_other_test_computes_with_quadext"
+ARITHMETIC_CALLS = {}           # calling line -> (operators, tests or "collection")
+_running = [None]               # the test being set up, run or torn down
+_PACKAGE = str(Path(arrsym.__file__).parent)
+
+
+def _watched(name, operator):
+    def watched(*args):
+        test = _running[0]
+        if test is None or test.path.name != OPERATOR_TESTS:
+            frame = sys._getframe(1)
+            while frame.f_back and (frame.f_code is watched.__code__
+                                    or frame.f_code.co_filename.startswith(_PACKAGE)):
+                frame = frame.f_back
+            code = frame.f_code
+            site = f"{Path(code.co_filename).name}:{frame.f_lineno} ({code.co_name})"
+            names, tests = ARITHMETIC_CALLS.setdefault(site, (set(), set()))
+            names.add(name)
+            tests.add(test.nodeid if test else "collection")
+        return operator(*args)
+    return watched
+
+
+for _name in OPERATORS:
+    setattr(QuadExt, _name, _watched(_name, getattr(QuadExt, _name)))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item):
+    _running[0] = item
+    yield
+    _running[0] = None
+
+
+def pytest_collection_modifyitems(items):
+    items.sort(key=lambda item: item.name == GUARD)     # stable: the guard goes last
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """A list that grows by one for every QuadExt operator called from now on."""
+    calls = []
+    for name in OPERATORS:
+        original = getattr(QuadExt, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(QuadExt, name, counting)
+    return calls
+
+
 @pytest.fixture
 def method_calls(monkeypatch):
     """A list that grows by the name of every QuadExt method called and
@@ -53,9 +121,98 @@ def method_calls(monkeypatch):
     return calls
 
 
+# -- the scalar model -------------------------------------------------------------
+
+class Ref:
+    """a + b*sqrt(d) as two Fractions; d = 0 stands for the rationals.
+
+    The tests' model of QuadExt arithmetic, with the textbook formulas.  An
+    operand may be a Ref, a QuadExt, an int or a Fraction, and the result
+    lies in the field of whichever operand is irrational, as a QuadExt's
+    does; equality follows QuadExt's.  References compute on it and build a
+    QuadExt only to compare or to hand to the package."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a, b=0, d=0):
+        self.a, self.b, self.d = Fraction(a), Fraction(b), d
+
+    @staticmethod
+    def of(value, d=0):
+        if isinstance(value, Ref):
+            return value
+        if isinstance(value, QuadExt):
+            return Ref(value.a, value.b, value.field.d or 0)
+        return Ref(value, 0, d)
+
+    def quad(self, field=None):
+        """The value as a QuadExt of ``field``, by default of the field of d."""
+        return QuadExt(self.a, self.b, field or (FieldSpec(self.d) if self.d else RATIONAL))
+
+    @property
+    def is_zero(self):
+        return not self.a and not self.b
+
+    def __add__(self, other):
+        o = Ref.of(other, self.d)
+        return Ref(self.a + o.a, self.b + o.b, self.d or o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Ref(-self.a, -self.b, self.d)
+
+    def __sub__(self, other):
+        return self + -Ref.of(other, self.d)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = Ref.of(other, self.d)
+        d = self.d or o.d
+        return Ref(self.a * o.a + d * self.b * o.b, self.a * o.b + self.b * o.a, d)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        norm = self.a * self.a - self.d * self.b * self.b
+        if norm == 0:
+            raise ZeroDivisionError
+        return Ref(self.a / norm, -self.b / norm, self.d)
+
+    def __truediv__(self, other):
+        return self * Ref.of(other, self.d).inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** -n
+        result = Ref(1, 0, self.d)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def conjugate(self):
+        return Ref(self.a, -self.b, self.d)
+
+    def __eq__(self, other):
+        if not isinstance(other, (Ref, QuadExt, int, Fraction)):
+            return NotImplemented
+        o = Ref.of(other)
+        return self.a == o.a and self.b == o.b and (not self.b or self.d == o.d)
+
+    __hash__ = None
+
+
+def quads(values, field=None):
+    """Each value (a Ref, QuadExt, int or Fraction) as a QuadExt of ``field``."""
+    return tuple(Ref.of(v).quad(field) for v in values)
+
+
 def cross(u, v):
-    """Cross product of coefficient or coordinate triples, for any scalar
-    type with ring operations: the QuadExt meet and join of the references."""
+    """Cross product of coefficient or coordinate triples, on the Ref model:
+    the meet and join of the references, as Refs."""
+    u, v = [Ref.of(c) for c in u], [Ref.of(c) for c in v]
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
             u[0] * v[1] - u[1] * v[0])
@@ -148,18 +305,18 @@ def qmul(f, g):
 
 
 def meet(l1, l2):
-    """The common point of two distinct lines as the QuadExt cross product of
-    their normal forms, normalized in the field of either line that is
-    irrational: the reference for the key meet ``geometry.intersect``."""
+    """The common point of two distinct lines as the cross product of their
+    normal forms, normalized in the field of either line that is irrational:
+    the reference for the key meet ``geometry.intersect``."""
     if l1 == l2:
         raise DegenerateError("intersect of identical lines")
     field = l1.field if not l1.field.is_rational else l2.field
-    return ProjPoint(cross(l1.coords, l2.coords), field)
+    return ProjPoint(quads(cross(l1.coords, l2.coords), field), field)
 
 
 def incidence(line, point):
-    """The sum of the products of a line's and a point's coordinates."""
-    a, b, c = line.coords
+    """The sum of the products of a line's and a point's coordinates, as a Ref."""
+    a, b, c = map(Ref.of, line.coords)
     x, y, z = point.coords
     return a * x + b * y + c * z
 
@@ -210,23 +367,24 @@ ALL_CASES = POSITIVE_CASES + ["falk-sturmfels"]
 
 
 HALF = Fraction(1, 2)
-# m -> (field, a primitive m-th root of unity as (a, b) in a + b*sqrt(d))
-ROOTS_OF_UNITY = {2: (RATIONAL, (-1, 0)),
-                  3: (FieldSpec.quadratic(-3), (-HALF, HALF)),
-                  4: (FieldSpec.quadratic(-1), (0, 1)),
-                  6: (FieldSpec.quadratic(-3), (HALF, HALF))}
+# m -> (field, ζ^k for k = 0..m-1 as (a, b) in a + b*sqrt(d), for a
+# primitive m-th root of unity ζ)
+ROOTS_OF_UNITY = {2: (RATIONAL, [(1, 0), (-1, 0)]),
+                  3: (FieldSpec.quadratic(-3), [(1, 0), (-HALF, HALF), (-HALF, -HALF)]),
+                  4: (FieldSpec.quadratic(-1), [(1, 0), (0, 1), (-1, 0), (0, -1)]),
+                  6: (FieldSpec.quadratic(-3), [(1, 0), (HALF, HALF), (-HALF, HALF),
+                                                (-1, 0), (-HALF, -HALF), (HALF, -HALF)])}
 
 
 def fermat_arrangement(m):
     """A(m,m,3): x, y, z and x - ζy, y - ζz, z - ζx for every ζ with ζ^m = 1."""
-    field, (a, b) = ROOTS_OF_UNITY[m]
-    zeta = QuadExt(a, b, field)
-    powers = [zeta ** k for k in range(m)]
+    field, powers = ROOTS_OF_UNITY[m]
     one, zero = QuadExt(1, 0, field), QuadExt(0, 0, field)
+    minus = [QuadExt(-a, -b, field) for a, b in powers]
     lines = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    lines += [(one, -z, zero) for z in powers]
-    lines += [(zero, one, -z) for z in powers]
-    lines += [(-z, zero, one) for z in powers]
+    lines += [(one, z, zero) for z in minus]
+    lines += [(zero, one, z) for z in minus]
+    lines += [(z, zero, one) for z in minus]
     return Arrangement(f"fermat-{m}", field, lines)
 
 

@@ -16,7 +16,7 @@ from arrsym.moduli import (derive_constraint, evaluate_plan,
 from arrsym.polys import Poly
 from arrsym.witness import extract_sigma, run_pipeline, verify_reflection
 
-from conftest import apply_map, relabel
+from conftest import Ref, apply_map, relabel
 
 
 EXPECTED_AUT_ORDERS = {
@@ -130,8 +130,8 @@ def test_criterion_6_property_suites():
         _, constraint, _, _ = realize(name)
         rp, rm = constraint.roots
         lead = constraint.poly[2]
-        ok = ok and rp + rm == QuadExt(-constraint.poly[1] / lead)
-        ok = ok and rp * rm == QuadExt(constraint.poly[0] / lead)
+        ok = ok and Ref.of(rp) + rm == QuadExt(-constraint.poly[1] / lead)
+        ok = ok and Ref.of(rp) * rm == QuadExt(constraint.poly[0] / lead)
     # converse consistency: every verified witness yields an extractable
     # non-identity lattice isomorphism
     for name in POSITIVE:

@@ -61,7 +61,9 @@ def test_removed_helpers_are_gone():
                          (geometry, "_has_points"),
                          *((polys.Poly, name) for name in ("monic", "__floordiv__", "__mod__",
                                                            "__divmod__", "gcd", "primitive")),
-                         (combinatorics.Permutation, "apply_set"), (polys, "_reduced")):
+                         (combinatorics.Permutation, "apply_set"), (polys, "_reduced"),
+                         (fields.QuadExt, "__sub__"), (fields.QuadExt, "__rsub__"),
+                         (geometry.ProjLine, "__iter__"), (geometry.ProjLine, "__getitem__")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

@@ -31,7 +31,7 @@ from arrsym.cli import main
 from arrsym.combinatorics import automorphism_group, involutions
 from arrsym.fields import QuadExt
 from arrsym.moduli import derive_constraint, realize_components
-from conftest import fermat_arrangement, fermat_table
+from conftest import OPERATORS, fermat_arrangement, fermat_table
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 FERMAT = (2, 3, 4, 6)
@@ -138,20 +138,16 @@ def test_command_output_is_byte_identical(command, inputs, monkeypatch):
     assert digest(command) == RECORDED["commands"][command], command
 
 
-# Every QuadExt arithmetic operator.  The package computes on integer keys
-# and builds QuadExt values only to read, print or draw them.
-ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-              "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse")
-
-
 def test_no_command_does_quadext_arithmetic(inputs, monkeypatch):
+    # the package computes on integer keys and builds QuadExt values only to
+    # read, print or draw them: every command runs with the operators refused
     directory, _ = inputs           # built before the operators are disabled
     monkeypatch.chdir(directory)
 
     def refuse(*args):
         raise AssertionError("QuadExt arithmetic in a command")
 
-    for name in ARITHMETIC:
+    for name in OPERATORS:
         monkeypatch.setattr(QuadExt, name, refuse)
     changed = [command for command, recorded in RECORDED["commands"].items()
                if digest(command) != recorded]

@@ -1,3 +1,4 @@
+import gc
 import re
 import time
 from fractions import Fraction
@@ -448,3 +449,18 @@ def test_permutation_laws():
     assert p.order() == 3 and q.order() == 2
     assert p * p * p == Permutation.identity(5)
     assert q.is_involution and not p.is_involution
+
+
+@pytest.mark.parametrize("table", [corpus.get_case("{1}").config, fermat_table(3)],
+                         ids=["{1}", "fermat-3"])
+def test_automorphism_group_leaves_nothing_for_the_cyclic_collector(table):
+    # the search's closures hold no cycle once it returns, so a call frees
+    # everything it built by reference counting alone
+    automorphism_group(table)
+    gc.disable()
+    try:
+        gc.collect()
+        automorphism_group(table)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -18,7 +18,7 @@ from arrsym.moduli import root_product
 from arrsym.polys import Poly
 from arrsym.witness import SWAP, SWAP_CONJUGATE
 
-from conftest import ALL_CASES, grid_candidates
+from conftest import ALL_CASES, Ref, grid_candidates, quads
 
 
 def test_list_cases():
@@ -187,7 +187,7 @@ def test_realizations_match_published_equations(name, realized):
     build = EQUATIONS[name]
     for root, arrangement in ((constraint.roots[0], plus),
                               (constraint.roots[1], minus)):
-        expected = [ProjLine(raw, root.field) for raw in build(root)]
+        expected = [ProjLine(quads(raw, root.field), root.field) for raw in build(Ref.of(root))]
         assert list(arrangement.lines) == expected, (name, str(root))
 
 

@@ -12,7 +12,7 @@ from arrsym.geometry import (SWAP, SWAP_CONJUGATE, Arrangement, MapKind,
                              ProjLine, ProjPoint, intersect, lattice_of,
                              parse_arrangement)
 
-from conftest import apply_map, contains, meet, relabel
+from conftest import Ref, apply_map, contains, meet, relabel
 
 Q5 = FieldSpec.quadratic(5)
 QI = FieldSpec.quadratic(-1)
@@ -53,7 +53,7 @@ def test_intersect_golden_triple():
     # the two steep lines of the first ten-line case meet at [1:1:0],
     # which also lies on the line at infinity
     t = golden_plus()
-    l7 = ProjLine((-1, 1, t.inverse()), Q5)
+    l7 = ProjLine((-1, 1, Ref.of(t).inverse().quad(Q5)), Q5)
     l8 = ProjLine((-1, 1, t), Q5)
     l10 = ProjLine((0, 0, 1), Q5)
     p = intersect(l7, l8)
@@ -80,7 +80,8 @@ def test_intersect_matches_the_quadext_meet():
     lines = [ProjLine(t) for t in ((1, 2, 3), (0, 1, -1), (2, 0, 1), (1, 1, 1))]
     for field in (Q5, QI):
         w = QuadExt(0, 1, field)
-        lines += [ProjLine(t, field) for t in ((1, w, 0), (w, 1, 2), (1, 1, 1 + w),
+        lines += [ProjLine(t, field) for t in ((1, w, 0), (w, 1, 2),
+                                               (1, 1, QuadExt(1, 1, field)),
                                                (1, 1, 1), (0, 3, F(1, 2)))]
     for l1, l2 in permutations(lines, 2):
         if l1 != l2 and {l1.field, l2.field} != {Q5, QI}:

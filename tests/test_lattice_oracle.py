@@ -22,7 +22,7 @@ from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjLine, lattice_of
 from arrsym.moduli import JoinLine, MeetPoint
 
-from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet
+from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet, quads
 
 
 def reference_lattice_of(arrangement):
@@ -107,7 +107,7 @@ def arrangements(draw):
     raw = [triple() for _ in range(draw(st.integers(0, 4)))]
     for size in draw(st.lists(st.sampled_from([3, 4]), max_size=3)):
         center = triple()
-        raw += [cross(center, triple()) for _ in range(size)]
+        raw += [quads(cross(center, triple()), field) for _ in range(size)]
     lines, seen = [], set()
     for coords in raw:
         if all(c.is_zero for c in coords):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from arrsym import corpus, moduli, polys
-from arrsym.combinatorics import Permutation, is_lattice_isomorphism
+from arrsym.combinatorics import ConfigTable, Permutation, is_lattice_isomorphism
 from arrsym.errors import (ConstraintError, DegenerateError, ParseError,
                            PoleError, ValidationError)
 from arrsym.fields import QuadExt, quad_roots
@@ -13,7 +13,7 @@ from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
 from arrsym.polys import MAX_DEGREE, Poly, parse_ratfunc
 
-from conftest import chain_plan, constant_chain_plan, contains, rmul
+from conftest import Ref, chain_plan, constant_chain_plan, contains, rmul
 
 
 def test_parse_shipped_plan():
@@ -28,6 +28,8 @@ def test_parse_shipped_plan():
 @pytest.mark.parametrize("text,fragment", [
     ("plan p over t\nlines 2\nline 1 : 1 ; 0 ; 0\nline 2 : 1 ; 0 ; -1\n"
      "point P : meet 1 1\n", "itself"),
+    ("plan p over t\nlines 3\nline 1 : 1 ; 0 ; 0\nline 2 : 0 ; 1 ; 0\n"
+     "point P : meet 1 2\nline 3 : join P P\n", "line 3: join of a point with itself"),
     ("plan p over t\nlines 0\n", "grid"),
     ("plan p over t\nlines 1\nline 1 : 1 ; 0 ; 0\nrequire P on 1\n", "before"),
     ("plan p over t\nlines 1\nline 1 : 1 ; 0 ; 0\nline 1 : 0 ; 1 ; 0\n", "twice"),
@@ -304,8 +306,8 @@ def test_vieta_recomposition(realized):
         _, constraint, _, _ = realized(name)
         rp, rm = constraint.roots
         lead = constraint.poly[2]
-        assert rp + rm == QuadExt(-constraint.poly[1] / lead)
-        assert rp * rm == QuadExt(constraint.poly[0] / lead)
+        assert Ref.of(rp) + rm == QuadExt(-constraint.poly[1] / lead)
+        assert Ref.of(rp) * rm == QuadExt(constraint.poly[0] / lead)
 
 
 DEGREE_ONE_PLAN = """\
@@ -329,6 +331,54 @@ def test_degree_one_constraint_refuses_to_disconnect():
     assert constraint.roots[0] == constraint.roots[1]
     with pytest.raises(ConstraintError):
         realize_components(plan, constraint)
+
+
+# x = tz meets y = 0 at [t : 0 : 1], required on x = 2z: the one candidate is
+# t - 2, where line 7's entry 1/(t-2) has its pole
+POLE_AT_ROOT_PLAN = """\
+plan pole over t
+lines 7
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; 0 ; -t
+line 6 : 1 ; 0 ; -2
+line 7 : 1 ; 1/(t-2) ; 0
+point P : meet 5 3
+require P on 6
+"""
+
+
+def test_a_candidate_at_a_pole_is_discarded():
+    plan = parse_plan(POLE_AT_ROOT_PLAN)
+    with pytest.raises(ConstraintError) as info:
+        derive_constraint(plan, ConfigTable("none", 7, []))
+    assert str(info.value).endswith("(discarded: [('t - 2', 'pole at root of t - 2')])")
+
+
+# x = ty meets y = z at [t : 1 : 1], required on x = 4z/t: t = 2 and t = -2
+# give the same three triple points, so both factors are admissible
+TWO_ROOTS_PLAN = """\
+plan two over t
+lines 6
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; -t ; 0
+line 6 : 1 ; 0 ; -4/t
+point P : meet 5 4
+require P on 6
+"""
+
+
+def test_two_admissible_factors_are_refused():
+    target = ConfigTable("two", 6, [("a", [1, 3, 5]), ("b", [4, 5, 6]), ("c", [1, 2, 6])])
+    for root in (2, -2):
+        assert lattice_of(evaluate_plan(parse_plan(TWO_ROOTS_PLAN), root))[1] == target
+    with pytest.raises(ConstraintError, match="^more than one admissible factor: t - 2, t \\+ 2$"):
+        derive_constraint(parse_plan(TWO_ROOTS_PLAN), target)
 
 
 def test_zero_admissible_factors():

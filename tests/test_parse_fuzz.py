@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from arrsym.cli import main
 from arrsym.combinatorics import ConfigTable, Permutation, parse_config_table, parse_cycles
 from arrsym.errors import QUOTE_CHARS, ParseError, ValidationError
-from arrsym.fields import FieldSpec, factor_integer, parse_digits, parse_scalar
+from arrsym.fields import FieldSpec, QuadExt, factor_integer, parse_digits, parse_scalar
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
 from arrsym.polys import MAX_NESTING, Poly, RatFunc, parse_ratfunc
@@ -357,3 +357,25 @@ def test_huge_integers_end_in_a_short_validation_error(kind):
     with pytest.raises(ValidationError) as info:
         HUGE_CALLS[kind]()
     assert len(str(info.value)) <= 110
+
+
+# Formatting a value the caller built writes every digit or fails as str()
+# of the integer does (Python's ValueError past its limit, 4,300 digits by
+# default): a quoted "1000..." would print a different number (README).
+HUGE_TEXT_CALLS = {
+    "str of a scalar": lambda: str(QuadExt(HUGE)),
+    "repr of a scalar": lambda: repr(QuadExt(HUGE)),
+    "a polynomial's text": lambda: Poly((HUGE, 1)).format(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_TEXT_CALLS))
+def test_formatting_a_huge_value_fails_as_str_of_the_integer_does(kind):
+    try:
+        digits = str(HUGE)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            HUGE_TEXT_CALLS[kind]()
+        assert str(info.value) == str(exc)
+    else:
+        assert digits in HUGE_TEXT_CALLS[kind]()

@@ -11,7 +11,7 @@ from arrsym.errors import ParseError, UnsupportedDegreeError, ValidationError
 from arrsym.fields import MAX_DIGITS, QuadExt, quad_roots
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce
 
-from conftest import rmul
+from conftest import Ref, rmul
 
 T = Poly((0, 1))
 
@@ -147,7 +147,7 @@ def test_ratfunc_normal_form():
 
 def value(f, x):
     """A rational function's value: its numerator's over its denominator's."""
-    return f.num.eval(x) / f.den.eval(x)
+    return Ref.of(f.num.eval(x)) / f.den.eval(x)
 
 
 def test_ratfunc_eval_identity():
@@ -171,7 +171,7 @@ def test_ratfunc_field_ops():
 @pytest.mark.parametrize("left", [1.5, "a"], ids=repr)
 @pytest.mark.parametrize("right", [QuadExt(2)], ids=["QuadExt"])
 def test_an_unknown_left_operand_is_refused_by_minus(left, right):
-    # refused before y is negated, so the message names -, not +
+    # QuadExt has no subtraction: Python refuses the operand pair by the name -
     with pytest.raises(TypeError, match="unsupported operand type\\(s\\) for -:"):
         left - right
 

@@ -12,7 +12,7 @@ from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjLine, lattice_of
 from arrsym.render import RenderOptions, render_primitives, render_svg
 
-from conftest import ALL_CASES, cross
+from conftest import ALL_CASES, Ref, cross, quads
 
 
 def segments_of(svg):
@@ -129,7 +129,7 @@ def reference_chart(arrangement):
     for point, (_, incident) in zip(points, table.points):
         x, y, z = point.coords
         if not z.is_zero:
-            markers.append(((x / z, y / z), len(incident)))
+            markers.append((quads((Ref.of(x) / z, Ref.of(y) / z)), len(incident)))
     return forms, markers
 
 
@@ -188,7 +188,7 @@ def real_arrangements(draw):
         center = triple()
         if draw(st.booleans()):         # a point at infinity of the plain chart
             center = center[:2] + (QuadExt(0),)
-        raw += [cross(center, triple()) for _ in range(size)]
+        raw += [quads(cross(center, triple()), field) for _ in range(size)]
     lines = {}
     for coords in raw:
         if not all(c.is_zero for c in coords):

@@ -1,6 +1,9 @@
-"""QuadExt against a reference model: a pair of Fractions (a, b) for
-a + b*sqrt(d), with the textbook formulas.  The library stores a reduced
-integer triple instead; every operation must agree with the model."""
+"""QuadExt against a reference model: conftest.Ref, a pair of Fractions
+(a, b) for a + b*sqrt(d), with the textbook formulas.  The library stores a
+reduced integer triple instead; every operation must agree with the model.
+
+These are the operators' own tests: no other test calls a QuadExt
+operator, and the last test of the session checks that (conftest.py)."""
 
 import sys
 from fractions import Fraction as F
@@ -13,53 +16,9 @@ from hypothesis import strategies as st
 from arrsym.errors import FieldMixError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 
+from conftest import ARITHMETIC_CALLS, Ref
+
 FIELDS = [RATIONAL, FieldSpec.quadratic(-1), FieldSpec.quadratic(-3)]
-
-
-class Ref:
-    """a + b*sqrt(d) as two Fractions; d = 0 stands for the rationals."""
-
-    def __init__(self, a, b=0, d=0):
-        self.a, self.b, self.d = F(a), F(b), d
-
-    @staticmethod
-    def of(value, d):
-        if isinstance(value, Ref):
-            return value
-        return Ref(value, 0, d)
-
-    def __add__(self, other):
-        o = Ref.of(other, self.d)
-        return Ref(self.a + o.a, self.b + o.b, self.d)
-
-    def __sub__(self, other):
-        o = Ref.of(other, self.d)
-        return Ref(self.a - o.a, self.b - o.b, self.d)
-
-    def __mul__(self, other):
-        o = Ref.of(other, self.d)
-        return Ref(self.a * o.a + self.d * self.b * o.b,
-                   self.a * o.b + self.b * o.a, self.d)
-
-    def inverse(self):
-        norm = self.a * self.a - self.d * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError
-        return Ref(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        return self * Ref.of(other, self.d).inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** -n
-        result = Ref(1, 0, self.d)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def conjugate(self):
-        return Ref(self.a, -self.b, self.d)
 
 
 rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
@@ -90,9 +49,8 @@ def agrees(x, ref, field):
                         st.one_of(ints, rationals))))
 def test_ring_operations_match_the_model(args):
     field, (x, rx), (y, ry), r = args
-    for value, ref in [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
-                       (x + r, rx + r), (r + x, rx + r), (x - r, rx - r),
-                       (r - x, Ref.of(r, rx.d) - rx), (x * r, rx * r),
+    for value, ref in [(x + y, rx + ry), (x * y, rx * ry),
+                       (x + r, rx + r), (r + x, rx + r), (x * r, rx * r),
                        (r * x, rx * r), (-x, Ref(0, 0, rx.d) - rx),
                        (x.conjugate(), rx.conjugate())]:
         agrees(value, ref, field)
@@ -114,9 +72,9 @@ def test_ring_operations_match_the_model(args):
     lambda f: st.tuples(st.just(f), scalar(f), scalar(f))))
 def test_equal_values_have_identical_triples(args):
     field, (x, _), (y, _) = args
-    assert triple((x + y) - y) == triple(x)
-    assert triple(x * y - x * y + x) == triple(x)
-    assert hash((x + y) - y) == hash(x)
+    assert triple((x + y) + -y) == triple(x)
+    assert triple(x * y + -(x * y) + x) == triple(x)
+    assert hash((x + y) + -y) == hash(x)
     if not y.is_zero:
         assert triple((x * y) / y) == triple(x)
         assert (x * y) / y == x
@@ -162,14 +120,14 @@ def test_rational_hash_edges(r):
 def test_rational_hash_matches_fraction(r):
     for field in FIELDS:
         assert hash(QuadExt(r, 0, field)) == hash(r)
-    assert hash(QuadExt(r) + QuadExt(1, 0, FIELDS[2]) - 1) == hash(r)
+    assert hash(QuadExt(r) + QuadExt(1, 0, FIELDS[2]) + -1) == hash(r)
 
 
 @given(scalar(FIELDS[1]), scalar(FIELDS[2]))
 def test_two_quadratic_fields_do_not_mix(xs, ys):
     (x, _), (y, _) = xs, ys
     assume(x.b != 0 and y.b != 0)
-    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+    for op in (lambda: x + y, lambda: x * y, lambda: x / y):
         with pytest.raises(FieldMixError):
             op()
     assert x != y
@@ -189,3 +147,60 @@ def test_immutable():
             setattr(x, name, value)
     with pytest.raises(TypeError):
         QuadExt(0.5)
+
+
+Q5 = FieldSpec.quadratic(5)
+
+
+def s5(a, b):
+    return QuadExt(F(a), F(b), Q5)
+
+
+def test_arithmetic_inverse():
+    x = s5(3, 2)
+    assert x * x.inverse() == 1
+    assert (x / x) == 1
+    with pytest.raises(ZeroDivisionError):
+        QuadExt(0, 0, Q5).inverse()
+
+
+def test_powers():
+    t = s5(F(1, 2), F(1, 2))
+    assert t ** 2 == t + 1          # golden ratio satisfies t^2 = t + 1
+    assert t ** -1 == t + -1
+    assert t ** 0 == 1
+
+
+def test_field_mixing_is_an_error():
+    with pytest.raises(FieldMixError):
+        s5(1, 1) + QuadExt(1, 1, FIELDS[1])
+    # rationals coerce into any field
+    assert s5(1, 1) + QuadExt(F(2)) == s5(3, 1)
+
+
+# -- the gates' counters see the operators ----------------------------------------
+
+def test_the_counter_sees_operators(operator_calls):
+    x = QuadExt(1, 1, FieldSpec.quadratic(2))
+    assert (x * x + -x + 1) * (x / 2).inverse() ** 2 == QuadExt(20, -12, x.field)
+    assert {"__mul__", "__neg__", "__add__", "__truediv__", "inverse",
+            "__pow__"} <= set(operator_calls)
+
+
+def test_the_method_counter_sees_every_method(method_calls):
+    x = QuadExt(1, 1, FieldSpec.quadratic(2))
+    assert method_calls == []
+    assert x == x.conjugate().conjugate() and hash(x) and x * 2 / x == 2
+    assert {"conjugate", "__eq__", "__hash__", "__mul__", "__truediv__"} <= set(method_calls)
+    method_calls.clear()
+    assert (x.a, x.b, x.field, x.is_zero) == (1, 1, x._field, False)
+    assert method_calls == ["a", "b", "field", "is_zero"]
+
+
+def test_no_other_test_computes_with_quadext():
+    """Runs last (conftest.pytest_collection_modifyitems): every line outside
+    this file that has called a QuadExt operator so far, and from where."""
+    assert not ARITHMETIC_CALLS, "QuadExt arithmetic outside the operators' tests:\n" + "\n".join(
+        f"{site} calls {', '.join(sorted(names))} in {min(tests)}"
+        + (f" and {len(tests) - 1} more" if len(tests) > 1 else "")
+        for site, (names, tests) in sorted(ARITHMETIC_CALLS.items()))

@@ -18,9 +18,9 @@ from arrsym.moduli import root_product
 from arrsym.witness import (SWAP, SWAP_CONJUGATE, extract_sigma, run_case,
                             run_pipeline, verify_reflection)
 
-from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, apply_line,
+from conftest import (ALL_CASES, POSITIVE_CASES, ROOTS_OF_UNITY, Ref, apply_line,
                       apply_map, cross, fermat_arrangement, fermat_table,
-                      grid_candidates, relabel)
+                      grid_candidates, quads, relabel)
 
 
 def test_grid_candidates_case1():
@@ -69,19 +69,19 @@ def _match_scalar_by_division(mapped, target):
             if not m.is_zero:
                 return None
             continue
-        ratio = m / t
+        ratio = Ref.of(m) / t
         if scale is None:
             scale = ratio
         elif ratio != scale:
             return None
     if scale is None or scale.is_zero:
         return None
-    return scale
+    return scale.quad()
 
 
-# The QuadExt reference: every map on normal forms (conftest.apply_line), a
+# The reference: every map on normal forms (conftest.apply_line), a
 # certificate as coordinate ratios, and a normal form as the triple times
-# its pivot's inverse; none of it reads a key.
+# its pivot's inverse, on the Ref model; none of it reads a key.
 KINDS = (SWAP, SWAP_CONJUGATE, MapKind(swap=False, conjugate=True))
 
 
@@ -102,8 +102,8 @@ def reference_extract_sigma(a, b, kind):
     images = []
     for line in a.lines:
         mapped = apply_line(kind, line)
-        inverse = next(v for v in mapped if not v.is_zero).inverse()
-        normal = tuple(exact(v * inverse) for v in mapped)
+        inverse = Ref.of(next(v for v in mapped if not v.is_zero)).inverse()
+        normal = tuple(exact((inverse * v).quad()) for v in mapped)
         if normal not in targets:
             return None
         images.append(targets.index(normal) + 1)
@@ -275,7 +275,7 @@ def concurrent_arrangements(draw):
         points = list(dict.fromkeys(intersect(l1, l2)
                                     for l1, l2 in combinations(lines, 2)))
         joins = [line for line in dict.fromkeys(
-                     ProjLine(cross(p.coords, q.coords), field)
+                     ProjLine(quads(cross(p.coords, q.coords), field), field)
                      for p, q in combinations(points, 2))
                  if line not in lines]
         lines.append(draw(st.sampled_from(joins)))
@@ -301,7 +301,7 @@ def test_certificate_root_relation(realized):
     for name in POSITIVE_CASES:
         case, constraint, plus, minus = realized(name)
         rp, rm = constraint.roots
-        assert rp * rm == root_product(constraint.poly), name
+        assert Ref.of(rp) * rm == root_product(constraint.poly), name
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
@@ -580,3 +580,16 @@ def test_pipeline_inapplicable_without_involutions():
     assert report.status == "INAPPLICABLE"
     assert report.aut_order == 1
     assert report.attempts == ()
+
+
+def test_an_inapplicable_report_says_so_as_text():
+    assert run_case("rigid", rigid_table(), plan=None).to_text() == (
+        "case rigid: automorphism group order 1 (trivial), 0 involution(s)\n"
+        "no involutions: the method does not apply\n"
+        "status: INAPPLICABLE")
+
+
+def test_a_table_with_involutions_needs_a_plan():
+    with pytest.raises(ValidationError,
+                       match="^a construction plan is required once involutions exist$"):
+        run_case("{1}", corpus.get_case("{1}").config, plan=None)
