@@ -85,21 +85,6 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture
-def operator_calls(monkeypatch):
-    """A list that grows by one for every QuadExt operator called from now on."""
-    calls = []
-    for name in OPERATORS:
-        original = getattr(QuadExt, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(QuadExt, name, counting)
-    return calls
-
-
-@pytest.fixture
 def method_calls(monkeypatch):
     """A list that grows by the name of every QuadExt method called and
     every QuadExt property read from now on; only construction

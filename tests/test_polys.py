@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from arrsym import polys
 from arrsym.errors import ParseError, UnsupportedDegreeError, ValidationError
-from arrsym.fields import MAX_DIGITS, QuadExt, quad_roots
+from arrsym.fields import MAX_DIGITS, quad_roots
 from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc, poly_reduce
 
 from conftest import Ref, rmul
@@ -166,14 +166,6 @@ def test_ratfunc_field_ops():
     assert value(parse_ratfunc(f"{f} + {g}"), x) == fx + gx
     assert value(parse_ratfunc(f"({f}) * {g}"), x) == fx * gx
     assert parse_ratfunc(f"({f}) / ({f})") == RatFunc(1)
-
-
-@pytest.mark.parametrize("left", [1.5, "a"], ids=repr)
-@pytest.mark.parametrize("right", [QuadExt(2)], ids=["QuadExt"])
-def test_an_unknown_left_operand_is_refused_by_minus(left, right):
-    # QuadExt has no subtraction: Python refuses the operand pair by the name -
-    with pytest.raises(TypeError, match="unsupported operand type\\(s\\) for -:"):
-        left - right
 
 
 @pytest.mark.parametrize("text,at,expected", [

@@ -18,7 +18,7 @@ from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 
 from conftest import ARITHMETIC_CALLS, Ref
 
-FIELDS = [RATIONAL, FieldSpec.quadratic(-1), FieldSpec.quadratic(-3)]
+FIELDS = [RATIONAL] + [FieldSpec.quadratic(d) for d in (-1, -3, 5, 2, -2, 7)]
 
 
 rationals = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4))
@@ -178,14 +178,7 @@ def test_field_mixing_is_an_error():
     assert s5(1, 1) + QuadExt(F(2)) == s5(3, 1)
 
 
-# -- the gates' counters see the operators ----------------------------------------
-
-def test_the_counter_sees_operators(operator_calls):
-    x = QuadExt(1, 1, FieldSpec.quadratic(2))
-    assert (x * x + -x + 1) * (x / 2).inverse() ** 2 == QuadExt(20, -12, x.field)
-    assert {"__mul__", "__neg__", "__add__", "__truediv__", "inverse",
-            "__pow__"} <= set(operator_calls)
-
+# -- the method counter sees every method ---------------------------------------
 
 def test_the_method_counter_sees_every_method(method_calls):
     x = QuadExt(1, 1, FieldSpec.quadratic(2))
