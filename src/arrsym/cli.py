@@ -174,9 +174,7 @@ def _cmd_render(args) -> int:
 
     arrangement = parse_arrangement(_read(args.arr))
     viewport = _parse_viewport(args.viewport) if args.viewport else None
-    options = RenderOptions(infinity=args.infinity, viewport=viewport,
-                            stroke_width=args.stroke_width,
-                            marker_radius=args.marker_radius)
+    options = RenderOptions(infinity=args.infinity, viewport=viewport)
     svg = render_svg(arrangement, options)
     _write(args.output, svg)
     print(f"wrote {args.output} ({svg.count('<line ')} segment(s), "
@@ -251,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--infinity", type=int, default=None,
                    help="label of the line sent to infinity")
     p.add_argument("--viewport", default=None, help="xmin,ymin,xmax,ymax (rationals)")
-    p.add_argument("--stroke-width", type=float, default=1.5)
-    p.add_argument("--marker-radius", type=float, default=4.0)
     p.add_argument("-o", "--output", required=True)
 
     p = add("pipeline", _cmd_pipeline, "run the full method on a corpus case")

@@ -28,17 +28,14 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
-                    _convolve, _divide_out, _gcd, _lowest, _oversized, _poly, parse_ratfunc,
+                    _convolve, _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly,
                     poly_reduce)
 from .polys import _primitive as _primitive_poly
 from .record import Record
 
 
-class GivenLine(Record, compared=2):
-    __slots__ = ("index", "entries", "cleared")          # cleared: see _cleared
-
-    def __init__(self, index: int, entries: tuple[RatFunc, RatFunc, RatFunc]) -> None:
-        self._fill(index, entries, _cleared(entries))
+class GivenLine(Record):
+    __slots__ = ("index", "cleared")        # cleared: (P0, P1, P2, D), see _cleared
 
 
 class MeetPoint(Record):
@@ -173,10 +170,10 @@ def parse_plan(text: str) -> ConstructionPlan:
                     raise ParseError(
                         f"line {lineno}: expected three ';'-separated entries")
                 try:
-                    entries = tuple(parse_ratfunc(p, var) for p in parts)
+                    pairs = [_ExprParser(p, var).parse() for p in parts]
                 except ParseError as exc:
                     raise ParseError(f"line {lineno}: {exc}") from exc
-                steps.append(GivenLine(index=index, entries=entries))
+                steps.append(GivenLine._of(index, _cleared(pairs)))
         elif keyword == "point":
             head, _, rest = line.partition(":")
             head_fields = head.split()
@@ -239,17 +236,29 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
         if max(len(cs) for e in entries for cs in e) > MAX_DEGREE + 1:
             raise ValidationError(f"the meet or join of {step._what()} has degree "
                                   f"above {MAX_DEGREE}")
-        w = _cleared([RatFunc._of(*e) for e in entries])
+        w = _cleared(entries)
     return w
+
+
+def _shown(value: Poly | RatFunc | QuadExt, var: str = "t") -> str:
+    """A factor, entry or root as messages write it, cut by _quoted; one with an
+    integer past the digits str() writes is written by its longest integer's length."""
+    try:
+        return _quoted(str(value) if type(value) is QuadExt else value.format(var), str)
+    except ValueError:
+        parts = (value.num, value.den) if type(value) is RatFunc else (value,)
+        ints = ([value._p, value._q, value._den] if type(value) is QuadExt
+                else [n for p in parts for n in (*p._c, p._den)])
+        return f"a value with integers of up to {max(_digits(n)[1] for n in ints)} digits"
 
 
 def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
     """Evaluate the plan exactly at t0, on six-integer triples over Z[sqrt d].
     Requirements are NOT checked.  With t0 = (p + q*sqrt d)/e, each cleared
     list is summed against the powers (p + q*sqrt d)^k * e^(N-k); a zero sum
-    for the common denominator D means a pole, named by the first entry whose
-    denominator sums to zero against the same powers.  A meet or join is a
-    key of ``_point_key``; each line is made primitive once, at the end."""
+    for the common denominator D means a pole, named by the first entry P_k / D
+    whose reduced denominator sums to zero against the same powers.  A meet or
+    join is a key of ``_point_key``; each line is made primitive once, at the end."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0._field
@@ -264,32 +273,34 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
     def given(step: GivenLine) -> list[int]:
         values = [sum(map(mul, cs, pw)) for cs in step.cleared for pw in (real, surd)]
         if not (values[6] or values[7]):    # D(t0) = 0: name the first entry with a pole
-            for entry in step.entries:
-                if not any(sum(map(mul, entry.den._c, pw)) for pw in (real, surd)):
-                    raise PoleError(f"pole of {entry} at {t0}")
+            for num, den in (_lowest(cs, step.cleared[3]) for cs in step.cleared[:3]):
+                if not any(sum(map(mul, den, pw)) for pw in (real, surd)):
+                    raise PoleError(f"pole of {_shown(RatFunc._of(num, den))} at {_shown(t0)}")
         return values[:6]
 
     def meet(u: tuple, v: tuple, step: MeetPoint) -> tuple:
         try:
             return _point_key(u, v, d)
         except DegenerateError:
-            raise DegenerateError(f"{step._what()} coincide at {plan.var}={t0}") from None
+            raise DegenerateError(
+                f"{step._what()} coincide at {plan.var}={_shown(t0)}") from None
 
     lines, _ = _run_plan(plan, given, meet)
     return Arrangement(plan.name, field, [
         ProjLine._keyed(_primitive(lines[i], d), field) for i in range(1, plan.n + 1)])
 
 
-def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, Poly]]:
-    """Numerator polynomial of each non-identically-satisfied requirement."""
+def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, tuple]]:
+    """(point, line, numerator) of each non-identically-satisfied requirement,
+    the numerator in lowest terms as its primitive integer tuple."""
     lines, points = _run_plan(plan, lambda step: step.cleared, _cross)
     out = []
     for req in plan.requires():
         (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
         incidence = _add(_add(_convolve(l0, p0), _convolve(l1, p1)), _convolve(l2, p2))
         if incidence:
-            num, den = _lowest(incidence, _convolve(dl, dp))
-            out.append((req.point, req.line, _poly(num, den[-1])))
+            num = _lowest(incidence, _convolve(dl, dp))[0]
+            out.append((req.point, req.line, _primitive_poly(num)))
     return out
 
 
@@ -344,14 +355,13 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
-    prims = [_primitive_poly(num._c) for _, _, num in residual_numerators(plan)]
-    discarded: list[tuple[Poly, str]] = []
+    prims = [num for _, _, num in residual_numerators(plan)]
     if not prims:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
 
     candidates = [f for f, _ in poly_reduce(_poly(reduce(_gcd, prims), 1))]  # [] for a constant
 
-    seen_noncommon = set()
+    noncommon = {}                          # the factors in order, once each
     for num in prims:
         for f in candidates:                # what is left is coprime to the gcd
             num = _divide_out(num, f._c)[0]
@@ -362,11 +372,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             factors = [f for f, _ in poly_reduce(rest)]
         except (UnsupportedDegreeError, ValidationError):
             factors = [rest]
-        for factor in factors:
-            if factor in seen_noncommon:
-                continue
-            seen_noncommon.add(factor)
-            discarded.append((factor, "not common to all requirements"))
+        noncommon.update(dict.fromkeys(factors))
+    discarded = [(f, "not common to all requirements") for f in noncommon]
 
     admissible = []
     for factor in candidates:
@@ -380,7 +387,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         try:
             plus = evaluate_plan(plan, roots[0])
         except PoleError:
-            verdict = f"pole at root of {factor.format(plan.var)}"
+            verdict = f"pole at root of {_shown(factor, plan.var)}"
         except (DegenerateError, ValidationError) as exc:
             verdict = f"degenerate: {exc}"
         else:       # two points share at most one line, so their line sets are distinct
@@ -399,9 +406,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     if not admissible:
         raise ConstraintError(
             "zero admissible factors: no candidate realizes the target lattice "
-            f"(discarded: {[(f.format(plan.var), r) for f, r in discarded]})")
+            f"(discarded: {[(_shown(f, plan.var), r) for f, r in discarded]})")
     if len(admissible) > 1:
-        polys = ", ".join(f.format(plan.var) for f, *_ in admissible)
+        polys = ", ".join(_shown(f, plan.var) for f, *_ in admissible)
         raise ConstraintError(f"more than one admissible factor: {polys}")
 
     factor, field, roots, realizations = admissible[0]

@@ -7,10 +7,10 @@ stored alike.  It has evaluation and a divisibility test, and no arithmetic.
 All polynomial arithmetic runs on one integer-list kernel: pseudo-division
 over Z (_pseudo_divide), the primitive pseudo-remainder sequence for the
 gcd (_gcd; Knuth, TAOCP vol. 2, 4.6.1), and Horner's rule (_horner).
-A RatFunc is the reduced form of a rational function and has no arithmetic:
-expressions, like plans over Q(t) in moduli, compute on content-free integer
+Expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
-bits per coefficient, and are reduced once, at the end, by _lowest.
+bits per coefficient, and are reduced once, at the end, to the pair of
+_lowest; a RatFunc, which has no arithmetic, wraps that pair for output.
 poly_reduce splits a nonzero polynomial into rational-root linear factors
 and irreducible quadratic factors; anything leaving an irreducible factor
 of degree >= 3 is rejected (nothing in this problem domain needs more).
@@ -441,16 +441,17 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _cleared(entries) -> tuple:
-    """(P0, ..., D): ascending integer lists with entries[k] == P_k / D, D the
-    product of the distinct (monic, so primitive) denominators; content-free."""
-    fracs = [(e.num, e.den) for e in entries]
-    dens = [d for d in dict.fromkeys(den._c for _, den in fracs) if d != (1,)]
-    scale = lcm(*(num._den for num, _ in fracs))
-    out = [reduce(_convolve, [d for d in dens if d != den._c],
-                  [c * (den._den * scale // num._den) for c in num._c])
-           for num, den in fracs]
-    return _content_free(out + [reduce(_convolve, dens, [scale])])
+def _cleared(pairs) -> tuple:
+    """(P0, ..., D): content-free integer tuples with P_k / D == num_k / den_k
+    for the pairs _lowest returns, D the product of the den_k's distinct
+    primitive parts and the lcm of their contents.  A plan's entries are these."""
+    prims = [_primitive(den) for _, den in pairs]
+    dens = [d for d in dict.fromkeys(prims) if d != (1,)]
+    scale = lcm(*(den[-1] // prim[-1] for (_, den), prim in zip(pairs, prims)))
+    out = [reduce(_convolve, [d for d in dens if d != prim],
+                  [c * (scale * prim[-1] // den[-1]) for c in num])
+           for (num, den), prim in zip(pairs, prims)]
+    return tuple(map(tuple, _content_free(out + [reduce(_convolve, dens, [scale])])))
 
 
 # -- expression parser ---------------------------------------------------------
@@ -484,7 +485,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 class _ExprParser:
     """Recursive descent.  A value is a content-free (numerator, denominator)
     pair of ascending integer lists, the form moduli's plan interpreter runs
-    on; it is reduced to a RatFunc once, at the end."""
+    on; it is reduced by _lowest once, at the end."""
 
     def __init__(self, text: str, var: str) -> None:
         self.tokens = _tokenize(text)
@@ -504,11 +505,13 @@ class _ExprParser:
     def refuse(self, what: str):
         raise ParseError(f"{what} in {_quoted(self.text)}")
 
-    def parse(self) -> RatFunc:
+    def parse(self) -> tuple:
+        if not self.text.strip():
+            raise ParseError("empty expression")
         num, den = self.expr()
         if self.peek()[0] != "end":
             self.refuse("trailing input")
-        return RatFunc._of(*_lowest(num, den))
+        return _lowest(num, den)
 
     def expr(self) -> tuple:
         return self.chain(self.term, "+-")
@@ -533,7 +536,7 @@ class _ExprParser:
             (a, b), (c, d) = value, rhs
             if op == "/":
                 if not c:
-                    raise ZeroDivisionError
+                    self.refuse("division by zero")
                 c, d = d, c
             if _oversized(value, rhs):
                 self.refuse(f"coefficients above {_MAX_BITS} bits")
@@ -571,7 +574,7 @@ class _ExprParser:
                 self.refuse(f"degree above {MAX_DEGREE}")
         num, den = base[::-1] if negative and exponent else base
         if not den:
-            raise ZeroDivisionError
+            self.refuse("division by zero")
         if _oversized(*[base] * exponent):
             self.refuse(f"coefficients above {_MAX_BITS} bits")
         # a power of a content-free pair is content-free (Gauss's lemma)
@@ -604,9 +607,4 @@ class _ExprParser:
 
 def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
     """Parse a rational-function expression such as ``(t-1)/(t+2)`` or ``-1/t``."""
-    if not text.strip():
-        raise ParseError("empty expression")
-    try:
-        return _ExprParser(text, var).parse()
-    except ZeroDivisionError as exc:
-        raise ParseError(f"division by zero in {_quoted(text)}") from exc
+    return RatFunc._of(*_ExprParser(text, var).parse())

@@ -15,11 +15,13 @@ from .geometry import Arrangement, _primitive, lattice_of
 from .record import Record
 
 _CANVAS = 640.0
+_STROKE_WIDTH = 1.5
+_MARKER_RADIUS = 4.0
 
 
 class RenderOptions(Record):
-    __slots__ = ("infinity", "viewport", "stroke_width", "marker_radius")
-    _defaults = (None, None, 1.5, 4.0)          # viewport: (xmin, ymin, xmax, ymax)
+    __slots__ = ("infinity", "viewport")
+    _defaults = (None, None)                    # viewport: (xmin, ymin, xmax, ymax)
 
 
 def _chart_transform(arrangement: Arrangement, infinity: int | None):
@@ -166,10 +168,6 @@ def render_primitives(arrangement: Arrangement, options: RenderOptions):
 def render_svg(arrangement: Arrangement, options: RenderOptions) -> str:
     """Deterministic SVG: one clipped segment per finite line, one circle per
     finite multiple point."""
-    for what, value in (("stroke width", options.stroke_width),
-                        ("marker radius", options.marker_radius)):
-        if not 0 < value < inf:
-            raise RenderError(f"{what} must be finite and positive, not {value:g}")
     segments, float_markers, box = render_primitives(arrangement, options)
     xmin, ymin, xmax, ymax = box
     scale = _CANVAS / max(xmax - xmin, ymax - ymin)
@@ -186,12 +184,12 @@ def render_svg(arrangement: Arrangement, options: RenderOptions) -> str:
     for idx, _form, segment in segments:
         (x1, y1), (x2, y2) = (to_svg(p) for p in segment)
         out.append(f'<line x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}" '
-                   f'stroke="black" stroke-width="{options.stroke_width:g}">'
+                   f'stroke="black" stroke-width="{_STROKE_WIDTH:g}">'
                    f'<title>line {idx}</title></line>')
     for (px, py), mult in float_markers:
         cx, cy = to_svg((px, py))
         fill = "black" if mult == 3 else "red"
-        out.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{options.marker_radius:g}" '
+        out.append(f'<circle cx="{cx:.6f}" cy="{cy:.6f}" r="{_MARKER_RADIUS:g}" '
                    f'fill="{fill}"><title>multiplicity {mult}</title></circle>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

@@ -16,6 +16,7 @@ from arrsym.errors import DegenerateError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjPoint
 from arrsym.moduli import derive_constraint, realize_components
+from arrsym.polys import parse_ratfunc
 
 
 @pytest.fixture(scope="session")
@@ -423,6 +424,23 @@ def constant_chain_plan(n):
     coefficients grow about 1.6 times in bits for every line."""
     return (chain_plan(n).replace("1 ; t ; 2", "1 ; 5 ; 2").replace("t ; 1 ; 3", "7 ; 1 ; 3")
             .replace("2 ; 3 ; t", "2 ; 3 ; 11"))
+
+
+def plan_text(name):
+    """The .plan text of a corpus case."""
+    return corpus._read_data(f"{corpus._SPECS[name].stem}.plan")
+
+
+def parsed_entries(text):
+    """The given lines' entries by label, each parsed alone by parse_ratfunc:
+    RatFuncs made independently of the plan parser and its cleared lists."""
+    var = next(line.split()[3] for line in text.splitlines() if line.startswith("plan "))
+    entries = {}
+    for line in text.splitlines():
+        head, _, rest = line.split("#")[0].partition(":")
+        if head.split()[:1] == ["line"] and rest.split()[0] != "join":
+            entries[int(head.split()[1])] = tuple(parse_ratfunc(e, var) for e in rest.split(";"))
+    return entries
 
 
 GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import arrsym
-from arrsym import combinatorics, fields, geometry, polys, witness
+from arrsym import combinatorics, fields, geometry, moduli, polys, render, witness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,6 +30,17 @@ def test_public_names_are_pinned():
     assert sorted(arrsym.__all__) == sorted(PUBLIC)
     assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 40
     assert all(hasattr(arrsym, name) for name in arrsym.__all__)
+
+
+# The line count of src/arrsym/*.py.  A change that adds lines raises it in
+# the same diff, within the budgets ROADMAP gives, and says so in CHANGES.md.
+SRC_LINES = 3191
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in (SRC / "arrsym").glob("*.py"))
+    assert lines <= SRC_LINES
 
 
 def test_removed_helpers_are_gone():
@@ -63,7 +74,9 @@ def test_removed_helpers_are_gone():
                                                            "__divmod__", "gcd", "primitive")),
                          (combinatorics.Permutation, "apply_set"), (polys, "_reduced"),
                          (fields.QuadExt, "__sub__"), (fields.QuadExt, "__rsub__"),
-                         (geometry.ProjLine, "__iter__"), (geometry.ProjLine, "__getitem__")):
+                         (geometry.ProjLine, "__iter__"), (geometry.ProjLine, "__getitem__"),
+                         (moduli.GivenLine, "entries"), (render.RenderOptions, "stroke_width"),
+                         (render.RenderOptions, "marker_radius")):
         assert not hasattr(module, name) and not hasattr(arrsym, name)
 
 

@@ -74,6 +74,25 @@ def drawn(command, text, first_line):
     return (command, "a.arr", *out), {"a.arr": text}, 0, re.escape(first_line + "\n"), ""
 
 
+def wide_entries(power):
+    """chain_plan(9) with lines 5-7 over 639 nines and 639 eights to ``power``:
+    against the table below, its factors are all discarded, and the message
+    that lists them used to print each whole."""
+    nines, eights = "9" * 639, f"({'8' * 639})^{power}"
+    return (chain_plan(9).replace("1 ; t ; 2", f"{nines} ; {eights}*t ; 2")
+            .replace("t ; 1 ; 3", f"{eights}*t ; {nines} ; 3")
+            .replace("2 ; 3 ; t", f"2 ; {nines} ; {eights}*t"))
+
+
+def wide(power, pattern):
+    """A row deriving wide_entries(power), whose one error line is ``pattern``
+    and under 400 characters."""
+    return (("derive", "p.plan", "x.cfg"), {"p.plan": wide_entries(power),
+            "x.cfg": "arrangement x\nlines 9\npoint p : 1 3 9\n"}, 2, NOTHING,
+            r"(?=error: [^\n]{,390}\n\Z)error: zero admissible factors: no candidate "
+            r"realizes the target lattice \(discarded: \[\('" + pattern + r"'.*\n")
+
+
 def free(n, points=""):
     """The table on n lines whose only multiple point, if any, is ``points``."""
     return f"arrangement free\nlines {n}\n{points}"
@@ -106,6 +125,10 @@ ROWS = {
        for n in (30, 34, 38)},
     "chain of 21 lines": derive(
         chain_plan(21), 21, r"error: the meet or join of points P16,Q16 has degree above 64\n"),
+    # every discarded factor was printed whole: 1,486 characters, and past
+    # 4,300 digits a ValueError traceback
+    "derive of 639-digit entries": wide(1, r"(?:296){20}\.\.\."),
+    "derive of 5112-digit entries": wide(8, r"a value with integers of up to 5112 digits"),
     "65 nested parentheses": derive(
         f"plan deep over t\nlines 4\nline 1 : {DEEP} ; 0 ; 0\n", 4,
         r"error: line 3: parentheses nested deeper than 64 in '\(+'\.\.\.\n"),

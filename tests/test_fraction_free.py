@@ -1,6 +1,6 @@
 """The exact-geometry and plan layers build no Fraction: lattice_of,
 extract_sigma and verify_reflection run on QuadExt's integer triples alone,
-residual_numerators and evaluate_plan on Poly's integer tuples.  Counted by
+residual_numerators and evaluate_plan on integer tuples.  Counted by
 wrapping Fraction.__new__, so the gate is exact, not a timing."""
 
 from fractions import Fraction
@@ -10,6 +10,7 @@ import pytest
 from arrsym.fields import QuadExt
 from arrsym.geometry import SWAP, lattice_of
 from arrsym.moduli import evaluate_plan, residual_numerators
+from arrsym.polys import Poly
 from arrsym.witness import extract_sigma, verify_reflection
 
 from conftest import ALL_CASES, ROOTS_OF_UNITY, fermat_arrangement
@@ -63,7 +64,7 @@ def test_corpus_plans_build_no_fraction(name, realized, fraction_count):
     case, constraint, plus, minus = realized(name)
     fraction_count.clear()
     numerators = [num for _, _, num in residual_numerators(case.plan)]
-    assert numerators and all(constraint.poly.divides(num) for num in numerators)
+    assert numerators and all(constraint.poly.divides(Poly(num)) for num in numerators)
     for root, realization in zip(constraint.roots, (plus, minus)):
         assert evaluate_plan(case.plan, root).lines == realization.lines
     assert fraction_count == []

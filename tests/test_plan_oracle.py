@@ -3,14 +3,17 @@
 residual_numerators runs meets and joins on integer-polynomial triples over
 a common denominator and reduces once per requirement.  The reference below
 is the replaced interpreter on the model of tests/conftest.py: every entry a
-reduced rational function, every product and sum reduced by a polynomial
-gcd.  Both must give the same numerators in the same order, and the same
-exception type and message on a plan that fails.  The gates count calls of
-the lowest-terms kernel polys._lowest: one per numerator returned (19 over
-the nine cases; the replaced interpreter built 767 RatFuncs), and one per
-plan entry parsed."""
+reduced rational function, parsed alone by parse_ratfunc from the plan's
+text, every product and sum reduced by a polynomial gcd.  Both must give the
+same numerators in the same order, and the same exception type and message
+on a plan that fails.  The gates count calls of the lowest-terms kernel
+polys._lowest: one per numerator returned (19 over the nine cases; the
+replaced interpreter built 767 RatFuncs), and one per plan entry parsed;
+and loading the nine cases builds no RatFunc."""
 
+from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -21,9 +24,10 @@ from arrsym import corpus, moduli, polys
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, parse_plan,
                            residual_numerators)
-from arrsym.polys import MAX_DEGREE, Poly, RatFunc, parse_ratfunc
+from arrsym.polys import MAX_DEGREE, Poly, RatFunc, _cleared, _ExprParser, parse_ratfunc
 
-from conftest import ALL_CASES, chain_plan, plans, qadd, qmul, qneg
+from conftest import (ALL_CASES, chain_plan, parsed_entries, plan_text, plans, qadd, qmul,
+                      qneg, rmul, rprimitive)
 
 
 def _reference_cross(u, v, what):
@@ -37,11 +41,13 @@ def _reference_cross(u, v, what):
     return w
 
 
-def reference_numerators(plan):
+def reference_numerators(plan, entries):
+    """The numerators as primitive integer tuples; ``entries`` holds the given
+    lines' RatFuncs by label (conftest.parsed_entries)."""
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple((e.num.coeffs, e.den.coeffs) for e in step.entries)
+            lines[step.index] = tuple((e.num.coeffs, e.den.coeffs) for e in entries[step.index])
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}")
@@ -54,32 +60,36 @@ def reference_numerators(plan):
         num, _ = qadd(qadd(qmul(line[0], point[0]), qmul(line[1], point[1])),
                       qmul(line[2], point[2]))
         if num:
-            out.append((req.point, req.line, Poly(num)))
+            out.append((req.point, req.line, tuple(map(int, rprimitive(num)[1]))))
     return out
 
 
-def outcome(run, plan):
-    """The numerators, with each Poly's exact integer form, or the error."""
+def outcome(run):
+    """The numerators, each an exact tuple of ints, or the error."""
     try:
-        return [(p, l, num._c, num._den) for p, l, num in run(plan)]
+        numerators = run()
     except (DegenerateError, ValidationError) as exc:
         return type(exc), str(exc)
+    assert all(type(num) is tuple and all(type(c) is int for c in num)
+               for _, _, num in numerators)
+    return numerators
 
 
-def assert_same(plan):
-    expected = outcome(reference_numerators, plan)
-    assert outcome(residual_numerators, plan) == expected
+def assert_same(text):
+    plan, entries = parse_plan(text), parsed_entries(text)
+    expected = outcome(lambda: reference_numerators(plan, entries))
+    assert outcome(lambda: residual_numerators(plan)) == expected
     return expected
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_corpus_plans_match_the_reference(name):
-    assert assert_same(corpus.get_case(name).plan)
+    assert assert_same(plan_text(name))
 
 
 @pytest.mark.parametrize("n", range(8, 22))
 def test_chain_plans_match_the_reference(n):
-    result = assert_same(parse_plan(chain_plan(n)))
+    result = assert_same(chain_plan(n))
     if n >= 16:
         assert result == (ValidationError,
                           "the meet or join of points P16,Q16 has degree above 64")
@@ -129,7 +139,7 @@ def test_degree_above_the_bound_that_reduces_below_it(monkeypatch):
     calls = _count_reductions(monkeypatch)
     numerators = residual_numerators(plan)
     assert (len(calls), len(numerators)) == (6, 3)
-    assert assert_same(plan)
+    assert assert_same(REDUCED_BELOW_THE_BOUND)
 
 
 def test_one_ratfunc_per_numerator(monkeypatch):
@@ -144,31 +154,73 @@ def test_one_ratfunc_per_numerator(monkeypatch):
     assert total == 19
 
 
-def test_one_ratfunc_per_plan_entry(monkeypatch):
+def test_one_reduction_per_plan_entry(monkeypatch):
     # the expression parser reduces each entry once, at the end (424 RatFuncs
     # were built when it reduced after every step)
-    texts = [corpus._read_data(f"{corpus._SPECS[name].stem}.plan") for name in ALL_CASES]
+    texts = [plan_text(name) for name in ALL_CASES]
     calls = _count_reductions(monkeypatch)
     plans = [parse_plan(text) for text in texts]
-    entries = [e for plan in plans for step in plan.steps if isinstance(step, GivenLine)
-               for e in step.entries]
+    entries = [cs for plan in plans for step in plan.steps if isinstance(step, GivenLine)
+               for cs in step.cleared[:3]]
     assert len(calls) == len(entries) == 258
+
+
+def test_loading_the_cases_builds_no_ratfunc(monkeypatch):
+    # the parser built a RatFunc per entry, which GivenLine cleared back into
+    # integer lists: 258 RatFunc._of and 525 _poly calls; the 9 left are the
+    # cases' expected constraints
+    calls = Counter()
+    of, poly = polys.RatFunc._of.__func__, polys._poly
+
+    def counting_of(cls, *args):
+        calls["RatFunc._of"] += 1
+        return of(cls, *args)
+
+    def counting_poly(*args):
+        calls["_poly"] += 1
+        return poly(*args)
+
+    monkeypatch.setattr(polys.RatFunc, "_of", classmethod(counting_of))
+    for module in (polys, moduli):
+        monkeypatch.setattr(module, "_poly", counting_poly)
+    monkeypatch.setattr(corpus, "_cache", {})
+    for name in ALL_CASES:
+        corpus.get_case(name)
+    assert (calls["RatFunc._of"], calls["_poly"]) == (0, 9)
+
+
+def assert_cleared_exactly(text):
+    """Each given line's cleared lists against its entries parsed one by one:
+    P_k / D is entry k, D is the product of the entries' distinct primitive
+    denominators times an integer, and the lists are content-free ints."""
+    entries = parsed_entries(text)
+    for step in parse_plan(text).steps:
+        if isinstance(step, GivenLine):
+            *nums, den = step.cleared
+            row = entries[step.index]
+            assert all(RatFunc(Poly(p), Poly(den)) == e for p, e in zip(nums, row))
+            dens = dict.fromkeys(rprimitive(e.den.coeffs)[1] for e in row)
+            assert rprimitive(Poly(den).coeffs)[1] == reduce(rmul, dens, (F(1),))
+            assert all(type(cs) is tuple and all(type(c) is int for c in cs)
+                       for cs in step.cleared)
+            assert gcd(*(c for cs in step.cleared for c in cs)) == 1
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_given_lines_are_cleared_exactly(name):
-    for step in corpus.get_case(name).plan.steps:
-        if isinstance(step, GivenLine):
-            *entries, den = step.cleared
-            assert all(RatFunc(Poly(p), Poly(den)) == e
-                       for p, e in zip(entries, step.entries))
-            assert den and gcd(*(c for cs in step.cleared for c in cs)) == 1
+    assert_cleared_exactly(plan_text(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plans())
+def test_given_lines_of_random_plans_are_cleared_exactly(text):
+    assert_cleared_exactly(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(plans())
 def test_random_plans_match_the_reference(text):
-    assert_same(parse_plan(text))
+    assert_same(text)
 
 
 # -- the grid lines ---------------------------------------------------------------
@@ -180,23 +232,25 @@ REFERENCE_GRID = tuple(tuple(map(F, g)) for g in
                        ((1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1)))
 
 
-def reference_grid_labels(plan):
-    """The labels of x=0, x=z, y=0, y=z, None where one is missing."""
+def reference_grid_labels(plan, entries):
+    """The labels of x=0, x=z, y=0, y=z, None where one is missing; ``entries``
+    holds the given lines' RatFuncs by label."""
     found = {}
     for step in plan.steps:
         if not isinstance(step, GivenLine):
             continue
-        if not all(e.num.degree <= 0 and e.den.degree == 0 for e in step.entries):
+        row = entries[step.index]
+        if not all(e.num.degree <= 0 and e.den.degree == 0 for e in row):
             continue
-        vals = tuple(e.num[0] / e.den[0] for e in step.entries)
+        vals = tuple(e.num[0] / e.den[0] for e in row)
         pivot = next((v for v in vals if v != 0), None)
         if pivot is not None:
             found[tuple(v / pivot for v in vals)] = step.index
     return tuple(found.get(g) for g in REFERENCE_GRID)
 
 
-def assert_same_grid(plan):
-    expected = reference_grid_labels(plan)
+def assert_same_grid(plan, entries):
+    expected = reference_grid_labels(plan, entries)
     if None in expected:
         with pytest.raises(ValidationError, match="plan lacks the four grid lines"):
             plan.grid_labels()
@@ -206,15 +260,15 @@ def assert_same_grid(plan):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_grid_labels_match_the_reference(name):
-    plan = corpus.get_case(name).plan
-    assert None not in reference_grid_labels(plan)
-    assert_same_grid(plan)
+    plan, entries = corpus.get_case(name).plan, parsed_entries(plan_text(name))
+    assert None not in reference_grid_labels(plan, entries)
+    assert_same_grid(plan, entries)
 
 
 @settings(max_examples=100, deadline=None)
 @given(plans())
 def test_grid_labels_of_random_plans_match_the_reference(text):
-    assert_same_grid(parse_plan(text))
+    assert_same_grid(parse_plan(text), parsed_entries(text))
 
 
 scales = st.sampled_from(["1", "-1", "2", "-3", "1/2", "-5/3", "t/t", "(2*t+2)/(t+1)"])
@@ -249,7 +303,8 @@ def grid_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(grid_rows())
 def test_grid_labels_of_constant_lines_match_the_reference(rows):
-    steps = [GivenLine(index=k, entries=tuple(parse_ratfunc(e) for e in row))
+    steps = [GivenLine(index=k, cleared=_cleared([_ExprParser(e, "t").parse() for e in row]))
              for k, row in enumerate(rows, start=1)]
     plan = ConstructionPlan(name="g", var="t", n=max(len(rows), 1), steps=tuple(steps))
-    assert_same_grid(plan)
+    assert_same_grid(plan, {k: tuple(map(parse_ratfunc, row))
+                            for k, row in enumerate(rows, start=1)})

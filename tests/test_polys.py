@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction as F
 from math import gcd, isqrt
 
@@ -207,12 +206,6 @@ def test_parse_ratfunc_bounds_degree_before_computing(monkeypatch):
     for text in ("t^64/t", "t^60 + t^10", "(t^32)*(t^32)", "1/t^32 - 1/t^32"):
         f = parse_ratfunc(text)
         assert max(f.num.degree, f.den.degree) <= MAX_DEGREE
-    # 40 factors of degree 64: degree 2,560 if it were multiplied out
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match="degree above 64"):
-        parse_ratfunc("*".join(["(t+1)^64"] * 40))
-    assert time.perf_counter() - start < 1
-
     convolve = polys._convolve
 
     def bounded(a, b):
@@ -221,8 +214,9 @@ def test_parse_ratfunc_bounds_degree_before_computing(monkeypatch):
         return convolve(a, b)
 
     monkeypatch.setattr(polys, "_convolve", bounded)
-    for text in ["t^64*t", "t^33*t^32", "t^-64/t", "t^-40 + t^-30*t^-30", "t^-40 - t^-30",
-                 "(t*t-1)^33", "(1/(t*t+1))^-33"]:
+    # 40 factors of degree 64: degree 2,560 if it were multiplied out
+    for text in ["*".join(["(t+1)^64"] * 40), "t^64*t", "t^33*t^32", "t^-64/t",
+                 "t^-40 + t^-30*t^-30", "t^-40 - t^-30", "(t*t-1)^33", "(1/(t*t+1))^-33"]:
         with pytest.raises(ParseError, match="degree above 64"):
             parse_ratfunc(text)
 

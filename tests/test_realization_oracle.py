@@ -5,9 +5,10 @@ evaluate_plan runs a plan at a root on six-integer triples over Z[sqrt d]
 and normalizes each line once; derive_constraint compares the lattice at
 the root on the integer keys of its pairwise intersections.  The
 references below are the replaced code, run on the Ref model of
-tests/conftest.py: every entry evaluated as its numerator's value over its
-denominator's, meets and joins as cross products, lines normalized by
-multiplying with the pivot's inverse, and the lattice checked by lattice_of
+tests/conftest.py: every entry, parsed alone from the plan's text,
+evaluated as its numerator's value over its denominator's, meets and joins
+as cross products, lines normalized by multiplying with the pivot's
+inverse, and the lattice checked by lattice_of
 plus is_lattice_isomorphism under the identity.  Both sides must give the
 same lines down to their integer triples and fields, or the same exception
 type and message.  The gates count QuadExt operators and lattice_of calls,
@@ -28,14 +29,14 @@ from arrsym.errors import (ArrsymError, ConstraintError, DegenerateError, PoleEr
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import (Arrangement, ProjLine, ProjPoint, _point_key, _primitive,
                              lattice_of)
-from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint,
+from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint, _shown,
                            derive_constraint, evaluate_plan, parse_plan,
                            residual_numerators)
 from arrsym.polys import Poly, poly_reduce
 from arrsym.witness import run_case
 
-from conftest import (ALL_CASES, Ref, chain_plan, cross, plans, quads, rdivmod, rgcd,
-                      rprimitive)
+from conftest import (ALL_CASES, Ref, chain_plan, cross, parsed_entries, plan_text, plans,
+                      quads, rdivmod, rgcd, rprimitive)
 
 SMALL_T = (0, 1, 2, 3, 7)
 
@@ -73,26 +74,28 @@ def as_arrangement(reference):
 def _reference_cross(u, v, what, plan, t0):
     w = cross(u, v)
     if all(e.is_zero for e in w):
-        raise DegenerateError(f"{what} coincide at {plan.var}={t0}")
+        raise DegenerateError(f"{what} coincide at {plan.var}={_shown(t0)}")
     return w
 
 
 def reference_value(entry, t0):
     """The entry's value at t0 as the quotient of its evaluated numerator and
-    denominator, or the PoleError the deleted ``RatFunc.eval`` raised."""
+    denominator, or the PoleError the deleted ``RatFunc.eval`` raised (its
+    values written by moduli._shown, which cuts long ones)."""
     den = entry.den.eval(t0)
     if den.is_zero:
-        raise PoleError(f"pole of {entry} at {t0}")
+        raise PoleError(f"pole of {_shown(entry)} at {_shown(t0)}")
     return Ref.of(entry.num.eval(t0)) / den
 
 
-def reference_evaluate_plan(plan, t0):
+def reference_evaluate_plan(plan, t0, entries):
+    """``entries``: the given lines' RatFuncs by label (conftest.parsed_entries)."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple(reference_value(e, t0) for e in step.entries)
+            lines[step.index] = tuple(reference_value(e, t0) for e in entries[step.index])
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}", plan, t0)
@@ -105,12 +108,13 @@ def reference_evaluate_plan(plan, t0):
                                   for i in range(1, plan.n + 1)])
 
 
-def reference_derive_constraint(plan, target):
+def reference_derive_constraint(plan, target, entries):
     """derive_constraint with the reference evaluation and the lattice
-    checked by lattice_of and is_lattice_isomorphism."""
+    checked by lattice_of and is_lattice_isomorphism; factors in messages
+    are written by moduli._shown, which cuts long ones."""
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
-    numerators = [num for _, _, num in residual_numerators(plan)]
+    numerators = [Poly(num) for _, _, num in residual_numerators(plan)]
     discarded = []
     if not numerators:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
@@ -139,9 +143,9 @@ def reference_derive_constraint(plan, target):
         verdict, realizations = None, []
         for root in roots if field.is_rational else roots[:1]:
             try:
-                realization = reference_evaluate_plan(plan, root)
+                realization = reference_evaluate_plan(plan, root, entries)
             except PoleError:
-                verdict = f"pole at root of {factor.format(plan.var)}"
+                verdict = f"pole at root of {_shown(factor, plan.var)}"
                 break
             except (DegenerateError, ValidationError) as exc:
                 verdict = f"degenerate: {exc}"
@@ -162,9 +166,9 @@ def reference_derive_constraint(plan, target):
     if not admissible:
         raise ConstraintError(
             "zero admissible factors: no candidate realizes the target lattice "
-            f"(discarded: {[(f.format(plan.var), r) for f, r in discarded]})")
+            f"(discarded: {[(_shown(f, plan.var), r) for f, r in discarded]})")
     if len(admissible) > 1:
-        polys = ", ".join(f.format(plan.var) for f, *_ in admissible)
+        polys = ", ".join(_shown(f, plan.var) for f, *_ in admissible)
         raise ConstraintError(f"more than one admissible factor: {polys}")
     factor, field, roots, realizations = admissible[0]
     return ModuliConstraint(poly=Poly(rprimitive(factor.coeffs)[1]), var=plan.var, field=field,
@@ -188,31 +192,31 @@ def exact_arrangement(arrangement):
     return name, field, tuple((f, tuple(map(scalar, coords))) for f, coords in rows)
 
 
-def evaluated(run, plan, t0):
+def evaluated(run):
     try:
-        return exact_arrangement(run(plan, t0))
+        return exact_arrangement(run())
     except (PoleError, DegenerateError, ValidationError) as exc:
         return type(exc), str(exc)
 
 
-def assert_same_evaluation(plan, t0):
-    expected = evaluated(reference_evaluate_plan, plan, t0)
-    assert evaluated(evaluate_plan, plan, t0) == expected
+def assert_same_evaluation(plan, entries, t0):
+    expected = evaluated(lambda: reference_evaluate_plan(plan, t0, entries))
+    assert evaluated(lambda: evaluate_plan(plan, t0)) == expected
     return expected
 
 
-def derived(run, plan, target):
+def derived(run):
     try:
-        c = run(plan, target)
+        c = run()
     except ArrsymError as exc:
         return type(exc), str(exc)
     return (c.poly, c.var, c.field, tuple(map(scalar, c.roots)), c.discarded,
             tuple(map(exact_arrangement, c.realizations)))
 
 
-def assert_same_constraint(plan, target):
-    expected = derived(reference_derive_constraint, plan, target)
-    assert derived(derive_constraint, plan, target) == expected
+def assert_same_constraint(plan, entries, target):
+    expected = derived(lambda: reference_derive_constraint(plan, target, entries))
+    assert derived(lambda: derive_constraint(plan, target)) == expected
     return expected
 
 
@@ -221,16 +225,18 @@ def assert_same_constraint(plan, target):
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_corpus_plans_match_the_reference(name, realized):
     case, constraint, _, _ = realized(name)
+    entries = parsed_entries(plan_text(name))
     for t0 in constraint.roots + SMALL_T:
-        assert_same_evaluation(case.plan, t0)
+        assert_same_evaluation(case.plan, entries, t0)
 
 
 def test_the_corpus_reaches_every_outcome():
     """Poles, meets that degenerate, lines that coincide, and arrangements."""
     seen = set()
     for name in ALL_CASES:
+        plan, entries = corpus.get_case(name).plan, parsed_entries(plan_text(name))
         for t0 in SMALL_T:
-            result = assert_same_evaluation(corpus.get_case(name).plan, t0)
+            result = assert_same_evaluation(plan, entries, t0)
             failed = isinstance(result[0], type)
             seen.add((result[0], "after normalization" in result[1]) if failed else "ok")
     assert seen == {(PoleError, False), (DegenerateError, False), (DegenerateError, True),
@@ -239,9 +245,9 @@ def test_the_corpus_reaches_every_outcome():
 
 @pytest.mark.parametrize("n", range(8, 22))
 def test_chain_plans_match_the_reference(n):
-    plan = parse_plan(chain_plan(n))
+    plan, entries = parse_plan(chain_plan(n)), parsed_entries(chain_plan(n))
     for t0 in SMALL_T + (F(-5, 3), QuadExt(1, 2, FieldSpec.quadratic(-3))):
-        assert_same_evaluation(plan, t0)
+        assert_same_evaluation(plan, entries, t0)
 
 
 def _roots(poly):
@@ -254,28 +260,27 @@ def _roots(poly):
     return [r for f in factors for r in moduli._roots_of_factor(f)[1]]
 
 
-def evaluation_points(plan):
+def evaluation_points(plan, entries):
     """The roots of the plan's residual factors and of its entries'
     denominators, where the pole and degenerate paths are taken."""
     points = [QuadExt(0), QuadExt(1)]
     try:
         for _, _, num in residual_numerators(plan):
-            points += _roots(num)
+            points += _roots(Poly(num))
     except (DegenerateError, ValidationError):
         pass
-    for step in plan.steps:
-        if isinstance(step, GivenLine):
-            for entry in step.entries:
-                points += _roots(entry.den)
+    for row in entries.values():
+        for entry in row:
+            points += _roots(entry.den)
     return list(dict.fromkeys(points))
 
 
 @settings(max_examples=200, deadline=None)
 @given(plans())
 def test_random_plans_match_the_reference(text):
-    plan = parse_plan(text)
-    for t0 in evaluation_points(plan):
-        assert_same_evaluation(plan, t0)
+    plan, entries = parse_plan(text), parsed_entries(text)
+    for t0 in evaluation_points(plan, entries):
+        assert_same_evaluation(plan, entries, t0)
 
 
 def test_random_plans_reach_the_error_paths():
@@ -285,9 +290,9 @@ def test_random_plans_reach_the_error_paths():
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(plans())
     def collect(text):
-        plan = parse_plan(text)
-        for t0 in evaluation_points(plan):
-            result = assert_same_evaluation(plan, t0)
+        plan, entries = parse_plan(text), parsed_entries(text)
+        for t0 in evaluation_points(plan, entries):
+            result = assert_same_evaluation(plan, entries, t0)
             seen.add(result[0] if isinstance(result[0], type) else "arrangement")
 
     collect()
@@ -418,25 +423,26 @@ def test_the_key_kernel_matches_the_quadext_reference(inputs):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_corpus_constraints_match_the_reference(name):
-    case = corpus.get_case(name)
-    assert not isinstance(assert_same_constraint(case.plan, case.config)[0], type)
+    case, entries = corpus.get_case(name), parsed_entries(plan_text(name))
+    assert not isinstance(assert_same_constraint(case.plan, entries, case.config)[0], type)
     other = corpus.get_case("{1}" if name != "{1}" else "{6}").config
     if other.n == case.config.n:        # a wrong target: every factor mismatches
-        assert assert_same_constraint(case.plan, other)[0] is ConstraintError
+        assert assert_same_constraint(case.plan, entries, other)[0] is ConstraintError
 
 
 @settings(max_examples=100, deadline=None)
 @given(plans())
 def test_random_constraints_match_the_reference(text):
-    plan = parse_plan(text)
+    plan, entries = parse_plan(text), parsed_entries(text)
     targets = [ConfigTable("none", plan.n, [])]
-    for t0 in evaluation_points(plan):
+    for t0 in evaluation_points(plan, entries):
         try:
-            targets.append(lattice_of(as_arrangement(reference_evaluate_plan(plan, t0)))[1])
+            reference = reference_evaluate_plan(plan, t0, entries)
         except (PoleError, DegenerateError, ValidationError):
             continue
+        targets.append(lattice_of(as_arrangement(reference))[1])
     for target in targets:
-        assert_same_constraint(plan, target)
+        assert_same_constraint(plan, entries, target)
 
 
 # -- gates ----------------------------------------------------------------------

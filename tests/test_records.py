@@ -13,10 +13,9 @@ from arrsym import RATIONAL, FieldSpec, Permutation, corpus, geometry, moduli, w
 from arrsym.combinatorics import AutGroup, ConfigTable
 from arrsym.fields import QuadExt
 from arrsym.geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, ProjLine, ProjPoint
-from arrsym.polys import Poly, parse_ratfunc
+from arrsym.polys import Poly
 from arrsym.render import RenderOptions
 
-ONE, T = parse_ratfunc("1"), parse_ratfunc("t")
 ID, SIGMA = Permutation((1, 2)), Permutation((2, 1))
 
 # (record class, fields in constructor order, values, other values, fields
@@ -29,8 +28,9 @@ ROWS = [
      "generators=(Permutation((2, 1)),))"),
     (MapKind, ("swap", "conjugate"), (True, False), (False, True), (),
      "MapKind(swap=True, conjugate=False)"),
-    (moduli.GivenLine, ("index", "entries"), (5, (ONE, T, ONE)), (6, (T, ONE, ONE)), (),
-     f"GivenLine(index=5, entries={(ONE, T, ONE)!r})"),
+    (moduli.GivenLine, ("index", "cleared"), (5, ((1,), (0, 1), (1,), (1,))),
+     (6, ((0, 1), (1,), (1,), (1,))), (),
+     "GivenLine(index=5, cleared=((1,), (0, 1), (1,), (1,)))"),
     (moduli.MeetPoint, ("name", "i", "j"), ("P", 1, 3), ("Q", 2, 4), (),
      "MeetPoint(name='P', i=1, j=3)"),
     (moduli.JoinLine, ("index", "p", "q"), (7, "P", "Q"), (8, "Q", "R"), (),
@@ -46,11 +46,10 @@ ROWS = [
      ("realizations",),
      f"ModuliConstraint(poly={Poly((1, 0, 1))!r}, var='t', field=FieldSpec(d=-1), "
      "roots=('i', '-i'), discarded=())"),
-    (RenderOptions, ("infinity", "viewport", "stroke_width", "marker_radius"),
-     (3, (Fraction(-1), Fraction(-1), Fraction(1), Fraction(1)), 2.0, 5.0),
-     (4, None, 1.5, 4.0), (),
+    (RenderOptions, ("infinity", "viewport"),
+     (3, (Fraction(-1), Fraction(-1), Fraction(1), Fraction(1))), (4, None), (),
      "RenderOptions(infinity=3, viewport=(Fraction(-1, 1), Fraction(-1, 1), "
-     "Fraction(1, 1), Fraction(1, 1)), stroke_width=2.0, marker_radius=5.0)"),
+     "Fraction(1, 1), Fraction(1, 1)))"),
     (witness.ReflectionWitness, ("sigma", "map", "verified", "per_line"),
      (SIGMA, SWAP, False, ((1, None),)), (ID, SWAP_CONJUGATE, True, ()), (),
      "ReflectionWitness(sigma=Permutation((2, 1)), map=MapKind(swap=True, "
@@ -155,8 +154,8 @@ def test_record_defaults():
     assert witness.PipelineReport._of("c", "SUCCESS", 2, "Z2", 1, "k").attempts == ()
     spec = corpus._CaseSpec("s", "(1 2)", (1, 2), SWAP, 2, (1,), Fraction(1), "SUCCESS")
     assert spec.provenance == "published"
-    assert RenderOptions() == RenderOptions(None, None, 1.5, 4.0)
-    assert RenderOptions(marker_radius=2.0).stroke_width == 1.5
+    assert RenderOptions() == RenderOptions(None, None)
+    assert RenderOptions(viewport=(0, 0, 1, 1)).infinity is None
 
 
 @pytest.mark.parametrize("args, kwargs", [

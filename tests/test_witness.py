@@ -452,8 +452,9 @@ def test_corpus_pass_work_counts(monkeypatch):
     roots of linears and quadratics are read in closed form (no divisor
     search), the one factor_integer per case is quad_roots' discriminant,
     derive_constraint divides on integer tuples and builds a Poly only for
-    a numerator, an input of poly_reduce and a factor it returns (it built
-    139 Polys and called Poly.__divmod__ 35 times), group orders build no
+    an input of poly_reduce and a factor it returns (it built 139 Polys and
+    called Poly.__divmod__ 35 times, and 44 while residual_numerators
+    returned Polys), group orders build no
     cycles, and no text naming a meet or join is built when none fails."""
     calls = Counter()
     deriving = []           # non-empty while derive_constraint runs
@@ -489,7 +490,7 @@ def test_corpus_pass_work_counts(monkeypatch):
                       if isinstance(s, moduli.MeetPoint) else s for s in case.plan.steps)
         plan = moduli.ConstructionPlan._of(case.plan.name, case.plan.var, case.plan.n, steps)
         assert run_case(name, case.config, plan).status == case.expected_status
-    assert calls == {"factor_integer": 9, "_poly": 44, "_pseudo_divide": 87}
+    assert calls == {"factor_integer": 9, "_poly": 25, "_pseudo_divide": 87}
     assert _Label.written == 0
 
 
