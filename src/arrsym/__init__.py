@@ -12,7 +12,7 @@ from .geometry import (Arrangement, ProjLine, ProjPoint, intersect, lattice_of,
 from .moduli import (ConstructionPlan, ModuliConstraint, derive_constraint,
                      evaluate_plan, parse_plan, realize_components,
                      root_product)
-from .polys import Poly, RatFunc, parse_ratfunc, poly_reduce
+from .polys import Poly, parse_ratfunc, poly_reduce
 from .witness import (SWAP, SWAP_CONJUGATE, MapKind, PipelineReport,
                       ReflectionWitness, extract_sigma, run_pipeline,
                       verify_reflection)
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AutGroup", "Arrangement", "ConfigTable", "ConstructionPlan", "FieldSpec",
     "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
-    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc", "ReflectionWitness",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "ReflectionWitness",
     "RenderOptions", "SWAP", "SWAP_CONJUGATE", "automorphism_group",
     "derive_constraint", "evaluate_plan", "extract_sigma", "intersect",
     "involutions", "is_lattice_isomorphism", "lattice_of", "parse_arrangement",

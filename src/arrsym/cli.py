@@ -100,14 +100,11 @@ def _cmd_derive(args) -> int:
     table = parse_config_table(_read(args.cfg))
     constraint = derive_constraint(plan, table)
     payload = {"plan": plan.name, **constraint.to_dict()}
-    product = payload["root_product"]
-    lines = [f"constraint: {constraint.format()}",
-             f"field: {constraint.field}",
-             f"roots: {constraint.roots[0]}, {constraint.roots[1]}"]
-    if product is not None:
-        lines.append(f"root product: {product}")
-    for f, reason in constraint.discarded:
-        lines.append(f"discarded {f.format(plan.var)}: {reason}")
+    lines = [f"constraint: {payload['constraint']}", f"field: {constraint.field}",
+             f"roots: {', '.join(payload['roots'])}"]
+    if payload["root_product"] is not None:
+        lines.append(f"root product: {payload['root_product']}")
+    lines += [f"discarded {f}: {reason}" for f, reason in payload["discarded"]]
     _emit(payload, args.json, "\n".join(lines))
     return 0
 

@@ -15,7 +15,7 @@ import os
 from fractions import Fraction
 
 from ..combinatorics import parse_config_table, parse_cycles
-from ..errors import ValidationError
+from ..errors import ValidationError, _quoted
 from ..moduli import parse_plan
 from ..polys import Poly
 from ..record import Record
@@ -79,7 +79,7 @@ def get_case(name: str) -> CaseData:
     if name in _cache:
         return _cache[name]
     if name not in _SPECS:
-        raise KeyError(f"unknown case {name!r}; known: {', '.join(_SPECS)}")
+        raise KeyError(f"unknown case {_quoted(name)}; known: {', '.join(_SPECS)}")
     spec = _SPECS[name]
     config = parse_config_table(_read_data(spec.stem + ".cfg"))
     plan = parse_plan(_read_data(spec.stem + ".plan"))
@@ -100,14 +100,6 @@ def get_case(name: str) -> CaseData:
     return case
 
 
-def data_files() -> list[str]:
-    """Filenames of the embedded .cfg/.plan sources."""
-    out = []
-    for spec in _SPECS.values():
-        out.extend((spec.stem + ".cfg", spec.stem + ".plan"))
-    return out
-
-
 def export_data(destination) -> list:
     """Copy the embedded data files into a directory for user editing; return their paths."""
     import shutil
@@ -116,8 +108,9 @@ def export_data(destination) -> list:
     dest = Path(destination)
     dest.mkdir(parents=True, exist_ok=True)
     written = []
-    for filename in data_files():
-        target = dest / filename
-        shutil.copy(os.path.join(_DATA, filename), target)
-        written.append(target)
+    for spec in _SPECS.values():
+        for filename in (spec.stem + ".cfg", spec.stem + ".plan"):
+            target = dest / filename
+            shutil.copy(os.path.join(_DATA, filename), target)
+            written.append(target)
     return written

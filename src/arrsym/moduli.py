@@ -27,9 +27,8 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
-from .polys import (_MAX_BITS, MAX_DEGREE, Poly, RatFunc, _add, _cleared, _content_free,
-                    _convolve, _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly,
-                    poly_reduce)
+from .polys import (_MAX_BITS, MAX_DEGREE, Poly, _add, _cleared, _content_free, _convolve,
+                    _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly, poly_reduce)
 from .polys import _primitive as _primitive_poly
 from .record import Record
 
@@ -240,16 +239,24 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
     return w
 
 
-def _shown(value: Poly | RatFunc | QuadExt, var: str = "t") -> str:
-    """A factor, entry or root as messages write it, cut by _quoted; one with an
-    integer past the digits str() writes is written by its longest integer's length."""
+def _written(value, var: str = "t") -> str:
+    """A Poly in var, a pole's (num, den) pair of Polys, a root or a Fraction as
+    output writes it, whole; one with an integer past the digits str() writes
+    is written by its longest integer's length."""
+    parts = value if type(value) is tuple else (value,)
     try:
-        return _quoted(str(value) if type(value) is QuadExt else value.format(var), str)
+        text = [p.format(var) if type(p) is Poly else str(p) for p in parts]
     except ValueError:
-        parts = (value.num, value.den) if type(value) is RatFunc else (value,)
-        ints = ([value._p, value._q, value._den] if type(value) is QuadExt
-                else [n for p in parts for n in (*p._c, p._den)])
+        ints = [n for p in parts for n in (
+            (*p._c, p._den) if type(p) is Poly else
+            (p._p, p._q, p._den) if type(p) is QuadExt else p.as_integer_ratio())]
         return f"a value with integers of up to {max(_digits(n)[1] for n in ints)} digits"
+    return "({})/({})".format(*text) if len(text) > 1 else text[0]
+
+
+def _shown(value, var: str = "t") -> str:
+    """_written(value, var) as messages write it, cut by _quoted."""
+    return _quoted(_written(value, var), str)
 
 
 def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
@@ -275,7 +282,8 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
         if not (values[6] or values[7]):    # D(t0) = 0: name the first entry with a pole
             for num, den in (_lowest(cs, step.cleared[3]) for cs in step.cleared[:3]):
                 if not any(sum(map(mul, den, pw)) for pw in (real, surd)):
-                    raise PoleError(f"pole of {_shown(RatFunc._of(num, den))} at {_shown(t0)}")
+                    pole = _poly(num, den[-1]), _poly(den, den[-1])
+                    raise PoleError(f"pole of {_shown(pole, plan.var)} at {_shown(t0)}")
         return values[:6]
 
     def meet(u: tuple, v: tuple, step: MeetPoint) -> tuple:
@@ -317,12 +325,13 @@ class ModuliConstraint(Record, compared=5):
         return self.poly.format(self.var)
 
     def to_dict(self) -> dict:
-        """The JSON fields; root_product is None unless the poly is quadratic."""
-        return {"constraint": self.format(), "field_d": self.field.d,
-                "roots": [str(r) for r in self.roots],
-                "root_product": (str(root_product(self.poly))
+        """The JSON fields, each value by _written; root_product is None unless
+        the poly is quadratic."""
+        return {"constraint": _written(self.poly, self.var), "field_d": self.field.d,
+                "roots": [_written(r) for r in self.roots],
+                "root_product": (_written(root_product(self.poly))
                                  if self.poly.degree == 2 else None),
-                "discarded": [[f.format(self.var), reason]
+                "discarded": [[_written(f, self.var), reason]
                               for f, reason in self.discarded]}
 
     def __str__(self) -> str:

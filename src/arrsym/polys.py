@@ -10,7 +10,7 @@ gcd (_gcd; Knuth, TAOCP vol. 2, 4.6.1), and Horner's rule (_horner).
 Expressions, like plans over Q(t) in moduli, compute on content-free integer
 lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
 bits per coefficient, and are reduced once, at the end, to the pair of
-_lowest; a RatFunc, which has no arithmetic, wraps that pair for output.
+_lowest; parse_ratfunc returns that pair as two Polys, den monic.
 poly_reduce splits a nonzero polynomial into rational-root linear factors
 and irreducible quadratic factors; anything leaving an irreducible factor
 of degree >= 3 is rejected (nothing in this problem domain needs more).
@@ -192,8 +192,9 @@ class Poly:
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        other = _as_poly(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            other = Poly((other,))
+        elif type(other) is not Poly:
             return NotImplemented
         return self._c == other._c and self._den == other._den
 
@@ -240,14 +241,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs})"
-
-
-def _as_poly(value) -> Poly | None:
-    if type(value) is Poly:
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly((value,))
-    return None
 
 
 # Most combinations of divisors the searches for rational roots and quadratic
@@ -377,68 +370,6 @@ def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
         factors.append((quad, mult))
 
     return [(_poly(f, 1), m) for f, m in sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))]
-
-
-class RatFunc:
-    """Rational function num/den over Q in its reduced form: gcd(num, den) = 1
-    and den monic.  It has no arithmetic (see _ExprParser and moduli)."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den=1) -> None:
-        num, den = _as_poly(num), _as_poly(den)
-        if num is None or den is None:
-            raise TypeError("RatFunc expects polynomial or rational arguments")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        # (a/da)/(b/db) = (a*db)/(b*da)
-        num, den = _lowest([c * den._den for c in num._c], [c * num._den for c in den._c])
-        self._num, self._den = _poly(num, den[-1]), _poly(den, den[-1])
-
-    @classmethod
-    def _of(cls, num, den) -> "RatFunc":
-        """Trusted constructor: num/den for a pair of lists _lowest returns."""
-        x = _new(cls)
-        x._num, x._den = _poly(num, den[-1]), _poly(den, den[-1])
-        return x
-
-    @property
-    def num(self) -> Poly:
-        return self._num
-
-    @property
-    def den(self) -> Poly:
-        return self._den
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Poly, int, Fraction)):
-            other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        if self.den.degree == 0:
-            return hash(self.num)
-        return hash((self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def format(self, var: str = "t") -> str:
-        if self.den.degree == 0:
-            return self.num.format(var)
-        return f"({self.num.format(var)})/({self.den.format(var)})"
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"RatFunc({self.num!r}, {self.den!r})"
 
 
 def _cleared(pairs) -> tuple:
@@ -605,6 +536,8 @@ class _ExprParser:
         self.refuse(f"unexpected token {_quoted(val)}")
 
 
-def parse_ratfunc(text: str, var: str = "t") -> RatFunc:
-    """Parse a rational-function expression such as ``(t-1)/(t+2)`` or ``-1/t``."""
-    return RatFunc._of(*_ExprParser(text, var).parse())
+def parse_ratfunc(text: str, var: str = "t") -> tuple[Poly, Poly]:
+    """Parse a rational-function expression such as ``(t-1)/(t+2)`` or ``-1/t``
+    into (num, den): Polys in lowest terms, den monic."""
+    num, den = _ExprParser(text, var).parse()
+    return _poly(num, den[-1]), _poly(den, den[-1])

@@ -25,7 +25,7 @@ from .errors import ValidationError
 from .fields import _quad
 from .geometry import SWAP, SWAP_CONJUGATE, Arrangement, MapKind, _primitive
 from .geometry import lattice_of  # noqa: F401  (unused; perfbench's tracer test reads it)
-from .moduli import ConstructionPlan, derive_constraint, realize_components, root_product
+from .moduli import ConstructionPlan, derive_constraint, realize_components
 from .record import Record
 
 
@@ -130,12 +130,11 @@ class PipelineReport(Record):
             out.append(f"status: {self.status}")
             return "\n".join(out)
         if self.constraint is not None:
-            con = self.constraint
-            out.append(f"constraint: {con.format()}  (field d={con.field.d}, "
-                       f"roots {con.roots[0]}, {con.roots[1]}, "
-                       f"root product {root_product(con.poly)})")
-            for f, reason in con.discarded:
-                out.append(f"  discarded factor {f.format(con.var)}: {reason}")
+            con = self.constraint.to_dict()
+            out.append(f"constraint: {con['constraint']}  (field d={con['field_d']}, "
+                       f"roots {', '.join(con['roots'])}, "
+                       f"root product {con['root_product']})")
+            out += [f"  discarded factor {f}: {reason}" for f, reason in con["discarded"]]
         for at in self.attempts:
             word = "verified" if at.verified else "not verified"
             out.append(f"  sigma {at.sigma.cycle_string()}  map {at.map.label}  "

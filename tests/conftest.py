@@ -16,7 +16,7 @@ from arrsym.errors import DegenerateError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjPoint
 from arrsym.moduli import derive_constraint, realize_components
-from arrsym.polys import parse_ratfunc
+from arrsym.polys import Poly, parse_ratfunc
 
 
 @pytest.fixture(scope="session")
@@ -433,7 +433,7 @@ def plan_text(name):
 
 def parsed_entries(text):
     """The given lines' entries by label, each parsed alone by parse_ratfunc:
-    RatFuncs made independently of the plan parser and its cleared lists."""
+    (num, den) pairs made independently of the plan parser and its cleared lists."""
     var = next(line.split()[3] for line in text.splitlines() if line.startswith("plan "))
     entries = {}
     for line in text.splitlines():
@@ -441,6 +441,30 @@ def parsed_entries(text):
         if head.split()[:1] == ["line"] and rest.split()[0] != "join":
             entries[int(head.split()[1])] = tuple(parse_ratfunc(e, var) for e in rest.split(";"))
     return entries
+
+
+def reduced(num, den):
+    """num/den for coefficient sequences, in lowest terms as parse_ratfunc
+    reduces it: the (num, den) pair of the text of their Polys."""
+    return parse_ratfunc(f"({Poly(num)})/({Poly(den)})")
+
+
+# The first requirement leaves t^2 - t - 1; the second leaves it times a
+# cofactor, which is not common to both requirements.
+COFACTOR_PLAN = """\
+plan cofactor over t
+lines 6
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; 2 ; t^2 - t - 1
+line 6 : 1 ; 1 ; (t^2 - t - 1)*(COFACTOR) - 2
+point P : meet 1 3
+point Q : meet 2 4
+require P on 5
+require Q on 6
+"""
 
 
 GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",

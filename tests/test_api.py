@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PUBLIC = [
     "Arrangement", "AutGroup", "ConfigTable", "ConstructionPlan", "FieldSpec",
     "MapKind", "ModuliConstraint", "Permutation", "PipelineReport", "Poly",
-    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "RatFunc", "ReflectionWitness",
+    "ProjLine", "ProjPoint", "QuadExt", "RATIONAL", "ReflectionWitness",
     "RenderOptions", "SWAP", "SWAP_CONJUGATE", "automorphism_group",
     "derive_constraint", "evaluate_plan", "extract_sigma", "intersect",
     "involutions", "is_lattice_isomorphism", "lattice_of", "parse_arrangement",
@@ -28,18 +28,18 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(arrsym.__all__) == sorted(PUBLIC)
-    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 40
+    assert len(arrsym.__all__) == len(set(arrsym.__all__)) == 39
     assert all(hasattr(arrsym, name) for name in arrsym.__all__)
 
 
-# The line count of src/arrsym/*.py.  A change that adds lines raises it in
+# The line count of src/arrsym/**/*.py.  A change that adds lines raises it in
 # the same diff, within the budgets ROADMAP gives, and says so in CHANGES.md.
-SRC_LINES = 3191
+SRC_LINES = 3245
 
 
 def test_src_stays_within_its_line_budget():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
-                for path in (SRC / "arrsym").glob("*.py"))
+                for path in (SRC / "arrsym").glob("**/*.py"))
     assert lines <= SRC_LINES
 
 
@@ -47,24 +47,22 @@ def test_removed_helpers_are_gone():
     # each duplicated another name, was called only by the tests, kept the
     # order of a replaced search, built a record a second way (Record._of),
     # was a second polynomial or rational-function arithmetic (the parser,
-    # poly_reduce and derive_constraint run on integer lists) or a second
-    # reduction to lowest terms (polys._lowest is the one)
+    # poly_reduce and derive_constraint run on integer lists), a second
+    # reduction to lowest terms (polys._lowest is the one) or a wrapper of its
+    # pair that no computation read (parse_ratfunc returns the pair)
     for module, name in ((witness, "grid_candidates"), (geometry, "apply_coordinate_map"),
                          (geometry, "relabel"), (geometry, "lines_proj_equal"),
                          (fields, "galois_conjugate"), (polys, "ratfunc_eval"),
                          (geometry, "IntersectionLattice"), (geometry, "_pair_groups"),
                          (combinatorics, "_pair_order"), (geometry.Arrangement, "_renamed"),
                          (fields, "format_scalar"), (polys.Poly, "zero"), (polys.Poly, "one"),
-                         (polys.Poly, "constant"), (polys.RatFunc, "constant"),
+                         (polys.Poly, "constant"), (polys, "RatFunc"), (polys, "_as_poly"),
                          (polys.Poly, "leading"), (witness.PipelineReport, "to_json"),
                          (witness.ReflectionWitness, "failures"),
-                         (combinatorics.Permutation, "is_identity"), (polys.RatFunc, "eval"),
+                         (combinatorics.Permutation, "is_identity"),
                          (combinatorics.AutGroup, "element_order_profile"),
                          (combinatorics.AutGroup, "is_abelian"), (polys, "_BINARY"),
-                         (polys, "operator"), (polys.RatFunc, "variable"),
-                         *((polys.RatFunc, name) for name in (
-                             "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                             "__rmul__", "__truediv__", "__rtruediv__", "__neg__", "__pow__")),
+                         (polys, "operator"),
                          (polys.Poly, "variable"),
                          *((polys.Poly, name) for name in (
                              "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",

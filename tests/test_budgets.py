@@ -12,9 +12,11 @@ of PG(2,31), the largest, about 0.5 s and under 52 MiB.  ``lattice`` and
 1e999999999 take about 0.05 s and 17 MiB.  The three 640-digit integers (a
 radicand of sevens that spends the factoring budget, a radicand that is not
 square-free and a line count) end in their error in at most 0.17 s and
-under 17 MiB.  The limits are at least six times the time and twice the
-memory any row needs, so a regression fails its row instead of hanging the
-suite."""
+under 17 MiB.  ``derive`` of the 5,112-digit cofactor, as text and with
+``--json``, takes about 0.1 s and 16 MiB, and ``pipeline`` of a
+100,000-character case name about 0.08 s and 18 MiB.  The limits are at
+least six times the time and twice the memory any row needs, so a
+regression fails its row instead of hanging the suite."""
 
 import os
 import re
@@ -27,7 +29,7 @@ import pytest
 
 import arrsym
 
-from conftest import chain_plan, constant_chain_plan, projective_plane
+from conftest import COFACTOR_PLAN, chain_plan, constant_chain_plan, projective_plane
 
 CPU_SECONDS, MEMORY = 5, 128 << 20
 BIG = "(" + "9" * 640 + ")^64"        # the largest literal to the largest power
@@ -108,6 +110,13 @@ TRIANGLE = "arrangement triangle\nfield rational\nline 1 : 1 ; 0 ; 0\nline 2 : 0
     "line 3 : 0 ; 0 ; 1\n"
 
 
+# COFACTOR_PLAN with the cofactor t - (639 nines)^8, and the table of its
+# realization at the root of t^2 - t - 1
+COFACTOR = {"c.plan": COFACTOR_PLAN.replace("COFACTOR", "t - " + "9" * 639 + "^8"),
+            "c.cfg": "arrangement cofactor\nlines 6\npoint m1 : 1 3 5\npoint m2 : 2 4 6\n"}
+DISCARDED = "a value with integers of up to 5112 digits", "not common to all requirements"
+
+
 TOO_LARGE = (r"error: automorphism group of order {} on {} lines is too large "
              r"to list \(over 4194304 entries\)\n")
 DEEP = "(" * 65 + "t" + ")" * 65         # one level above MAX_NESTING
@@ -129,6 +138,19 @@ ROWS = {
     # 4,300 digits a ValueError traceback
     "derive of 639-digit entries": wide(1, r"(?:296){20}\.\.\."),
     "derive of 5112-digit entries": wide(8, r"a value with integers of up to 5112 digits"),
+    # the discarded cofactor, past the 4,300 digits str() writes, was a
+    # ValueError traceback with exit 1, as text and with --json
+    "derive of a 5112-digit cofactor": (
+        ("derive", "c.plan", "c.cfg"), COFACTOR, 0,
+        r"constraint: t\^2 - t - 1\n(?:.*\n){3}discarded %s: %s\n\Z" % DISCARDED, ""),
+    "derive --json of a 5112-digit cofactor": (
+        ("derive", "--json", "c.plan", "c.cfg"), COFACTOR, 0,
+        r'(?s)\{\n  "plan": "cofactor",.*"discarded": \[\s*\[\s*"%s",\s*"%s"\s*\]\s*\]\s*\}\n\Z'
+        % DISCARDED, ""),
+    # the error line quoted the whole name
+    "pipeline of a 100000-character case name": (
+        ("pipeline", "x" * 100000), {}, 2, NOTHING,
+        r"(?=[^\n]{,249}\n\Z)error: unknown case 'x{60}'\.\.\.; known: \{1\}, .*\n"),
     "65 nested parentheses": derive(
         f"plan deep over t\nlines 4\nline 1 : {DEEP} ; 0 ; 0\n", 4,
         r"error: line 3: parentheses nested deeper than 64 in '\(+'\.\.\.\n"),

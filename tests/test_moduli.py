@@ -12,7 +12,7 @@ from arrsym.moduli import (derive_constraint, evaluate_plan, parse_plan,
                            realize_components, residual_numerators, root_product)
 from arrsym.polys import MAX_DEGREE, Poly, parse_ratfunc
 
-from conftest import Ref, chain_plan, constant_chain_plan, contains, rmul
+from conftest import COFACTOR_PLAN, Ref, chain_plan, constant_chain_plan, contains, rmul
 
 
 def test_parse_shipped_plan():
@@ -127,7 +127,10 @@ POLE_PLAN = ("plan pole over t\nlines 5\nline 1 : 1 ; 0 ; 0\nline 2 : 1 ; 0 ; -1
     (lambda: corpus.get_case("{1}").plan, lambda: F(0), "pole of (1)/(t) at 0"),
     (lambda: parse_plan(POLE_PLAN), lambda: quad_roots(1, -1, -1)[1],
      "pole of (1)/(t^2 - t - 1) at 1/2+1/2w"),
-], ids=["{1} at 0", "golden root"])
+    # written in the plan's variable: it said "pole of (1)/(t) at 0"
+    (lambda: parse_plan(POLE_PLAN.replace("over t", "over s").replace("1/(t^2-t-1)", "1/s")),
+     lambda: 0, "pole of (1)/(s) at 0"),
+], ids=["{1} at 0", "golden root", "over s"])
 def test_evaluate_plan_pole(plan, t0, message):
     # the first entry whose denominator vanishes at t0 names the pole
     with pytest.raises(PoleError) as info:
@@ -241,28 +244,10 @@ def test_discarded_factors_nazir_yoshinaga(realized):
                        "t + 1": "not common to all requirements"}
 
 
-# The first requirement leaves t^2 - t - 1; the second leaves it times a
-# cofactor, which is not common to both requirements.
-COFACTOR_PLAN = """\
-plan cofactor over t
-lines 6
-line 1 : 1 ; 0 ; 0
-line 2 : 1 ; 0 ; -1
-line 3 : 0 ; 1 ; 0
-line 4 : 0 ; 1 ; -1
-line 5 : 1 ; 2 ; t^2 - t - 1
-line 6 : 1 ; 1 ; (t^2 - t - 1)*(COFACTOR) - 2
-point P : meet 1 3
-point Q : meet 2 4
-require P on 5
-require Q on 6
-"""
-
-
 def discarded_cofactor(cofactor):
     plan = parse_plan(COFACTOR_PLAN.replace("COFACTOR", cofactor))
     numerators = [num for _, _, num in residual_numerators(plan)]
-    factor = parse_ratfunc(cofactor, "t").num
+    factor, _ = parse_ratfunc(cofactor, "t")
     assert Poly(numerators[1]) == Poly(rmul(numerators[0], factor.coeffs))
     _, plus, _ = quad_roots(1, -1, -1)
     target = lattice_of(evaluate_plan(plan, plus))[1]

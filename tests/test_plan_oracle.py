@@ -9,7 +9,7 @@ same numerators in the same order, and the same exception type and message
 on a plan that fails.  The gates count calls of the lowest-terms kernel
 polys._lowest: one per numerator returned (19 over the nine cases; the
 replaced interpreter built 767 RatFuncs), and one per plan entry parsed;
-and loading the nine cases builds no RatFunc."""
+and loading the nine cases builds a Poly only for each expected constraint."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -24,10 +24,10 @@ from arrsym import corpus, moduli, polys
 from arrsym.errors import DegenerateError, ValidationError
 from arrsym.moduli import (ConstructionPlan, GivenLine, JoinLine, MeetPoint, parse_plan,
                            residual_numerators)
-from arrsym.polys import MAX_DEGREE, Poly, RatFunc, _cleared, _ExprParser, parse_ratfunc
+from arrsym.polys import MAX_DEGREE, Poly, _cleared, _ExprParser, parse_ratfunc
 
 from conftest import (ALL_CASES, chain_plan, parsed_entries, plan_text, plans, qadd, qmul,
-                      qneg, rmul, rprimitive)
+                      qneg, rcanonical, rmul, rprimitive)
 
 
 def _reference_cross(u, v, what):
@@ -43,11 +43,12 @@ def _reference_cross(u, v, what):
 
 def reference_numerators(plan, entries):
     """The numerators as primitive integer tuples; ``entries`` holds the given
-    lines' RatFuncs by label (conftest.parsed_entries)."""
+    lines' (num, den) pairs by label (conftest.parsed_entries)."""
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple((e.num.coeffs, e.den.coeffs) for e in entries[step.index])
+            lines[step.index] = tuple((num.coeffs, den.coeffs)
+                                      for num, den in entries[step.index])
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}")
@@ -97,8 +98,8 @@ def test_chain_plans_match_the_reference(n):
 
 def _count_reductions(monkeypatch):
     """A list that grows by one for every call of the lowest-terms kernel
-    polys._lowest from now on: RatFunc's constructor and every reduction of
-    the parser and the plan interpreter."""
+    polys._lowest from now on: every reduction of the parser and the plan
+    interpreter."""
     calls = []
     original = polys._lowest
 
@@ -165,28 +166,23 @@ def test_one_reduction_per_plan_entry(monkeypatch):
     assert len(calls) == len(entries) == 258
 
 
-def test_loading_the_cases_builds_no_ratfunc(monkeypatch):
+def test_loading_the_cases_builds_a_poly_per_expected_constraint(monkeypatch):
     # the parser built a RatFunc per entry, which GivenLine cleared back into
     # integer lists: 258 RatFunc._of and 525 _poly calls; the 9 left are the
     # cases' expected constraints
     calls = Counter()
-    of, poly = polys.RatFunc._of.__func__, polys._poly
-
-    def counting_of(cls, *args):
-        calls["RatFunc._of"] += 1
-        return of(cls, *args)
+    poly = polys._poly
 
     def counting_poly(*args):
         calls["_poly"] += 1
         return poly(*args)
 
-    monkeypatch.setattr(polys.RatFunc, "_of", classmethod(counting_of))
     for module in (polys, moduli):
         monkeypatch.setattr(module, "_poly", counting_poly)
     monkeypatch.setattr(corpus, "_cache", {})
     for name in ALL_CASES:
         corpus.get_case(name)
-    assert (calls["RatFunc._of"], calls["_poly"]) == (0, 9)
+    assert calls["_poly"] == 9
 
 
 def assert_cleared_exactly(text):
@@ -198,8 +194,9 @@ def assert_cleared_exactly(text):
         if isinstance(step, GivenLine):
             *nums, den = step.cleared
             row = entries[step.index]
-            assert all(RatFunc(Poly(p), Poly(den)) == e for p, e in zip(nums, row))
-            dens = dict.fromkeys(rprimitive(e.den.coeffs)[1] for e in row)
+            assert all(rcanonical(Poly(p).coeffs, Poly(den).coeffs) == (n.coeffs, d.coeffs)
+                       for p, (n, d) in zip(nums, row))
+            dens = dict.fromkeys(rprimitive(d.coeffs)[1] for _, d in row)
             assert rprimitive(Poly(den).coeffs)[1] == reduce(rmul, dens, (F(1),))
             assert all(type(cs) is tuple and all(type(c) is int for c in cs)
                        for cs in step.cleared)
@@ -234,15 +231,15 @@ REFERENCE_GRID = tuple(tuple(map(F, g)) for g in
 
 def reference_grid_labels(plan, entries):
     """The labels of x=0, x=z, y=0, y=z, None where one is missing; ``entries``
-    holds the given lines' RatFuncs by label."""
+    holds the given lines' (num, den) pairs by label."""
     found = {}
     for step in plan.steps:
         if not isinstance(step, GivenLine):
             continue
         row = entries[step.index]
-        if not all(e.num.degree <= 0 and e.den.degree == 0 for e in row):
+        if not all(num.degree <= 0 and den.degree == 0 for num, den in row):
             continue
-        vals = tuple(e.num[0] / e.den[0] for e in row)
+        vals = tuple(num[0] / den[0] for num, den in row)
         pivot = next((v for v in vals if v != 0), None)
         if pivot is not None:
             found[tuple(v / pivot for v in vals)] = step.index

@@ -1,4 +1,4 @@
-"""Poly, RatFunc and parse_ratfunc against the reference model of
+"""Poly and parse_ratfunc against the reference model of
 tests/conftest.py: a polynomial is a tuple of Fractions in ascending degree
 with no trailing zeros, and every operation is the schoolbook one over Q
 (long division, Euclid's gcd made monic).  The library stores a reduced
@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from arrsym.errors import ParseError, _quoted
 from arrsym.fields import QuadExt
-from arrsym.polys import (MAX_DEGREE, Poly, RatFunc, _divide_out, _gcd, _lowest, _primitive,
+from arrsym.moduli import _written
+from arrsym.polys import (MAX_DEGREE, Poly, _divide_out, _gcd, _lowest, _primitive,
                           _pseudo_divide, _rational_roots, parse_ratfunc)
 
-from conftest import (Ref, norm, qneg, radd, rcanonical, rdivmod, rgcd, rmonic, rmul, rneg,
-                      rprimitive)
+from conftest import (Ref, norm, qneg, radd, rcanonical, rdivmod, reduced, rgcd, rmonic, rmul,
+                      rneg, rprimitive)
 from test_scalar_oracle import FIELDS, agrees, scalar
 
 
@@ -150,17 +151,19 @@ def test_eval_at_scalars_matches_the_model(ps, args):
 
 @st.composite
 def ratfunc(draw):
-    num, rnum = draw(poly())
-    den, rden = draw(poly(nonzero=True))
-    return RatFunc(num, den), rcanonical(rnum, rden)
+    """A (num, den) pair as parse_ratfunc gives it, and the model's value."""
+    _, rnum = draw(poly())
+    _, rden = draw(poly(nonzero=True))
+    return reduced(rnum, rden), rcanonical(rnum, rden)
 
 
 def agrees_ratfunc(f, ref):
-    """f equals the model's value in its canonical form: gcd(num, den) = 1
-    and den monic."""
-    agrees_poly(f.num, ref[0])
-    agrees_poly(f.den, ref[1])
-    assert f.den[f.den.degree] == 1 and rgcd(f.num.coeffs, f.den.coeffs) == (1,)
+    """The pair f equals the model's value in its canonical form:
+    gcd(num, den) = 1 and den monic."""
+    num, den = f
+    agrees_poly(num, ref[0])
+    agrees_poly(den, ref[1])
+    assert den[den.degree] == 1 and rgcd(num.coeffs, den.coeffs) == (1,)
 
 
 @given(ratfunc(), poly(nonzero=True), st.one_of(small_rationals, st.integers(-9, 9)))
@@ -168,14 +171,14 @@ def test_ratfunc_reduces_like_the_model(fs, ss, r):
     # the one reducer: a common factor and a constant divided out
     (f, (a, b)), (_, rs) = fs, ss
     agrees_ratfunc(f, (a, b))
-    agrees_ratfunc(RatFunc(Poly(rmul(a, rs)), Poly(rmul(b, rs))), (a, b))
-    agrees_ratfunc(RatFunc(r), rcanonical(norm((r,)), (F(1),)))
+    agrees_ratfunc(reduced(rmul(a, rs), rmul(b, rs)), (a, b))
+    agrees_ratfunc(reduced(norm((r,)), (F(1),)), rcanonical(norm((r,)), (F(1),)))
     if r:
         scaled = rmul(b, norm((r,)))
-        agrees_ratfunc(RatFunc(f.num, Poly(scaled)), rcanonical(a, scaled))
+        agrees_ratfunc(reduced(a, scaled), rcanonical(a, scaled))
     else:
-        with pytest.raises(ZeroDivisionError):
-            RatFunc(f.num, r)
+        with pytest.raises(ParseError, match="^division by zero in "):
+            reduced(a, (r,))
 
 
 integer_lists = st.lists(st.integers(-30, 30), max_size=5).map(
@@ -205,34 +208,32 @@ def test_ratfunc_eval_matches_the_model(fs, args):
     (f, (a, b)), (field, (x, rx)) = fs, args
     den = reval(b, rx)
     if den.a == den.b == 0:
-        assert f.den.eval(x).is_zero
+        assert f[1].eval(x).is_zero
     else:
-        agrees((Ref.of(f.num.eval(x)) / f.den.eval(x)).quad(field), reval(a, rx) / den, field)
+        agrees((Ref.of(f[0].eval(x)) / f[1].eval(x)).quad(field), reval(a, rx) / den, field)
 
 
 @given(poly(), poly(nonzero=True), ratfunc())
 def test_equal_values_have_equal_hashes(ps, qs, fs):
     (p, rp), (q, rq), (f, (a, b)) = ps, qs, fs
-    rebuilt = RatFunc(Poly(rmul(rp, rq)), q).num        # the kernel divides q out
+    rebuilt, _ = reduced(rmul(rp, rq), rq)          # the kernel divides q out
     assert rebuilt == p and hash(rebuilt) == hash(p)
     assert Poly(rp) == p and hash(Poly(rp)) == hash(p)
-    assert RatFunc(p) == p and hash(RatFunc(p)) == hash(p)
-    g = RatFunc(Poly(rmul(a, rq)), Poly(rmul(b, rq)))
+    g = reduced(rmul(a, rq), rmul(b, rq))
     assert g == f and hash(g) == hash(f)
     if p.degree <= 0:
         c = rp[0] if rp else F(0)
         for value in (c,) + ((c.numerator,) if c.denominator == 1 else ()):
-            assert p == value and RatFunc(p) == value
-            assert hash(p) == hash(value) == hash(RatFunc(p))
+            assert p == value and hash(p) == hash(value)
 
 
 @st.composite
 def spelling(draw):
     """A value from a small pool, so that equal values recur, spelled as a
-    Poly, a RatFunc over 1 or over t + 1, or, for a constant, a Fraction or
-    an int."""
+    Poly, a parse_ratfunc pair over 1 or over t + 1, or, for a constant, a
+    Fraction or an int."""
     cs = norm(draw(st.lists(st.sampled_from((F(0), F(1), F(-1), F(1, 2))), max_size=2)))
-    forms = [Poly(cs), RatFunc(Poly(cs)), RatFunc(Poly(cs), Poly((1, 1)))]
+    forms = [Poly(cs), reduced(cs, (1,)), reduced(cs, (1, 1))]
     if len(cs) <= 1:
         c = cs[0] if cs else F(0)
         forms += [c] + ([c.numerator] if c.denominator == 1 else [])
@@ -250,7 +251,7 @@ def test_equality_is_symmetric_across_types(values):
 @pytest.mark.parametrize("c", [F(0), F(1), F(-1), F(-2), F(1, 2), F(-7, 3),
                                F(2 ** 70, 3 ** 40)], ids=str)
 def test_constant_polys_equal_and_hash_like_rationals(c):
-    for value in (Poly((c,)), Poly((c, 0, 0)), RatFunc(c)):
+    for value in (Poly((c,)), Poly((c, 0, 0))):
         assert value == c and hash(value) == hash(c)
     if c.denominator == 1:
         assert Poly((c.numerator,)) == c.numerator
@@ -259,11 +260,11 @@ def test_constant_polys_equal_and_hash_like_rationals(c):
 
 
 def test_immutable():
-    p, f = Poly((1, F(1, 2))), RatFunc(Poly((1, 1)), Poly((2, 3)))
-    for obj, name in ((p, "coeffs"), (p, "x"), (f, "num"), (f, "den"), (f, "x")):
+    p = Poly((1, F(1, 2)))
+    for name in ("coeffs", "x"):
         with pytest.raises(AttributeError):
-            setattr(obj, name, Poly((1,)))
-    assert p.coeffs == (1, F(1, 2)) and f.den == Poly((F(2, 3), 1))
+            setattr(p, name, Poly((1,)))
+    assert p.coeffs == (1, F(1, 2)) and reduced((1, 1), (2, 3))[1] == Poly((F(2, 3), 1))
 
 
 # -- the expression parser ----------------------------------------------------------
@@ -358,10 +359,10 @@ def expressions(draw):
 def parsed(text):
     """parse_ratfunc's result as its exact integer form, or its message."""
     try:
-        f = parse_ratfunc(text)
+        num, den = parse_ratfunc(text)
     except ParseError as exc:
         return str(exc)
-    return f.num._c, f.num._den, f.den._c, f.den._den
+    return num._c, num._den, den._c, den._den
 
 
 def modelled(expression):
@@ -394,17 +395,20 @@ def test_parse_ratfunc_pins(text, expected):
     if isinstance(expected, str):
         assert parsed(text) == expected
     else:
-        assert parse_ratfunc(text) == RatFunc(Poly(expected[0]), Poly(expected[1]))
+        assert parse_ratfunc(text) == (Poly(expected[0]), Poly(expected[1]))
 
 
 # -- format ---------------------------------------------------------------------
 # a non-integer coefficient of a power of the variable is written with "*",
-# so that every formatted value parses back to itself
+# so that every formatted Poly, and every (num)/(den) text of a pair that
+# moduli._written writes, parses back to itself
 
-@given(poly(), st.one_of(st.none(), poly(nonzero=True)), st.sampled_from(["t", "s", "x"]))
+@given(poly(), poly(nonzero=True), st.sampled_from(["t", "s", "x"]))
 def test_format_parses_back(ps, qs, var):
-    f = RatFunc(ps[0]) if qs is None else RatFunc(ps[0], qs[0])
-    assert parse_ratfunc(f.format(var), var) == f
+    p, one = ps[0], Poly((1,))
+    assert parse_ratfunc(p.format(var), var) == (p, one)
+    f = tuple(map(Poly, rcanonical(ps[1], qs[1])))
+    assert parse_ratfunc(_written(f, var), var) == f
 
 
 @pytest.mark.parametrize("f, text", [
@@ -413,15 +417,15 @@ def test_format_parses_back(ps, qs, var):
     (Poly((F(3, 2), 2, -1)), "-t^2 + 2t + 3/2"),
     (Poly((F(-1, 3),)), "-1/3")])
 def test_format_pins(f, text):
-    assert f.format() == text
+    assert _written(f) == text
 
 
 @pytest.mark.parametrize("text, value", [
-    ("2t", Poly((0, 2))),
-    ("-t^2 + 2t + 3/2", Poly((F(3, 2), 2, -1))),
-    ("2t^-2", RatFunc(Poly((2,)), Poly((0, 0, 1)))),       # 2*(t^-2), not (2t)^-2
-    ("1/2t", RatFunc(Poly((F(1, 2),)), Poly((0, 1)))),     # 1/(2*t)
-    ("0t^3", Poly(()))])
+    ("2t", (Poly((0, 2)), Poly((1,)))),
+    ("-t^2 + 2t + 3/2", (Poly((F(3, 2), 2, -1)), Poly((1,)))),
+    ("2t^-2", (Poly((2,)), Poly((0, 0, 1)))),       # 2*(t^-2), not (2t)^-2
+    ("1/2t", (Poly((F(1, 2),)), Poly((0, 1)))),     # 1/(2*t)
+    ("0t^3", (Poly(()), Poly((1,))))])
 def test_an_integer_before_the_variable_is_its_coefficient(text, value):
     assert parse_ratfunc(text) == value
 

@@ -9,9 +9,9 @@ from arrsym.combinatorics import Permutation
 from arrsym.fields import FieldSpec, QuadExt, quad_roots
 from arrsym.geometry import (Arrangement, MapKind, ProjLine, ProjPoint,
                              intersect, lattice_of)
-from arrsym.polys import Poly, RatFunc, _pseudo_divide, poly_reduce
+from arrsym.polys import Poly, _pseudo_divide, poly_reduce
 
-from conftest import Ref, apply_map, contains, radd, relabel, rmul
+from conftest import Ref, apply_map, contains, radd, reduced, relabel, rmul
 
 rationals = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -86,18 +86,17 @@ def test_poly_reduce_recomposes(coeffs, root_num, root_den, power):
        st.lists(rationals, min_size=1, max_size=3).filter(lambda c: any(c)),
        rationals)
 def test_ratfunc_eval_is_a_homomorphism(num, den, at):
-    f = RatFunc(Poly(num), Poly(den))
-    g = RatFunc(Poly(den), Poly((1,)))
+    f, g = reduced(num, den), reduced(den, (1,))
     x = QuadExt(at)
-    assume(not f.den.eval(x).is_zero)
+    assume(not f[1].eval(x).is_zero)
 
     def value(h):
-        return Ref.of(h.num.eval(x)) / h.den.eval(x)
+        return Ref.of(h[0].eval(x)) / h[1].eval(x)
 
-    (fn, fd), (gn, gd) = ((h.num.coeffs, h.den.coeffs) for h in (f, g))
-    total = RatFunc(Poly(radd(rmul(fn, gd), rmul(gn, fd))), Poly(rmul(fd, gd)))
+    (fn, fd), (gn, gd) = ((h[0].coeffs, h[1].coeffs) for h in (f, g))
+    total = reduced(radd(rmul(fn, gd), rmul(gn, fd)), rmul(fd, gd))
     assert value(total) == value(f) + value(g)
-    assert value(RatFunc(Poly(rmul(fn, gn)), Poly(rmul(fd, gd)))) == value(f) * value(g)
+    assert value(reduced(rmul(fn, gn), rmul(fd, gd))) == value(f) * value(g)
 
 
 @st.composite

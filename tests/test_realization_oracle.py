@@ -78,24 +78,25 @@ def _reference_cross(u, v, what, plan, t0):
     return w
 
 
-def reference_value(entry, t0):
-    """The entry's value at t0 as the quotient of its evaluated numerator and
-    denominator, or the PoleError the deleted ``RatFunc.eval`` raised (its
-    values written by moduli._shown, which cuts long ones)."""
-    den = entry.den.eval(t0)
+def reference_value(entry, t0, var):
+    """The entry's (num, den) value at t0 as the quotient of its evaluated
+    numerator and denominator, or the PoleError the deleted ``RatFunc.eval``
+    raised (its values written by moduli._shown, which cuts long ones)."""
+    den = entry[1].eval(t0)
     if den.is_zero:
-        raise PoleError(f"pole of {_shown(entry)} at {_shown(t0)}")
-    return Ref.of(entry.num.eval(t0)) / den
+        raise PoleError(f"pole of {_shown(entry, var)} at {_shown(t0)}")
+    return Ref.of(entry[0].eval(t0)) / den
 
 
 def reference_evaluate_plan(plan, t0, entries):
-    """``entries``: the given lines' RatFuncs by label (conftest.parsed_entries)."""
+    """``entries``: the given lines' (num, den) pairs by label (conftest.parsed_entries)."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     lines, points = {}, {}
     for step in plan.steps:
         if isinstance(step, GivenLine):
-            lines[step.index] = tuple(reference_value(e, t0) for e in entries[step.index])
+            lines[step.index] = tuple(reference_value(e, t0, plan.var)
+                                      for e in entries[step.index])
         elif isinstance(step, MeetPoint):
             points[step.name] = _reference_cross(lines[step.i], lines[step.j],
                                                  f"lines {step.i},{step.j}", plan, t0)
@@ -271,7 +272,7 @@ def evaluation_points(plan, entries):
         pass
     for row in entries.values():
         for entry in row:
-            points += _roots(entry.den)
+            points += _roots(entry[1])
     return list(dict.fromkeys(points))
 
 
