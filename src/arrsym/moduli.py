@@ -8,10 +8,11 @@ polynomials whose common factor — filtered through exact realization and
 a lattice comparison at a root — is the constraint indexing the moduli
 components.
 
-Both runs are fraction-free (Geddes, Czapor & Labahn, Algorithms for Computer
-Algebra, 1992, ch. 2): over Q(t), integer-polynomial triples over one common
-denominator, reduced once at each requirement; at a root, triples over
-Z[sqrt d], whose lattice is compared on integer keys with no QuadExt arithmetic.
+The plan runs once, fraction-free (Geddes, Czapor & Labahn, Algorithms for
+Computer Algebra, 1992, ch. 2): over Q(t), on integer-polynomial triples over
+one common denominator.  Evaluation commutes with its cross products, so at a
+root its lines are summed over Z[sqrt d] and compared on integer keys, with no
+QuadExt arithmetic; evaluate_plan reruns the plan there only where that defers.
 """
 
 from __future__ import annotations
@@ -215,10 +216,11 @@ def _run_plan(plan: ConstructionPlan, given, cross):
     return lines, points
 
 
-def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
-    """The meet or join of two cleared triples over Q(t).  Raises DegenerateError
-    when they coincide, ValidationError when it has degree above MAX_DEGREE
-    or, checked before it is computed, when its products are _oversized."""
+def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine, reduced: list) -> tuple:
+    """The meet or join of two cleared triples over Q(t); step is appended to
+    reduced if it is reduced.  Raises DegenerateError when they coincide,
+    ValidationError when it has degree above MAX_DEGREE or, checked before it
+    is computed, when its products are _oversized."""
     if _oversized(u, v):
         raise ValidationError(f"the meet or join of {step._what()} has coefficients "
                               f"above {_MAX_BITS} bits")
@@ -236,6 +238,7 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
             raise ValidationError(f"the meet or join of {step._what()} has degree "
                                   f"above {MAX_DEGREE}")
         w = _cleared(entries)
+        reduced.append(step)
     return w
 
 
@@ -259,23 +262,30 @@ def _shown(value, var: str = "t") -> str:
     return _quoted(_written(value, var), str)
 
 
-def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
-    """Evaluate the plan exactly at t0, on six-integer triples over Z[sqrt d].
-    Requirements are NOT checked.  With t0 = (p + q*sqrt d)/e, each cleared
-    list is summed against the powers (p + q*sqrt d)^k * e^(N-k); a zero sum
-    for the common denominator D means a pole, named by the first entry P_k / D
-    whose reduced denominator sums to zero against the same powers.  A meet or
-    join is a key of ``_point_key``; each line is made primitive once, at the end."""
-    if not isinstance(t0, QuadExt):
-        t0 = QuadExt(t0)
-    p, q, e, d, field = t0._p, t0._q, t0._den, t0._d, t0._field
-    top = max(max(map(len, step.cleared)) for step in plan.steps
-              if isinstance(step, GivenLine))
-    real, surd, x, y = [], [], 1, 0     # real[k] + surd[k]*sqrt(d): power k
+def _powers(t0: QuadExt, lines) -> tuple[list[int], list[int]]:
+    """real[k] + surd[k]*sqrt(d) = (p + q*sqrt d)^k * e^(N-k) for t0 = (p + q*sqrt d)/e,
+    N + 1 the longest list of the lines: a list summed against them is its value times e^N."""
+    p, q, e, d = t0._p, t0._q, t0._den, t0._d
+    top = max(len(cs) for line in lines for cs in line)
+    real, surd, x, y = [], [], 1, 0
     for k in range(top):
         real.append(x * e ** (top - 1 - k))
         surd.append(y * e ** (top - 1 - k))
         x, y = x * p + d * y * q, x * q + y * p
+    return real, surd
+
+
+def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
+    """Evaluate the plan exactly at t0, step by step, on six-integer triples over
+    Z[sqrt d]; requirements are NOT checked.  Each cleared list is summed against
+    ``_powers``; a zero sum for D means a pole, named by the first entry P_k / D
+    whose reduced denominator sums to zero too.  A meet or join is a key of
+    ``_point_key``; each line is made primitive once, at the end.  derive_constraint
+    calls it only where ``_evaluated`` defers, for the exception and its message."""
+    if not isinstance(t0, QuadExt):
+        t0 = QuadExt(t0)
+    d, field = t0._d, t0._field
+    real, surd = _powers(t0, [s.cleared for s in plan.steps if isinstance(s, GivenLine)])
 
     def given(step: GivenLine) -> list[int]:
         values = [sum(map(mul, cs, pw)) for cs in step.cleared for pw in (real, surd)]
@@ -298,10 +308,11 @@ def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arran
         ProjLine._keyed(_primitive(lines[i], d), field) for i in range(1, plan.n + 1)])
 
 
-def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, tuple]]:
-    """(point, line, numerator) of each non-identically-satisfied requirement,
-    the numerator in lowest terms as its primitive integer tuple."""
-    lines, points = _run_plan(plan, lambda step: step.cleared, _cross)
+def _symbolic(plan: ConstructionPlan) -> tuple[dict | None, list[tuple[str, int, tuple]]]:
+    """From one run over Q(t): the lines' cleared triples by label, None if
+    _cross reduced a step, and residual_numerators(plan)."""
+    reduced: list = []
+    lines, points = _run_plan(plan, lambda s: s.cleared, lambda u, v, s: _cross(u, v, s, reduced))
     out = []
     for req in plan.requires():
         (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
@@ -309,7 +320,34 @@ def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, tuple]]:
         if incidence:
             num = _lowest(incidence, _convolve(dl, dp))[0]
             out.append((req.point, req.line, _primitive_poly(num)))
-    return out
+    return (None if reduced else lines), out
+
+
+def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, tuple]]:
+    """(point, line, numerator) of each non-identically-satisfied requirement,
+    the numerator in lowest terms as its primitive integer tuple."""
+    return _symbolic(plan)[1]
+
+
+def _evaluated(plan: ConstructionPlan, lines: dict | None, t0: QuadExt) -> Arrangement | None:
+    """evaluate_plan(plan, t0) from ``_symbolic``'s lines: evaluation commutes with
+    the cross products, so a line at t0 is its cleared triple summed against
+    ``_powers``.  None, where evaluate_plan raises, if a line's D or triple is zero
+    at t0 or two keys are equal; None if a step was reduced (lines is None)."""
+    if lines is None:                   # a factor the reduction removed may vanish at t0
+        return None
+    d, field = t0._d, t0._field
+    real, surd = _powers(t0, lines.values())
+    keys = {}
+    for p0, p1, p2, den in (lines[i] for i in range(1, plan.n + 1)):
+        sums = (sum(map(mul, p0, real)), sum(map(mul, p0, surd)), sum(map(mul, p1, real)),
+                sum(map(mul, p1, surd)), sum(map(mul, p2, real)), sum(map(mul, p2, surd)))
+        if not (any(sums) and (sum(map(mul, den, real)) or sum(map(mul, den, surd)))):
+            return None
+        keys[_primitive(sums, d)] = None
+    if len(keys) < plan.n:
+        return None
+    return Arrangement._of(plan.name, field, tuple(ProjLine._keyed(k, field) for k in keys))
 
 
 class ModuliConstraint(Record, compared=5):
@@ -350,10 +388,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root meet in the target's points and in no other multiple
-    point, as ``_multiple_points`` finds them.  The plan is evaluated once
-    per factor, at its first root: the one root of a linear factor, or the
-    "+" root of an irreducible quadratic, whose conjugate root passes or
-    fails alike.
+    point, as ``_multiple_points`` finds them.  The plan runs once, over Q(t);
+    its lines are evaluated once per factor (``_evaluated``), at its first root:
+    the one root of a linear factor, or the "+" root of an irreducible
+    quadratic, whose conjugate root passes or fails alike.
 
     The candidates are the factors of the numerators' gcd.  Dividing them
     out of each requirement numerator leaves the factors that are not
@@ -364,7 +402,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
-    prims = [num for _, _, num in residual_numerators(plan)]
+    lines, residuals = _symbolic(plan)
+    prims = [num for _, _, num in residuals]
     if not prims:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
 
@@ -391,10 +430,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         # lattice verdict at the "+" root holds at the conjugate root too,
         # because conjugation is a field automorphism that fixes the plan's
         # rational coefficients; the "-" realization is the "+" one with
-        # every coefficient conjugated.
+        # every coefficient conjugated, which keeps keys primitive and distinct.
         field, roots = _roots_of_factor(factor)
         try:
-            plus = evaluate_plan(plan, roots[0])
+            plus = _evaluated(plan, lines, roots[0]) or evaluate_plan(plan, roots[0])
         except PoleError:
             verdict = f"pole at root of {_shown(factor, plan.var)}"
         except (DegenerateError, ValidationError) as exc:
@@ -407,9 +446,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             continue
         minus = plus
         if not field.is_rational:
-            # conjugation keeps a key primitive: its pivot is rational
-            minus = Arrangement(plus.name, plus.field, [
-                ProjLine._keyed(_CONJUGATE._image(ln.key), ln.field) for ln in plus.lines])
+            minus = Arrangement._of(plus.name, plus.field, tuple(
+                ProjLine._keyed(_CONJUGATE._image(ln.key), ln.field) for ln in plus.lines))
         admissible.append((factor, field, roots, (plus, minus)))
 
     if not admissible:

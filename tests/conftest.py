@@ -467,6 +467,26 @@ require Q on 6
 """
 
 
+# The meet of lines 5 and 6 has degree 80, so _cross reduces it to lowest
+# terms, degree 40: the removed factor (t-1)^40 vanishes at t = 1, where
+# lines 5 and 6 have a pole.  Line 7 is y = 0, line 3, at every t.
+REDUCED_PLAN = """\
+plan reduced over t
+lines 7
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; 1 ; 1/(t-1)^40
+line 6 : 1 ; 2 ; 1/(t-1)^40
+point P : meet 5 6
+point A : meet 1 3
+line 7 : join P A
+point Q : meet 2 4
+require Q on 7
+"""
+
+
 GRID = ["line 1 : 1 ; 0 ; 0", "line 2 : 1 ; 0 ; -1",
         "line 3 : 0 ; 1 ; 0", "line 4 : 0 ; 1 ; -1"]
 DENOMINATORS = ["1", "t", "t+1", "t-2", "t^2+1", "2*t-1", "3", "t^3-t+2"]

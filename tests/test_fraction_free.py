@@ -1,12 +1,14 @@
 """The exact-geometry and plan layers build no Fraction: lattice_of,
 extract_sigma and verify_reflection run on QuadExt's integer triples alone,
-residual_numerators and evaluate_plan on integer tuples.  Counted by
-wrapping Fraction.__new__, so the gate is exact, not a timing."""
+residual_numerators, evaluate_plan and the root evaluation on integer
+tuples.  Counted by wrapping Fraction.__new__, so the gate is exact, not a
+timing."""
 
 from fractions import Fraction
 
 import pytest
 
+from arrsym import moduli
 from arrsym.fields import QuadExt
 from arrsym.geometry import SWAP, lattice_of
 from arrsym.moduli import evaluate_plan, residual_numerators
@@ -67,4 +69,13 @@ def test_corpus_plans_build_no_fraction(name, realized, fraction_count):
     assert numerators and all(constraint.poly.divides(Poly(num)) for num in numerators)
     for root, realization in zip(constraint.roots, (plus, minus)):
         assert evaluate_plan(case.plan, root).lines == realization.lines
+    assert fraction_count == []
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_root_evaluation_builds_no_fraction(name, realized, fraction_count):
+    case, constraint, plus, _ = realized(name)
+    fraction_count.clear()
+    lines = moduli._symbolic(case.plan)[0]
+    assert moduli._evaluated(case.plan, lines, constraint.roots[0]).lines == plus.lines
     assert fraction_count == []

@@ -15,6 +15,7 @@ type and message.  The gates count QuadExt operators and lattice_of calls,
 so they are exact, not timings."""
 
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -35,8 +36,8 @@ from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint, _sh
 from arrsym.polys import Poly, poly_reduce
 from arrsym.witness import run_case
 
-from conftest import (ALL_CASES, Ref, chain_plan, cross, parsed_entries, plan_text, plans,
-                      quads, rdivmod, rgcd, rprimitive)
+from conftest import (ALL_CASES, REDUCED_PLAN, Ref, chain_plan, constant_chain_plan, cross,
+                      parsed_entries, plan_text, plans, quads, rdivmod, rgcd, rprimitive)
 
 SMALL_T = (0, 1, 2, 3, 7)
 
@@ -298,6 +299,86 @@ def test_random_plans_reach_the_error_paths():
 
     collect()
     assert {PoleError, DegenerateError, "arrangement"} <= seen
+
+
+# -- the root evaluation --------------------------------------------------------
+# derive_constraint reads the realization at a root off the plan's lines over
+# Q(t) (moduli._evaluated) and calls evaluate_plan only where that defers.
+
+def root_outcome(plan, lines, t0):
+    """"same" where the root evaluation gives exactly evaluate_plan's
+    arrangement, "deferred" where it defers and evaluate_plan raises; an
+    assertion fails on a miss or on a deferral evaluate_plan does not need."""
+    t0 = t0 if isinstance(t0, QuadExt) else QuadExt(t0)
+    fast = moduli._evaluated(plan, lines, t0)
+    try:
+        slow = evaluate_plan(plan, t0)
+    except (PoleError, DegenerateError, ValidationError):
+        assert fast is None
+        return "deferred"
+    assert fast is not None
+    assert ((fast.name, fast.field, [(ln.key, ln.field) for ln in fast.lines])
+            == (slow.name, slow.field, [(ln.key, ln.field) for ln in slow.lines]))
+    return "same"
+
+
+def kept_lines(plan):
+    """The plan's lines over Q(t), or None where its run over Q(t) raises,
+    as derive_constraint does before it tries a root."""
+    try:
+        lines = moduli._symbolic(plan)[0]
+    except (DegenerateError, ValidationError):
+        return None
+    assert lines is not None            # no step of these plans is reduced
+    return lines
+
+
+def test_the_root_evaluation_is_evaluate_plan_or_defers(realized):
+    """On the corpus, 400 plans of the strategy at their evaluation points and
+    the chain plans, the kept lines at a point give exactly evaluate_plan's
+    keys, or the root evaluation defers where evaluate_plan raises."""
+    outcomes = Counter()
+    for name in ALL_CASES:
+        case, constraint, _, _ = realized(name)
+        for t0 in constraint.roots + SMALL_T:
+            outcomes[root_outcome(case.plan, kept_lines(case.plan), t0)] += 1
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(plans())
+    def drawn(text):
+        plan = parse_plan(text)
+        if (lines := kept_lines(plan)) is not None:
+            for t0 in evaluation_points(plan, parsed_entries(text)):
+                outcomes[root_outcome(plan, lines, t0)] += 1
+
+    drawn()
+    for n, text in [(n, chain_plan(n)) for n in range(8, 16)] + [
+            (n, constant_chain_plan(n)) for n in range(8, 29)]:
+        plan = parse_plan(text)
+        for t0 in SMALL_T + (F(-5, 3), QuadExt(1, 2, FieldSpec.quadratic(-3))):
+            outcomes[root_outcome(plan, kept_lines(plan), t0)] += 1
+    assert outcomes["same"] > 200 and outcomes["deferred"] > 1000     # 288 and 1,282 here
+
+
+def test_a_reduced_step_defers_the_root_evaluation():
+    """_cross reduces the meet of lines 5 and 6 from degree 80 to 40, and the
+    factor it removes, (t-1)^40, vanishes at t = 1: the root evaluation does
+    not read the kept lines, and evaluate_plan gives the pole at t = 1 and
+    the coincidence at t = 2.  The kept lines, read anyway, defer at both
+    points too, on the poles of lines 5 and 6 and on lines 3 and 7's keys."""
+    plan = parse_plan(REDUCED_PLAN)
+    reduced = []
+    lines, points = moduli._run_plan(plan, lambda step: step.cleared,
+                                     lambda u, v, step: moduli._cross(u, v, step, reduced))
+    assert [step.name for step in reduced] == ["P"] and max(map(len, points["P"])) == 41
+    assert moduli._symbolic(plan) == (None, [("Q", 7, (1,))])
+    for t0, error, message in ((1, PoleError, r"^pole of \(1\)/\(t\^40 - 40t\^39 "),
+                               (2, DegenerateError, "^lines 3 and 7 coincide after "
+                                                    "normalization$")):
+        assert moduli._evaluated(plan, None, QuadExt(t0)) is None
+        assert root_outcome(plan, lines, t0) == "deferred"
+        with pytest.raises(error, match=message):
+            evaluate_plan(plan, t0)
 
 
 # -- normal forms ---------------------------------------------------------------

@@ -382,15 +382,16 @@ def test_pipeline_contains_stored_choice_verified(name):
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_run_case_evaluates_the_plan_once_per_root(name, monkeypatch):
     # at most once per root: only at the "+" root, since the "-"
-    # realization is its Galois conjugate
+    # realization is its Galois conjugate; the plan's lines over Q(t) are
+    # evaluated there, and evaluate_plan runs only where that defers
     calls = []
-    original = moduli.evaluate_plan
+    original = moduli._evaluated
 
-    def counting(plan, t0):
+    def counting(plan, lines, t0):
         calls.append(t0)
-        return original(plan, t0)
+        return original(plan, lines, t0)
 
-    monkeypatch.setattr(moduli, "evaluate_plan", counting)
+    monkeypatch.setattr(moduli, "_evaluated", counting)
     case = corpus.get_case(name)
     report = run_case(case.name, case.config, case.plan)
     assert calls == [report.constraint.roots[0]]
@@ -418,8 +419,9 @@ def test_run_case_builds_no_lattice(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_run_case_checks_the_lines_of_each_realization_once(name, monkeypatch):
-    """The plan's "+" realization and its conjugate are built with the
-    coincidence check; naming them as components does not repeat it."""
+    """The root evaluation finds the "+" realization's keys distinct, and
+    conjugation keeps them distinct: neither it, its conjugate nor the
+    components named from them repeat the check in Arrangement.__init__."""
     calls = []
     init = geometry.Arrangement.__init__
 
@@ -430,7 +432,7 @@ def test_run_case_checks_the_lines_of_each_realization_once(name, monkeypatch):
     monkeypatch.setattr(geometry.Arrangement, "__init__", counting)
     case = corpus.get_case(name)
     report = run_case(case.name, case.config, case.plan)
-    assert calls == [case.plan.name, case.plan.name]
+    assert calls == []
     assert report.status == case.expected_status
 
 
@@ -492,6 +494,39 @@ def test_corpus_pass_work_counts(monkeypatch):
         assert run_case(name, case.config, plan).status == case.expected_status
     assert calls == {"factor_integer": 9, "_poly": 25, "_pseudo_divide": 87}
     assert _Label.written == 0
+
+
+def test_corpus_pass_runs_each_plan_once(monkeypatch):
+    """Exact counts inside derive_constraint over one run_case per corpus
+    case: the plan runs once, over Q(t), and each realization is read off its
+    lines at the root, so evaluate_plan does not run and the only point keys
+    are _multiple_points' (18 plan runs, 9 evaluate_plan calls and 364
+    _point_key calls while each root re-ran the plan)."""
+    calls = dict.fromkeys(("_run_plan", "evaluate_plan", "_point_key"), 0)
+    deriving = []
+
+    for name in calls:
+        original = getattr(geometry, name, None) or getattr(moduli, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += bool(deriving)
+            return _original(*args)
+        for module in [m for n, m in sys.modules.items() if n.startswith("arrsym")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+
+    def derive(*args):
+        deriving.append(True)
+        try:
+            return moduli.derive_constraint(*args)
+        finally:
+            deriving.pop()
+
+    monkeypatch.setattr(witness, "derive_constraint", derive)
+    for name in corpus.list_cases():
+        case = corpus.get_case(name)
+        assert run_case(name, case.config, case.plan).status == case.expected_status
+    assert calls == {"_run_plan": 9, "evaluate_plan": 0, "_point_key": 270}
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
