@@ -47,8 +47,8 @@ class DegenerateError(ArrsymError):
 
 
 class UnsupportedDegreeError(ArrsymError):
-    """Residual polynomial factor of degree >= 3 that cannot be split into
-    rational roots and quadratics."""
+    """A square-free part of degree >= 3, which poly_reduce does not split,
+    or a constraint of degree >= 3 every root of which realizes the table."""
 
 
 class ConstraintError(ArrsymError):

@@ -1,9 +1,12 @@
 """Exact scalars: rationals and quadratic extensions Q(sqrt d).
 
-A scalar is a + b*sqrt(d) with rational a, b and a fixed square-free
-integer d (possibly negative).  It is stored as one reduced integer triple
-(p, q, den) for (p + q*sqrt(d))/den, so arithmetic is gcd-reduced integer
-arithmetic (Knuth, TAOCP vol. 2, 4.5.1) and builds no Fraction.  All
+A scalar is a + b*sqrt(d) with rational a, b and a fixed integer d
+(possibly negative) that is not a square: square-free, except that it may
+keep the square of a prime above 1,000, since a field is named by a square
+test, not by factoring (square_free_part).  It is stored as one reduced
+integer triple (p, q, den) for (p + q*sqrt(d))/den, so arithmetic is
+gcd-reduced integer arithmetic (Knuth, TAOCP vol. 2, 4.5.1) and builds no
+Fraction.  All
 arithmetic is exact; nothing here ever rounds.  The text form of a scalar
 is ``rat | rat ('+'|'-') rat 'w' | ['-'] rat 'w' | 'w'`` where ``w`` stands
 for sqrt(d) of the active field, e.g. ``1/2+1/2w``.
@@ -13,8 +16,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, count
-from math import gcd, lcm, sqrt
+from itertools import chain
+from math import gcd, isqrt, lcm, sqrt
 from operator import index
 
 from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError,
@@ -22,149 +25,35 @@ from .errors import (DegenerateError, FieldMixError, ParseError, ValidationError
 from .record import Record
 
 
-# -- integer factorization ----------------------------------------------------
+# -- square test --------------------------------------------------------------
 
-# Trial division takes out every prime below this bound (dividing by 2 and
-# the odd numbers: a composite one never divides what is left); a cofactor
-# left over below its square is prime.
+# Trial division takes out the square of every prime below this bound
+# (dividing by 2 and the odd numbers: a composite one never divides what is
+# left); a cofactor left over below its square is 1 or prime.
 _TRIAL_BOUND = 1000
-# Miller-Rabin with these bases decides primality exactly below _MR_PROVEN
-# (Sorenson & Webster, Math. Comp. 86 (2017)).  Above it a "prime" verdict
-# is only probable and is refused, so one base is enough there.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN = 3317044064679887385961981
-# Steps allowed for one factorization, per 64-bit word of the number left
-# after trial division.  A Pollard-Brent step is about two products modulo
-# the number being split; a Miller-Rabin base is charged its bit length.
-_STEP_BUDGET = 1 << 18
-_RHO_BATCH = 128
-
-
-def _charge(budget: list[int], steps: int, m: int) -> None:
-    budget[0] -= steps
-    if budget[0] < 0:
-        raise ValidationError(
-            f"cannot factor a {_digits(m)[1]}-digit number within the step budget")
-
-
-def _is_prime(n: int, budget: list[int]) -> bool:
-    """Miller-Rabin on an odd n > _TRIAL_BOUND**2: exact below _MR_PROVEN,
-    a base-2 probable-prime test above."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES if n < _MR_PROVEN else _MR_BASES[:1]:
-        _charge(budget, n.bit_length(), n)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_split(n: int, budget: list[int]) -> int:
-    """A proper factor of the odd composite n, not a perfect power, by
-    Pollard's rho in Brent's form (Pollard, BIT 15 (1975); Brent, BIT 20
-    (1980)), batching the gcds."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            _charge(budget, r, n)
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                steps = min(_RHO_BATCH, r - k)
-                _charge(budget, steps, n)
-                for _ in range(steps):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += steps
-            r *= 2
-        if g == n:                  # the batch overshot: retrace it singly
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _perfect_power(m: int) -> tuple[int, int] | None:
-    """(r, k) with r**k == m for the least k >= 2, or None, for an m with
-    no prime factor below _TRIAL_BOUND: then r >= _TRIAL_BOUND > 2**9, so
-    k <= m.bit_length() // 9.  Each root is Newton's method on the
-    integers, from above."""
-    for k in range(2, m.bit_length() // 9 + 1):
-        x = 1 << -(-m.bit_length() // k)
-        while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
-            x = y
-        if x ** k == m:
-            return x, k
-    return None
-
-
-def factor_integer(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}.
-
-    Trial division up to 1000, then, for what is left, deterministic
-    Miller-Rabin, an integer k-th-root test for perfect powers and
-    Pollard-Brent rho under a fixed step budget.  A cofactor that
-    Miller-Rabin cannot prove prime (one above 3.3e24), or a factorization
-    the budget does not cover, raises ValidationError, so the cost is
-    bounded for any input.
-    """
-    if n < 1:
-        raise ValueError("factor_integer expects a positive integer")
-    factors: dict[int, int] = {}
-    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            factors[p] = factors.get(p, 0) + 1
-    budget = [_STEP_BUDGET // -(-n.bit_length() // 64)]
-    pending = [(n, 1)] if n > 1 else []    # (cofactor, multiplicity)
-    while pending:
-        m, k = pending.pop()
-        if m < _TRIAL_BOUND * _TRIAL_BOUND:
-            factors[m] = factors.get(m, 0) + k
-            continue
-        if _is_prime(m, budget):
-            if m >= _MR_PROVEN:
-                raise ValidationError(f"cannot prove a {_digits(m)[1]}-digit factor prime")
-            factors[m] = factors.get(m, 0) + k
-        elif power := _perfect_power(m):
-            pending.append((power[0], power[1] * k))
-        else:
-            split = _rho_split(m, budget)
-            pending += [(split, k), (m // split, k)]
-    return factors
 
 
 def square_free_part(n: int) -> tuple[int, int]:
-    """Split a nonzero integer as n = s*s*d with d square-free; return (s, d).
-
-    Raises ValidationError when |n| cannot be factored (see factor_integer).
-    """
+    """(s, d) with n = s*s*d for a nonzero integer n, by a square test, not by
+    factoring: trial division takes out the squares of the primes below
+    _TRIAL_BOUND, then the cofactor left is taken out whole when ``isqrt``
+    squares back to it.  So d is square-free but for squares of primes above
+    _TRIAL_BOUND, and is no square unless it is 1; n*d is a square, so d names
+    Q(sqrt n) exactly (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, 1.7: Q(sqrt d) = Q(sqrt d') when d*d' is a square)."""
     if n == 0:
         raise ValueError("square_free_part(0) is undefined")
-    s = d = 1
-    for p, e in factor_integer(abs(n)).items():
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-    return s, (d if n > 0 else -d)
+    m, s, d = abs(n), 1, 1
+    for p in chain((2,), range(3, _TRIAL_BOUND, 2)):
+        if p * p > m:
+            break
+        while m % (p * p) == 0:
+            m, s = m // (p * p), s * p
+        if m % p == 0:
+            m, d = m // p, d * p
+    if (r := isqrt(m)) * r == m:
+        s, m = s * r, 1
+    return s, (d * m if n > 0 else -d * m)
 
 
 class FieldSpec(Record):

@@ -5,8 +5,8 @@ lines as rational-function coefficient triples (or joins of constructed
 points), and lists the incidences the target combinatorics still
 requires.  Evaluating those incidences symbolically leaves numerator
 polynomials whose common factor — filtered through exact realization and
-a lattice comparison at a root — is the constraint indexing the moduli
-components.
+a lattice comparison at a root, or by gcds where it does not split into
+linears and quadratics — is the constraint indexing the moduli components.
 
 The plan runs once, fraction-free (Geddes, Czapor & Labahn, Algorithms for
 Computer Algebra, 1992, ch. 2): over Q(t), on integer-polynomial triples over
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, combinations
+from math import comb, lcm
 from operator import mul
 
 from .combinatorics import MAX_LINES, ConfigTable
@@ -29,7 +31,8 @@ from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
 from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
                        _primitive)
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, _add, _cleared, _content_free, _convolve,
-                    _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly, poly_reduce)
+                    _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly, _pseudo_divide,
+                    _slope, poly_reduce)
 from .polys import _primitive as _primitive_poly
 from .record import Record
 
@@ -216,6 +219,19 @@ def _run_plan(plan: ConstructionPlan, given, cross):
     return lines, points
 
 
+def _wedge(u, v) -> list:
+    """The entries of the cross product of two triples of integer lists."""
+    (u0, u1, u2), (v0, v1, v2) = u[:3], v[:3]
+    return [_add(_convolve(u1, v2), _convolve(u2, v1), -1),
+            _add(_convolve(u2, v0), _convolve(u0, v2), -1),
+            _add(_convolve(u0, v1), _convolve(u1, v0), -1)]
+
+
+def _dot(u, v) -> list:
+    """The dot product of two triples of integer lists."""
+    return _add(_add(_convolve(u[0], v[0]), _convolve(u[1], v[1])), _convolve(u[2], v[2]))
+
+
 def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine, reduced: list) -> tuple:
     """The meet or join of two cleared triples over Q(t); step is appended to
     reduced if it is reduced.  Raises DegenerateError when they coincide,
@@ -224,11 +240,7 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine, reduced: list) -> tup
     if _oversized(u, v):
         raise ValidationError(f"the meet or join of {step._what()} has coefficients "
                               f"above {_MAX_BITS} bits")
-    (u0, u1, u2, du), (v0, v1, v2, dv) = u, v
-    w = _content_free([_add(_convolve(u1, v2), _convolve(u2, v1), -1),
-                       _add(_convolve(u2, v0), _convolve(u0, v2), -1),
-                       _add(_convolve(u0, v1), _convolve(u1, v0), -1),
-                       _convolve(du, dv)])
+    w = _content_free([*_wedge(u, v), _convolve(u[3], v[3])])
     if not any(w[:3]):
         raise DegenerateError(f"{step._what()} coincide identically")
     if max(map(len, w)) > MAX_DEGREE + 1:
@@ -315,10 +327,9 @@ def _symbolic(plan: ConstructionPlan) -> tuple[dict | None, list[tuple[str, int,
     lines, points = _run_plan(plan, lambda s: s.cleared, lambda u, v, s: _cross(u, v, s, reduced))
     out = []
     for req in plan.requires():
-        (l0, l1, l2, dl), (p0, p1, p2, dp) = lines[req.line], points[req.point]
-        incidence = _add(_add(_convolve(l0, p0), _convolve(l1, p1)), _convolve(l2, p2))
-        if incidence:
-            num = _lowest(incidence, _convolve(dl, dp))[0]
+        line, point = lines[req.line], points[req.point]
+        if incidence := _dot(line, point):
+            num = _lowest(incidence, _convolve(line[3], point[3]))[0]
             out.append((req.point, req.line, _primitive_poly(num)))
     return (None if reduced else lines), out
 
@@ -376,6 +387,62 @@ class ModuliConstraint(Record, compared=5):
         return self.format()
 
 
+# Most work the gcd test may do: C(n, 3) * (deg r + 1)^4 * the largest bit size.
+_MAX_TEST_COST = 1 << 27
+
+
+def _realizable(plan: ConstructionPlan, lines: dict | None, target: ConfigTable,
+                common: tuple) -> tuple[tuple, list]:
+    """(r', removed): the part r' of common's square-free part r at whose every
+    root the plan realizes target, and each part removed, with its incidence.
+    A factor of r divides an identity exactly when it holds at the factor's
+    roots, so each test splits r by a gcd (dynamic evaluation; Duval, J.
+    Symbolic Comput. 18(5), 1994), on the lines modulo r, each times one
+    integer; a reduced run's lines serve, since what a step removed is a pole.
+    UnsupportedDegreeError if r' has degree 3 or more."""
+    def modulo_r(entries):
+        splits = [_pseudo_divide(cs, r) for cs in entries]
+        scale = lcm(*(s for *_, s in splits))
+        return [[c * (scale // s) for c in rem] for _, rem, s in splits]
+
+    r = tuple(_pseudo_divide(common, _gcd(common, _slope(common)))[0])
+    lines = lines or _run_plan(plan, lambda s: s.cleared, lambda u, v, s: _cross(u, v, s, []))[0]
+    mod = {i: modulo_r(lines[i][:3]) for i in range(1, plan.n + 1)}
+    bits = max(abs(c).bit_length() for cs in (r, *chain(*mod.values())) for c in cs)
+    if comb(plan.n, 3) * len(r) ** 4 * bits > _MAX_TEST_COST:
+        raise ValidationError(f"deciding {_shown(_poly(r, 1), plan.var)} by gcds on "
+                              f"{plan.n} lines is too much work")
+    where = {pair: s for _, s in target.points for pair in combinations(sorted(s), 2)}
+    meets = {}
+
+    def tests():
+        yield from (([s.cleared[3]], False, f"pole of line {s.index}")
+                    for s in plan.steps if isinstance(s, GivenLine))
+        yield from ((mod[i], False, f"line {i} vanishes") for i in mod)
+        for i, j in combinations(mod, 2):
+            meets[i, j] = modulo_r(_wedge(mod[i], mod[j]))
+            yield meets[i, j], False, f"lines {i},{j} coincide"
+        for _, s in target.points:      # kept: a target point's triples concur
+            a, b, *rest = sorted(s)
+            yield from (([_dot(meets[a, b], mod[c])], True, f"lines {a},{b},{c} not concurrent")
+                        for c in rest)
+        for i, j, k in combinations(mod, 3):
+            if k not in where.get((i, j), ()):
+                yield [_dot(meets[i, j], mod[k])], False, f"lines {i},{j},{k} concurrent"
+
+    removed = []
+    for polys, keep, reason in tests():
+        g = reduce(_gcd, polys, r)
+        if len(part := _pseudo_divide(r, g)[0] if keep else g) > 1:
+            removed.append((_poly(part, 1), reason))
+            if len(r := tuple(_pseudo_divide(r, part)[0])) < 2:
+                break
+    if len(r) > 3:
+        raise UnsupportedDegreeError(f"every root of {_shown(_poly(r, 1), plan.var)} realizes "
+                                     "the table; only factors of degree 1 and 2 are supported")
+    return r, removed
+
+
 def _roots_of_factor(factor: Poly) -> tuple[FieldSpec, tuple[QuadExt, ...]]:
     if factor.degree == 1:
         r = QuadExt(-factor[0] / factor[1])
@@ -393,12 +460,13 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     the one root of a linear factor, or the "+" root of an irreducible
     quadratic, whose conjugate root passes or fails alike.
 
-    The candidates are the factors of the numerators' gcd.  Dividing them
-    out of each requirement numerator leaves the factors that are not
-    common to all requirements; they are reported in `discarded` (a part
-    that does not split into rational roots and quadratics, or is too large
-    to factor, is reported unfactored), as are candidates that fail
-    realization (pole, degeneracy, or lattice mismatch).
+    The candidates are the factors poly_reduce splits the numerators' gcd
+    into; a gcd it refuses is first cut by gcds to the part whose every root
+    realizes the target (``_realizable``), each part cut off discarded with
+    its incidence.  Dividing the gcd out of each requirement numerator leaves
+    the factors that are not common to all requirements; they are reported in
+    `discarded` (a part poly_reduce refuses is reported unfactored), as are
+    candidates that fail realization (pole, degeneracy, or lattice mismatch).
     """
     if plan.n != target.n:
         raise ValidationError("plan and table have different line counts")
@@ -407,21 +475,28 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     if not prims:
         raise ConstraintError("no residual requirements: nothing constrains the parameter")
 
-    candidates = [f for f, _ in poly_reduce(_poly(reduce(_gcd, prims), 1))]  # [] for a constant
+    common, removed = reduce(_gcd, prims), []
+    try:
+        candidates = [f for f, _ in poly_reduce(_poly(common, 1))]  # [] for a constant
+    except UnsupportedDegreeError:      # decide the gcd's roots by gcds instead
+        kept, removed = _realizable(plan, lines, target, common)
+        candidates = [f for f, _ in poly_reduce(_poly(kept, 1))]
 
     noncommon = {}                          # the factors in order, once each
     for num in prims:
         for f in candidates:                # what is left is coprime to the gcd
             num = _divide_out(num, f._c)[0]
+        while removed and len(g := _gcd(num, common)) > 1:  # and to what the gcd test removed
+            num = _pseudo_divide(num, g)[0]
         if len(num) < 2:                    # a constant: no factor to report
             continue
         rest = _poly(num, 1)                # primitive: an exact quotient of primitives
         try:
             factors = [f for f, _ in poly_reduce(rest)]
-        except (UnsupportedDegreeError, ValidationError):
+        except UnsupportedDegreeError:
             factors = [rest]
         noncommon.update(dict.fromkeys(factors))
-    discarded = [(f, "not common to all requirements") for f in noncommon]
+    discarded = [(f, "not common to all requirements") for f in noncommon] + removed
 
     admissible = []
     for factor in candidates:

@@ -12,8 +12,9 @@ lists (the list kernel below), held to degree MAX_DEGREE and to _MAX_BITS
 bits per coefficient, and are reduced once, at the end, to the pair of
 _lowest; parse_ratfunc returns that pair as two Polys, den monic.
 poly_reduce splits a nonzero polynomial into rational-root linear factors
-and irreducible quadratic factors; anything leaving an irreducible factor
-of degree >= 3 is rejected (nothing in this problem domain needs more).
+and irreducible quadratic factors by closed forms on its square-free parts
+(Yun's gcd steps); a part of degree >= 3 is refused, and no integer is
+factored.  moduli decides such a part by gcds instead (moduli._realizable).
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from functools import reduce
 from itertools import chain
 from math import gcd, isqrt, lcm
 
-from .errors import ParseError, UnsupportedDegreeError, ValidationError, _quoted
-from .fields import (MAX_DIGITS, QuadExt, _num_den, _quad, factor_integer,
-                     parse_digits)
+from .errors import ParseError, UnsupportedDegreeError, _quoted
+from .fields import MAX_DIGITS, QuadExt, _num_den, _quad, parse_digits
 
 # Highest degree of a numerator or denominator that an expression may build
 # and that a plan's symbolic meets and joins may reach; above it the parser
@@ -243,87 +243,16 @@ class Poly:
         return f"Poly({self.coeffs})"
 
 
-# Most combinations of divisors the searches for rational roots and quadratic
-# factors, from degree 3, may try for one polynomial (the product of the
-# divisor counts of the integers they enumerate); more raises ValidationError.
-MAX_FACTOR_CANDIDATES = 1 << 14
-
-
-def _divisors(*values: int) -> list[list[int]]:
-    """The positive divisors of each nonzero value, ascending.  Raises
-    ValidationError when a value cannot be factored (see factor_integer) or
-    the divisor counts multiply to more than MAX_FACTOR_CANDIDATES."""
-    factored = [factor_integer(abs(v)) for v in values]
-    combinations = 1
-    for factors in factored:
-        for e in factors.values():
-            combinations *= e + 1
-    if combinations > MAX_FACTOR_CANDIDATES:
-        raise ValidationError(f"{combinations} divisor combinations to try, "
-                              f"above {MAX_FACTOR_CANDIDATES}")
-    out = []
-    for factors in factored:
-        divisors = [1]
-        for p, e in factors.items():
-            divisors = [d * p ** k for d in divisors for k in range(e + 1)]
-        out.append(sorted(divisors))
-    return out
-
-
 def _rational_roots(prim: tuple) -> list[Fraction]:
-    """All rational roots of a primitive integer tuple, ascending: in closed
-    form below degree 3, by a search of divisors p/q from degree 3, each
-    tried by _horner on the integers."""
-    if len(prim) < 2 or prim[0] == 0:
-        raise ValueError("expects a nonzero constant term")
+    """All rational roots of a primitive integer tuple of degree 1 or 2,
+    ascending, in closed form: a quadratic has rational roots exactly when
+    ``isqrt`` of its discriminant squares back to it."""
     if len(prim) == 2:
         return [Fraction(-prim[0], prim[1])]
-    if len(prim) == 3:
-        c, b, a = prim
-        disc = b * b - 4 * a * c
-        s = isqrt(max(disc, 0))
-        roots = {Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)}
-        return sorted(roots) if s * s == disc else []
-    leads, consts = _divisors(prim[-1], prim[0])
-    return sorted(Fraction(p, q) for q in leads for p_abs in consts if gcd(p_abs, q) == 1
-                  for p in (p_abs, -p_abs) if not _horner(prim, p, q)[0])
-
-
-def _find_quadratic_factor(prim: tuple) -> tuple | None:
-    """An integer quadratic factor (w, v, u) of a primitive integer tuple
-    with no rational roots, or None.
-
-    A factor u*x^2 + v*x + w must have u | lead, w | const, value at 1
-    dividing prim(1), and value at -1 dividing prim(-1) (both nonzero
-    since prim has no rational roots); Cauchy's root bound rho/rho_den =
-    1 + max|c_i|/|lead| caps |v| <= 2*u*rho/rho_den and |w| <= u*(rho/rho_den)^2.
-    """
-    if len(prim) == 3:
-        return prim
-    at_one = sum(prim)
-    at_minus_one = sum(prim[0::2]) - sum(prim[1::2])
-    rho_den = abs(prim[-1])
-    rho = rho_den + max(abs(c) for c in prim)
-    leads, consts, one_divisors = _divisors(prim[-1], prim[0], at_one)
-    for u in leads:
-        vmax = 2 * u * rho
-        wmax = u * rho * rho
-        for w_abs in consts:
-            if w_abs * rho_den * rho_den > wmax:
-                continue
-            for w in (w_abs, -w_abs):
-                for d in one_divisors:
-                    for d_signed in (d, -d):
-                        v = d_signed - u - w          # u + v + w divides prim(1)
-                        if abs(v) * rho_den > vmax:
-                            continue
-                        if (u - v + w) == 0 or at_minus_one % (u - v + w) != 0:
-                            continue
-                        if gcd(u, v, w) != 1:
-                            continue
-                        if not any(_pseudo_divide(prim, (w, v, u))[1]):
-                            return w, v, u
-    return None
+    c, b, a = prim
+    disc = b * b - 4 * a * c
+    s = isqrt(max(disc, 0))
+    return sorted({Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)}) if s * s == disc else []
 
 
 def _divide_out(p: tuple, factor: tuple) -> tuple[tuple, int]:
@@ -336,38 +265,55 @@ def _divide_out(p: tuple, factor: tuple) -> tuple[tuple, int]:
     return p, mult
 
 
+def _slope(cs) -> list:
+    """The derivative of an ascending integer list."""
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _square_free(f: tuple) -> list[tuple[tuple, int]]:
+    """Yun's square-free decomposition of a primitive integer tuple (Yun,
+    SYMSAC '76): [(a_i, i), ...] with f = prod a_i^i, each a_i primitive,
+    square-free and of degree 1 or more, coprime in pairs.  Each step is a
+    _gcd and exact quotients by a primitive divisor, integral by Gauss's lemma."""
+    a = _gcd(f, _slope(f))
+    b, c = _pseudo_divide(f, a)[0], _pseudo_divide(_slope(f), a)[0]
+    parts, i = [], 1
+    while len(b) > 1:
+        d = _add(c, _slope(b), -1)
+        a = _gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b, c, i = _pseudo_divide(b, a)[0], _pseudo_divide(d, a)[0], i + 1
+    return parts
+
+
 def poly_reduce(p: Poly) -> list[tuple[Poly, int]]:
     """Content-free factorization into linear factors (rational roots) and
     irreducible quadratics, each primitive with positive leading coefficient.
 
-    Raises UnsupportedDegreeError if an irreducible factor of degree >= 3
-    remains, and ValidationError if the search for factors, which runs from
-    degree 3, would exceed its bounds (see _divisors).  The product of the
-    factors times p's content recovers p.
+    The powers of t are stripped, and each square-free part (_square_free) of
+    degree 1 or 2 is split in closed form (_rational_roots).  A part of
+    degree 3 or more raises UnsupportedDegreeError: no integer is factored.
+    The product of the factors times p's content recovers p.
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     rem = _primitive(p._c)
-    factors: list[tuple[tuple, int]] = []
-
     zeros = next(k for k, c in enumerate(rem) if c)
-    if zeros:
-        factors.append(((0, 1), zeros))
-        rem = rem[zeros:]
-
-    for root in _rational_roots(rem) if len(rem) > 1 else ():
-        lin = (-root.numerator, root.denominator)
-        rem, mult = _divide_out(rem, lin)
-        factors.append((lin, mult))
-
-    while len(rem) > 1:     # an exact quotient of primitive polynomials is primitive
-        quad = _find_quadratic_factor(rem)
-        if quad is None:
+    factors, rem = [((0, 1), zeros)] if zeros else [], rem[zeros:]
+    # below degree 3 the closed form finds a double root itself
+    for part, mult in (_square_free(rem) if len(rem) > 3 else
+                       [(rem, 1)] if len(rem) > 1 else []):
+        if len(part) > 3:
             raise UnsupportedDegreeError(
-                f"irreducible factor of degree {len(rem) - 1} (only rational roots "
-                "and quadratics are supported)")
-        rem, mult = _divide_out(rem, quad)
-        factors.append((quad, mult))
+                f"a square-free part of degree {len(part) - 1} (only parts of degree "
+                "1 and 2 are split)")
+        for root in _rational_roots(part):
+            lin = (-root.numerator, root.denominator)
+            part, m = _divide_out(part, lin)
+            factors.append((lin, mult * m))
+        if len(part) > 1:
+            factors.append((part, mult))
 
     return [(_poly(f, 1), m) for f, m in sorted(factors, key=lambda fm: (len(fm[0]), fm[0]))]
 

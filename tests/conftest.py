@@ -255,6 +255,26 @@ def rgcd(a, b):
     return rmonic(a)
 
 
+def rderiv(a):
+    return norm([k * c for k, c in enumerate(a)][1:])
+
+
+def rsquare_free(a):
+    """{monic part: i} for the square-free parts of a nonzero polynomial, not
+    by Yun's steps: the roots of multiplicity i or more are those of
+    G_i = gcd(a, a', ..., a^(i-1)), so the part of multiplicity exactly i is
+    rad(G_i)/rad(G_(i+1)), where rad(g) = g/gcd(g, g')."""
+    def rad(g):
+        return rdivmod(g, rgcd(g, rderiv(g)))[0]
+
+    gs, d = [rmonic(a)], a
+    while len(gs[-1]) > 1:
+        d = rderiv(d)
+        gs.append(rgcd(gs[-1], d))
+    parts = (rmonic(rdivmod(rad(g), rad(h))[0]) for g, h in zip(gs, gs[1:]))
+    return {part: i for i, part in enumerate(parts, 1) if len(part) > 1}
+
+
 def rprimitive(a):
     """(content, primitive part) of a nonzero polynomial: the part has
     coprime integer coefficients and a positive leading one."""

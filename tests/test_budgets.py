@@ -10,11 +10,12 @@ of PG(2,31), the largest, about 0.5 s and under 52 MiB.  ``lattice`` and
 0.8 s and 17 MiB, and of the pencil on 1,024 lines about 0.13 s and 17 MiB.
 ``parse`` of one point on 1,024 lines and ``render`` with a viewport of
 1e999999999 take about 0.05 s and 17 MiB.  The three 640-digit integers (a
-radicand of sevens that spends the factoring budget, a radicand that is not
-square-free and a line count) end in their error in at most 0.17 s and
-under 17 MiB.  ``derive`` of the 5,112-digit cofactor, as text and with
-``--json``, takes about 0.1 s and 16 MiB, and ``pipeline`` of a
-100,000-character case name about 0.08 s and 18 MiB.  The limits are at
+radicand of sevens that names its field, a radicand that is not square-free
+and a line count) end in their result or error in at most 0.17 s and under
+17 MiB.  The three ``derive`` rows of a cubic factor take about 0.12 s and
+16 MiB.  ``derive`` of the 5,112-digit cofactor, as text and with ``--json``,
+takes about 0.1 s and 16 MiB, and ``pipeline`` of a 100,000-character case
+name about 0.08 s and 18 MiB.  The limits are at
 least six times the time and twice the memory any row needs, so a
 regression fails its row instead of hanging the suite."""
 
@@ -117,6 +118,27 @@ COFACTOR = {"c.plan": COFACTOR_PLAN.replace("COFACTOR", "t - " + "9" * 639 + "^8
 DISCARDED = "a value with integers of up to 5112 digits", "not common to all requirements"
 
 
+# The requirement leaves (t^2 - t - 1)(t^3 - 2): at the roots of t^3 - 2,
+# line 5 is line 1.  With line 5 as x + t*y = (t^3 - 2)*z, every root of the
+# cubic realizes the table; 195 more lines leave the cubic too costly to decide.
+REPRO = """\
+plan repro over t
+lines 5
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : 1 ; t^3-2 ; (t^2-t-1)*(t^3-2)
+point P : meet 1 3
+require P on 5
+"""
+REPRO_TABLE = "arrangement m\nlines 5\npoint m1 : 1 3 5\n"
+REALIZING = REPRO.replace("1 ; t^3-2 ; (t^2-t-1)*(t^3-2)", "1 ; t ; t^3-2")
+MANY_LINES = REALIZING.replace("lines 5", "lines 200").replace(
+    "point P", "".join(f"line {k} : 1 ; {k} ; {k * k + 7}\n" for k in range(6, 201)) + "point P")
+MANY_LINES_TABLE = REPRO_TABLE.replace("lines 5", "lines 200")
+
+
 TOO_LARGE = (r"error: automorphism group of order {} on {} lines is too large "
              r"to list \(over 4194304 entries\)\n")
 DEEP = "(" * 65 + "t" + ")" * 65         # one level above MAX_NESTING
@@ -147,6 +169,18 @@ ROWS = {
         ("derive", "--json", "c.plan", "c.cfg"), COFACTOR, 0,
         r'(?s)\{\n  "plan": "cofactor",.*"discarded": \[\s*\[\s*"%s",\s*"%s"\s*\]\s*\]\s*\}\n\Z'
         % DISCARDED, ""),
+    # a gcd with a square-free part of degree 5 or 3, decided by gcds: it was
+    # refused as "irreducible factor of degree 3"
+    "derive of a cubic whose roots make lines 1 and 5 coincide": (
+        ("derive", "r.plan", "m.cfg"), {"r.plan": REPRO, "m.cfg": REPRO_TABLE}, 0,
+        r"constraint: t\^2 - t - 1\n(?:.*\n){3}discarded t\^3 - 2: lines 1,5 coincide\n\Z", ""),
+    "derive of a cubic every root of which realizes the table": (
+        ("derive", "r.plan", "m.cfg"), {"r.plan": REALIZING, "m.cfg": REPRO_TABLE}, 2, NOTHING,
+        r"error: every root of t\^3 - 2 realizes the table; only factors of degree 1 "
+        r"and 2 are supported\n"),
+    "derive of a cubic on 200 lines": (
+        ("derive", "r.plan", "m.cfg"), {"r.plan": MANY_LINES, "m.cfg": MANY_LINES_TABLE}, 2,
+        NOTHING, r"error: deciding t\^3 - 2 by gcds on 200 lines is too much work\n"),
     # the error line quoted the whole name
     "pipeline of a 100000-character case name": (
         ("pipeline", "x" * 100000), {}, 2, NOTHING,
@@ -173,9 +207,10 @@ ROWS = {
         "lattice", PENCIL, "lattice of pencil: 1 of multiplicity 1024"),
     "render of the pencil on 1024 lines": drawn(
         "render", PENCIL, "wrote a.svg (1024 segment(s), 1 marker(s))"),
-    "lattice of a radicand of 640 sevens": refused(
-        "lattice", "a.arr", RADICAND.format("7" * 640),
-        r"error: line 2: bad field \(cannot factor a 589-digit number within the step budget\)\n"),
+    # no prime below 1,000 divides it twice, and it is no square: it names its
+    # field (once refused as beyond a factoring budget)
+    "lattice of a radicand of 640 sevens": drawn(
+        "lattice", RADICAND.format("7" * 640), "lattice of big: no intersection points"),
     "lattice of a radicand of 1 and 639 zeros": refused(
         "lattice", "a.arr", RADICAND.format("1" + "0" * 639),
         r"error: line 2: bad field \(d=10{59}\.\.\. is not square-free\)\n"),

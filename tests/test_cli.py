@@ -101,7 +101,8 @@ def test_lattice_of_one_line(capsys, tmp_path):
 
 @pytest.mark.parametrize("radicand, code, expected", [
     ("1000000000000000003", 0, "3 of multiplicity 2"),        # a prime
-    ("9" * 640, 2, "step budget"),                             # cannot be factored
+    ("9" * 640, 2, "is not square-free"),                      # 9 divides it
+    ("7" * 640, 0, "3 of multiplicity 2"),                     # no square below 1,000
 ])
 def test_lattice_over_a_large_radicand(capsys, tmp_path, radicand, code, expected):
     arr = tmp_path / "big.arr"

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
+from math import isqrt, prod
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrsym.errors import DegenerateError, FieldMixError, ParseError, ValidationError
-from arrsym.fields import (_STEP_BUDGET, RATIONAL, FieldSpec, QuadExt, _rho_split,
-                           factor_integer, parse_scalar, quad_roots, square_free_part)
+from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, parse_scalar, quad_roots,
+                           square_free_part)
 
 from conftest import Ref
 
@@ -26,68 +27,81 @@ def test_square_free_part():
     assert square_free_part(1) == (1, 1)
 
 
-def test_factor_integer_matches_trial_division():
-    def trial(n):
-        out, p = {}, 2
-        while p * p <= n:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            p += 1
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-
-    for n in list(range(1, 3000)) + [1009 ** 2, 1009 * 1013, 99991 * 100003 ** 2]:
-        assert factor_integer(n) == trial(n), n
-    assert factor_integer(12 * 10007 ** 3 * (2 ** 61 - 1)) == {
-        2: 2, 3: 1, 10007: 3, 2 ** 61 - 1: 1}
+def trial_square_free(n):
+    """(s, d) with n = s*s*d and d square-free, by trial division by every
+    integer up to the square root of what is left: the reference for an n
+    with no prime factor above 1,000."""
+    m, s, d, p = abs(n), 1, 1, 2
+    while p * p <= m:
+        while m % (p * p) == 0:
+            m, s = m // (p * p), s * p
+        if m % p == 0:
+            m, d = m // p, d * p
+        p += 1
+    return s, (d * m if n > 0 else -d * m)
 
 
-def test_rho_retraces_a_batch_that_overshoots():
-    # on 1009 * 1049 the first batch's product of differences is 0 mod n, so
-    # its gcd is n; retracing the batch step by step finds 1049 (without the
-    # retrace, the next polynomial finds 1009)
-    n = 1009 * 1049
-    assert _rho_split(n, [_STEP_BUDGET]) == 1049
-    assert factor_integer(n) == {1009: 1, 1049: 1}
+def is_square(n):
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 31, 101, 997]
+LARGE_PRIMES = [1009, 1013, 65537, 10 ** 9 + 7, 10 ** 15 + 37]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, -1]),
+       st.lists(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES), max_size=4),
+       st.lists(st.sampled_from(SMALL_PRIMES + LARGE_PRIMES), max_size=5))
+@example(1, [1009], [3])                    # a square cofactor, taken out whole
+@example(1, [], [1009, 1009, 1013])         # a large prime's square is kept
+@example(-1, [10 ** 15 + 37], [])           # -1 times a square
+@example(1, [7, 7], [])                     # a square: the rationals
+def test_square_free_part_names_the_field(sign, squared, factors):
+    """n = s*s*d', and d' names Q(sqrt n): n*d' is a square, and d' is not one
+    unless n is (Cohen, GTM 138, 1.7); with no prime factor above 1,000, d' is
+    the square-free part trial division finds."""
+    n = sign * prod(squared) ** 2 * prod(factors)
+    s, d = square_free_part(n)
+    assert s > 0 and s * s * d == n and is_square(n * d)
+    assert is_square(d) == is_square(n) == (d == 1)
+    if all(p < 1000 for p in squared + factors):
+        assert (s, d) == trial_square_free(n)
 
 
 P15, Q15 = 10 ** 15 + 37, 10 ** 15 + 91      # primes
 
 
 def test_square_free_part_beyond_trial_division():
-    # trial division would need ~10^9 steps on each of these
     assert square_free_part(10 ** 18 + 3) == (1, 10 ** 18 + 3)          # prime
     assert square_free_part(-(10 ** 18 + 3)) == (1, -(10 ** 18 + 3))
-    p, q = 10 ** 9 + 7, 10 ** 9 + 9
-    assert square_free_part(-48 * p * p * q) == (4 * p, -3 * q)
     assert square_free_part(12 * P15 ** 2) == (2 * P15, 3)             # square cofactor
-    assert square_free_part(10 ** 24 + 7) == (1, 10 ** 24 + 7)          # prime, proven
-
-
-def test_square_free_part_of_perfect_powers():
-    # a cube of a 13-digit prime is beyond Pollard-Brent's budget; the
-    # k-th-root test finds its root before rho is tried
+    assert square_free_part(10 ** 24 + 7) == (1, 10 ** 24 + 7)
+    # the square of a prime above 1,000 stays when the cofactor is no square:
+    # -3*p*p*q names the same field as -3*q
+    p, q = 10 ** 9 + 7, 10 ** 9 + 9
+    assert square_free_part(-48 * p * p * q) == (4, -3 * p * p * q)
     p = 10 ** 12 + 39
-    assert square_free_part(p ** 3) == (p, p)
-    assert factor_integer(p ** 3) == {p: 3}
-    assert factor_integer(12 * P15 ** 7) == {2: 2, 3: 1, P15: 7}
-    assert factor_integer((2 ** 61 - 1) ** 6) == {2 ** 61 - 1: 6}     # root of a root
-    assert square_free_part(-(p ** 5)) == (p * p, -p)
+    assert square_free_part(p ** 3) == (1, p ** 3)
+    assert square_free_part(-(p ** 4)) == (p * p, -1)
 
 
 @pytest.mark.parametrize("n", [
-    pytest.param(P15 * Q15, id="two-16-digit-primes"),      # beyond rho's budget
-    pytest.param(int("9" * 640), id="640-nines"),
+    pytest.param(P15 * Q15, id="two-16-digit-primes"),
     pytest.param(-int("7" * 640), id="640-sevens-negative"),
     pytest.param(2 ** 89 - 1, id="prime-above-proven-range"),
 ])
-def test_square_free_part_refuses_what_it_cannot_factor(n):
-    with pytest.raises(ValidationError):
-        square_free_part(n)
-    with pytest.raises(ValidationError):
-        FieldSpec.quadratic(n)
+def test_a_field_is_named_without_factoring(n):
+    # each of these was refused while fields were named by factoring
+    assert square_free_part(n) == (1, n)
+    assert FieldSpec.quadratic(n).d == n
+
+
+def test_a_radicand_with_a_square_is_refused_at_any_size():
+    with pytest.raises(ValidationError, match="is not square-free"):
+        FieldSpec.quadratic(int("9" * 640))               # 9 divides it
+    with pytest.raises(ValidationError, match="is not square-free"):
+        FieldSpec.quadratic(3 * (10 ** 300 + 3) ** 2)     # a square cofactor
 
 
 def test_field_spec_validation():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from arrsym.cli import main
 from arrsym.combinatorics import ConfigTable, Permutation, parse_config_table, parse_cycles
 from arrsym.errors import QUOTE_CHARS, ParseError, ValidationError
-from arrsym.fields import FieldSpec, QuadExt, factor_integer, parse_digits, parse_scalar
+from arrsym.fields import FieldSpec, QuadExt, parse_digits, parse_scalar
 from arrsym.geometry import parse_arrangement
 from arrsym.moduli import parse_plan
 from arrsym.polys import MAX_NESTING, Poly, parse_ratfunc
@@ -92,8 +92,8 @@ def test_a_second_field_is_a_parse_error_not_a_field_mix():
             parse_arrangement(text.format(first))
 
 
-# Each example may spend the whole factoring budget (about 0.1-0.3 s on a
-# 640-digit radicand), so fewer examples than above.
+# Each example runs trial division up to 1,000 and one isqrt on a radicand of
+# up to 640 digits.
 @settings(max_examples=40, deadline=1000)
 @given(sign=st.sampled_from(["", "-"]),
        radicand=big_numbers | st.sampled_from(["1000000000000000003",
@@ -341,8 +341,7 @@ HUGE_CALLS = {
     "permutation label": lambda: Permutation([1, 2])(HUGE),
     "permutation image": lambda: Permutation([HUGE, 1]),
     "radicand not square-free": lambda: FieldSpec(HUGE),
-    "radicand beyond the factoring budget": lambda: FieldSpec(HUGE + 3),
-    "factor_integer beyond its budget": lambda: factor_integer(HUGE + 3),
+    "radicand with a square cofactor": lambda: FieldSpec(3 * (HUGE + 3) ** 2),
     "table line count": lambda: ConfigTable("x", HUGE, []),
     "table point label": lambda: ConfigTable("x", 3, [("p", [1, 2, HUGE])]),
     "table point named by a huge integer": lambda: ConfigTable("x", 3, [(HUGE, [1, 2, 3])]),

@@ -7,20 +7,20 @@ takes gcds by a primitive pseudo-remainder sequence; every operation must
 agree with the model."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from arrsym.errors import ParseError, _quoted
+from arrsym.errors import ParseError, UnsupportedDegreeError, _quoted
 from arrsym.fields import QuadExt
 from arrsym.moduli import _written
-from arrsym.polys import (MAX_DEGREE, Poly, _divide_out, _gcd, _lowest, _primitive,
-                          _pseudo_divide, _rational_roots, parse_ratfunc)
+from arrsym.polys import (MAX_DEGREE, Poly, _gcd, _lowest, _primitive, _pseudo_divide,
+                          _rational_roots, _square_free, parse_ratfunc, poly_reduce)
 
 from conftest import (Ref, norm, qneg, radd, rcanonical, rdivmod, reduced, rgcd, rmonic, rmul,
-                      rneg, rprimitive)
+                      rneg, rprimitive, rsquare_free)
 from test_scalar_oracle import FIELDS, agrees, scalar
 
 
@@ -87,32 +87,59 @@ def test_normal_forms_and_gcd_match_the_model(ps, qs, ss):
         assert _primitive(p._c) == ()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 4)),
-                min_size=1, max_size=4),
-       st.lists(st.integers(-5, 5), min_size=1, max_size=4), st.integers(-3, 3).filter(bool))
-def test_rational_roots_and_divide_out_match_the_model(roots, cofactor, k):
-    # p = k * cofactor * (s*t - r) for each (r, s), of degree 3 or more, where
-    # the roots are searched over divisors: every root found zeros p, and
-    # dividing each out leaves a part with none, whose product with the
-    # factors and the content is p
-    p = norm((k * c for c in cofactor))
-    for r, s in roots:
-        p = rmul(p, (F(-r), F(s)))
-    assume(len(p) > 3 and p[0])
+# linears s*t - r and quadratics, some with rational roots, some without
+small_factors = st.one_of(
+    st.tuples(st.integers(-6, 6), st.integers(1, 4)),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(-3, 3).filter(bool))
+def test_square_free_parts_and_poly_reduce_match_the_model(factors, zeros, k):
+    """p = k * t^zeros * prod(f^e): Yun's parts are the model's (rsquare_free,
+    which takes gcds with higher derivatives instead); poly_reduce splits p
+    when every part of p with its powers of t stripped has degree 1 or 2, into linears and
+    quadratics with no rational root, each dividing the model's part of its
+    multiplicity, whose product with p's content is p, and refuses it
+    otherwise."""
+    p = norm((0,) * zeros + (k,))
+    for f, e in factors:
+        for _ in range(e):
+            p = rmul(p, f)
+    assume(len(p) > 1 and len(p) <= 14)
     prim = _primitive([int(c) for c in p])
-    found = _rational_roots(prim)
-    assert found == sorted(set(found)) and {F(r, s) for r, s in roots} <= set(found)
-    rest, product = prim, (F(1),)
-    for x in found:
-        assert reval(p, x) == 0
-        lin = (-x.numerator, x.denominator)
-        rest, mult = _divide_out(rest, lin)
-        assert mult > 0 and type(rest) is tuple
+    parts = _square_free(prim)
+    assert all(part == _primitive(part) and len(part) > 1 for part, _ in parts)
+    assert {rmonic(norm(part)): i for part, i in parts} == rsquare_free(p)
+    model = rsquare_free(p[next(i for i, c in enumerate(p) if c):])     # t stripped
+    if max(map(len, model), default=0) > 3:
+        with pytest.raises(UnsupportedDegreeError):
+            poly_reduce(Poly(p))
+        return
+    product = (F(1),)
+    for factor, mult in poly_reduce(Poly(p)):
+        cs = factor.coeffs
+        assert cs == norm(_primitive(factor._c)) and len(cs) in (2, 3)
+        assert len(cs) == 2 or not _rational_roots(factor._c)
+        if cs != (0, 1):
+            assert not rdivmod(next(m for m, i in model.items() if i == mult), cs)[1]
         for _ in range(mult):
-            product = rmul(product, lin)
-    assert len(rest) < 2 or not _rational_roots(rest)
-    assert rmul(rmul(product, rest), (rprimitive(p)[0],)) == p
+            product = rmul(product, cs)
+    assert rmul(product, (rprimitive(p)[0],)) == p
+
+
+@given(st.integers(-10 ** 12, 10 ** 12).filter(bool), st.integers(-10 ** 12, 10 ** 12),
+       st.integers(1, 10 ** 12))
+def test_rational_roots_are_read_in_closed_form(c, b, a):
+    """Every root of a linear or quadratic zeros it, and a quadratic has one
+    exactly when its discriminant is a square, found by isqrt."""
+    for prim in (_primitive([c, a]), _primitive([c, b, a])):
+        found = _rational_roots(prim)
+        assert found == sorted(set(found)) and all(not reval(prim, x) for x in found)
+        disc = b * b - 4 * a * c
+        if len(prim) == 3:
+            assert bool(found) == (disc >= 0 and isqrt(disc) ** 2 == disc)
 
 
 @given(poly(), small_rationals)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrsym import polys
-from arrsym.errors import ParseError, UnsupportedDegreeError, ValidationError
+from arrsym.errors import ParseError, UnsupportedDegreeError
 from arrsym.fields import MAX_DIGITS, quad_roots
 from arrsym.polys import MAX_DEGREE, Poly, parse_ratfunc, poly_reduce
 
@@ -55,8 +55,8 @@ def test_poly_reduce_irreducible_quadratic():
 
 
 def test_poly_reduce_unsupported_degree():
-    # t^5 + 1 = (t + 1)(t^4 - t^3 + t^2 - t + 1); the quartic is irreducible
-    with pytest.raises(UnsupportedDegreeError):
+    # t^5 + 1 = (t + 1)(t^4 - t^3 + t^2 - t + 1) is square-free: one part of degree 5
+    with pytest.raises(UnsupportedDegreeError, match="square-free part of degree 5"):
         poly_reduce(Poly((1, 0, 0, 0, 0, 1)))
 
 
@@ -64,23 +64,21 @@ def test_poly_reduce_unsupported_degree():
 N = (10 ** 15 + 37) * (10 ** 15 + 91)
 
 
-def test_poly_reduce_bounds_its_divisor_search():
-    # a large prime constant term factors at once: (t - p)(t + 1)
+def test_poly_reduce_factors_no_integer():
+    # a large prime constant term splits at once: (t - p)(t + 1)
     p = 10 ** 18 + 3
     assert dict(poly_reduce(Poly(rmul((-p, 1), (1, 1))))) == {Poly((-p, 1)): 1, Poly((1, 1)): 1}
-    # the search runs from degree 3: (t^2 + 1)(t - N) needs N factored
-    with pytest.raises(ValidationError):
-        poly_reduce(Poly(rmul((1, 0, 1), (-N, 1))))
-    # 720720 has 240 divisors: 240 * 240 candidate pairs are too many
-    with pytest.raises(ValidationError):
-        poly_reduce(Poly((720720, 1, 0, 720720)))
+    # a square-free part of degree 3 is refused at once, whatever its coefficients
+    for coeffs in (rmul((1, 0, 1), (-N, 1)), (720720, 1, 0, 720720)):
+        with pytest.raises(UnsupportedDegreeError):
+            poly_reduce(Poly(coeffs))
 
 
 @pytest.mark.parametrize("coeffs", [(-N, 1), (720720, 1, 720720)])
-def test_poly_reduce_splits_linears_and_quadratics_without_a_search(coeffs, monkeypatch):
+def test_poly_reduce_splits_linears_and_quadratics_without_a_gcd(coeffs, monkeypatch):
     def refuse(*values):
-        raise AssertionError("searched divisors below degree 3")
-    monkeypatch.setattr(polys, "_divisors", refuse)
+        raise AssertionError("took a square-free part below degree 3")
+    monkeypatch.setattr(polys, "_square_free", refuse)
     assert poly_reduce(Poly(coeffs)) == [(Poly(coeffs), 1)]
 
 
@@ -109,9 +107,16 @@ def test_poly_reduce_keeps_a_quadratic_with_no_square_discriminant(a, b, c):
     assert poly_reduce(Poly((c, b, a))) == [(prim, 1)]
 
 
-def test_poly_reduce_quartic_splits_into_quadratics():
-    p = Poly(rmul((1, 0, 1), (2, 0, 1)))
-    assert dict(poly_reduce(p)) == {Poly((1, 0, 1)): 1, Poly((2, 0, 1)): 1}
+def test_poly_reduce_refuses_a_square_free_quartic():
+    # (t^2 + 1)(t^2 + 2) is square-free: no gcd splits it, and nothing is searched
+    with pytest.raises(UnsupportedDegreeError, match="square-free part of degree 4"):
+        poly_reduce(Poly(rmul((1, 0, 1), (2, 0, 1))))
+
+
+def test_poly_reduce_splits_parts_of_each_multiplicity():
+    p = rmul(rmul((-1, 1), (-1, 1)), rmul((1, 0, 1), rmul((1, 0, 1), (1, 0, 1))))
+    assert dict(poly_reduce(Poly(rmul((0, 0, 3), p)))) == {
+        T: 2, Poly((-1, 1)): 2, Poly((1, 0, 1)): 3}
 
 
 def test_poly_reduce_repeated_quadratic():
@@ -120,7 +125,7 @@ def test_poly_reduce_repeated_quadratic():
 
 @pytest.mark.parametrize("coeffs", [
     (0, 0, -2, 1),
-    rmul(rmul((1, 0, 1), (2, 0, 1)), (-3, 1)),
+    rmul(rmul((1, 0, 1), (1, 0, 1)), (-3, 1)),
     rmul((F(1, 2),), rmul((-1, -1, 1), (1, 3, 3, 1))),
     rmul((7,), rmul((1, 1, 1), (1, 1, 1))),
     (0, F(2, 3)),

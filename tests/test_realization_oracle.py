@@ -16,6 +16,7 @@ so they are exact, not timings."""
 
 import sys
 from collections import Counter
+from functools import reduce
 from fractions import Fraction as F
 from math import gcd
 
@@ -33,11 +34,11 @@ from arrsym.geometry import (Arrangement, ProjLine, ProjPoint, _point_key, _prim
 from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint, _shown,
                            derive_constraint, evaluate_plan, parse_plan,
                            residual_numerators)
-from arrsym.polys import Poly, poly_reduce
+from arrsym.polys import Poly, parse_ratfunc, poly_reduce
 from arrsym.witness import run_case
 
 from conftest import (ALL_CASES, REDUCED_PLAN, Ref, chain_plan, constant_chain_plan, cross,
-                      parsed_entries, plan_text, plans, quads, rdivmod, rgcd, rprimitive)
+                      norm, parsed_entries, plan_text, plans, quads, rdivmod, rgcd, rprimitive)
 
 SMALL_T = (0, 1, 2, 3, 7)
 
@@ -123,7 +124,12 @@ def reference_derive_constraint(plan, target, entries):
     common = numerators[0].coeffs
     for num in numerators[1:]:
         common = rgcd(common, num.coeffs)
-    candidates = [f for f, _ in poly_reduce(Poly(common))] if len(common) > 1 else []
+    removed = []
+    try:
+        candidates = [f for f, _ in poly_reduce(Poly(common))] if len(common) > 1 else []
+    except UnsupportedDegreeError:      # the gcd test, checked by its own oracles below
+        kept, removed = moduli._realizable(plan, None, target, integers(common))
+        candidates = [f for f, _ in poly_reduce(Poly(kept))]
     seen_noncommon = set()
     for num in numerators:
         num = num.coeffs
@@ -139,6 +145,7 @@ def reference_derive_constraint(plan, target, entries):
             if factor not in seen_noncommon:
                 seen_noncommon.add(factor)
                 discarded.append((factor, "not common to all requirements"))
+    discarded += removed
     admissible = []
     for factor in candidates:
         field, roots = moduli._roots_of_factor(factor)
@@ -176,6 +183,11 @@ def reference_derive_constraint(plan, target, entries):
     return ModuliConstraint(poly=Poly(rprimitive(factor.coeffs)[1]), var=plan.var, field=field,
                             roots=(roots[0], roots[-1]), discarded=tuple(discarded),
                             realizations=(realizations[0], realizations[-1]))
+
+
+def integers(p):
+    """A nonzero polynomial of the model as its primitive integer tuple."""
+    return tuple(map(int, rprimitive(p)[1]))
 
 
 # -- comparison -----------------------------------------------------------------
@@ -564,3 +576,146 @@ def test_derive_constraint_checks_the_lattice_on_keys(name, monkeypatch):
     case = corpus.get_case(name)
     assert derive_constraint(case.plan, case.config).poly == case.expected_constraint
     assert calls == []
+
+
+# -- the gcd test ---------------------------------------------------------------
+# A gcd that poly_reduce refuses is decided by gcds on the plan's lines over
+# Q(t) (moduli._realizable): divisibility there against exact evaluation at a
+# root (_evaluated or evaluate_plan, then _multiple_points) in the candidates.
+
+def gcd_test_outcome(plan, target):
+    """The gcd test applied to the whole common gcd gives exactly
+    derive_constraint's admissible factor, or, where derive_constraint raises,
+    the error it raises: ConstraintError for none or several factors, and
+    UnsupportedDegreeError for a part of degree 3 or more every root of which
+    realizes target (several factors if the gcd itself splits)."""
+    try:
+        numerators = [norm(num) for _, _, num in residual_numerators(plan)]
+    except (DegenerateError, ValidationError):
+        return "no run"
+    if not numerators:
+        return "no requirement"
+    common = reduce(rgcd, numerators)
+    try:
+        kept = moduli._realizable(plan, None, target, integers(common))[0] if common[1:] else ()
+    except UnsupportedDegreeError:
+        try:
+            poly_reduce(Poly(common))
+            expected = ConstraintError
+        except UnsupportedDegreeError:
+            expected = UnsupportedDegreeError
+    else:
+        factors = poly_reduce(Poly(kept)) if len(kept) > 1 else []
+        expected = Poly(kept) if len(factors) == 1 else ConstraintError
+    try:
+        got = derive_constraint(plan, target).poly
+    except (ConstraintError, UnsupportedDegreeError) as exc:
+        got = type(exc)
+    assert got == expected
+    return "constraint" if type(got) is Poly else got
+
+
+def test_the_gcd_test_gives_the_admissible_factor():
+    """On the corpus, against its tables and a wrong one, and on 400 plans of
+    the strategy, against no point and the lattices at their evaluation points."""
+    outcomes = Counter()
+    for name in ALL_CASES:
+        case = corpus.get_case(name)
+        outcomes[gcd_test_outcome(case.plan, case.config)] += 1
+        other = corpus.get_case("{1}" if name != "{1}" else "{6}").config
+        if other.n == case.config.n:
+            outcomes[gcd_test_outcome(case.plan, other)] += 1
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(plans())
+    def drawn(text):
+        plan = parse_plan(text)
+        targets = {ConfigTable("none", plan.n, [])}
+        for t0 in evaluation_points(plan, parsed_entries(text)):
+            try:
+                targets.add(lattice_of(evaluate_plan(plan, t0))[1])
+            except (PoleError, DegenerateError, ValidationError):
+                pass
+        for target in targets:
+            outcomes[gcd_test_outcome(plan, target)] += 1
+
+    drawn()
+    assert outcomes["constraint"] >= 9 and outcomes[ConstraintError] > 100, outcomes
+
+
+# The requirement leaves (t^2 - t - 1)*X with X = t^3 - 2, whose roots make
+# line 5 what each reason says; at the roots of t^2 - t - 1 the plan realizes
+# the table.
+TOY = """\
+plan toy over t
+lines 5
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : LINE5
+point P : meet 1 3
+require P on 5
+"""
+X, GOLDEN = Poly((-2, 0, 0, 1)), Poly((-1, -1, 1))
+ONE_POINT = ConfigTable("toy", 5, [("m1", [1, 3, 5])])
+TWO_POINTS = ConfigTable("toy", 5, [("m1", [1, 3, 5]), ("m2", [2, 4, 5])])
+
+
+@pytest.mark.parametrize("line5, table, reason", [
+    ("1 ; 1/(t^3-2) ; (t^2-t-1)*(t^3-2)", ONE_POINT, "pole of line 5"),
+    ("t^3-2 ; t*(t^3-2) ; (t^2-t-1)*(t^3-2)", ONE_POINT, "line 5 vanishes"),
+    ("1 ; t^3-2 ; (t^2-t-1)*(t^3-2)", ONE_POINT, "lines 1,5 coincide"),
+    ("1 ; t^3-3 ; (t^2-t-1)*(t^3-2)", ONE_POINT, "lines 2,4,5 concurrent"),   # on 2 and 4's point
+    ("1 ; t^2-t-2 ; (t^2-t-1)*(t^3-2)", TWO_POINTS, "lines 2,4,5 not concurrent"),
+])
+def test_a_cubic_the_table_does_not_need_is_discarded(line5, table, reason):
+    plan = parse_plan(TOY.replace("LINE5", line5))
+    [(_, _, numerator)] = residual_numerators(plan)
+    assert len(numerator) == 6
+    assert moduli._realizable(plan, None, table, numerator) == (GOLDEN._c, [(X, reason)])
+    constraint = derive_constraint(plan, table)
+    assert constraint.poly == GOLDEN and constraint.discarded == ((X, reason),)
+
+
+def test_a_cubic_every_root_of_which_realizes_the_table_is_refused():
+    plan = parse_plan(TOY.replace("LINE5", "1 ; t^3-3 ; (t^2-t-1)*(t^3-2)"))
+    with pytest.raises(UnsupportedDegreeError, match=r"^every root of t\^3 - 2 realizes the table"):
+        derive_constraint(plan, TWO_POINTS)
+
+
+def _times(text, label, factor):
+    """The plan text with each entry of the given line ``label`` times factor,
+    written over t."""
+    factor = factor.replace("t", parse_plan(text).var)
+    head = f"line {label} : "
+    row = next(r for r in text.splitlines() if r.startswith(head))
+    scaled = " ; ".join(f"({factor})*({e.strip()})" for e in row[len(head):].split(";"))
+    return text.replace(row, head + scaled)
+
+
+def _scalable(name):
+    """The plan text of a case and the line of a requirement that is given,
+    not joined, and not a grid line, or None."""
+    text = plan_text(name)
+    plan = parse_plan(text)
+    given = {s.index for s in plan.steps if isinstance(s, GivenLine)} - set(plan.grid_labels())
+    return text, next((req.line for req in plan.requires() if req.line in given), None)
+
+
+@pytest.mark.parametrize("factor", ["t^3-2", "(t-5)*(t^2+2)", "t^4+1"])
+@pytest.mark.parametrize("name", ALL_CASES + ["toy"])
+def test_a_factor_that_makes_a_line_vanish_leaves_the_constraint(name, factor):
+    """Each entry of a requirement's line times a factor: at the factor's roots
+    the line vanishes, and elsewhere it is the same line."""
+    if name == "toy":       # one requirement: the factor joins the common gcd
+        text, label, target = TOY.replace("LINE5", "1 ; 2 ; t^2-t-1"), 5, ONE_POINT
+    else:
+        (text, label), target = _scalable(name), corpus.get_case(name).config
+    assert label is not None
+    before = derive_constraint(parse_plan(text), target)
+    after = derive_constraint(parse_plan(_times(text, label, factor)), target)
+    assert derived(lambda: after)[:-2] == derived(lambda: before)[:-2]
+    assert derived(lambda: after)[-1] == derived(lambda: before)[-1]
+    if name == "toy":
+        assert after.discarded == ((parse_ratfunc(factor)[0], "line 5 vanishes"),)

@@ -451,12 +451,13 @@ class _Label(int):
 
 def test_corpus_pass_work_counts(monkeypatch):
     """Exact work counts over one run_case per corpus case, no wall clock:
-    roots of linears and quadratics are read in closed form (no divisor
-    search), the one factor_integer per case is quad_roots' discriminant,
+    roots of linears and quadratics are read in closed form (no integer is
+    factored), the one square_free_part per case is quad_roots' discriminant,
     derive_constraint divides on integer tuples and builds a Poly only for
     an input of poly_reduce and a factor it returns (it built 139 Polys and
     called Poly.__divmod__ 35 times, and 44 while residual_numerators
-    returned Polys), group orders build no
+    returned Polys), an irreducible quadratic is not divided out of itself
+    (87 _pseudo_divide calls did so), group orders build no
     cycles, and no text naming a meet or join is built when none fails."""
     calls = Counter()
     deriving = []           # non-empty while derive_constraint runs
@@ -478,10 +479,9 @@ def test_corpus_pass_work_counts(monkeypatch):
         finally:
             deriving.pop()
 
-    count(polys, "_divisors")
-    count(fields, "factor_integer", polys)
+    count(fields, "square_free_part")
     count(polys, "_poly", moduli, inside=True)
-    count(polys, "_pseudo_divide", inside=True)
+    count(polys, "_pseudo_divide", moduli, inside=True)
     count(Permutation, "cycles")
     count(moduli, "_quoted")
     monkeypatch.setattr(witness, "derive_constraint", derive)
@@ -492,7 +492,7 @@ def test_corpus_pass_work_counts(monkeypatch):
                       if isinstance(s, moduli.MeetPoint) else s for s in case.plan.steps)
         plan = moduli.ConstructionPlan._of(case.plan.name, case.plan.var, case.plan.n, steps)
         assert run_case(name, case.config, plan).status == case.expected_status
-    assert calls == {"factor_integer": 9, "_poly": 25, "_pseudo_divide": 87}
+    assert calls == {"square_free_part": 9, "_poly": 25, "_pseudo_divide": 77}
     assert _Label.written == 0
 
 
