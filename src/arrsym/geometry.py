@@ -77,9 +77,9 @@ class _Triple(Record):
     def _keyed(cls, key: tuple, field: FieldSpec):
         """An instance from a key of ``field`` that is already primitive."""
         x = object.__new__(cls)         # slot by slot: faster than _fill, and built often
-        object.__setattr__(x, "key", key)
-        object.__setattr__(x, "field", field)
-        object.__setattr__(x, "_coords", None)
+        _set_key(x, key)
+        _set_field(x, field)
+        _set_coords(x, None)
         return x
 
     def __reduce__(self):                   # for copy and pickle: the key as it is
@@ -90,7 +90,7 @@ class _Triple(Record):
         if self._coords is None:
             w, field = self.key, self.field
             s = w[0] or w[2] or w[4]            # the pivot, rational
-            object.__setattr__(self, "_coords", tuple(
+            _set_coords(self, tuple(
                 _quad(w[k], w[k + 1], s, field.d or 0, field) for k in (0, 2, 4)))
         return self._coords
 
@@ -101,6 +101,11 @@ class _Triple(Record):
 
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.key))
+
+
+# the slots' member descriptors set them past Record.__setattr__, faster than object.__setattr__
+_set_key, _set_field, _set_coords = (_Triple.key.__set__, _Triple.field.__set__,
+                                     _Triple._coords.__set__)
 
 
 class ProjLine(_Triple):

@@ -8,11 +8,11 @@ polynomials whose common factor — filtered through exact realization and
 a lattice comparison at a root, or by gcds where it does not split into
 linears and quadratics — is the constraint indexing the moduli components.
 
-The plan runs once, fraction-free (Geddes, Czapor & Labahn, Algorithms for
-Computer Algebra, 1992, ch. 2): over Q(t), on integer-polynomial triples over
-one common denominator.  Evaluation commutes with its cross products, so at a
-root its lines are summed over Z[sqrt d] and compared on integer keys, with no
-QuadExt arithmetic; evaluate_plan reruns the plan there only where that defers.
+The plan runs fraction-free (Geddes, Czapor & Labahn, Algorithms for
+Computer Algebra, 1992, ch. 2): once over Q(t), on integer-polynomial triples
+over one common denominator, and once at each candidate root (evaluate_plan),
+where its given lines are summed over Z[sqrt d] and compared on integer keys,
+with no QuadExt arithmetic.
 """
 
 from __future__ import annotations
@@ -210,11 +210,12 @@ def _run_plan(plan: ConstructionPlan, given, cross):
     lines: dict[int, tuple] = {}
     points: dict[str, tuple] = {}
     for step in plan.steps:
-        if isinstance(step, GivenLine):
+        kind = type(step)
+        if kind is GivenLine:
             lines[step.index] = given(step)
-        elif isinstance(step, MeetPoint):
+        elif kind is MeetPoint:
             points[step.name] = cross(lines[step.i], lines[step.j], step)
-        elif isinstance(step, JoinLine):
+        elif kind is JoinLine:
             lines[step.index] = cross(points[step.p], points[step.q], step)
     return lines, points
 
@@ -232,9 +233,9 @@ def _dot(u, v) -> list:
     return _add(_add(_convolve(u[0], v[0]), _convolve(u[1], v[1])), _convolve(u[2], v[2]))
 
 
-def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine, reduced: list) -> tuple:
-    """The meet or join of two cleared triples over Q(t); step is appended to
-    reduced if it is reduced.  Raises DegenerateError when they coincide,
+def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
+    """The meet or join of two cleared triples over Q(t), reduced to lowest
+    terms above MAX_DEGREE.  Raises DegenerateError when they coincide,
     ValidationError when it has degree above MAX_DEGREE or, checked before it
     is computed, when its products are _oversized."""
     if _oversized(u, v):
@@ -250,7 +251,6 @@ def _cross(u: tuple, v: tuple, step: MeetPoint | JoinLine, reduced: list) -> tup
             raise ValidationError(f"the meet or join of {step._what()} has degree "
                                   f"above {MAX_DEGREE}")
         w = _cleared(entries)
-        reduced.append(step)
     return w
 
 
@@ -278,7 +278,7 @@ def _powers(t0: QuadExt, lines) -> tuple[list[int], list[int]]:
     """real[k] + surd[k]*sqrt(d) = (p + q*sqrt d)^k * e^(N-k) for t0 = (p + q*sqrt d)/e,
     N + 1 the longest list of the lines: a list summed against them is its value times e^N."""
     p, q, e, d = t0._p, t0._q, t0._den, t0._d
-    top = max(len(cs) for line in lines for cs in line)
+    top = max(map(len, chain.from_iterable(lines)))
     real, surd, x, y = [], [], 1, 0
     for k in range(top):
         real.append(x * e ** (top - 1 - k))
@@ -288,77 +288,63 @@ def _powers(t0: QuadExt, lines) -> tuple[list[int], list[int]]:
 
 
 def evaluate_plan(plan: ConstructionPlan, t0: QuadExt | Fraction | int) -> Arrangement:
-    """Evaluate the plan exactly at t0, step by step, on six-integer triples over
-    Z[sqrt d]; requirements are NOT checked.  Each cleared list is summed against
-    ``_powers``; a zero sum for D means a pole, named by the first entry P_k / D
-    whose reduced denominator sums to zero too.  A meet or join is a key of
-    ``_point_key``; each line is made primitive once, at the end.  derive_constraint
-    calls it only where ``_evaluated`` defers, for the exception and its message."""
+    """Evaluate the plan exactly at t0, step by step, on keys over Z[sqrt d];
+    requirements are NOT checked.  Each cleared list is summed against
+    ``_powers``, and a given line made primitive as it is summed; a zero sum
+    for D means a pole, named by the first entry P_k / D whose reduced
+    denominator sums to zero too.  A point is its two lines' keys: their cross
+    product vanishes exactly on proportional triples, so they meet exactly when
+    the keys differ and neither line is zero, and ``_point_key`` is taken only
+    for a join."""
     if not isinstance(t0, QuadExt):
         t0 = QuadExt(t0)
     d, field = t0._d, t0._field
-    real, surd = _powers(t0, [s.cleared for s in plan.steps if isinstance(s, GivenLine)])
+    real, surd = _powers(t0, [s.cleared for s in plan.steps if type(s) is GivenLine])
 
-    def given(step: GivenLine) -> list[int]:
-        values = [sum(map(mul, cs, pw)) for cs in step.cleared for pw in (real, surd)]
-        if not (values[6] or values[7]):    # D(t0) = 0: name the first entry with a pole
-            for num, den in (_lowest(cs, step.cleared[3]) for cs in step.cleared[:3]):
-                if not any(sum(map(mul, den, pw)) for pw in (real, surd)):
-                    pole = _poly(num, den[-1]), _poly(den, den[-1])
+    def given(step: GivenLine) -> tuple | list:
+        p0, p1, p2, den = step.cleared
+        if not (sum(map(mul, den, real)) or sum(map(mul, den, surd))):
+            for num, den_k in (_lowest(cs, den) for cs in (p0, p1, p2)):    # the first pole
+                if not any(sum(map(mul, den_k, pw)) for pw in (real, surd)):
+                    pole = _poly(num, den_k[-1]), _poly(den_k, den_k[-1])
                     raise PoleError(f"pole of {_shown(pole, plan.var)} at {_shown(t0)}")
-        return values[:6]
+        w = [sum(map(mul, p0, real)), sum(map(mul, p0, surd)), sum(map(mul, p1, real)),
+             sum(map(mul, p1, surd)), sum(map(mul, p2, real)), sum(map(mul, p2, surd))]
+        return _primitive(w, d) if any(w) else w        # a zero line stays its zero sums
 
-    def meet(u: tuple, v: tuple, step: MeetPoint) -> tuple:
-        try:
-            return _point_key(u, v, d)
-        except DegenerateError:
-            raise DegenerateError(
-                f"{step._what()} coincide at {plan.var}={_shown(t0)}") from None
+    def cross(u: tuple, v: tuple, step: MeetPoint | JoinLine) -> tuple:
+        if type(step) is JoinLine:                      # u, v: each point's two line keys
+            u, v = _point_key(*u, d), _point_key(*v, d)
+        if u == v or not (any(u) and any(v)):
+            raise DegenerateError(f"{step._what()} coincide at {plan.var}={_shown(t0)}")
+        return (u, v) if type(step) is MeetPoint else _point_key(u, v, d)
 
-    lines, _ = _run_plan(plan, given, meet)
-    return Arrangement(plan.name, field, [
-        ProjLine._keyed(_primitive(lines[i], d), field) for i in range(1, plan.n + 1)])
+    lines, _ = _run_plan(plan, given, cross)
+    keys = [lines[i] for i in range(1, plan.n + 1)]
+    if not all(map(any, keys)):
+        raise ValidationError("all three coefficients are zero")
+    # two equal keys: the checked constructor raises, naming their lines
+    return (Arrangement._of if len(set(keys)) == plan.n else Arrangement)(
+        plan.name, field, tuple(ProjLine._keyed(k, field) for k in keys))
 
 
-def _symbolic(plan: ConstructionPlan) -> tuple[dict | None, list[tuple[str, int, tuple]]]:
-    """From one run over Q(t): the lines' cleared triples by label, None if
-    _cross reduced a step, and residual_numerators(plan)."""
-    reduced: list = []
-    lines, points = _run_plan(plan, lambda s: s.cleared, lambda u, v, s: _cross(u, v, s, reduced))
+def _symbolic(plan: ConstructionPlan) -> tuple[dict, list[tuple[str, int, tuple]]]:
+    """From one run over Q(t): the lines' cleared triples by label and
+    residual_numerators(plan)."""
+    lines, points = _run_plan(plan, lambda s: s.cleared, _cross)
     out = []
     for req in plan.requires():
         line, point = lines[req.line], points[req.point]
         if incidence := _dot(line, point):
             num = _lowest(incidence, _convolve(line[3], point[3]))[0]
             out.append((req.point, req.line, _primitive_poly(num)))
-    return (None if reduced else lines), out
+    return lines, out
 
 
 def residual_numerators(plan: ConstructionPlan) -> list[tuple[str, int, tuple]]:
     """(point, line, numerator) of each non-identically-satisfied requirement,
     the numerator in lowest terms as its primitive integer tuple."""
     return _symbolic(plan)[1]
-
-
-def _evaluated(plan: ConstructionPlan, lines: dict | None, t0: QuadExt) -> Arrangement | None:
-    """evaluate_plan(plan, t0) from ``_symbolic``'s lines: evaluation commutes with
-    the cross products, so a line at t0 is its cleared triple summed against
-    ``_powers``.  None, where evaluate_plan raises, if a line's D or triple is zero
-    at t0 or two keys are equal; None if a step was reduced (lines is None)."""
-    if lines is None:                   # a factor the reduction removed may vanish at t0
-        return None
-    d, field = t0._d, t0._field
-    real, surd = _powers(t0, lines.values())
-    keys = {}
-    for p0, p1, p2, den in (lines[i] for i in range(1, plan.n + 1)):
-        sums = (sum(map(mul, p0, real)), sum(map(mul, p0, surd)), sum(map(mul, p1, real)),
-                sum(map(mul, p1, surd)), sum(map(mul, p2, real)), sum(map(mul, p2, surd)))
-        if not (any(sums) and (sum(map(mul, den, real)) or sum(map(mul, den, surd)))):
-            return None
-        keys[_primitive(sums, d)] = None
-    if len(keys) < plan.n:
-        return None
-    return Arrangement._of(plan.name, field, tuple(ProjLine._keyed(k, field) for k in keys))
 
 
 class ModuliConstraint(Record, compared=5):
@@ -391,22 +377,21 @@ class ModuliConstraint(Record, compared=5):
 _MAX_TEST_COST = 1 << 27
 
 
-def _realizable(plan: ConstructionPlan, lines: dict | None, target: ConfigTable,
+def _realizable(plan: ConstructionPlan, lines: dict, target: ConfigTable,
                 common: tuple) -> tuple[tuple, list]:
     """(r', removed): the part r' of common's square-free part r at whose every
     root the plan realizes target, and each part removed, with its incidence.
     A factor of r divides an identity exactly when it holds at the factor's
     roots, so each test splits r by a gcd (dynamic evaluation; Duval, J.
-    Symbolic Comput. 18(5), 1994), on the lines modulo r, each times one
-    integer; a reduced run's lines serve, since what a step removed is a pole.
-    UnsupportedDegreeError if r' has degree 3 or more."""
+    Symbolic Comput. 18(5), 1994), on ``_symbolic``'s lines modulo r, each
+    times one integer; lines a step reduced serve, since what it removed is
+    a pole.  UnsupportedDegreeError if r' has degree 3 or more."""
     def modulo_r(entries):
         splits = [_pseudo_divide(cs, r) for cs in entries]
         scale = lcm(*(s for *_, s in splits))
         return [[c * (scale // s) for c in rem] for _, rem, s in splits]
 
     r = tuple(_pseudo_divide(common, _gcd(common, _slope(common)))[0])
-    lines = lines or _run_plan(plan, lambda s: s.cleared, lambda u, v, s: _cross(u, v, s, []))[0]
     mod = {i: modulo_r(lines[i][:3]) for i in range(1, plan.n + 1)}
     bits = max(abs(c).bit_length() for cs in (r, *chain(*mod.values())) for c in cs)
     if comb(plan.n, 3) * len(r) ** 4 * bits > _MAX_TEST_COST:
@@ -455,10 +440,10 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root meet in the target's points and in no other multiple
-    point, as ``_multiple_points`` finds them.  The plan runs once, over Q(t);
-    its lines are evaluated once per factor (``_evaluated``), at its first root:
-    the one root of a linear factor, or the "+" root of an irreducible
-    quadratic, whose conjugate root passes or fails alike.
+    point, as ``_multiple_points`` finds them.  The plan runs once over Q(t),
+    and once per factor at its first root (``evaluate_plan``): the one root of
+    a linear factor, or the "+" root of an irreducible quadratic, whose
+    conjugate root passes or fails alike.
 
     The candidates are the factors poly_reduce splits the numerators' gcd
     into; a gcd it refuses is first cut by gcds to the part whose every root
@@ -508,7 +493,7 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
         # every coefficient conjugated, which keeps keys primitive and distinct.
         field, roots = _roots_of_factor(factor)
         try:
-            plus = _evaluated(plan, lines, roots[0]) or evaluate_plan(plan, roots[0])
+            plus = evaluate_plan(plan, roots[0])
         except PoleError:
             verdict = f"pole at root of {_shown(factor, plan.var)}"
         except (DegenerateError, ValidationError) as exc:

@@ -1,6 +1,6 @@
 """The exact-geometry and plan layers build no Fraction: lattice_of,
 extract_sigma and verify_reflection run on QuadExt's integer triples alone,
-residual_numerators, evaluate_plan and the root evaluation on integer
+residual_numerators and evaluate_plan, the root evaluation, on integer
 tuples.  Counted by wrapping Fraction.__new__, so the gate is exact, not a
 timing."""
 
@@ -11,7 +11,7 @@ import pytest
 from arrsym import moduli
 from arrsym.fields import QuadExt
 from arrsym.geometry import SWAP, lattice_of
-from arrsym.moduli import evaluate_plan, residual_numerators
+from arrsym.moduli import derive_constraint, evaluate_plan, residual_numerators
 from arrsym.polys import Poly
 from arrsym.witness import extract_sigma, verify_reflection
 
@@ -73,9 +73,17 @@ def test_corpus_plans_build_no_fraction(name, realized, fraction_count):
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
-def test_corpus_root_evaluation_builds_no_fraction(name, realized, fraction_count):
+def test_corpus_root_evaluation_builds_no_fraction(name, realized, fraction_count, monkeypatch):
+    """derive_constraint's one evaluate_plan call, at the "+" root, builds none."""
     case, constraint, plus, _ = realized(name)
-    fraction_count.clear()
-    lines = moduli._symbolic(case.plan)[0]
-    assert moduli._evaluated(case.plan, lines, constraint.roots[0]).lines == plus.lines
-    assert fraction_count == []
+    calls, original = [], moduli.evaluate_plan
+
+    def counting(plan, t0):
+        fraction_count.clear()
+        realization = original(plan, t0)
+        calls.append((t0, len(fraction_count)))
+        return realization
+
+    monkeypatch.setattr(moduli, "evaluate_plan", counting)
+    assert derive_constraint(case.plan, case.config).realizations[0].lines == plus.lines
+    assert calls == [(constraint.roots[0], 0)]

@@ -37,8 +37,9 @@ from arrsym.moduli import (GivenLine, JoinLine, MeetPoint, ModuliConstraint, _sh
 from arrsym.polys import Poly, parse_ratfunc, poly_reduce
 from arrsym.witness import run_case
 
-from conftest import (ALL_CASES, REDUCED_PLAN, Ref, chain_plan, constant_chain_plan, cross,
-                      norm, parsed_entries, plan_text, plans, quads, rdivmod, rgcd, rprimitive)
+from conftest import (ALL_CASES, GRID, REDUCED_PLAN, Ref, chain_plan, constant_chain_plan,
+                      cross, norm, parsed_entries, plan_text, plans, quads, rdivmod, rgcd,
+                      rprimitive)
 
 SMALL_T = (0, 1, 2, 3, 7)
 
@@ -128,7 +129,8 @@ def reference_derive_constraint(plan, target, entries):
     try:
         candidates = [f for f, _ in poly_reduce(Poly(common))] if len(common) > 1 else []
     except UnsupportedDegreeError:      # the gcd test, checked by its own oracles below
-        kept, removed = moduli._realizable(plan, None, target, integers(common))
+        kept, removed = moduli._realizable(plan, moduli._symbolic(plan)[0], target,
+                                           integers(common))
         candidates = [f for f, _ in poly_reduce(Poly(kept))]
     seen_noncommon = set()
     for num in numerators:
@@ -314,81 +316,55 @@ def test_random_plans_reach_the_error_paths():
 
 
 # -- the root evaluation --------------------------------------------------------
-# derive_constraint reads the realization at a root off the plan's lines over
-# Q(t) (moduli._evaluated) and calls evaluate_plan only where that defers.
+# derive_constraint realizes each candidate with evaluate_plan at its first
+# root, the one evaluator at a point: the plan runs step by step there, on the
+# keys of its lines.
 
-def root_outcome(plan, lines, t0):
-    """"same" where the root evaluation gives exactly evaluate_plan's
-    arrangement, "deferred" where it defers and evaluate_plan raises; an
-    assertion fails on a miss or on a deferral evaluate_plan does not need."""
-    t0 = t0 if isinstance(t0, QuadExt) else QuadExt(t0)
-    fast = moduli._evaluated(plan, lines, t0)
-    try:
-        slow = evaluate_plan(plan, t0)
-    except (PoleError, DegenerateError, ValidationError):
-        assert fast is None
-        return "deferred"
-    assert fast is not None
-    assert ((fast.name, fast.field, [(ln.key, ln.field) for ln in fast.lines])
-            == (slow.name, slow.field, [(ln.key, ln.field) for ln in slow.lines]))
-    return "same"
-
-
-def kept_lines(plan):
-    """The plan's lines over Q(t), or None where its run over Q(t) raises,
-    as derive_constraint does before it tries a root."""
-    try:
-        lines = moduli._symbolic(plan)[0]
-    except (DegenerateError, ValidationError):
-        return None
-    assert lines is not None            # no step of these plans is reduced
-    return lines
-
-
-def test_the_root_evaluation_is_evaluate_plan_or_defers(realized):
-    """On the corpus, 400 plans of the strategy at their evaluation points and
-    the chain plans, the kept lines at a point give exactly evaluate_plan's
-    keys, or the root evaluation defers where evaluate_plan raises."""
+def test_the_root_evaluation_matches_the_reference(realized):
+    """On the corpus at its roots and at small t, 400 plans of the strategy at
+    their evaluation points and the chain plans, evaluate_plan gives exactly
+    the reference's lines, or its exception and message."""
     outcomes = Counter()
+
+    def outcome(plan, entries, t0):
+        result = assert_same_evaluation(plan, entries, t0)
+        outcomes["arrangement" if not isinstance(result[0], type) else "raised"] += 1
+
     for name in ALL_CASES:
         case, constraint, _, _ = realized(name)
+        entries = parsed_entries(plan_text(name))
         for t0 in constraint.roots + SMALL_T:
-            outcomes[root_outcome(case.plan, kept_lines(case.plan), t0)] += 1
+            outcome(case.plan, entries, t0)
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(plans())
     def drawn(text):
-        plan = parse_plan(text)
-        if (lines := kept_lines(plan)) is not None:
-            for t0 in evaluation_points(plan, parsed_entries(text)):
-                outcomes[root_outcome(plan, lines, t0)] += 1
+        plan, entries = parse_plan(text), parsed_entries(text)
+        for t0 in evaluation_points(plan, entries):
+            outcome(plan, entries, t0)
 
     drawn()
-    for n, text in [(n, chain_plan(n)) for n in range(8, 16)] + [
-            (n, constant_chain_plan(n)) for n in range(8, 29)]:
-        plan = parse_plan(text)
+    for text in [chain_plan(n) for n in range(8, 16)] + [
+            constant_chain_plan(n) for n in range(8, 29)]:
+        plan, entries = parse_plan(text), parsed_entries(text)
         for t0 in SMALL_T + (F(-5, 3), QuadExt(1, 2, FieldSpec.quadratic(-3))):
-            outcomes[root_outcome(plan, kept_lines(plan), t0)] += 1
-    assert outcomes["same"] > 200 and outcomes["deferred"] > 1000     # 288 and 1,282 here
+            outcome(plan, entries, t0)
+    assert outcomes["arrangement"] > 200 and outcomes["raised"] > 1000     # 275 and 1,946 here
 
 
-def test_a_reduced_step_defers_the_root_evaluation():
+def test_a_reduced_step_keeps_the_reduced_lines():
     """_cross reduces the meet of lines 5 and 6 from degree 80 to 40, and the
-    factor it removes, (t-1)^40, vanishes at t = 1: the root evaluation does
-    not read the kept lines, and evaluate_plan gives the pole at t = 1 and
-    the coincidence at t = 2.  The kept lines, read anyway, defer at both
-    points too, on the poles of lines 5 and 6 and on lines 3 and 7's keys."""
+    factor it removes, (t-1)^40, vanishes at t = 1: _symbolic returns the
+    lines of that reduced run, and evaluate_plan, which runs the plan at the
+    point, gives the pole at t = 1 and the coincidence at t = 2."""
     plan = parse_plan(REDUCED_PLAN)
-    reduced = []
-    lines, points = moduli._run_plan(plan, lambda step: step.cleared,
-                                     lambda u, v, step: moduli._cross(u, v, step, reduced))
-    assert [step.name for step in reduced] == ["P"] and max(map(len, points["P"])) == 41
-    assert moduli._symbolic(plan) == (None, [("Q", 7, (1,))])
+    lines, points = moduli._run_plan(plan, lambda step: step.cleared, moduli._cross)
+    full = [*moduli._wedge(lines[5], lines[6]), moduli._convolve(lines[5][3], lines[6][3])]
+    assert max(map(len, full)) == 81 and max(map(len, points["P"])) == 41
+    assert moduli._symbolic(plan) == (lines, [("Q", 7, (1,))])
     for t0, error, message in ((1, PoleError, r"^pole of \(1\)/\(t\^40 - 40t\^39 "),
                                (2, DegenerateError, "^lines 3 and 7 coincide after "
                                                     "normalization$")):
-        assert moduli._evaluated(plan, None, QuadExt(t0)) is None
-        assert root_outcome(plan, lines, t0) == "deferred"
         with pytest.raises(error, match=message):
             evaluate_plan(plan, t0)
 
@@ -581,29 +557,38 @@ def test_derive_constraint_checks_the_lattice_on_keys(name, monkeypatch):
 # -- the gcd test ---------------------------------------------------------------
 # A gcd that poly_reduce refuses is decided by gcds on the plan's lines over
 # Q(t) (moduli._realizable): divisibility there against exact evaluation at a
-# root (_evaluated or evaluate_plan, then _multiple_points) in the candidates.
+# root (evaluate_plan, then _multiple_points) in the candidates.
 
 def gcd_test_outcome(plan, target):
     """The gcd test applied to the whole common gcd gives exactly
     derive_constraint's admissible factor, or, where derive_constraint raises,
-    the error it raises: ConstraintError for none or several factors, and
+    the error it raises: ConstraintError for none or several factors,
     UnsupportedDegreeError for a part of degree 3 or more every root of which
-    realizes target (several factors if the gcd itself splits)."""
+    realizes target (several factors if the gcd itself splits), and the
+    ValidationError, message and all, of a test that is too much work, where
+    poly_reduce refuses the gcd and derive_constraint runs the same test."""
     try:
-        numerators = [norm(num) for _, _, num in residual_numerators(plan)]
+        lines, residuals = moduli._symbolic(plan)
     except (DegenerateError, ValidationError):
         return "no run"
+    numerators = [norm(num) for _, _, num in residuals]
     if not numerators:
         return "no requirement"
     common = reduce(rgcd, numerators)
     try:
-        kept = moduli._realizable(plan, None, target, integers(common))[0] if common[1:] else ()
+        kept = moduli._realizable(plan, lines, target, integers(common))[0] if common[1:] else ()
     except UnsupportedDegreeError:
         try:
             poly_reduce(Poly(common))
             expected = ConstraintError
         except UnsupportedDegreeError:
             expected = UnsupportedDegreeError
+    except ValidationError as exc:
+        try:
+            poly_reduce(Poly(common))
+            expected = None             # the gcd splits: derive_constraint runs no gcd test
+        except UnsupportedDegreeError:
+            expected = ValidationError, str(exc)
     else:
         factors = poly_reduce(Poly(kept)) if len(kept) > 1 else []
         expected = Poly(kept) if len(factors) == 1 else ConstraintError
@@ -611,8 +596,13 @@ def gcd_test_outcome(plan, target):
         got = derive_constraint(plan, target).poly
     except (ConstraintError, UnsupportedDegreeError) as exc:
         got = type(exc)
+    except ValidationError as exc:
+        got = ValidationError, str(exc)
+    if expected is None:
+        assert type(got) is not tuple
+        return "not decided by gcds"
     assert got == expected
-    return "constraint" if type(got) is Poly else got
+    return "constraint" if type(got) is Poly else got[0] if type(got) is tuple else got
 
 
 def test_the_gcd_test_gives_the_admissible_factor():
@@ -673,9 +663,29 @@ def test_a_cubic_the_table_does_not_need_is_discarded(line5, table, reason):
     plan = parse_plan(TOY.replace("LINE5", line5))
     [(_, _, numerator)] = residual_numerators(plan)
     assert len(numerator) == 6
-    assert moduli._realizable(plan, None, table, numerator) == (GOLDEN._c, [(X, reason)])
+    lines = moduli._symbolic(plan)[0]
+    assert moduli._realizable(plan, lines, table, numerator) == (GOLDEN._c, [(X, reason)])
     constraint = derive_constraint(plan, table)
     assert constraint.poly == GOLDEN and constraint.discarded == ((X, reason),)
+
+
+# A plans() draw whose requirement leaves a square-free gcd of degree 18 on 11
+# lines: the gcd test is refused as too much work, by gcd_test_outcome's call
+# and by derive_constraint alike.
+COSTLY_PLAN = "\n".join(["plan h over t", "lines 11", *GRID,
+                         "line 5 : 0 ; 0 ; 1", "line 6 : 1/(t^2+1) ; t^2 ; 1/(t+1)",
+                         "line 7 : t^2 ; (-t^2-2)/t ; 0", "line 8 : -t ; 1/(t^2+1) ; 0",
+                         "point P0 : meet 6 2", "point P1 : meet 7 2", "line 9 : join P0 P1",
+                         "point P2 : meet 9 1", "line 10 : join P1 P2", "point P3 : meet 10 8",
+                         "line 11 : join P0 P1", "point P4 : meet 11 1", "require P3 on 6"])
+
+
+def test_a_gcd_test_that_is_too_much_work_is_refused_alike():
+    plan = parse_plan(COSTLY_PLAN)
+    assert gcd_test_outcome(plan, ConfigTable("none", 11, [])) is ValidationError
+    with pytest.raises(ValidationError, match=r"^deciding t\^18 \+ 2t\^17 \+ .* by gcds on "
+                                              r"11 lines is too much work$"):
+        derive_constraint(plan, ConfigTable("none", 11, []))
 
 
 def test_a_cubic_every_root_of_which_realizes_the_table_is_refused():

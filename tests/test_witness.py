@@ -382,16 +382,15 @@ def test_pipeline_contains_stored_choice_verified(name):
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_run_case_evaluates_the_plan_once_per_root(name, monkeypatch):
     # at most once per root: only at the "+" root, since the "-"
-    # realization is its Galois conjugate; the plan's lines over Q(t) are
-    # evaluated there, and evaluate_plan runs only where that defers
+    # realization is its Galois conjugate
     calls = []
-    original = moduli._evaluated
+    original = moduli.evaluate_plan
 
-    def counting(plan, lines, t0):
+    def counting(plan, t0):
         calls.append(t0)
-        return original(plan, lines, t0)
+        return original(plan, t0)
 
-    monkeypatch.setattr(moduli, "_evaluated", counting)
+    monkeypatch.setattr(moduli, "evaluate_plan", counting)
     case = corpus.get_case(name)
     report = run_case(case.name, case.config, case.plan)
     assert calls == [report.constraint.roots[0]]
@@ -498,10 +497,10 @@ def test_corpus_pass_work_counts(monkeypatch):
 
 def test_corpus_pass_runs_each_plan_once(monkeypatch):
     """Exact counts inside derive_constraint over one run_case per corpus
-    case: the plan runs once, over Q(t), and each realization is read off its
-    lines at the root, so evaluate_plan does not run and the only point keys
-    are _multiple_points' (18 plan runs, 9 evaluate_plan calls and 364
-    _point_key calls while each root re-ran the plan)."""
+    case: the plan runs once over Q(t) and once at the root, in evaluate_plan,
+    which takes a point key only for a join, and the corpus plans have none:
+    the only point keys are _multiple_points' (364 _point_key calls while
+    evaluate_plan took one for every meet)."""
     calls = dict.fromkeys(("_run_plan", "evaluate_plan", "_point_key"), 0)
     deriving = []
 
@@ -526,7 +525,7 @@ def test_corpus_pass_runs_each_plan_once(monkeypatch):
     for name in corpus.list_cases():
         case = corpus.get_case(name)
         assert run_case(name, case.config, case.plan).status == case.expected_status
-    assert calls == {"_run_plan": 9, "evaluate_plan": 0, "_point_key": 270}
+    assert calls == {"_run_plan": 18, "evaluate_plan": 9, "_point_key": 270}
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
