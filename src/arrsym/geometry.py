@@ -11,6 +11,7 @@ nonzero entry as QuadExt scalars, is built from the key for output only.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from math import gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
@@ -234,6 +235,36 @@ def _multiple_points(arrangement: Arrangement) -> dict[tuple, list[int]]:
                 for v in later:
                     on[v - 1].append(labels)
     return found
+
+
+def _realizes(arrangement: Arrangement, table: ConfigTable) -> bool:
+    """Whether the arrangement's multiple points are exactly the table's
+    (``_multiple_points``, compared as line sets), checked, not derived: each
+    table point's key is its two smallest lines' meet, and its other lines
+    must be on it (``_on``); on each line i, the keys of the points whose
+    smallest line is i and its meets with the later lines sharing no table
+    point with it must all differ.  A third line through a meet makes two of
+    these equal on the smallest line through it.  Lines must be distinct."""
+    d = arrangement.field.d or 0
+    keys = [ln.key for ln in arrangement.lines]
+    own: dict[int, set] = {}                 # line -> keys of the points it is smallest on
+    for _, s in table.points:
+        a, b, *rest = sorted(s)
+        key = _point_key(keys[a - 1], keys[b - 1], d)
+        if key in own.setdefault(a - 1, set()) or not _on(key, keys, rest, d):
+            return False
+        own[a - 1].add(key)
+    through = [set(ks) for ks in table._through]
+    line = None
+    for (i, u), (j, w) in combinations(enumerate(keys), 2):    # grouped by i
+        if i != line:
+            line, seen, mine = i, own.pop(i, set()), through[i]
+        if mine.isdisjoint(through[j]):
+            key = _point_key(u, w, d)
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
 
 
 def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:

@@ -5,8 +5,8 @@ lines as rational-function coefficient triples (or joins of constructed
 points), and lists the incidences the target combinatorics still
 requires.  Evaluating those incidences symbolically leaves numerator
 polynomials whose common factor — filtered through exact realization and
-a lattice comparison at a root, or by gcds where it does not split into
-linears and quadratics — is the constraint indexing the moduli components.
+a check of the target table at a root, or by gcds where it does not split
+into linears and quadratics — is the constraint indexing the moduli components.
 
 The plan runs fraction-free (Geddes, Czapor & Labahn, Algorithms for
 Computer Algebra, 1992, ch. 2): once over Q(t), on integer-polynomial triples
@@ -28,8 +28,7 @@ from .errors import (ConstraintError, DegenerateError, ParseError, PoleError,
                      UnsupportedDegreeError, ValidationError, _digits, _quoted)
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, parse_digits,
                      quad_roots)
-from .geometry import (_CONJUGATE, Arrangement, ProjLine, _multiple_points, _point_key,
-                       _primitive)
+from .geometry import _CONJUGATE, Arrangement, ProjLine, _point_key, _primitive, _realizes
 from .polys import (_MAX_BITS, MAX_DEGREE, Poly, _add, _cleared, _content_free, _convolve,
                     _divide_out, _ExprParser, _gcd, _lowest, _oversized, _poly, _pseudo_divide,
                     _slope, poly_reduce)
@@ -440,10 +439,11 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root meet in the target's points and in no other multiple
-    point, as ``_multiple_points`` finds them.  The plan runs once over Q(t),
-    and once per factor at its first root (``evaluate_plan``): the one root of
-    a linear factor, or the "+" root of an irreducible quadratic, whose
-    conjugate root passes or fails alike.
+    point, which ``_realizes`` checks without deriving the lattice there: one
+    meet per target point and one per pair of lines on no target point.  The
+    plan runs once over Q(t), and once per factor at its first root
+    (``evaluate_plan``): the one root of a linear factor, or the "+" root of
+    an irreducible quadratic, whose conjugate root passes or fails alike.
 
     The candidates are the factors poly_reduce splits the numerators' gcd
     into; a gcd it refuses is first cut by gcds to the part whose every root
@@ -498,9 +498,8 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
             verdict = f"pole at root of {_shown(factor, plan.var)}"
         except (DegenerateError, ValidationError) as exc:
             verdict = f"degenerate: {exc}"
-        else:       # two points share at most one line, so their line sets are distinct
-            sets = set(map(frozenset, _multiple_points(plus).values()))
-            verdict = None if sets == target.point_sets else "lattice mismatch"
+        else:
+            verdict = None if _realizes(plus, target) else "lattice mismatch"
         if verdict is not None:
             discarded.append((factor, verdict))
             continue

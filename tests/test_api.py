@@ -34,7 +34,7 @@ def test_public_names_are_pinned():
 
 # The line count of src/arrsym/**/*.py.  A change that adds lines raises it in
 # the same diff, within the budgets ROADMAP gives, and says so in CHANGES.md.
-SRC_LINES = 3183
+SRC_LINES = 3213
 
 
 def test_src_stays_within_its_line_budget():

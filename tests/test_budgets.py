@@ -2,22 +2,26 @@
 process under one limit on CPU time and one on address space, must end in
 their error, or, for a command that succeeds, print their first line.  Every
 row has 5 s of CPU and 128 MiB of address space, except the rows in
-MEMORY_OF, which have 64 MiB.  Each ``derive`` row and every other ``aut``
-row (PG(2,13), the free tables on 10 to 1,024 lines and the pencil on 1,024
-lines) take about 0.1 s of CPU and end in their error under 24 MiB, ``aut``
-of PG(2,31), the largest, about 0.5 s and under 52 MiB.  ``lattice`` and
-``render`` of 1,024 lines over Q(sqrt 5) with no three concurrent take about
-0.8 s and 17 MiB, and of the pencil on 1,024 lines about 0.13 s and 17 MiB.
-``parse`` of one point on 1,024 lines and ``render`` with a viewport of
-1e999999999 take about 0.05 s and 17 MiB.  The three 640-digit integers (a
-radicand of sevens that names its field, a radicand that is not square-free
-and a line count) end in their result or error in at most 0.17 s and under
-17 MiB.  The three ``derive`` rows of a cubic factor take about 0.12 s and
-16 MiB.  ``derive`` of the 5,112-digit cofactor, as text and with ``--json``,
-takes about 0.1 s and 16 MiB, and ``pipeline`` of a 100,000-character case
-name about 0.08 s and 18 MiB.  The limits are at
-least six times the time and twice the memory any row needs, so a
-regression fails its row instead of hanging the suite."""
+MEMORY_OF, which have 64 MiB.  Each ``derive`` row on at most 200 lines and
+every other ``aut`` row (PG(2,13), the free tables on 10 to 1,024 lines and
+the pencil on 1,024 lines) take about 0.1 s of CPU and end in their error
+under 24 MiB, ``aut`` of PG(2,31), the largest, about 0.5 s and under 52 MiB.
+``lattice`` and ``render`` of 1,024 lines over Q(sqrt 5) with no three
+concurrent take about 0.8 s and 17 MiB, and of the pencil on 1,024 lines
+about 0.13 s and 17 MiB.  ``parse`` of one point on 1,024 lines and
+``render`` with a viewport of 1e999999999 take about 0.05 s and 17 MiB.  The
+three 640-digit integers (a radicand of sevens that names its field, a
+radicand that is not square-free and a line count) end in their result or
+error in at most 0.17 s and under 17 MiB.  The three ``derive`` rows of a
+cubic factor take about 0.12 s and 16 MiB.  ``derive`` of the 5,112-digit
+cofactor, as text and with ``--json``, takes about 0.1 s and 16 MiB, and
+``pipeline`` of a 100,000-character case name about 0.08 s and 18 MiB.
+``derive`` of a plan on 1,000 lines whose candidate is checked at its root
+takes about 1.0 s and 18 MiB on a machine where the ``lattice`` row of 1,024
+lines over Q(sqrt 5) takes 1.6 s, whether the check derives the lattice there
+or only checks the table.  The limits are at least six times the time and
+twice the memory any row needs, so a regression fails its row instead of
+hanging the suite."""
 
 import os
 import re
@@ -137,6 +141,15 @@ REALIZING = REPRO.replace("1 ; t^3-2 ; (t^2-t-1)*(t^3-2)", "1 ; t ; t^3-2")
 MANY_LINES = REALIZING.replace("lines 5", "lines 200").replace(
     "point P", "".join(f"line {k} : 1 ; {k} ; {k * k + 7}\n" for k in range(6, 201)) + "point P")
 MANY_LINES_TABLE = REPRO_TABLE.replace("lines 5", "lines 200")
+# REALIZING with the requirement t^2 - t - 1 and 995 constant lines in general
+# position: its one candidate reaches the check at the root, on 1,000 lines,
+# whose lattice there is the table's one point, [0:0:1] on lines 1, 3 and 5.
+# Line 5 is x + (1 + sqrt 5)/2*y = 0 there, and no line k meets a grid line
+# where another line does.
+WIDE = MANY_LINES.replace("1 ; t ; t^3-2", "1 ; t ; t^2-t-1").replace(
+    "lines 200", "lines 1000").replace("point P", "".join(
+        f"line {k} : 1 ; {k} ; {k * k + 7}\n" for k in range(201, 1001)) + "point P")
+WIDE_TABLE = REPRO_TABLE.replace("lines 5", "lines 1000")
 
 
 TOO_LARGE = (r"error: automorphism group of order {} on {} lines is too large "
@@ -181,6 +194,10 @@ ROWS = {
     "derive of a cubic on 200 lines": (
         ("derive", "r.plan", "m.cfg"), {"r.plan": MANY_LINES, "m.cfg": MANY_LINES_TABLE}, 2,
         NOTHING, r"error: deciding t\^3 - 2 by gcds on 200 lines is too much work\n"),
+    # no structure may hold all 499,500 pairs or all their meets at once
+    "derive on 1000 lines checked at the root": (
+        ("derive", "w.plan", "w.cfg"), {"w.plan": WIDE, "w.cfg": WIDE_TABLE}, 0,
+        r"constraint: t\^2 - t - 1\nfield: Q\(sqrt 5\)\n", ""),
     # the error line quoted the whole name
     "pipeline of a 100000-character case name": (
         ("pipeline", "x" * 100000), {}, 2, NOTHING,

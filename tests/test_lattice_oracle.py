@@ -19,7 +19,7 @@ from arrsym import corpus, geometry, moduli
 from arrsym.combinatorics import ConfigTable
 from arrsym.errors import ConstraintError, DegenerateError, ValidationError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
-from arrsym.geometry import Arrangement, ProjLine, lattice_of
+from arrsym.geometry import Arrangement, ProjLine, _multiple_points, _realizes, lattice_of
 
 from conftest import ALL_CASES, ROOTS_OF_UNITY, cross, fermat_arrangement, meet, quads
 
@@ -90,11 +90,11 @@ small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
 @st.composite
-def arrangements(draw):
-    """Lines over one field, with some lines forced through common points
-    (concurrent triples and quadruples) and some given a rational field,
-    which a point of two such lines takes too."""
-    field = draw(st.sampled_from(FIELDS))
+def arrangements(draw, fields=FIELDS):
+    """Lines over one of ``fields``, with some lines forced through common
+    points (concurrent triples and quadruples) and some given a rational
+    field, which a point of two such lines takes too."""
+    field = draw(st.sampled_from(fields))
 
     def scalar():
         b = draw(small) if not field.is_rational and draw(st.booleans()) else 0
@@ -165,6 +165,98 @@ def test_derive_constraint_refuses_the_near_misses(name):
     for miss in misses:
         with pytest.raises(ConstraintError, match="lattice mismatch"):
             moduli.derive_constraint(case.plan, miss)
+
+
+# _realizes checks a table against an arrangement without deriving the
+# arrangement's lattice; the reference derives it (_multiple_points) and
+# compares the line sets
+
+def reference_realizes(arrangement):
+    """The reference's verdict on any table, from one derivation."""
+    found = set(map(frozenset, _multiple_points(arrangement).values()))
+    return lambda table: found == table.point_sets
+
+
+def mutations(table):
+    """near_misses(table), and the table with a point added on three lines
+    that pairwise share no point, for the first such triples."""
+    yield from near_misses(table)
+    sets = [s for _, s in table.points]
+    free = [abc for abc in combinations(range(1, table.n + 1), 3)
+            if not any(len(s.intersection(abc)) >= 2 for s in sets)]
+    for abc in free[:12]:
+        yield ConfigTable(table.name, table.n, [*table.points, ("added", abc)])
+
+
+def assert_realizes_as_the_reference(arrangement, tables):
+    """_realizes agrees with the reference on every table; the number of
+    tables it accepts (near_misses yields the table itself too)."""
+    reference = reference_realizes(arrangement)
+    verdicts = [(_realizes(arrangement, t), reference(t)) for t in tables]
+    assert all(got == want for got, want in verdicts)
+    return sum(got for got, _ in verdicts)
+
+
+@pytest.mark.parametrize("name", ALL_CASES)
+def test_corpus_realizations_realize_as_the_reference(name, realized):
+    # each component against its own table, accepted, and every mutation of it
+    _, _, plus, minus = realized(name)
+    for arrangement in (plus, minus):
+        table = lattice_of(arrangement)[1]
+        assert assert_realizes_as_the_reference(arrangement, mutations(table)) == 1
+
+
+@pytest.mark.parametrize("m", sorted(ROOTS_OF_UNITY))
+def test_fermat_arrangements_realize_as_the_reference(m):
+    arrangement = fermat_arrangement(m)
+    table = lattice_of(arrangement)[1]
+    assert assert_realizes_as_the_reference(arrangement, mutations(table)) == 1
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(arrangements(fields=[RATIONAL, FieldSpec.quadratic(5), FieldSpec.quadratic(-3)]))
+def test_generated_arrangements_realize_as_the_reference(arrangement):
+    if arrangement.n < 2:
+        return
+    table = lattice_of(arrangement)[1]
+    empty = ConfigTable(table.name, table.n, [])
+    assert assert_realizes_as_the_reference(arrangement, [empty, *mutations(table)]) >= 1
+
+
+def test_a_fourth_line_through_a_triple_point_is_refused():
+    # lines 1-4 pass through [0:0:1]: a table naming three of them misses the
+    # fourth, whichever it is, and only the point on all four is realized
+    arrangement = Arrangement("four", RATIONAL, [
+        ProjLine(t) for t in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (1, 3, 7), (2, 1, 5))])
+    tables = [ConfigTable("four", 6, [("m1", lines)])
+              for k in (3, 4) for lines in combinations(range(1, 5), k)]
+    assert [_realizes(arrangement, t) for t in tables] == [False] * 4 + [True]
+    assert assert_realizes_as_the_reference(arrangement, tables) == 1
+
+
+def test_three_double_pairs_made_concurrent_are_refused():
+    # lines 2, 4 and 6 meet at [1:1:1], and each is on another point: the
+    # table that names no point through [1:1:1] makes them three double pairs
+    arrangement = Arrangement("pairs", RATIONAL, [ProjLine(t) for t in (
+        (1, 0, 0), (1, 0, -1), (0, 1, 0), (0, 1, -1), (1, 1, -1), (1, -1, 0), (3, 5, 7))])
+    with_point = lattice_of(arrangement)[1]
+    assert with_point.point_sets == {frozenset(s) for s in (
+        (2, 4, 6), (2, 3, 5), (1, 4, 5), (1, 3, 6))}
+    without = ConfigTable("pairs", 7, [(k, s) for k, s in with_point.points if s != {2, 4, 6}])
+    assert all(without._through[v - 1] for v in (2, 4, 6))
+    assert not _realizes(arrangement, without) and _realizes(arrangement, with_point)
+    assert assert_realizes_as_the_reference(arrangement, [with_point, without]) == 1
+
+
+def test_points_that_share_a_line_and_a_meet_are_refused():
+    # seven lines through [0:0:1] and the Fano plane on them as the table:
+    # every point of it is concurrent, and no pair is double, but three
+    # points have line 1 as their smallest line and one key
+    pencil = Arrangement("pencil", RATIONAL, [ProjLine((1, k, 0)) for k in range(7)])
+    fano = ConfigTable("fano", 7, [(f"p{k}", s) for k, s in enumerate(
+        ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)))])
+    assert fano.double_count() == 0
+    assert assert_realizes_as_the_reference(pencil, [fano]) == 0
 
 
 # -- work counters --------------------------------------------------------------
@@ -271,21 +363,19 @@ def test_a_pencil_meets_its_first_line_only(meets):
 
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_derive_constraint_meets_once_per_pair(name, meets, monkeypatch):
-    # every corpus case evaluates one factor, at one root, and reads the
-    # lattice there with one _multiple_points call: r - 1 meets per target
-    # point on r lines and one per double pair (270 over the nine cases).
-    # The plan's lines at the root are its lines over Q(t) evaluated, so no
-    # MeetPoint or JoinLine step is met again there (364 meets while they were)
+    # every corpus case evaluates one factor, at one root, and checks the
+    # lattice there with one _realizes call: one meet per target point, of its
+    # two smallest lines, and one per double pair (173 over the nine cases;
+    # 270 while the lattice there was derived, r - 1 meets per point on r lines)
     case = corpus.get_case(name)
     calls = []
-    original = moduli._multiple_points
-    monkeypatch.setattr(moduli, "_multiple_points",
+    original = moduli._realizes
+    monkeypatch.setattr(moduli, "_realizes",
                         lambda *args: calls.append(args) or original(*args))
     meets.clear()
     moduli.derive_constraint(case.plan, case.config)
-    assert len(calls) == 1
-    assert len(meets) == (sum(len(s) - 1 for _, s in case.config.points)
-                          + case.config.double_count())
+    assert len(calls) == 1 and calls[0][1] is case.config
+    assert len(meets) == len(case.config.points) + case.config.double_count()
 
 
 # -- the checks that replace counting the pairs ---------------------------------
@@ -325,3 +415,36 @@ def test_a_pair_at_a_wrong_key_is_refused(monkeypatch, fault):
         return
     with pytest.raises(ValidationError, match="does not cover every line pair exactly once"):
         lattice_of(arrangement)
+
+
+@pytest.mark.parametrize("fault", ["two doubles", "a double at a point", "off a line"])
+def test_a_wrong_key_at_the_root_is_a_lattice_mismatch(monkeypatch, realized, fault):
+    # at the root of {7} a faulty key gives a double pair on line i the meet
+    # of another double pair on i ("two doubles") or the key of the point
+    # whose smallest line is i ("a double at a point"), or gives a point's two
+    # smallest lines a fresh meet, on none of its other lines ("off a line")
+    case, _, plus, _ = realized("{7}")
+    table, d = case.config, plus.field.d or 0
+    k = [None] + [ln.key for ln in plus.lines]
+    a, b, c, *_ = sorted(table.points[0][1])
+    doubles = {i: [j for j in range(i + 1, table.n + 1)
+                   if not set(table._through[i - 1]) & set(table._through[j - 1])]
+               for i in range(1, table.n + 1)}
+    i = next(i for i in doubles if len(doubles[i]) >= 2)
+    original = geometry._point_key
+    fresh = (7, 0, 11, 0, 13, 0)
+    faults = {"two doubles": ((i, doubles[i][1]), original(k[i], k[doubles[i][0]], d)),
+              "a double at a point": ((a, doubles[a][0]), original(k[a], k[b], d)),
+              "off a line": ((a, b), fresh)}
+    (u, v), wrong = faults[fault]
+    assert geometry._on(fresh, k[1:], [c], d) is False
+    met = []
+
+    def faulty(*args):
+        met.append(args[:2])
+        return wrong if args[:2] == (k[u], k[v]) else original(*args)
+
+    monkeypatch.setattr(geometry, "_point_key", faulty)
+    with pytest.raises(ConstraintError, match="lattice mismatch"):
+        moduli.derive_constraint(case.plan, table)
+    assert (k[u], k[v]) in met

@@ -2,8 +2,8 @@
 they replaced.
 
 evaluate_plan runs a plan at a root on six-integer triples over Z[sqrt d]
-and normalizes each line once; derive_constraint compares the lattice at
-the root on the integer keys of its pairwise intersections.  The
+and normalizes each line once; derive_constraint checks the target table
+at the root on the integer keys of the lines' intersections.  The
 references below are the replaced code, run on the Ref model of
 tests/conftest.py: every entry, parsed alone from the plan's text,
 evaluated as its numerator's value over its denominator's, meets and joins
@@ -557,7 +557,7 @@ def test_derive_constraint_checks_the_lattice_on_keys(name, monkeypatch):
 # -- the gcd test ---------------------------------------------------------------
 # A gcd that poly_reduce refuses is decided by gcds on the plan's lines over
 # Q(t) (moduli._realizable): divisibility there against exact evaluation at a
-# root (evaluate_plan, then _multiple_points) in the candidates.
+# root (evaluate_plan, then _realizes) in the candidates.
 
 def gcd_test_outcome(plan, target):
     """The gcd test applied to the whole common gcd gives exactly
@@ -704,13 +704,26 @@ def _times(text, label, factor):
     return text.replace(row, head + scaled)
 
 
-def _scalable(name):
-    """The plan text of a case and the line of a requirement that is given,
-    not joined, and not a grid line, or None."""
-    text = plan_text(name)
-    plan = parse_plan(text)
-    given = {s.index for s in plan.steps if isinstance(s, GivenLine)} - set(plan.grid_labels())
-    return text, next((req.line for req in plan.requires() if req.line in given), None)
+def _scalable(plan):
+    """The lines of the plan that are given, not joined, and not grid lines."""
+    return {s.index for s in plan.steps if isinstance(s, GivenLine)} - set(plan.grid_labels())
+
+
+def _scaled(text, labels, factor):
+    """The plan text with each entry of the lines ``labels`` times factor."""
+    for label in labels:
+        text = _times(text, label, factor)
+    return text
+
+
+def assert_the_constraint_stays(text, labels, target, factor):
+    """derive_constraint gives the same constraint, roots and realizations
+    with each entry of the lines ``labels`` times factor; the scaled one."""
+    before = derive_constraint(parse_plan(text), target)
+    after = derive_constraint(parse_plan(_scaled(text, labels, factor)), target)
+    assert derived(lambda: after)[:-2] == derived(lambda: before)[:-2]
+    assert derived(lambda: after)[-1] == derived(lambda: before)[-1]
+    return after
 
 
 @pytest.mark.parametrize("factor", ["t^3-2", "(t-5)*(t^2+2)", "t^4+1"])
@@ -721,11 +734,56 @@ def test_a_factor_that_makes_a_line_vanish_leaves_the_constraint(name, factor):
     if name == "toy":       # one requirement: the factor joins the common gcd
         text, label, target = TOY.replace("LINE5", "1 ; 2 ; t^2-t-1"), 5, ONE_POINT
     else:
-        (text, label), target = _scalable(name), corpus.get_case(name).config
+        text, target = plan_text(name), corpus.get_case(name).config
+        plan = parse_plan(text)
+        label = next((req.line for req in plan.requires() if req.line in _scalable(plan)), None)
     assert label is not None
-    before = derive_constraint(parse_plan(text), target)
-    after = derive_constraint(parse_plan(_times(text, label, factor)), target)
-    assert derived(lambda: after)[:-2] == derived(lambda: before)[:-2]
-    assert derived(lambda: after)[-1] == derived(lambda: before)[-1]
+    after = assert_the_constraint_stays(text, [label], target, factor)
     if name == "toy":
         assert after.discarded == ((parse_ratfunc(factor)[0], "line 5 vanishes"),)
+
+
+def _through_requirements(plan):
+    """For each requirement in turn, its line if that is scalable, else a
+    scalable line its point is the meet of, else none: one line each."""
+    meets = {s.name: (s.i, s.j) for s in plan.steps if isinstance(s, MeetPoint)}
+    scalable = _scalable(plan)
+    return [next((v for v in (req.line, *meets[req.point]) if v in scalable), None)
+            for req in plan.requires()]
+
+
+def test_a_factor_that_makes_a_line_vanish_leaves_drawn_constraints(monkeypatch):
+    """The same with t^3 - 2 on 400 plans of the strategy, against the
+    lattices at their evaluation points, wherever derive_constraint gives a
+    constraint, on one line for each requirement it can reach: a
+    requirement's line, or else a line its point lies on.  Where it reaches
+    every requirement the factor joins the common gcd, which poly_reduce
+    refuses; the gcd test cuts the cubic off, and each candidate left is
+    checked at its root after it."""
+    outcomes, tests = Counter(), []
+    realizable = moduli._realizable
+    monkeypatch.setattr(moduli, "_realizable", lambda *args: tests.append(args) or
+                        realizable(*args))
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(plans())
+    def drawn(text):
+        plan = parse_plan(text)
+        labels = [v for v in _through_requirements(plan) if v is not None]
+        targets = set()
+        for t0 in evaluation_points(plan, parsed_entries(text)) if labels else ():
+            try:
+                targets.add(lattice_of(evaluate_plan(plan, t0))[1])
+            except (PoleError, DegenerateError, ValidationError):
+                pass
+        for target in targets:
+            try:
+                derive_constraint(plan, target)
+            except ArrsymError:
+                continue
+            tests.clear()
+            assert_the_constraint_stays(text, dict.fromkeys(labels), target, "t^3-2")
+            outcomes["by gcds" if tests else "factored"] += 1
+
+    drawn()
+    assert outcomes["by gcds"] >= 15, outcomes     # 20 here, each reaching every requirement

@@ -499,8 +499,9 @@ def test_corpus_pass_runs_each_plan_once(monkeypatch):
     """Exact counts inside derive_constraint over one run_case per corpus
     case: the plan runs once over Q(t) and once at the root, in evaluate_plan,
     which takes a point key only for a join, and the corpus plans have none:
-    the only point keys are _multiple_points' (364 _point_key calls while
-    evaluate_plan took one for every meet)."""
+    the only point keys are _realizes', one per target point and double pair
+    (270 _point_key calls while the lattice at the root was derived by
+    _multiple_points, 364 while evaluate_plan took one for every meet)."""
     calls = dict.fromkeys(("_run_plan", "evaluate_plan", "_point_key"), 0)
     deriving = []
 
@@ -525,7 +526,7 @@ def test_corpus_pass_runs_each_plan_once(monkeypatch):
     for name in corpus.list_cases():
         case = corpus.get_case(name)
         assert run_case(name, case.config, case.plan).status == case.expected_status
-    assert calls == {"_run_plan": 18, "evaluate_plan": 9, "_point_key": 270}
+    assert calls == {"_run_plan": 18, "evaluate_plan": 9, "_point_key": 173}
 
 
 @pytest.mark.parametrize("name", ALL_CASES)
