@@ -6,12 +6,13 @@ coefficient triple whose first nonzero entry is a positive integer
 (``_primitive``).  Every equality test, lookup and map compares or moves
 keys, never numeric values.  The normal form, the triple over its first
 nonzero entry as QuadExt scalars, is built from the key for output only.
+One walk finds the multiple points (``_multiple_points``): ``lattice_of``
+derives them, and a given table is checked by the walk seeded with its points.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from math import gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
@@ -62,14 +63,14 @@ class _Triple(Record):
     __init__ = object.__init__              # __new__ builds the instance
 
     def __new__(cls, coords, field: FieldSpec | None = None):
+        if len(coords) != 3:                # before a long sequence is converted
+            raise ValidationError("expected a coefficient triple")
         if field is None:
             field = next((c.field for c in coords
                           if isinstance(c, QuadExt) and not c.field.is_rational),
                          RATIONAL)
         vals = tuple(v.with_field(field) if isinstance(v, QuadExt) else QuadExt(v, 0, field)
                      for v in coords)
-        if len(vals) != 3:
-            raise ValidationError("expected a coefficient triple")
         den = lcm(*(v._den for v in vals))
         w = [c * (den // v._den) for v in vals for c in (v._p, v._q)]
         return cls._keyed(_primitive(w, field.d or 0), field)
@@ -208,68 +209,54 @@ def _on(point: tuple, keys: list, labels: list[int], d: int) -> bool:
     return True
 
 
-def _multiple_points(arrangement: Arrangement) -> dict[tuple, list[int]]:
-    """The points on three or more lines: key -> ascending line labels, in
-    lexicographic order.  Each line's meets with the later lines not on a
-    point found through it are grouped by ``_point_key``, so a point is
-    found whole at its smallest line; a double point is never kept.
-    ValidationError if a meet is a found key or a grouped line past the
-    first two misses its key (``_on``); DegenerateError if lines coincide."""
+def _multiple_points(arrangement: Arrangement,
+                     table: ConfigTable | None = None) -> dict[tuple, list[int]]:
+    """The points on three or more lines: key -> ascending line labels.  A
+    table's points are known first, each its two smallest lines' meet with
+    its other lines on it (``_on``).  Then each line's meets with the later
+    lines sharing no known point with it are grouped by ``_point_key``, so a
+    point is found whole at its smallest line, in lexicographic order; a
+    double point is never kept.  ValidationError if a point or a meet is at
+    a known key, or a grouped line past the first two misses its key;
+    DegenerateError if lines coincide."""
     d = arrangement.field.d or 0
     keys = [ln.key for ln in arrangement.lines]
     if len(set(keys)) < len(keys):
         raise DegenerateError("intersect of identical lines")
     found: dict[tuple, list[int]] = {}
-    on: list[list[list[int]]] = [[] for _ in keys]     # the found points through each line
+    on: list[set[int]] = [set() for _ in keys]     # the known points through each line, by index
+
+    def keep(key: tuple, labels: list[int]) -> None:
+        if key in found or not _on(key, keys, labels[2:], d):
+            raise ValidationError("lattice does not cover every line pair exactly once")
+        for v in labels:
+            on[v - 1].add(len(found))
+        found[key] = labels
+
+    for labels in (sorted(s) for _, s in table.points) if table else ():
+        keep(_point_key(keys[labels[0] - 1], keys[labels[1] - 1], d), labels)
     for i, u in enumerate(keys, start=1):
-        skip = set().union(*on[i - 1])
-        groups: dict[tuple, list[int]] = {}
+        mine, groups = on[i - 1], {}
         for j, w in enumerate(keys[i:], i + 1):
-            if j not in skip:
+            if mine.isdisjoint(on[j - 1]):
                 groups.setdefault(_point_key(u, w, d), []).append(j)
         for key, later in groups.items():
-            if key in found or len(later) >= 2 and not _on(key, keys, later[1:], d):
-                raise ValidationError("lattice does not cover every line pair exactly once")
-            if len(later) >= 2:
-                found[key] = labels = [i, *later]
-                for v in later:
-                    on[v - 1].append(labels)
+            if len(later) >= 2 or key in found:     # a double point at a known key clashes
+                keep(key, [i, *later])
     return found
 
 
 def _realizes(arrangement: Arrangement, table: ConfigTable) -> bool:
-    """Whether the arrangement's multiple points are exactly the table's
-    (``_multiple_points``, compared as line sets), checked, not derived: each
-    table point's key is its two smallest lines' meet, and its other lines
-    must be on it (``_on``); on each line i, the keys of the points whose
-    smallest line is i and its meets with the later lines sharing no table
-    point with it must all differ.  A third line through a meet makes two of
-    these equal on the smallest line through it.  Lines must be distinct."""
-    d = arrangement.field.d or 0
-    keys = [ln.key for ln in arrangement.lines]
-    own: dict[int, set] = {}                 # line -> keys of the points it is smallest on
-    for _, s in table.points:
-        a, b, *rest = sorted(s)
-        key = _point_key(keys[a - 1], keys[b - 1], d)
-        if key in own.setdefault(a - 1, set()) or not _on(key, keys, rest, d):
-            return False
-        own[a - 1].add(key)
-    through = [set(ks) for ks in table._through]
-    line = None
-    for (i, u), (j, w) in combinations(enumerate(keys), 2):    # grouped by i
-        if i != line:
-            line, seen, mine = i, own.pop(i, set()), through[i]
-        if mine.isdisjoint(through[j]):
-            key = _point_key(u, w, d)
-            if key in seen:
-                return False
-            seen.add(key)
-    return True
+    """Whether the walk seeded with the table's points (``_multiple_points``) meets no other."""
+    try:
+        return len(_multiple_points(arrangement, table)) == len(table.points)
+    except ValidationError:
+        return False
 
 
 def lattice_of(arrangement: Arrangement) -> tuple[tuple[ProjPoint, ...], ConfigTable]:
-    """The multiple points (``_multiple_points``, which meets no pair on a
-    point found earlier) as ProjPoints, and the ConfigTable of their line
+    """The multiple points (``_multiple_points`` unseeded, which meets no pair
+    on a point found earlier) as ProjPoints, and the ConfigTable of their line
     sets m1, m2, ... in the same order: points[k] is table.points[k], in the
     field ``intersect`` gives its two smallest lines.  No double point is
     built.  The line count is checked first; coincident lines raise DegenerateError."""

@@ -439,11 +439,12 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     """Extract the residual incidence constraint and keep the unique factor
     whose every root realizes the target combinatorics exactly: the plan's
     lines at the root meet in the target's points and in no other multiple
-    point, which ``_realizes`` checks without deriving the lattice there: one
-    meet per target point and one per pair of lines on no target point.  The
-    plan runs once over Q(t), and once per factor at its first root
-    (``evaluate_plan``): the one root of a linear factor, or the "+" root of
-    an irreducible quadratic, whose conjugate root passes or fails alike.
+    point, which the lattice walk seeded with the target's points checks
+    (``_realizes``): one meet per target point and one per pair of lines on
+    no target point.  The plan runs once over Q(t), and once per factor at
+    its first root (``evaluate_plan``): the one root of a linear factor, or
+    the "+" root of an irreducible quadratic, whose conjugate root passes or
+    fails alike.
 
     The candidates are the factors poly_reduce splits the numerators' gcd
     into; a gcd it refuses is first cut by gcds to the part whose every root

@@ -29,6 +29,29 @@ def test_normalization():
         ProjLine((0, 0, 0))
 
 
+class Unread:
+    """A sequence that claims 10**9 coordinates and gives none."""
+
+    def __len__(self):
+        return 10**9
+
+    def __getitem__(self, index):
+        raise AssertionError("a coordinate was read before the count was checked")
+
+    def __iter__(self):
+        yield self[0]
+
+
+@pytest.mark.parametrize("coords", [(1, 2), (1, 2, 3, 4), Unread()])
+@pytest.mark.parametrize("field", [None, Q5])
+def test_a_non_triple_is_refused_before_its_coordinates_are_read(coords, field):
+    # 2,000,000 coordinates took 3 s and 200 MiB to convert before the count
+    # refused them
+    for cls in (ProjLine, ProjPoint):
+        with pytest.raises(ValidationError, match="^expected a coefficient triple$"):
+            cls(coords, field)
+
+
 def test_a_key_is_one_line_in_each_field():
     # equal keys with a sqrt(d) part are different lines in different fields;
     # a rational line is the same in every field

@@ -167,13 +167,14 @@ def test_derive_constraint_refuses_the_near_misses(name):
             moduli.derive_constraint(case.plan, miss)
 
 
-# _realizes checks a table against an arrangement without deriving the
-# arrangement's lattice; the reference derives it (_multiple_points) and
-# compares the line sets
+# _realizes checks a table against an arrangement by the lattice walk
+# seeded with the table's points; the reference derives the lattice by
+# grouping all C(n,2) normalized meets (reference_lattice_of) and compares
+# the line sets
 
 def reference_realizes(arrangement):
     """The reference's verdict on any table, from one derivation."""
-    found = set(map(frozenset, _multiple_points(arrangement).values()))
+    found = reference_lattice_of(arrangement)[1].point_sets
     return lambda table: found == table.point_sets
 
 
@@ -257,6 +258,9 @@ def test_points_that_share_a_line_and_a_meet_are_refused():
         ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 5, 6)))])
     assert fano.double_count() == 0
     assert assert_realizes_as_the_reference(pencil, [fano]) == 0
+    # the walk refuses the second table point at a known key as it is seeded
+    with pytest.raises(ValidationError, match="does not cover every line pair exactly once"):
+        _multiple_points(pencil, fano)
 
 
 # -- work counters --------------------------------------------------------------
@@ -364,13 +368,14 @@ def test_a_pencil_meets_its_first_line_only(meets):
 @pytest.mark.parametrize("name", ALL_CASES)
 def test_derive_constraint_meets_once_per_pair(name, meets, monkeypatch):
     # every corpus case evaluates one factor, at one root, and checks the
-    # lattice there with one _realizes call: one meet per target point, of its
-    # two smallest lines, and one per double pair (173 over the nine cases;
-    # 270 while the lattice there was derived, r - 1 meets per point on r lines)
+    # lattice there with one walk seeded with the target's points: one meet
+    # per target point, of its two smallest lines, and one per double pair
+    # (173 over the nine cases; 270 while the lattice there was derived
+    # unseeded, r - 1 meets per point on r lines)
     case = corpus.get_case(name)
     calls = []
-    original = moduli._realizes
-    monkeypatch.setattr(moduli, "_realizes",
+    original = geometry._multiple_points
+    monkeypatch.setattr(geometry, "_multiple_points",
                         lambda *args: calls.append(args) or original(*args))
     meets.clear()
     moduli.derive_constraint(case.plan, case.config)

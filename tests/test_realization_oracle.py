@@ -557,7 +557,8 @@ def test_derive_constraint_checks_the_lattice_on_keys(name, monkeypatch):
 # -- the gcd test ---------------------------------------------------------------
 # A gcd that poly_reduce refuses is decided by gcds on the plan's lines over
 # Q(t) (moduli._realizable): divisibility there against exact evaluation at a
-# root (evaluate_plan, then _realizes) in the candidates.
+# root (evaluate_plan, then the lattice walk seeded with the target's points,
+# geometry._realizes) in the candidates.
 
 def gcd_test_outcome(plan, target):
     """The gcd test applied to the whole common gcd gives exactly
