@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations, count
+from itertools import combinations
 from math import comb, lcm
 from operator import index, itemgetter
 
@@ -63,18 +63,6 @@ class Permutation(Record):
             _labels((i,))       # ValidationError naming a label that is not an integer
         raise ValidationError(f"label {_digits(i)[0]} out of range 1..{self.degree}")
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(i) = p(q(i))."""
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValidationError("degree mismatch in composition")
-        return Permutation._of(tuple(self.images[v - 1] for v in other.images))
-
-    def inverse(self) -> "Permutation":
-        """Each label's preimage, in order of image."""
-        return Permutation._of(tuple(i for _, i in sorted(zip(self.images, count(1)))))
-
     def order(self) -> int:
         """The lcm of the cycle lengths, walked without building the cycles."""
         images, seen, lengths = self.images, set(), {1}
@@ -111,9 +99,6 @@ class Permutation(Record):
         if not cycs:
             return "id"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
@@ -246,7 +231,7 @@ def parse_config_table(text: str) -> ConfigTable:
     """Parse the .cfg format (line-oriented, # comments)."""
     name = n = None
     points = []
-    for lineno, line, fields in _directives(text):
+    for lineno, line, fields in _directives(text, ("arrangement", "lines", "point")):
         keyword = fields[0]
         if keyword == "arrangement":
             if len(fields) != 2:
@@ -268,8 +253,6 @@ def parse_config_table(text: str) -> ConfigTable:
                                  f"{_quoted(label, str)}")
             points.append((label, [parse_digits(v, f"line {lineno}: a line label")
                                    for v in rest]))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or n is None:
         raise ParseError("missing 'arrangement' or 'lines' header")
     try:
@@ -318,7 +301,8 @@ class AutGroup(Record):
             return label
         if n in orders:
             return f"Z{n}"
-        if all(g * h == h * g for g, h in combinations(self.generators, 2)):
+        if all([g.images[v - 1] for v in h.images] == [h.images[v - 1] for v in g.images]
+               for g, h in combinations(self.generators, 2)):
             return f"abelian order {n}"
         return f"order {n}"
 

@@ -346,16 +346,19 @@ def parse_digits(text: str, what: str) -> int:
     return int(text)
 
 
-def _directives(text: str):
+def _directives(text: str, keywords: tuple):
     """(lineno, line, fields) for each line of a .cfg, .plan or .arr file
-    that is not blank once its # comment is cut.  A header directive may
-    appear once: ParseError on the second."""
+    that is not blank once its # comment is cut.  ParseError on a directive
+    not among the format's ``keywords``, and on a header directive's second
+    appearance: a header may appear once."""
     headers = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
+        if fields[0] not in keywords:
+            raise ParseError(f"line {lineno}: unknown directive {_quoted(fields[0])}")
         if fields[0] in ("arrangement", "lines", "field", "plan"):
             if fields[0] in headers:
                 raise ParseError(f"line {lineno}: repeated {_quoted(fields[0])} header")
@@ -363,18 +366,10 @@ def _directives(text: str):
         yield lineno, line, fields
 
 
-_RAT = r"-?\d+(?:/\d+)?"
-_RAT_RE = re.compile(rf"^{_RAT}$")
-_B_ONLY_RE = re.compile(r"^(?P<b>[+-]?(?:\d+(?:/\d+)?)?)w$")
-_A_B_RE = re.compile(rf"^(?P<a>{_RAT})(?P<b>[+-](?:\d+(?:/\d+)?)?)w$")
-
-
-def _parse_b(text: str) -> Fraction:
-    if text in ("", "+"):
-        return Fraction(1)
-    if text == "-":
-        return Fraction(-1)
-    return _fraction_literal(text)
+# [a][b w]: a is the rational part, b the coefficient of w; a counts as a
+# only where a sign or the end follows it, so "12w" is 12w, not 12 + w.
+_SCALAR_RE = re.compile(r"^(?:(?P<a>-?\d+(?:/\d+)?)(?=[+-]|$))?"
+                        r"(?:(?P<b>[+-]?(?:\d+(?:/\d+)?)?)w)?$")
 
 
 def _fraction_literal(text: str) -> Fraction:
@@ -387,24 +382,17 @@ def _fraction_literal(text: str) -> Fraction:
 
 
 def parse_scalar(text: str, field: FieldSpec = RATIONAL) -> QuadExt:
-    """Parse the scalar grammar; whitespace-insensitive."""
+    """Parse the scalar grammar; whitespace-insensitive.  One pattern,
+    _SCALAR_RE, reads it: without a w part the scalar is the rational a;
+    a bare w, +w or -w has coefficient 1 or -1."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty scalar")
-    if _RAT_RE.match(s):
-        return QuadExt(_fraction_literal(s), 0, field)
-    m = _B_ONLY_RE.match(s)
-    if m:
-        b = _parse_b(m.group("b"))
-    else:
-        m = _A_B_RE.match(s)
-        if not m:
-            raise ParseError(f"malformed scalar {_quoted(text)}")
-        b = _parse_b(m.group("b"))
-    a = _fraction_literal(m.groupdict().get("a") or "0")
-    if field.is_rational:
-        if b != 0:
-            raise ParseError(f"scalar {_quoted(text)} uses w but the field is rational")
-        return QuadExt(a)
+    if not (m := _SCALAR_RE.match(s)):
+        raise ParseError(f"malformed scalar {_quoted(text)}")
+    b = m["b"]
+    b = 0 if b is None else _fraction_literal(b + "1" if b in ("", "+", "-") else b)
+    a = _fraction_literal(m["a"] or "0")
+    if b and field.is_rational:
+        raise ParseError(f"scalar {_quoted(text)} uses w but the field is rational")
     return QuadExt(a, b, field)
-

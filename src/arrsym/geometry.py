@@ -16,7 +16,7 @@ import re
 from math import gcd, lcm
 
 from .combinatorics import MAX_LINES, ConfigTable
-from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _digits, _quoted
+from .errors import DegenerateError, FieldMixError, ParseError, ValidationError, _digits
 from .fields import (RATIONAL, FieldSpec, QuadExt, _directives, _quad, parse_digits,
                      parse_scalar)
 from .record import Record
@@ -315,7 +315,7 @@ def parse_arrangement(text: str) -> Arrangement:
     name = None
     field = None
     entries: dict[int, tuple] = {}
-    for lineno, line, fields in _directives(text):
+    for lineno, line, fields in _directives(text, ("arrangement", "field", "line")):
         keyword = fields[0]
         if keyword == "arrangement":
             if len(fields) != 2:
@@ -347,8 +347,6 @@ def parse_arrangement(text: str) -> Arrangement:
             if idx in entries:
                 raise ParseError(f"line {lineno}: duplicate line index {_digits(idx)[0]}")
             entries[idx] = tuple(parse_scalar(p, field) for p in parts)
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or field is None or not entries:
         raise ParseError("missing 'arrangement', 'field', or line entries")
     n = len(entries)

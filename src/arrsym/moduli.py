@@ -140,7 +140,7 @@ def parse_plan(text: str) -> ConstructionPlan:
     var = None
     n = None
     steps: list = []
-    for lineno, line, fields in _directives(text):
+    for lineno, line, fields in _directives(text, ("plan", "lines", "line", "point", "require")):
         keyword = fields[0]
         if keyword == "plan":
             if len(fields) != 4 or fields[2] != "over":
@@ -191,8 +191,6 @@ def parse_plan(text: str) -> ConstructionPlan:
                 raise ParseError(f"line {lineno}: expected 'require <P> on <i>'")
             steps.append(Require(point=fields[1], line=parse_digits(
                 fields[3], f"line {lineno}: a line label")))
-        else:
-            raise ParseError(f"line {lineno}: unknown directive {_quoted(keyword)}")
     if name is None or var is None:
         raise ParseError("missing 'plan' header")
     if n is None:
@@ -355,9 +353,6 @@ class ModuliConstraint(Record, compared=5):
 
     __slots__ = ("poly", "var", "field", "roots", "discarded", "realizations")
 
-    def format(self) -> str:
-        return self.poly.format(self.var)
-
     def to_dict(self) -> dict:
         """The JSON fields, each value by _written; root_product is None unless
         the poly is quadratic."""
@@ -367,9 +362,6 @@ class ModuliConstraint(Record, compared=5):
                                  if self.poly.degree == 2 else None),
                 "discarded": [[_written(f, self.var), reason]
                               for f, reason in self.discarded]}
-
-    def __str__(self) -> str:
-        return self.format()
 
 
 # Most work the gcd test may do: C(n, 3) * (deg r + 1)^4 * the largest bit size.
@@ -472,7 +464,9 @@ def derive_constraint(plan: ConstructionPlan, target: ConfigTable) -> ModuliCons
     for num in prims:
         for f in candidates:                # what is left is coprime to the gcd
             num = _divide_out(num, f._c)[0]
-        while removed and len(g := _gcd(num, common)) > 1:  # and to what the gcd test removed
+        # and to what the gcd test removed: a part may join factors whose powers
+        # in num differ, so gcds strip it, not division by the part
+        while removed and len(g := _gcd(num, common)) > 1:
             num = _pseudo_divide(num, g)[0]
         if len(num) < 2:                    # a constant: no factor to report
             continue

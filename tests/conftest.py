@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import arrsym
 from arrsym import corpus
-from arrsym.combinatorics import ConfigTable
+from arrsym.combinatorics import ConfigTable, Permutation
 from arrsym.errors import DegenerateError
 from arrsym.fields import RATIONAL, FieldSpec, QuadExt
 from arrsym.geometry import Arrangement, ProjPoint
@@ -33,6 +33,23 @@ def realized():
         return cache[name]
 
     return get
+
+
+# -- permutations, from their images ------------------------------------------
+# Permutation keeps no arithmetic, so the tests compose and invert on the
+# image tuples themselves.
+
+def compose(p, q):
+    """p after q: the permutation taking i to p(q(i))."""
+    return Permutation([p.images[v - 1] for v in q.images])
+
+
+def inverse(p):
+    """The permutation taking p(i) back to i."""
+    images = [0] * len(p.images)
+    for i, v in enumerate(p.images, 1):
+        images[v - 1] = i
+    return Permutation(images)
 
 
 # -- QuadExt arithmetic: only its own tests compute with it ---------------------

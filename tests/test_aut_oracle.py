@@ -23,7 +23,7 @@ from arrsym.combinatorics import (AutGroup, ConfigTable, Permutation, automorphi
                                   involutions, is_lattice_isomorphism)
 from arrsym.errors import ValidationError
 
-from conftest import fermat_arrangement, fermat_table
+from conftest import compose, fermat_arrangement, fermat_table, inverse
 
 # leaf checks of the search, exact
 CORPUS_LEAF_CHECKS = {"{1}": 1, "{6}": 1, "{7}": 3, "maclane": 3, "nazir-yoshinaga": 2,
@@ -270,7 +270,7 @@ def power_order(g):
     """The smallest k with g^k the identity, by repeated products."""
     power, k, identity = g, 1, Permutation.identity(g.degree)
     while power != identity:
-        power, k = power * g, k + 1
+        power, k = compose(power, g), k + 1
     return k
 
 
@@ -334,7 +334,7 @@ def test_labels_and_involutions_match_their_definitions(drawn):
     g, labels = drawn
     assert [g(i) for i in labels] == [g.images[i - 1] for i in labels]
     assert g.is_involution == (power_order(g) == 2)
-    listed = [Permutation.identity(g.degree), g, g * g, g.inverse()]
+    listed = [Permutation.identity(g.degree), g, compose(g, g), inverse(g)]
     assert involutions(AutGroup._of(g.degree, tuple(listed), ())) == [
         h for h in listed if power_order(h) == 2]
 
@@ -352,14 +352,14 @@ def test_the_leaf_check_is_the_point_set_check(table, data):
 # -- structure labels -----------------------------------------------------------
 
 def reference_label(group):
-    """The label by brute force: every element's order, counted, and whether
-    every pair of elements commutes."""
+    """The label by brute force: every element's order by repeated products,
+    counted, and whether every pair of elements commutes."""
     n = len(group.elements)
     if n == 1:
         return "trivial"
     if n > 48:
         return f"order {n}"
-    profile = tuple(sorted(Counter(g.order() for g in group.elements).items()))
+    profile = tuple(sorted(Counter(power_order(g) for g in group.elements).items()))
     known = {(24, ((1, 1), (2, 9), (3, 8), (4, 6))): "S4",
              (6, ((1, 1), (2, 3), (3, 2))): "S3",
              (48, ((1, 1), (2, 13), (3, 8), (4, 6), (6, 8), (8, 12))): "GL(2,F3)",
@@ -367,9 +367,9 @@ def reference_label(group):
              (8, ((1, 1), (2, 5), (4, 2))): "D4"}
     if (n, profile) in known:
         return known[n, profile]
-    if any(g.order() == n for g in group.elements):
+    if any(power_order(g) == n for g in group.elements):
         return f"Z{n}"
-    if all(g * h == h * g for g, h in combinations(group.elements, 2)):
+    if all(compose(g, h) == compose(h, g) for g, h in combinations(group.elements, 2)):
         return f"abelian order {n}"
     return f"order {n}"
 

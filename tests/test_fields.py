@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction as F
+from itertools import product
 from math import isqrt, prod
 
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrsym.errors import DegenerateError, FieldMixError, ParseError, ValidationError
-from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, parse_scalar, quad_roots,
-                           square_free_part)
+from arrsym.errors import _quoted
+from arrsym.fields import (RATIONAL, FieldSpec, QuadExt, _fraction_literal, parse_scalar,
+                           quad_roots, square_free_part)
 
 from conftest import Ref
 
@@ -276,6 +279,54 @@ def test_scalar_parse_errors():
                  "\u0663", "\u00b2"):
         with pytest.raises(ParseError):
             parse_scalar(text, Q5)
+
+
+# The scalar parser as three patterns tried in turn, a rational alone, a w
+# term alone and a rational followed by a signed w term: the reference for
+# parse_scalar's one pattern.
+RAT = r"-?\d+(?:/\d+)?"
+RAT_ONLY = re.compile(rf"^{RAT}$")
+W_ONLY = re.compile(r"^(?P<b>[+-]?(?:\d+(?:/\d+)?)?)w$")
+RAT_AND_W = re.compile(rf"^(?P<a>{RAT})(?P<b>[+-](?:\d+(?:/\d+)?)?)w$")
+
+
+def reference_scalar(text, field):
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError("empty scalar")
+    if RAT_ONLY.match(s):
+        return QuadExt(_fraction_literal(s), 0, field)
+    if not (m := W_ONLY.match(s) or RAT_AND_W.match(s)):
+        raise ParseError(f"malformed scalar {_quoted(text)}")
+    b = F(-1) if m["b"] == "-" else F(1) if m["b"] in ("", "+") else _fraction_literal(m["b"])
+    a = _fraction_literal(m.groupdict().get("a") or "0")
+    if field.is_rational:
+        if b != 0:
+            raise ParseError(f"scalar {_quoted(text)} uses w but the field is rational")
+        return QuadExt(a)
+    return QuadExt(a, b, field)
+
+
+def outcome(parse, text, field):
+    try:
+        value = parse(text, field)
+    except ParseError as exc:
+        return str(exc)
+    return value.a, value.b, value.field
+
+
+def test_the_scalar_pattern_matches_the_three_patterns():
+    """Every string over 0 1 / + - w of length 6 or less, and every one with
+    spaces of length 5 or less, in Q and in Q(sqrt 5): the same value in the
+    same field, or the same message.  Both parsers cut the spaces before
+    matching, so a space changes only the text a message quotes."""
+    texts = ["".join(chars) for k in range(7) for chars in product("01/+-w", repeat=k)]
+    texts += [text for k in range(6) for text in map("".join, product("01/+-w ", repeat=k))
+              if " " in text]
+    for field in (RATIONAL, Q5):
+        for text in texts:
+            expected = outcome(reference_scalar, text, field)
+            assert outcome(parse_scalar, text, field) == expected, text
 
 
 def test_float_conversion():

@@ -12,7 +12,7 @@ from arrsym.geometry import (SWAP, SWAP_CONJUGATE, Arrangement, MapKind,
                              ProjLine, ProjPoint, intersect, lattice_of,
                              parse_arrangement)
 
-from conftest import Ref, apply_map, contains, meet, relabel
+from conftest import Ref, apply_map, contains, inverse, meet, relabel
 
 Q5 = FieldSpec.quadratic(5)
 QI = FieldSpec.quadratic(-1)
@@ -211,7 +211,7 @@ def test_relabel():
 def test_relabel_round_trip(realized):
     _, _, plus, _ = realized("{7}")
     sigma = parse_cycles("(1 5)(2 6)(3 4)(7 9)", 10)
-    assert relabel(relabel(plus, sigma), sigma.inverse()) == plus
+    assert relabel(relabel(plus, sigma), inverse(sigma)) == plus
 
 
 def test_relabel_equivariance(realized):

@@ -268,6 +268,38 @@ def test_noncommon_factor_too_large_to_factor_is_discarded():
     assert discarded_cofactor(rest) == [(rest, "not common to all requirements")]
 
 
+# The gcd of the two requirements, (t^3 - 2)(t - 5)(t^2 - t - 1), is too large
+# for poly_reduce, and the gcd test cuts (t^3 - 2)(t - 5) off as one part, at
+# whose roots line 5 vanishes.  The second requirement holds t^3 - 2 twice,
+# so dividing it by that part once leaves t^3 - 2, which is still common.
+SQUARED_PART_PLAN = """\
+plan squared over t
+lines 6
+line 1 : 1 ; 0 ; 0
+line 2 : 1 ; 0 ; -1
+line 3 : 0 ; 1 ; 0
+line 4 : 0 ; 1 ; -1
+line 5 : (t^3-2)*(t-5) ; 2*(t^3-2)*(t-5) ; (t^2-t-1)*(t^3-2)*(t-5)
+line 6 : (t^3-2)*(t^3-2)*(t-5) ; (t^3-2)*(t^3-2)*(t-5) ; (t^2-t-3)*(t^3-2)*(t^3-2)*(t-5)
+point P : meet 1 3
+point Q : meet 2 4
+require P on 5
+require Q on 6
+"""
+
+
+def test_a_common_factor_in_a_removed_part_is_not_reported_as_noncommon():
+    cubic, linear, golden = (parse_ratfunc(f)[0].coeffs for f in ("t^3-2", "t-5", "t^2-t-1"))
+    part = rmul(cubic, linear)
+    plan = parse_plan(SQUARED_PART_PLAN)
+    assert [Poly(num) for _, _, num in residual_numerators(plan)] == [
+        Poly(rmul(part, golden)), Poly(rmul(cubic, rmul(part, golden)))]
+    table = ConfigTable("squared", 6, [("P", [1, 3, 5]), ("Q", [2, 4, 6])])
+    constraint = derive_constraint(plan, table)
+    assert constraint.poly == Poly(golden)
+    assert constraint.discarded == ((Poly(part), "line 5 vanishes"),)
+
+
 def test_discarded_factors_case7(realized):
     _, constraint, _, _ = realized("{7}")
     discarded = {f.format("t") for f, _ in constraint.discarded}

@@ -82,6 +82,22 @@ def test_a_repeated_header_is_refused(parse, keyword):
     assert str(err.value) == f"line {len(lines) + 1}: repeated '{keyword}' header"
 
 
+# Another format's directive is as unknown as any other word, also on its
+# second appearance, while a second header of the file's own format is
+# repeated.  Each line is appended twice; the first one is refused.
+@pytest.mark.parametrize("parse, line, message", [
+    (parse_config_table, "field rational", "unknown directive 'field'"),
+    (parse_arrangement, "lines 3", "unknown directive 'lines'"),
+    (parse_plan, "arrangement x", "unknown directive 'arrangement'"),
+    (parse_config_table, "lines 5", "repeated 'lines' header")],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_a_directive_of_another_format_is_unknown(parse, line, message):
+    lines = SEEDS[parse][0].splitlines()
+    with pytest.raises(ParseError) as err:
+        parse("\n".join(lines + [line, line]))
+    assert str(err.value) == f"line {len(lines) + 1}: {message}"
+
+
 def test_a_second_field_is_a_parse_error_not_a_field_mix():
     # the second field used to be read: these two lines raised FieldMixError,
     # and with a rational first line the file was read over Q(sqrt 2)
